@@ -266,12 +266,22 @@ class SweepResult:
 
 
 def _tikhonov_cell(op, y_noisy, alphas, truth, cfg):
-    """Errors over the alpha grid; solves share warm starts, largest alpha first."""
+    """Errors over the alpha grid; solves share warm starts, largest alpha first.
+
+    A solve that stops at ``cg_max_iter`` raises NumericalFailureError, so
+    the error of an unconverged iterate never enters the oracle minimum.
+    """
     errors = np.empty(alphas.size)
     x0 = None
     for j in range(alphas.size - 1, -1, -1):
         problem = TikhonovProblem(op=op, data=y_noisy, alpha=float(alphas[j]))
         result = solve_tikhonov(problem, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter, x0=x0)
+        if not result.converged:
+            raise NumericalFailureError(
+                f"CG did not converge at alpha={alphas[j]:.6g}: {result.iterations} iterations, "
+                f"normal residual {result.residual_norm:.3e} > cg_tol * ||rhs|| = "
+                f"{cfg.cg_tol * result.rhs_norm:.3e}"
+            )
         x0 = result.x
         errors[j] = np.linalg.norm(truth - result.x)
     return errors

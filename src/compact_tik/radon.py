@@ -8,9 +8,11 @@ along the ray
 
 with equispaced samples in t (spacing ``step``) clipped to the bounding
 circle of the square, trapezoid end-weights, and the interpolant extended
-by zero outside [-1, 1]^2. The whole map is a sparse gather with fixed
-indices and weights; the adjoint scatters the same weights, so the pair is
-an exact transpose up to float64 summation order.
+by zero outside [-1, 1]^2. The map is compiled once per (geometry, grid)
+into a cached sparse table: the coalesced nonzeros (row, col, val) of R,
+sorted by ray then pixel. The forward map sums each ray's entries; the
+adjoint scatters the same triples, so the pair is an exact transpose up
+to float64 summation order.
 """
 
 from __future__ import annotations
@@ -109,19 +111,45 @@ class SinogramGrid:
         return self.values.reshape(self.geometry.n_angles, self.geometry.n_bins)
 
 
-@functools.lru_cache(maxsize=8)
-def _interp_tables(geom: RadonGeometry, nx: int, ny: int):
-    """Gather indices and weights of the discretized transform.
+@dataclass(frozen=True)
+class _Projector:
+    """Coalesced nonzeros (row, col, val) of R, sorted by ray then pixel.
 
-    Returns (idx, w, n_s): both (n_rays * n_s, 4) with rays angle-major,
-    n_s samples per ray. Out-of-image stencil entries carry zero weight and
-    a clamped index, so gathers and scatters never go out of range.
+    ``rays`` lists the rays that have entries and ``starts`` the offset of
+    each one's first entry, so a segmented sum over ``starts`` gives R x on
+    exactly those rays; every other ray is identically zero. Indices are
+    intp, which numpy gathers and scatters without a conversion copy.
+    """
+
+    row: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
+    rays: np.ndarray
+    starts: np.ndarray
+
+
+def _run_starts(sorted_keys):
+    """Index of the first element of each run of equal values."""
+    change = np.ones(sorted_keys.size, dtype=bool)
+    change[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    return np.flatnonzero(change)
+
+
+@functools.lru_cache(maxsize=8)
+def _projector(geom: RadonGeometry, nx: int, ny: int) -> _Projector:
+    """Compile the discretized transform into its coalesced sparse table.
+
+    Each ray sample contributes a 4-point bilinear stencil scaled by its
+    trapezoid weight. Stencil points outside the image and zero weights are
+    dropped, and the repeated (ray, pixel) pairs of one angle are merged in
+    sample order after a stable sort, so the table is deterministic.
     """
     offsets = geom.offsets
     radius = math.sqrt(2.0)  # bounding circle of [-1, 1]^2
     n_s = int(math.floor(2.0 * radius / geom.step)) + 1
     t = (np.arange(n_s) - (n_s - 1) / 2.0) * geom.step
     hx, hy = 2.0 / nx, 2.0 / ny
+    n_pix = nx * ny
 
     # trapezoid weights, shared by all angles: full step inside the chord
     # |t| <= L(s), half step at the first/last inside sample
@@ -135,14 +163,23 @@ def _interp_tables(geom: RadonGeometry, nx: int, ny: int):
     ray_w[rows, first[rows]] *= 0.5
     ray_w[rows, last[rows]] *= 0.5
 
-    idx_parts, w_parts = [], []
-    for theta in geom.angles:
+    # only samples with positive weight can contribute; bin-major, t minor
+    s_bin, s_k = np.nonzero(ray_w)
+    s_off, s_t, s_w = offsets[s_bin], t[s_k], ray_w[s_bin, s_k]
+    s_key = s_bin * n_pix
+    corner = np.array([0, 1, nx, nx + 1])
+
+    row_parts, col_parts, val_parts = [], [], []
+    for q, theta in enumerate(geom.angles):
         normal = np.array([math.cos(theta), math.sin(theta)])
         tangent = np.array([-math.sin(theta), math.cos(theta)])
-        px = offsets[:, None] * normal[0] + t[None, :] * tangent[0]
-        py = offsets[:, None] * normal[1] + t[None, :] * tangent[1]
+        px = s_off * normal[0] + s_t * tangent[0]
+        py = s_off * normal[1] + s_t * tangent[1]
         fx = (px + 1.0) / hx - 0.5
         fy = (py + 1.0) / hy - 0.5
+        # a sample whose whole stencil lies outside the image adds nothing
+        hit = np.flatnonzero((fx >= -1.0) & (fx < nx) & (fy >= -1.0) & (fy < ny))
+        fx, fy = fx[hit], fy[hit]
         ix0 = np.floor(fx).astype(np.int64)
         iy0 = np.floor(fy).astype(np.int64)
         rx = fx - ix0
@@ -150,39 +187,54 @@ def _interp_tables(geom: RadonGeometry, nx: int, ny: int):
         w4 = np.stack(
             [(1 - rx) * (1 - ry), rx * (1 - ry), (1 - rx) * ry, rx * ry], axis=-1
         )
-        ix = np.stack([ix0, ix0 + 1, ix0, ix0 + 1], axis=-1)
-        iy = np.stack([iy0, iy0, iy0 + 1, iy0 + 1], axis=-1)
-        valid = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
-        w4 = w4 * valid * ray_w[..., None]
-        flat = np.where(valid, iy * nx + ix, 0)
-        idx_parts.append(flat.reshape(-1, 4))
-        w_parts.append(w4.reshape(-1, 4))
+        w4 *= s_w[hit, None]
+        # corners (ix0, iy0), (ix0+1, iy0), (ix0, iy0+1), (ix0+1, iy0+1);
+        # every sample left has -1 <= ix0 < nx and -1 <= iy0 < ny
+        x_lo, x_hi = ix0 >= 0, ix0 < nx - 1
+        y_lo, y_hi = iy0 >= 0, iy0 < ny - 1
+        valid = np.stack([x_lo & y_lo, x_hi & y_lo, x_lo & y_hi, x_hi & y_hi], axis=-1)
+        keep = valid & (w4 != 0.0)
+        key = (s_key[hit] + iy0 * nx + ix0)[:, None] + corner
+        key = key[keep]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        runs = _run_starts(key)
+        val_parts.append(np.add.reduceat(w4[keep][order], runs))
+        ray, col = np.divmod(key[runs], n_pix)
+        row_parts.append(q * geom.n_bins + ray)
+        col_parts.append(col)
 
-    idx = np.concatenate(idx_parts).astype(np.int32)
-    w = np.concatenate(w_parts)
-    return idx, w, n_s
+    row = np.concatenate(row_parts).astype(np.intp, copy=False)
+    col = np.concatenate(col_parts).astype(np.intp, copy=False)
+    val = np.concatenate(val_parts)
+    starts = _run_starts(row)
+    return _Projector(row=row, col=col, val=val, rays=row[starts], starts=starts)
 
 
 def radon_forward(image: ImageGrid, geom: RadonGeometry) -> SinogramGrid:
     """Apply the discrete Radon transform to an image."""
-    idx, w, n_s = _interp_tables(geom, image.nx, image.ny)
-    contrib = (image.values[idx] * w).sum(axis=1)
-    values = contrib.reshape(geom.size, n_s).sum(axis=1)
+    table = _projector(geom, image.nx, image.ny)
+    contrib = image.values[table.col]
+    contrib *= table.val
+    values = np.zeros(geom.size)
+    # reduceat over an empty segment would return the next entry instead
+    # of 0, so only the rays that have entries are summed
+    values[table.rays] = np.add.reduceat(contrib, table.starts)
     return SinogramGrid(geometry=geom, values=values)
 
 
 def radon_adjoint(sino: SinogramGrid, nx, ny) -> ImageGrid:
     """Apply the exact transpose of :func:`radon_forward`.
 
-    Scatters each ray value back through the same interpolation weights;
+    Scatters each ray value back through the same table entries;
     satisfies <Rx, y> = <x, R^T y> to floating-point accuracy.
     """
     if nx < 1 or ny < 1:
         raise ValueError(f"grid must have at least one pixel per axis, got {nx}x{ny}")
-    geom = sino.geometry
-    idx, w, n_s = _interp_tables(geom, nx, ny)
-    per_sample = np.repeat(sino.values, n_s)
-    values = np.bincount(idx.ravel(), weights=(w * per_sample[:, None]).ravel(), minlength=nx * ny)
+    table = _projector(sino.geometry, nx, ny)
+    contrib = sino.values[table.row]
+    contrib *= table.val
+    values = np.bincount(table.col, weights=contrib, minlength=nx * ny)
     return ImageGrid(nx=nx, ny=ny, values=values)
 
 
@@ -202,13 +254,10 @@ def radon_operator(geom: RadonGeometry, nx, ny) -> LinearOperator:
 
 def dense_matrix(geom: RadonGeometry, nx, ny):
     """Materialize the transform as a dense (M, N) array. Test-scale only."""
-    op = radon_operator(geom, nx, ny)
-    cols = []
-    for k in range(op.domain_dim):
-        e = np.zeros(op.domain_dim)
-        e[k] = 1.0
-        cols.append(op.apply(e))
-    return np.column_stack(cols)
+    table = _projector(geom, nx, ny)
+    mat = np.zeros((geom.size, nx * ny))
+    mat[table.row, table.col] = table.val
+    return mat
 
 
 def write_sinf(path, sino: SinogramGrid):

@@ -130,6 +130,19 @@ def test_sweep_rerun_from_manifest_is_identical(tmp_path):
     assert (out1 / "fits.csv").read_bytes() == (out2 / "fits.csv").read_bytes()
 
 
+def test_sweep_reports_unconverged_cells_on_stderr(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    code = run_cli(
+        "sweep", "--n", "12", "--angles", "6", "--n-deltas", "2",
+        "--realizations", "1", "--n-alphas", "3", "--cg-max-iter", "2", "--out", str(out),
+    )
+    assert code == 0
+    err = capsys.readouterr().err
+    assert err.count("cell failed:") == 2
+    assert "did not converge" in err
+    assert (out / "results.csv").read_text().splitlines() == ["delta,seed,alpha,error,snr_db,method"]
+
+
 def test_config_round_trip(tmp_path):
     for subcommand, schema in SCHEMAS.items():
         cfg = {key: default for key, (_, default, _) in schema.items()}

@@ -237,6 +237,26 @@ def test_run_sweep_oracle_minimum_and_determinism():
     assert results_csv(r1.records, "tikhonov") == results_csv(r2.records, "tikhonov")
 
 
+def test_run_sweep_unconverged_solve_fails_its_cell():
+    base = dict(
+        deltas=[0.2, 0.05], n_realizations=2, nx=12, ny=12, n_angles=6,
+        n_alphas=3, alpha_span_decades=1.0, base_seed=9,
+    )
+    capped = run_sweep(SweepConfig(**base, cg_max_iter=2))
+    assert capped.records == [] and capped.aggregates == [] and capped.fit is None
+    assert capped.failed_deltas == base["deltas"]
+    assert len(capped.failures) == 4
+    message = capped.failures[0].message
+    assert "did not converge at alpha=" in message
+    assert "2 iterations" in message and "normal residual" in message
+
+    # at the default cap every solve converges, and the cap changes nothing
+    default = run_sweep(SweepConfig(**base))
+    roomy = run_sweep(SweepConfig(**base, cg_max_iter=10**6))
+    assert default.failures == [] and len(default.records) == 4
+    assert results_csv(default.records, "tikhonov") == results_csv(roomy.records, "tikhonov")
+
+
 def test_run_sweep_nn_method_smoke():
     from compact_tik.experiment import NnSettings
 

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from compact_tik.grid import ImageGrid, pixel_centers, shepp_logan
 from compact_tik.linop import adjoint_defect
@@ -13,6 +17,46 @@ from compact_tik.radon import (
     read_sinf,
     write_sinf,
 )
+
+
+def reference_matrix(geom, nx, ny):
+    """R built by a plain loop over rays and samples.
+
+    Each sample inside the bounding circle of [-1, 1]^2 carries a trapezoid
+    weight (a half step at the first and last inside sample) and spreads it
+    over the 4-point bilinear stencil at its position; stencil points
+    outside the image are skipped (zero extension).
+    """
+    radius = math.sqrt(2.0)
+    n_s = int(math.floor(2.0 * radius / geom.step)) + 1
+    hx, hy = 2.0 / nx, 2.0 / ny
+    mat = np.zeros((geom.size, nx * ny))
+    for q, theta in enumerate(geom.angles):
+        c, s = math.cos(theta), math.sin(theta)
+        for p, offset in enumerate(geom.offsets):
+            chord = math.sqrt(max(radius**2 - offset**2, 0.0))
+            ts = [(k - (n_s - 1) / 2.0) * geom.step for k in range(n_s)]
+            inside = [k for k in range(n_s) if abs(ts[k]) <= chord + 1e-12]
+            for k in inside:
+                weight = geom.step
+                if k == inside[0]:
+                    weight *= 0.5
+                if k == inside[-1]:
+                    weight *= 0.5
+                fx = (offset * c - ts[k] * s + 1.0) / hx - 0.5
+                fy = (offset * s + ts[k] * c + 1.0) / hy - 0.5
+                ix0, iy0 = math.floor(fx), math.floor(fy)
+                rx, ry = fx - ix0, fy - iy0
+                stencil = [
+                    (ix0, iy0, (1 - rx) * (1 - ry)),
+                    (ix0 + 1, iy0, rx * (1 - ry)),
+                    (ix0, iy0 + 1, (1 - rx) * ry),
+                    (ix0 + 1, iy0 + 1, rx * ry),
+                ]
+                for ix, iy, w in stencil:
+                    if 0 <= ix < nx and 0 <= iy < ny:
+                        mat[q * geom.n_bins + p, iy * nx + ix] += weight * w
+    return mat
 
 
 def disk_image(nx, radius=0.5):
@@ -166,3 +210,55 @@ def test_sinf_round_trip(tmp_path):
     raw = path.read_bytes()
     assert raw[:4] == b"SINF"
     assert len(raw) == 4 + 4 + 4 + 8 + 8 * geom.size
+
+
+def test_dense_matrix_equals_unit_vector_applies():
+    for geom, nx, ny in [
+        (RadonGeometry.for_grid(8, 10), 8, 8),
+        (RadonGeometry(n_angles=7, n_bins=11, det_halfwidth=1.2, step=0.17), 9, 5),
+    ]:
+        op = radon_operator(geom, nx, ny)
+        columns = np.column_stack([op.apply(e) for e in np.eye(nx * ny)])
+        assert np.array_equal(dense_matrix(geom, nx, ny), columns)
+
+
+def test_rays_without_entries_are_exactly_zero():
+    # bins with |s| > sqrt(2) miss the bounding circle; at s = +-1.25 the
+    # rays of angle 0 miss the image. Empty rays sit next to full ones, in
+    # the same angle and across angles.
+    geom = RadonGeometry(n_angles=3, n_bins=9, det_halfwidth=2.0, step=0.25)
+    nx, ny = 6, 4
+    empty = ~dense_matrix(geom, nx, ny).any(axis=1)
+    assert empty.any() and not empty.all()
+    sino = radon_forward(ImageGrid(nx, ny, np.ones(nx * ny)), geom).values
+    assert np.all(sino[empty] == 0.0)
+    assert np.all(sino[~empty] > 0.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    nx=st.integers(1, 7),
+    ny=st.integers(1, 7),
+    n_angles=st.integers(1, 5),
+    n_bins=st.integers(1, 9),
+    det_halfwidth=st.floats(0.1, 2.0),
+    step_in_pixels=st.floats(0.3, 2.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(nx=5, ny=3, n_angles=1, n_bins=1, det_halfwidth=1.0, step_in_pixels=0.7, seed=0)
+@example(nx=4, ny=6, n_angles=3, n_bins=7, det_halfwidth=1.8, step_in_pixels=1.3, seed=1)
+def test_matches_reference_loop(nx, ny, n_angles, n_bins, det_halfwidth, step_in_pixels, seed):
+    geom = RadonGeometry(
+        n_angles=n_angles, n_bins=n_bins, det_halfwidth=det_halfwidth,
+        step=step_in_pixels * 2.0 / nx,
+    )
+    ref = reference_matrix(geom, nx, ny)
+    op = radon_operator(geom, nx, ny)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(nx * ny)
+    y = rng.standard_normal(geom.size)
+    want_fwd, want_adj = ref @ x, ref.T @ y
+    assert np.abs(op.apply(x) - want_fwd).max() <= 1e-13 * np.abs(want_fwd).max()
+    assert np.abs(op.apply_adjoint(y) - want_adj).max() <= 1e-13 * np.abs(want_adj).max()
+    if ref.any():
+        assert adjoint_defect(op, n_probes=3, seed=seed) <= 1e-12
