@@ -26,6 +26,7 @@ from .mlp import (
     MlpGrads,
     MlpParams,
     adam_step,
+    forward_trace,
     init_params,
     load_params,
     mlp_backward,

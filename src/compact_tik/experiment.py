@@ -109,12 +109,7 @@ def deltas_for_snr_range(y, snr_min_db, snr_max_db, count):
 def sweep_deltas(nx, n_angles, snr_min_db, snr_max_db, count,
                  det_halfwidth=float(np.sqrt(2.0)), n_bins=None):
     """Noise levels for a phantom sweep, derived from the clean sinogram."""
-    geom = RadonGeometry.for_grid(nx, n_angles, det_halfwidth=det_halfwidth)
-    if n_bins is not None:
-        geom = RadonGeometry(
-            n_angles=geom.n_angles, n_bins=n_bins,
-            det_halfwidth=geom.det_halfwidth, step=geom.step,
-        )
+    geom = RadonGeometry.for_grid(nx, n_angles, det_halfwidth=det_halfwidth, n_bins=n_bins)
     y = radon_forward(shepp_logan(nx, nx), geom).values
     return deltas_for_snr_range(y, snr_min_db, snr_max_db, count)
 
@@ -244,15 +239,8 @@ class SweepConfig:
         return np.logspace(lo, hi, self.n_alphas)
 
     def geometry(self) -> RadonGeometry:
-        geom = RadonGeometry.for_grid(self.nx, self.n_angles, det_halfwidth=self.det_halfwidth)
-        if self.n_bins is not None:
-            geom = RadonGeometry(
-                n_angles=geom.n_angles,
-                n_bins=self.n_bins,
-                det_halfwidth=geom.det_halfwidth,
-                step=geom.step,
-            )
-        return geom
+        return RadonGeometry.for_grid(self.nx, self.n_angles, det_halfwidth=self.det_halfwidth,
+                                      n_bins=self.n_bins)
 
 
 @dataclass

@@ -62,17 +62,26 @@ class DiagonalOperator:
 
 
 def adjoint_defect(op, n_probes=10, seed=0):
-    """Max relative defect |<Ax,y> - <x,A^T y>| / (||Ax|| ||y||) on random probes."""
+    """Max relative defect |<Ax,y> - <x,A^T y>| / (||Ax|| ||y||) on random probes.
+
+    A NaN defect on any probe (an operator that returns NaN) makes the
+    result NaN, never a pass. A probe with ||Ax|| ||y|| = 0 has no relative
+    defect and raises ValueError.
+    """
+    if n_probes < 1:
+        raise ValueError(f"need at least one probe, got {n_probes}")
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_probes):
+    defects = []
+    for k in range(n_probes):
         x = rng.standard_normal(op.domain_dim)
         y = rng.standard_normal(op.range_dim)
         ax = op.apply(x)
         aty = op.apply_adjoint(y)
-        defect = abs(ax @ y - x @ aty) / (np.linalg.norm(ax) * np.linalg.norm(y))
-        worst = max(worst, defect)
-    return worst
+        scale = np.linalg.norm(ax) * np.linalg.norm(y)
+        if scale == 0.0:
+            raise ValueError(f"probe {k}: ||A x|| ||y|| = 0, so the relative defect is undefined")
+        defects.append(abs(ax @ y - x @ aty) / scale)
+    return float(np.max(defects))
 
 
 @dataclass(frozen=True)

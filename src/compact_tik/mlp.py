@@ -1,10 +1,19 @@
 """Coordinate MLP with leaky-ReLU hidden layers and a ReLU output layer.
 
 The network maps plane coordinates to a nonnegative intensity. All
-arithmetic is float64. Gradients are reverse-mode, computed from the
-stored pre-activations of a forward pass; at an activation kink (input
-exactly 0) the derivative takes the negative-side slope, so zero for the
-output ReLU and the leak slope for hidden units.
+arithmetic is float64. Gradients are reverse-mode: :func:`forward_trace`
+keeps every layer's input and pre-activation, and :func:`mlp_backward`
+consumes that trace without evaluating the network again, so a training
+step costs one forward. At an activation kink (input exactly 0) the
+derivative takes the negative-side slope, so zero for the output ReLU and
+the leak slope for hidden units.
+
+The hidden leaky ReLU is computed as max(z, leak z) and its slope as
+max(sign z, leak). For 0 < leak < 1 (which both :class:`MlpArchitecture`
+and :class:`MlpParams` enforce) these equal the branch forms "z if z > 0
+else leak z" and "1 if z > 0 else leak" bit for bit, signed zeros
+included, and unlike ``np.where`` over a random sign mask they do not
+stall on branch mispredictions.
 
 Clamping every weight and bias to [-c, c] after each optimizer step keeps
 the parameters in a fixed box; the image sets generated by such bounded
@@ -74,6 +83,8 @@ class MlpParams:
         for w, b in zip(self.weights, self.biases):
             if w.shape[0] != b.shape[0]:
                 raise ValueError(f"layer shape mismatch: W {w.shape}, b {b.shape}")
+        if not 0.0 < self.leak < 1.0:
+            raise ValueError(f"leak slope must be in (0, 1), got {self.leak}")
 
     @property
     def n_params(self):
@@ -122,8 +133,13 @@ def init_params(arch: MlpArchitecture, seed, weight_bound=None) -> MlpParams:
     return params
 
 
-def _forward_trace(params: MlpParams, coords):
-    """Forward pass keeping pre-activations for the backward sweep."""
+def forward_trace(params: MlpParams, coords):
+    """Forward pass keeping what the backward sweep needs.
+
+    Returns ``(activations, pre)``: ``activations[0]`` is the coordinate
+    array and ``activations[i + 1]`` the output of layer i; ``pre[i]`` is
+    layer i's pre-activation. The network output is ``activations[-1]``.
+    """
     h = np.asarray(coords, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != params.weights[0].shape[1]:
         raise ValueError(
@@ -133,10 +149,13 @@ def _forward_trace(params: MlpParams, coords):
     activations = [h]
     pre = []
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w.T + b
+        z = h @ w.T
+        z += b
         pre.append(z)
         if i < n_layers - 1:
-            h = np.where(z > 0, z, params.leak * z)
+            # branch-free leaky ReLU, exact for 0 < leak < 1 (module docstring)
+            h = params.leak * z
+            np.maximum(z, h, out=h)
         else:
             h = np.maximum(z, 0.0)
         activations.append(h)
@@ -148,19 +167,25 @@ def mlp_forward(params: MlpParams, coords):
 
     Returns a length-n vector; nonnegative by the final ReLU.
     """
-    activations, _ = _forward_trace(params, coords)
+    activations, _ = forward_trace(params, coords)
     return activations[-1][:, 0]
 
 
-def mlp_backward(params: MlpParams, coords, output_cotangent) -> MlpGrads:
-    """Gradient of sum_k cotangent_k * output_k with respect to the parameters."""
+def mlp_backward(params: MlpParams, trace, output_cotangent) -> MlpGrads:
+    """Gradient of sum_k cotangent_k * output_k with respect to the parameters.
+
+    ``trace`` is the ``(activations, pre)`` pair that :func:`forward_trace`
+    returned for these parameters; it is read, not modified.
+    """
+    activations, pre = trace
     cot = np.asarray(output_cotangent, dtype=np.float64).ravel()
-    activations, pre = _forward_trace(params, coords)
     if cot.size != activations[0].shape[0]:
         raise ValueError(
             f"cotangent length {cot.size} != number of coordinates {activations[0].shape[0]}"
         )
     n_layers = len(params.weights)
+    if len(pre) != n_layers:
+        raise ValueError(f"trace has {len(pre)} layers, parameters have {n_layers}")
     gw = [None] * n_layers
     gb = [None] * n_layers
     # output layer: derivative of ReLU at 0 taken as 0
@@ -170,8 +195,10 @@ def mlp_backward(params: MlpParams, coords, output_cotangent) -> MlpGrads:
         gb[i] = delta.sum(axis=0)
         if i > 0:
             delta = delta @ params.weights[i]
-            slope = np.where(pre[i - 1] > 0, 1.0, params.leak)
-            delta = delta * slope
+            # slope 1 where pre > 0, leak elsewhere, kink included
+            slope = np.sign(pre[i - 1])
+            np.maximum(slope, params.leak, out=slope)
+            delta *= slope
     return MlpGrads(weights=gw, biases=gb)
 
 

@@ -15,6 +15,10 @@ The data-term gradient is routed through the verified adjoint: the
 image-space cotangent 2 R^T (R x - y^d) + 2 alpha x is handed to the
 network backward pass; by linearity of R this equals differentiating
 through the projector itself.
+
+Each iteration evaluates the network once: the image x is the output of
+one forward trace, and the backward pass reuses that trace. The trace is
+dropped before the next forward, so at most one is alive at a time.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .mlp import (
     AdamState,
     MlpArchitecture,
     adam_step,
+    forward_trace,
     init_params,
     mlp_backward,
     mlp_forward,
@@ -124,7 +129,8 @@ def reconstruct_nn(cfg: NnReconstructionConfig) -> NnReconstruction:
     best_iteration = 0
 
     for it in range(cfg.iterations + 1):
-        x = mlp_forward(params, coords)
+        fwd = forward_trace(params, coords)
+        x = fwd[0][-1][:, 0]
         objective, cotangent = _objective_and_cotangent(op, data, alpha, x)
         if not np.isfinite(objective):
             raise NumericalFailureError(f"non-finite objective at iteration {it}")
@@ -136,7 +142,8 @@ def reconstruct_nn(cfg: NnReconstructionConfig) -> NnReconstruction:
             best_iteration = it
         if it == cfg.iterations:
             break
-        grads = mlp_backward(params, coords, cotangent)
+        grads = mlp_backward(params, fwd, cotangent)
+        del fwd  # one trace alive at a time; only x outlives it
         params, state = adam_step(params, grads, state)
         if cfg.weight_bound is not None:
             params = project_weights(params, cfg.weight_bound)

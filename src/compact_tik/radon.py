@@ -60,16 +60,17 @@ class RadonGeometry:
             raise ValueError("det_halfwidth and step must be positive")
 
     @classmethod
-    def for_grid(cls, nx, n_angles, det_halfwidth=math.sqrt(2.0)):
+    def for_grid(cls, nx, n_angles, det_halfwidth=math.sqrt(2.0), n_bins=None):
         """Default geometry for an nx-wide grid.
 
-        Bin spacing matches the pixel width, so n_bins = ceil(nx *
-        det_halfwidth); with the default detector covering the image
-        diagonal this gives 182 bins at nx = 128. step = one pixel width.
+        Unless ``n_bins`` is given, bin spacing matches the pixel width, so
+        n_bins = ceil(nx * det_halfwidth); with the default detector
+        covering the image diagonal this gives 182 bins at nx = 128.
+        step = one pixel width.
         """
         return cls(
             n_angles=n_angles,
-            n_bins=math.ceil(nx * det_halfwidth),
+            n_bins=math.ceil(nx * det_halfwidth) if n_bins is None else n_bins,
             det_halfwidth=det_halfwidth,
             step=2.0 / nx,
         )
@@ -273,12 +274,12 @@ def write_sinf(path, sino: SinogramGrid):
         f.write(sino.values.astype("<f8").tobytes())
 
 
-def read_sinf(path, step=None):
+def read_sinf(path, step):
     """Read a sinogram written by :func:`write_sinf`.
 
-    The header does not carry the ray sampling step; pass ``step`` to
-    reconstruct the exact geometry, otherwise it defaults to the bin
-    spacing 2 * det_halfwidth / n_bins.
+    The header does not carry the ray sampling step, and a guessed step
+    rebuilds a different operator, so ``step`` must be the one of the
+    geometry that wrote the file (2 / nx for :meth:`RadonGeometry.for_grid`).
     """
     with open(path, "rb") as f:
         magic = f.read(4)
@@ -286,8 +287,6 @@ def read_sinf(path, step=None):
             raise ValueError(f"bad magic {magic!r}, expected {SINF_MAGIC!r}")
         n_bins, n_angles, det_halfwidth = struct.unpack("<IId", f.read(16))
         values = np.frombuffer(f.read(8 * n_bins * n_angles), dtype="<f8")
-    if step is None:
-        step = 2.0 * det_halfwidth / n_bins
     geom = RadonGeometry(
         n_angles=n_angles, n_bins=n_bins, det_halfwidth=det_halfwidth, step=step
     )

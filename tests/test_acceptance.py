@@ -13,7 +13,7 @@ import pytest
 
 import compact_tik as ct
 from compact_tik.cli import main as cli_main
-from compact_tik.mlp import _forward_trace
+from compact_tik.mlp import forward_trace
 
 REFERENCE_DIR = Path(__file__).resolve().parent.parent / "reference_runs" / "ct32"
 
@@ -105,11 +105,11 @@ def test_criterion_04_gradient_check():
         seed += 1
         params = ct.init_params(arch, seed=seed)
         coords = rng.uniform(-1, 1, size=(4, 2))
-        _, pre = _forward_trace(params, coords)
-        if min(np.abs(z).min() for z in pre) <= 1e-3:
+        trace = forward_trace(params, coords)
+        if min(np.abs(z).min() for z in trace[1]) <= 1e-3:
             continue
         cot = rng.standard_normal(4)
-        grads = ct.mlp_backward(params, coords, cot)
+        grads = ct.mlp_backward(params, trace, cot)
         ad = flatten([*grads.weights, *grads.biases])
         base = flatten([*params.weights, *params.biases])
         fd = np.empty(base.size)

@@ -30,7 +30,7 @@ def test_sinogram_and_tikhonov(tmp_path):
     assert run_cli("sinogram", "--n", "16", "--angles", "8", "--out", str(sino)) == 0
     from compact_tik.radon import read_sinf
 
-    back = read_sinf(sino)
+    back = read_sinf(sino, step=2.0 / 16)
     assert back.geometry.n_angles == 8
 
     rec = tmp_path / "x.imgf"

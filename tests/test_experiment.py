@@ -335,3 +335,16 @@ def test_sweep_deltas_helper():
     deltas = sweep_deltas(nx=16, n_angles=8, snr_min_db=16.6, snr_max_db=42.6, count=4)
     assert len(deltas) == 4
     assert all(b < a for a, b in zip(deltas, deltas[1:]))
+
+
+def test_explicit_bins_reach_both_geometry_users():
+    from compact_tik.grid import shepp_logan
+    from compact_tik.radon import RadonGeometry, radon_forward
+
+    want = RadonGeometry(n_angles=8, n_bins=13, det_halfwidth=1.1, step=2.0 / 16)
+    cfg = SweepConfig(deltas=[0.1], n_realizations=1, nx=16, ny=16, n_angles=8,
+                      det_halfwidth=1.1, n_bins=13)
+    assert cfg.geometry() == want
+    y = radon_forward(shepp_logan(16, 16), want).values
+    assert sweep_deltas(16, 8, 16.6, 42.6, 4, det_halfwidth=1.1, n_bins=13) == \
+        deltas_for_snr_range(y, 16.6, 42.6, 4)

@@ -4,6 +4,7 @@ import pytest
 from compact_tik.errors import NumericalFailureError
 from compact_tik.linop import (
     DiagonalOperator,
+    LinearOperator,
     adjoint_defect,
     cg_solve,
     matrix_operator,
@@ -14,6 +15,40 @@ def test_matrix_operator_adjoint_contract():
     rng = np.random.default_rng(0)
     op = matrix_operator(rng.standard_normal((7, 5)))
     assert adjoint_defect(op, n_probes=20) <= 1e-10
+
+
+def test_adjoint_defect_rejects_zero_denominator():
+    # every ray of this geometry misses a 4x4 image, so R x = 0 on every probe
+    from compact_tik.radon import RadonGeometry, radon_operator
+
+    geom = RadonGeometry(n_angles=2, n_bins=2, det_halfwidth=2.0, step=0.3)
+    op = radon_operator(geom, 4, 4)
+    with pytest.raises(ValueError, match="probe 0"):
+        adjoint_defect(op)
+
+
+def test_adjoint_defect_reports_nan():
+    nan_op = LinearOperator(domain_dim=3, range_dim=2,
+                            apply=lambda x: np.full(2, np.nan),
+                            apply_adjoint=lambda y: np.full(3, np.nan))
+    assert np.isnan(adjoint_defect(nan_op))
+    # a NaN on one probe is not hidden by finite defects on the others
+    mat = np.random.default_rng(1).standard_normal((2, 3))
+    calls = []
+
+    def apply_nan_on_second_call(x):
+        calls.append(None)
+        return mat @ x if len(calls) != 2 else np.full(2, np.nan)
+
+    op = LinearOperator(domain_dim=3, range_dim=2, apply=apply_nan_on_second_call,
+                        apply_adjoint=lambda y: mat.T @ y)
+    assert np.isnan(adjoint_defect(op, n_probes=4))
+    assert len(calls) == 4
+
+
+def test_adjoint_defect_needs_a_probe():
+    with pytest.raises(ValueError):
+        adjoint_defect(DiagonalOperator([1.0]), n_probes=0)
 
 
 def test_diagonal_operator_validation():

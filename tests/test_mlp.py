@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compact_tik.errors import NumericalFailureError
 from compact_tik.mlp import (
@@ -8,6 +10,7 @@ from compact_tik.mlp import (
     MlpGrads,
     MlpParams,
     adam_step,
+    forward_trace,
     init_params,
     load_params,
     mlp_backward,
@@ -55,10 +58,40 @@ def central_difference_grad(params, coords, cot, h=1e-5):
 
 
 def min_preactivation_gap(params, coords):
-    from compact_tik.mlp import _forward_trace
-
-    _, pre = _forward_trace(params, coords)
+    _, pre = forward_trace(params, coords)
     return min(np.abs(z).min() for z in pre)
+
+
+def bits(a):
+    """Bit patterns of a float64 array, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def reference_forward_trace(params, coords):
+    """The forward with np.where activations that forward_trace replaced."""
+    h = np.asarray(coords, dtype=np.float64)
+    n_layers = len(params.weights)
+    activations, pre = [h], []
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = h @ w.T + b
+        pre.append(z)
+        h = np.where(z > 0, z, params.leak * z) if i < n_layers - 1 else np.maximum(z, 0.0)
+        activations.append(h)
+    return activations, pre
+
+
+def reference_backward(params, coords, cot):
+    """The backward that re-ran the forward from the coordinates."""
+    activations, pre = reference_forward_trace(params, coords)
+    n_layers = len(params.weights)
+    gw, gb = [None] * n_layers, [None] * n_layers
+    delta = cot[:, None] * (pre[-1] > 0)
+    for i in range(n_layers - 1, -1, -1):
+        gw[i] = delta.T @ activations[i]
+        gb[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ params.weights[i]) * np.where(pre[i - 1] > 0, 1.0, params.leak)
+    return gw, gb
 
 
 def test_architecture_validation():
@@ -122,7 +155,7 @@ def test_backward_zero_cotangent():
     arch = MlpArchitecture(hidden_widths=(6, 6))
     params = init_params(arch, seed=3)
     coords = np.random.default_rng(3).uniform(-1, 1, size=(20, 2))
-    grads = mlp_backward(params, coords, np.zeros(20))
+    grads = mlp_backward(params, forward_trace(params, coords), np.zeros(20))
     assert all(np.array_equal(g, np.zeros_like(g)) for g in grads.weights)
     assert all(np.array_equal(g, np.zeros_like(g)) for g in grads.biases)
 
@@ -133,8 +166,8 @@ def test_backward_linear_in_cotangent():
     rng = np.random.default_rng(4)
     coords = rng.uniform(-1, 1, size=(12, 2))
     cot = rng.standard_normal(12)
-    g1 = flatten_grads(mlp_backward(params, coords, cot))
-    g2 = flatten_grads(mlp_backward(params, coords, 2.0 * cot))
+    g1 = flatten_grads(mlp_backward(params, forward_trace(params, coords), cot))
+    g2 = flatten_grads(mlp_backward(params, forward_trace(params, coords), 2.0 * cot))
     assert np.array_equal(g2, 2.0 * g1)
 
 
@@ -150,7 +183,7 @@ def test_backward_matches_central_differences_small_net():
             break
         assert attempts < 100
     cot = rng.standard_normal(6)
-    ad = flatten_grads(mlp_backward(params, coords, cot))
+    ad = flatten_grads(mlp_backward(params, forward_trace(params, coords), cot))
     fd = central_difference_grad(params, coords, cot)
     rel = np.abs(ad - fd).max() / max(np.abs(fd).max(), 1e-12)
     assert rel <= 1e-4
@@ -159,7 +192,7 @@ def test_backward_matches_central_differences_small_net():
 def test_backward_cotangent_length_mismatch():
     params = init_params(MlpArchitecture(hidden_widths=(4,)), seed=0)
     with pytest.raises(ValueError):
-        mlp_backward(params, np.zeros((5, 2)), np.zeros(4))
+        mlp_backward(params, forward_trace(params, np.zeros((5, 2))), np.zeros(4))
 
 
 def test_kink_subgradient_convention():
@@ -172,7 +205,7 @@ def test_kink_subgradient_convention():
         leak=leak,
     )
     coords = np.array([[0.0, 0.0]])  # hidden pre-activation exactly 0, output 0
-    grads = mlp_backward(params, coords, np.ones(1))
+    grads = mlp_backward(params, forward_trace(params, coords), np.ones(1))
     # d output / d output-bias = ReLU'(0) = 0
     assert grads.biases[1][0] == 0.0
     # with a positive output shift the hidden kink derivative becomes visible
@@ -181,7 +214,7 @@ def test_kink_subgradient_convention():
         biases=[np.zeros(1), np.array([1.0])],
         leak=leak,
     )
-    grads2 = mlp_backward(params2, coords, np.ones(1))
+    grads2 = mlp_backward(params2, forward_trace(params2, coords), np.ones(1))
     # d output / d hidden-bias = W2 * leaky'(0) = leak
     assert grads2.biases[0][0] == pytest.approx(leak)
 
@@ -217,6 +250,97 @@ def test_project_weights_idempotent_and_max():
     for a, b in zip(once.weights, twice.weights):
         assert np.array_equal(a, b)
     assert once.max_abs() == min(c, params.max_abs())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    hidden=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+    leak=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    n_points=st.integers(1, 20),
+    zero_hidden_biases=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_forward_and_backward_match_np_where_reference(hidden, leak, n_points,
+                                                       zero_hidden_biases, seed):
+    rng = np.random.default_rng(seed)
+    widths = (2, *hidden, 1)
+    biases = [rng.standard_normal(d) for d in widths[1:]]
+    if zero_hidden_biases:
+        # every hidden pre-activation is exactly 0 at the origin, and the
+        # output bias decides whether a gradient reaches those kinks
+        biases[:-1] = [np.zeros_like(b) for b in biases[:-1]]
+    params = MlpParams(
+        weights=[rng.standard_normal((d_out, d_in)) for d_in, d_out in zip(widths, widths[1:])],
+        biases=biases,
+        leak=leak,
+    )
+    coords = rng.uniform(-1, 1, size=(n_points, 2))
+    coords[0] = 0.0
+    if n_points > 1:
+        coords[1] = -0.0
+    cot = rng.standard_normal(n_points)
+    cot[rng.random(n_points) < 0.2] = 0.0
+
+    activations, pre = forward_trace(params, coords)
+    want_activations, want_pre = reference_forward_trace(params, coords)
+    for got, want in zip((*activations, *pre), (*want_activations, *want_pre)):
+        assert np.array_equal(bits(got), bits(want))
+    assert np.array_equal(bits(mlp_forward(params, coords)), bits(want_activations[-1][:, 0]))
+
+    trace = (activations, pre)
+    kept = [a.copy() for a in (*activations, *pre)]
+    grads = mlp_backward(params, trace, cot)
+    want_gw, want_gb = reference_backward(params, coords, cot)
+    for got, want in zip((*grads.weights, *grads.biases), (*want_gw, *want_gb)):
+        assert np.array_equal(bits(got), bits(want))
+    # the backward reads the trace and leaves it as it was
+    for got, want in zip((*activations, *pre), kept):
+        assert np.array_equal(bits(got), bits(want))
+
+
+def test_backward_rejects_trace_of_other_depth():
+    params = init_params(MlpArchitecture(hidden_widths=(4, 4)), seed=0)
+    shallow = init_params(MlpArchitecture(hidden_widths=(4,)), seed=0)
+    coords = np.zeros((3, 2))
+    with pytest.raises(ValueError):
+        mlp_backward(params, forward_trace(shallow, coords), np.ones(3))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    hidden=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+    scale=st.floats(0.01, 10.0),
+    c=st.floats(1e-3, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_project_weights_property(hidden, scale, c, seed):
+    rng = np.random.default_rng(seed)
+    widths = (2, *hidden, 1)
+    params = MlpParams(
+        weights=[scale * rng.standard_normal((d_out, d_in))
+                 for d_in, d_out in zip(widths, widths[1:])],
+        biases=[scale * rng.standard_normal(d) for d in widths[1:]],
+    )
+    once = project_weights(params, c)
+    twice = project_weights(once, c)
+    assert once.max_abs() <= c
+    for a, b, orig in zip((*once.weights, *once.biases), (*twice.weights, *twice.biases),
+                          (*params.weights, *params.biases)):
+        assert np.array_equal(bits(a), bits(b))
+        inside = np.abs(orig) <= c
+        assert np.array_equal(a[inside], orig[inside])
+
+
+def test_params_reject_leak_outside_unit_interval(tmp_path):
+    weights, biases = [np.ones((1, 2))], [np.zeros(1)]
+    for leak in (0.0, 1.0, -0.01, 1.5, np.nan):
+        with pytest.raises(ValueError):
+            MlpParams(weights=weights, biases=biases, leak=leak)
+    path = tmp_path / "net.mlpw"
+    save_params(path, MlpParams(weights=weights, biases=biases))
+    with pytest.raises(ValueError):
+        load_params(path, leak=1.0)
+    assert load_params(path, leak=0.5).leak == 0.5
 
 
 def test_project_weights_validation():
@@ -285,7 +409,7 @@ def test_gradient_check_16_16_ensemble():
         if min_preactivation_gap(params, coords) <= 1e-3:
             continue
         cot = rng.standard_normal(4)
-        ad = flatten_grads(mlp_backward(params, coords, cot))
+        ad = flatten_grads(mlp_backward(params, forward_trace(params, coords), cot))
         fd = central_difference_grad(params, coords, cot)
         rel = np.abs(ad - fd).max() / max(np.abs(fd).max(), 1e-12)
         assert rel <= 1e-4

@@ -4,7 +4,16 @@ import pytest
 from compact_tik.errors import NumericalFailureError
 from compact_tik.experiment import substream_seed
 from compact_tik.grid import pixel_centers, shepp_logan
-from compact_tik.mlp import MlpArchitecture, init_params, mlp_forward
+from compact_tik.mlp import (
+    AdamState,
+    MlpArchitecture,
+    adam_step,
+    forward_trace,
+    init_params,
+    mlp_backward,
+    mlp_forward,
+    project_weights,
+)
 from compact_tik.nnsolver import NnReconstructionConfig, reconstruct_nn
 from compact_tik.radon import RadonGeometry, radon_forward, radon_operator
 from compact_tik.tikhonov import TikhonovProblem, solve_tikhonov, tikhonov_objective
@@ -191,3 +200,50 @@ def test_output_dead_for_both_signs_raises(monkeypatch):
     monkeypatch.setattr("compact_tik.nnsolver.init_params", zero_output_init)
     with pytest.raises(NumericalFailureError):
         reconstruct_nn(make_config())
+
+
+def two_forward_reference(cfg):
+    """The loop as it was before it kept one forward trace per iteration:
+    one forward for the image, and a second one inside the backward."""
+    coords = pixel_centers(cfg.nx, cfg.ny)
+    params = init_params(cfg.architecture, cfg.seed, weight_bound=cfg.weight_bound)
+    if not mlp_forward(params, coords).any():
+        params = negated_output_layer(params)
+    state = AdamState.for_params(params, learning_rate=cfg.learning_rate)
+    trace = []
+    best = (np.inf, None, None)
+    for it in range(cfg.iterations + 1):
+        x = mlp_forward(params, coords)
+        residual = cfg.operator.apply(x) - cfg.data
+        objective = float(residual @ residual + cfg.alpha * (x @ x))
+        trace.append(objective)
+        if objective < best[0]:
+            best = (objective, x, params.copy())
+        if it == cfg.iterations:
+            break
+        cotangent = 2.0 * cfg.operator.apply_adjoint(residual) + 2.0 * cfg.alpha * x
+        grads = mlp_backward(params, forward_trace(params, coords), cotangent)
+        params, state = adam_step(params, grads, state)
+        if cfg.weight_bound is not None:
+            params = project_weights(params, cfg.weight_bound)
+    return np.array(trace), best[1], best[2]
+
+
+@pytest.mark.parametrize("make, overrides", [
+    (make_config, {"data": np.random.default_rng(4).standard_normal(GEOM.size)}),
+    (make_config, {"data": np.random.default_rng(4).standard_normal(GEOM.size),
+                   "weight_bound": 0.2}),
+    (ct32_config, {}),  # a dead init, trained with its output layer negated
+], ids=["free", "bounded", "dead-init"])
+def test_matches_two_forward_reference_bit_for_bit(make, overrides):
+    cfg = make(iterations=30, **overrides)
+    recon = reconstruct_nn(cfg)
+    trace, image, params = two_forward_reference(cfg)
+    assert recon.objective_trace.tobytes() == trace.tobytes()
+    assert recon.image.values.tobytes() == image.tobytes()
+    for got, want in zip((*recon.params.weights, *recon.params.biases),
+                         (*params.weights, *params.biases)):
+        assert got.tobytes() == want.tobytes()
+    if cfg.weight_bound is not None:
+        assert recon.params.max_abs() == cfg.weight_bound  # the bound binds
+    assert recon.best_iteration > 0  # every run trains, the dead init included

@@ -89,6 +89,12 @@ def test_default_bins_match_reference_shape():
     assert geom.step == 2.0 / 128
 
 
+def test_for_grid_explicit_bins():
+    geom = RadonGeometry.for_grid(16, 6, det_halfwidth=1.2, n_bins=7)
+    assert geom == RadonGeometry(n_angles=6, n_bins=7, det_halfwidth=1.2, step=2.0 / 16)
+    assert RadonGeometry.for_grid(16, 6, n_bins=None).n_bins == math.ceil(16 * math.sqrt(2.0))
+
+
 def test_forward_of_zero_is_zero():
     geom = RadonGeometry.for_grid(16, 7)
     img = ImageGrid(nx=16, ny=16, values=np.zeros(256))
@@ -206,6 +212,8 @@ def test_sinf_round_trip(tmp_path):
     write_sinf(path, sino)
     back = read_sinf(path, step=geom.step)
     assert back.geometry == geom
+    with pytest.raises(TypeError):
+        read_sinf(path)  # the header has no step, and the reader does not guess one
     assert np.array_equal(back.values, sino.values)
     raw = path.read_bytes()
     assert raw[:4] == b"SINF"
