@@ -23,7 +23,6 @@ from .linop import CgResult, DiagonalOperator, LinearOperator, adjoint_defect, c
 from .mlp import (
     AdamState,
     MlpArchitecture,
-    MlpGrads,
     MlpParams,
     adam_step,
     forward_trace,

@@ -51,22 +51,15 @@ def _parse_int_list(s):
     return tuple(int(p) for p in parts)
 
 
-def _parse_opt_float(s):
-    if s is None or str(s).strip().lower() == "none":
-        return None
-    return float(s)
+def _optional(parse):
+    """``parse``, except that None and "none" (any case) parse to None."""
 
+    def parse_optional(s):
+        if s is None or str(s).strip().lower() == "none":
+            return None
+        return parse(s)
 
-def _parse_opt_int(s):
-    if s is None or str(s).strip().lower() == "none":
-        return None
-    return int(str(s))
-
-
-def _parse_opt_str(s):
-    if s is None or str(s).strip().lower() == "none":
-        return None
-    return str(s)
+    return parse_optional
 
 
 def _serialize(value):
@@ -114,17 +107,17 @@ SCHEMAS = {
         "hidden": (_parse_int_list, (100, 100, 100, 100), "hidden layer widths"),
         "iterations": (_parse_int, 5000, "optimizer steps"),
         "learning_rate": (_parse_float, 1e-3, "Adam learning rate"),
-        "weight_bound": (_parse_opt_float, None, "weight box half-width (none = unbounded)"),
+        "weight_bound": (_optional(_parse_float), None, "weight box half-width (none = unbounded)"),
         "out": (_parse_str, "nn_reconstruction.imgf", "output image (.imgf or .pgm)"),
-        "trace": (_parse_opt_str, None, "objective trace output path"),
-        "checkpoint": (_parse_opt_str, None, "parameter checkpoint output (.mlpw)"),
+        "trace": (_optional(_parse_str), None, "objective trace output path"),
+        "checkpoint": (_optional(_parse_str), None, "parameter checkpoint output (.mlpw)"),
     },
     "sweep": {
         "method": (_parse_str, "tikhonov", "reconstruction method: tikhonov or nn"),
         "n": (_parse_int, 64, "grid size per axis"),
         "angles": (_parse_int, 30, "number of projection angles"),
         "det_halfwidth": (_parse_float, math.sqrt(2.0), "detector half-extent"),
-        "n_bins": (_parse_opt_int, None, "detector bins (none = ceil(n * det_halfwidth))"),
+        "n_bins": (_optional(_parse_int), None, "detector bins (none = ceil(n * det_halfwidth))"),
         "snr_min_db": (_parse_float, 16.6, "noisiest SNR level, dB"),
         "snr_max_db": (_parse_float, 42.6, "cleanest SNR level, dB"),
         "n_deltas": (_parse_int, 6, "number of noise levels"),
@@ -137,7 +130,7 @@ SCHEMAS = {
         "nn_hidden": (_parse_int_list, (100, 100, 100, 100), "hidden widths (nn method)"),
         "nn_iterations": (_parse_int, 5000, "optimizer steps (nn method)"),
         "nn_learning_rate": (_parse_float, 1e-3, "Adam learning rate (nn method)"),
-        "nn_weight_bound": (_parse_opt_float, None, "weight box half-width (nn method)"),
+        "nn_weight_bound": (_optional(_parse_float), None, "weight box half-width (nn method)"),
         "out": (_parse_str, "sweep_out", "output directory"),
     },
     "oracle-linear": {
@@ -147,11 +140,11 @@ SCHEMAS = {
         "delta_max": (_parse_float, 1e-2, "largest noise level"),
         "n_deltas": (_parse_int, 9, "number of noise levels (log-spaced)"),
         "seed": (_parse_int, 0, "base seed"),
-        "out": (_parse_opt_str, None, "optional output directory for tables"),
+        "out": (_optional(_parse_str), None, "optional output directory for tables"),
     },
     "rate-fit": {
         "table": (_parse_str, "aggregate.csv", "input table (aggregate or delta,error)"),
-        "out": (_parse_opt_str, None, "optional output directory for the fits table"),
+        "out": (_optional(_parse_str), None, "optional output directory for the fits table"),
     },
     "plot": {
         "table": (_parse_str, "aggregate.csv", "aggregate table to plot"),

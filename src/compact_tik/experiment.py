@@ -186,7 +186,6 @@ class NnSettings:
     iterations: int = 5000
     learning_rate: float = 1e-3
     weight_bound: float | None = None
-    leak: float = 0.01
 
 
 @dataclass
@@ -277,7 +276,7 @@ def _tikhonov_cell(op, y_noisy, alphas, truth, cfg):
 
 def _nn_cell(op, y_noisy, alphas, truth, cfg, seed):
     errors = np.empty(alphas.size)
-    arch = MlpArchitecture(hidden_widths=cfg.nn.hidden_widths, leak=cfg.nn.leak)
+    arch = MlpArchitecture(hidden_widths=cfg.nn.hidden_widths)
     for j, alpha in enumerate(alphas):
         nn_cfg = NnReconstructionConfig(
             architecture=arch,

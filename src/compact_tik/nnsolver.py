@@ -116,7 +116,8 @@ def reconstruct_nn(cfg: NnReconstructionConfig) -> NnReconstruction:
     op, data, alpha = cfg.operator, cfg.data, cfg.alpha
     params = init_params(cfg.architecture, cfg.seed, weight_bound=cfg.weight_bound)
     if not mlp_forward(params, coords).any():
-        params.weights[-1] = -params.weights[-1]
+        w_out = params.weights[-1]
+        np.negative(w_out, out=w_out)
         if not mlp_forward(params, coords).any():
             raise NumericalFailureError("network output is zero at every pixel for both signs "
                                         "of the initial output layer")
@@ -124,7 +125,7 @@ def reconstruct_nn(cfg: NnReconstructionConfig) -> NnReconstruction:
 
     trace = np.empty(cfg.iterations + 1)
     best_objective = np.inf
-    best_params = params
+    best_params = None
     best_image = None
     best_iteration = 0
 
@@ -142,11 +143,11 @@ def reconstruct_nn(cfg: NnReconstructionConfig) -> NnReconstruction:
             best_iteration = it
         if it == cfg.iterations:
             break
-        grads = mlp_backward(params, fwd, cotangent)
+        grad = mlp_backward(params, fwd, cotangent)
         del fwd  # one trace alive at a time; only x outlives it
-        params, state = adam_step(params, grads, state)
+        adam_step(params, grad, state)
         if cfg.weight_bound is not None:
-            params = project_weights(params, cfg.weight_bound)
+            project_weights(params, cfg.weight_bound)
 
     if cfg.trace_path is not None:
         with open(cfg.trace_path, "w") as f:

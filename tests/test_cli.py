@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from compact_tik.cli import SCHEMAS, main, parse_config_file, serialize_config
+
+REFERENCE_DIR = Path(__file__).resolve().parent.parent / "reference_runs" / "ct32"
 
 
 def run_cli(*argv):
@@ -153,6 +157,24 @@ def test_config_round_trip(tmp_path):
         materialized = {key: parsed.get(key, default) for key, (_, default, _) in schema.items()}
         assert materialized == cfg
         assert serialize_config(subcommand, materialized) == text
+
+
+@pytest.mark.parametrize("method", ["tikhonov", "nn"])
+def test_committed_manifests_reserialize_byte_for_byte(method):
+    path = REFERENCE_DIR / method / "manifest.ini"
+    assert serialize_config("sweep", parse_config_file(path, "sweep")) == path.read_text()
+
+
+def test_optional_values_parse_none_in_any_case(tmp_path):
+    path = tmp_path / "opt.ini"
+    path.write_text("[nn-reconstruct]\nweight_bound = None\ntrace = NONE\n"
+                    "[sweep]\nn_bins = none\n")
+    assert parse_config_file(path, "nn-reconstruct") == {"weight_bound": None, "trace": None}
+    assert parse_config_file(path, "sweep") == {"n_bins": None}
+    path.write_text("[nn-reconstruct]\nweight_bound = 0.25\ntrace = t.txt\n"
+                    "[sweep]\nn_bins = 7\n")
+    assert parse_config_file(path, "nn-reconstruct") == {"weight_bound": 0.25, "trace": "t.txt"}
+    assert parse_config_file(path, "sweep") == {"n_bins": 7}
 
 
 def test_unknown_key_is_hard_error(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from compact_tik.errors import NumericalFailureError
 from compact_tik.mlp import (
     AdamState,
     MlpArchitecture,
-    MlpGrads,
     MlpParams,
     adam_step,
     forward_trace,
@@ -20,22 +21,10 @@ from compact_tik.mlp import (
 )
 
 
-def flatten_params(params):
-    return np.concatenate([a.ravel() for a in (*params.weights, *params.biases)])
-
-
 def set_flat(params, vec):
     out = params.copy()
-    pos = 0
-    arrays = [*out.weights, *out.biases]
-    for a in arrays:
-        a.flat[:] = vec[pos : pos + a.size]
-        pos += a.size
+    out.flat[:] = vec
     return out
-
-
-def flatten_grads(grads):
-    return np.concatenate([a.ravel() for a in (*grads.weights, *grads.biases)])
 
 
 def scalar_loss(params, coords, cot):
@@ -43,7 +32,7 @@ def scalar_loss(params, coords, cot):
 
 
 def central_difference_grad(params, coords, cot, h=1e-5):
-    base = flatten_params(params)
+    base = params.flat
     grad = np.empty(base.size)
     for i in range(base.size):
         up = base.copy()
@@ -92,6 +81,96 @@ def reference_backward(params, coords, cot):
         if i > 0:
             delta = (delta @ params.weights[i]) * np.where(pre[i - 1] > 0, 1.0, params.leak)
     return gw, gb
+
+
+@dataclass
+class ReferenceAdamState:
+    """The per-layer moment lists that AdamState kept before it held two flat vectors."""
+
+    m_weights: list
+    m_biases: list
+    v_weights: list
+    v_biases: list
+    t: int = 0
+    learning_rate: float = 1e-3
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+
+    @classmethod
+    def for_params(cls, params, learning_rate=1e-3):
+        return cls(
+            m_weights=[np.zeros_like(w) for w in params.weights],
+            m_biases=[np.zeros_like(b) for b in params.biases],
+            v_weights=[np.zeros_like(w) for w in params.weights],
+            v_biases=[np.zeros_like(b) for b in params.biases],
+            learning_rate=learning_rate,
+        )
+
+
+def reference_adam_step(params, grads, state):
+    """The out-of-place Adam step over per-layer lists that adam_step replaced.
+
+    ``grads`` is a (weight gradients, bias gradients) pair of lists.
+    Returns (new params, new state); the inputs are not mutated.
+    """
+    grad_w, grad_b = grads
+    t = state.t + 1
+    b1, b2, eps, lr = state.beta1, state.beta2, state.eps, state.learning_rate
+    corr1 = 1.0 - b1**t
+    corr2 = 1.0 - b2**t
+
+    def update(p, g, m, v):
+        m_new = b1 * m + (1 - b1) * g
+        v_new = b2 * v + (1 - b2) * g * g
+        p_new = p - lr * (m_new / corr1) / (np.sqrt(v_new / corr2) + eps)
+        return p_new, m_new, v_new
+
+    new_w, new_mw, new_vw = [], [], []
+    for p, g, m, v in zip(params.weights, grad_w, state.m_weights, state.v_weights):
+        pn, mn, vn = update(p, g, m, v)
+        new_w.append(pn)
+        new_mw.append(mn)
+        new_vw.append(vn)
+    new_b, new_mb, new_vb = [], [], []
+    for p, g, m, v in zip(params.biases, grad_b, state.m_biases, state.v_biases):
+        pn, mn, vn = update(p, g, m, v)
+        new_b.append(pn)
+        new_mb.append(mn)
+        new_vb.append(vn)
+
+    new_params = MlpParams(
+        weights=new_w, biases=new_b, leak=params.leak, weight_bound=params.weight_bound
+    )
+    new_state = ReferenceAdamState(
+        m_weights=new_mw, m_biases=new_mb, v_weights=new_vw, v_biases=new_vb,
+        t=t, learning_rate=lr, beta1=b1, beta2=b2, eps=eps,
+    )
+    return new_params, new_state
+
+
+def reference_project_weights(params, c):
+    """The per-layer, out-of-place clamp that project_weights replaced."""
+    return MlpParams(
+        weights=[np.clip(w, -c, c) for w in params.weights],
+        biases=[np.clip(b, -c, c) for b in params.biases],
+        leak=params.leak,
+        weight_bound=float(c),
+    )
+
+
+def random_params(rng, hidden, scale=1.0, leak=0.01):
+    widths = (2, *hidden, 1)
+    return MlpParams(
+        weights=[scale * rng.standard_normal((d_out, d_in))
+                 for d_in, d_out in zip(widths, widths[1:])],
+        biases=[scale * rng.standard_normal(d) for d in widths[1:]],
+        leak=leak,
+    )
+
+
+def layers(params):
+    return (*params.weights, *params.biases)
 
 
 def test_architecture_validation():
@@ -155,9 +234,8 @@ def test_backward_zero_cotangent():
     arch = MlpArchitecture(hidden_widths=(6, 6))
     params = init_params(arch, seed=3)
     coords = np.random.default_rng(3).uniform(-1, 1, size=(20, 2))
-    grads = mlp_backward(params, forward_trace(params, coords), np.zeros(20))
-    assert all(np.array_equal(g, np.zeros_like(g)) for g in grads.weights)
-    assert all(np.array_equal(g, np.zeros_like(g)) for g in grads.biases)
+    grad = mlp_backward(params, forward_trace(params, coords), np.zeros(20))
+    assert np.array_equal(grad, np.zeros_like(params.flat))
 
 
 def test_backward_linear_in_cotangent():
@@ -166,8 +244,8 @@ def test_backward_linear_in_cotangent():
     rng = np.random.default_rng(4)
     coords = rng.uniform(-1, 1, size=(12, 2))
     cot = rng.standard_normal(12)
-    g1 = flatten_grads(mlp_backward(params, forward_trace(params, coords), cot))
-    g2 = flatten_grads(mlp_backward(params, forward_trace(params, coords), 2.0 * cot))
+    g1 = mlp_backward(params, forward_trace(params, coords), cot)
+    g2 = mlp_backward(params, forward_trace(params, coords), 2.0 * cot)
     assert np.array_equal(g2, 2.0 * g1)
 
 
@@ -183,7 +261,7 @@ def test_backward_matches_central_differences_small_net():
             break
         assert attempts < 100
     cot = rng.standard_normal(6)
-    ad = flatten_grads(mlp_backward(params, forward_trace(params, coords), cot))
+    ad = mlp_backward(params, forward_trace(params, coords), cot)
     fd = central_difference_grad(params, coords, cot)
     rel = np.abs(ad - fd).max() / max(np.abs(fd).max(), 1e-12)
     assert rel <= 1e-4
@@ -205,18 +283,18 @@ def test_kink_subgradient_convention():
         leak=leak,
     )
     coords = np.array([[0.0, 0.0]])  # hidden pre-activation exactly 0, output 0
-    grads = mlp_backward(params, forward_trace(params, coords), np.ones(1))
+    _, grad_b = params.split(mlp_backward(params, forward_trace(params, coords), np.ones(1)))
     # d output / d output-bias = ReLU'(0) = 0
-    assert grads.biases[1][0] == 0.0
+    assert grad_b[1][0] == 0.0
     # with a positive output shift the hidden kink derivative becomes visible
     params2 = MlpParams(
         weights=[np.array([[1.0, 0.0]]), np.array([[1.0]])],
         biases=[np.zeros(1), np.array([1.0])],
         leak=leak,
     )
-    grads2 = mlp_backward(params2, forward_trace(params2, coords), np.ones(1))
+    _, grad_b2 = params2.split(mlp_backward(params2, forward_trace(params2, coords), np.ones(1)))
     # d output / d hidden-bias = W2 * leaky'(0) = leak
-    assert grads2.biases[0][0] == pytest.approx(leak)
+    assert grad_b2[0][0] == pytest.approx(leak)
 
 
 def test_project_weights_clamps():
@@ -224,18 +302,19 @@ def test_project_weights_clamps():
         weights=[np.array([[5.0, -4.0]]), np.array([[0.5]])],
         biases=[np.array([2.0]), np.array([-0.25])],
     )
-    clipped = project_weights(params, 3.0)
-    assert clipped.weights[0].tolist() == [[3.0, -3.0]]
-    assert clipped.biases[0].tolist() == [2.0]
-    assert clipped.weight_bound == 3.0
+    project_weights(params, 3.0)
+    assert params.weights[0].tolist() == [[3.0, -3.0]]
+    assert params.biases[0].tolist() == [2.0]
+    assert params.flat.tolist() == [3.0, -3.0, 2.0, 0.5, -0.25]
+    assert params.weight_bound == 3.0
 
 
 def test_project_weights_identity_inside_bound():
     params = init_params(MlpArchitecture(hidden_widths=(4,)), seed=6)
     c = params.max_abs() + 1.0
-    clipped = project_weights(params, c)
-    for a, b in zip(clipped.weights, params.weights):
-        assert np.array_equal(a, b)
+    clipped = params.copy()
+    project_weights(clipped, c)
+    assert np.array_equal(clipped.flat, params.flat)
 
 
 def test_project_weights_idempotent_and_max():
@@ -245,10 +324,11 @@ def test_project_weights_idempotent_and_max():
         biases=[rng.standard_normal(5), rng.standard_normal(1)],
     )
     c = 0.7
-    once = project_weights(params, c)
-    twice = project_weights(once, c)
-    for a, b in zip(once.weights, twice.weights):
-        assert np.array_equal(a, b)
+    once = params.copy()
+    project_weights(once, c)
+    twice = once.copy()
+    project_weights(twice, c)
+    assert np.array_equal(once.flat, twice.flat)
     assert once.max_abs() == min(c, params.max_abs())
 
 
@@ -289,9 +369,9 @@ def test_forward_and_backward_match_np_where_reference(hidden, leak, n_points,
 
     trace = (activations, pre)
     kept = [a.copy() for a in (*activations, *pre)]
-    grads = mlp_backward(params, trace, cot)
+    got_gw, got_gb = params.split(mlp_backward(params, trace, cot))
     want_gw, want_gb = reference_backward(params, coords, cot)
-    for got, want in zip((*grads.weights, *grads.biases), (*want_gw, *want_gb)):
+    for got, want in zip((*got_gw, *got_gb), (*want_gw, *want_gb)):
         assert np.array_equal(bits(got), bits(want))
     # the backward reads the trace and leaves it as it was
     for got, want in zip((*activations, *pre), kept):
@@ -314,21 +394,17 @@ def test_backward_rejects_trace_of_other_depth():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_project_weights_property(hidden, scale, c, seed):
-    rng = np.random.default_rng(seed)
-    widths = (2, *hidden, 1)
-    params = MlpParams(
-        weights=[scale * rng.standard_normal((d_out, d_in))
-                 for d_in, d_out in zip(widths, widths[1:])],
-        biases=[scale * rng.standard_normal(d) for d in widths[1:]],
-    )
-    once = project_weights(params, c)
-    twice = project_weights(once, c)
+    params = random_params(np.random.default_rng(seed), hidden, scale)
+    once = params.copy()
+    project_weights(once, c)
+    twice = once.copy()
+    project_weights(twice, c)
     assert once.max_abs() <= c
-    for a, b, orig in zip((*once.weights, *once.biases), (*twice.weights, *twice.biases),
-                          (*params.weights, *params.biases)):
-        assert np.array_equal(bits(a), bits(b))
-        inside = np.abs(orig) <= c
-        assert np.array_equal(a[inside], orig[inside])
+    assert np.array_equal(bits(once.flat), bits(twice.flat))
+    inside = np.abs(params.flat) <= c
+    assert np.array_equal(once.flat[inside], params.flat[inside])
+    for got, want in zip(layers(once), layers(reference_project_weights(params, c))):
+        assert np.array_equal(bits(got), bits(want))
 
 
 def test_params_reject_leak_outside_unit_interval(tmp_path):
@@ -353,47 +429,41 @@ def test_adam_first_step_is_signed_learning_rate():
     lr = 1e-3
     params = MlpParams(weights=[np.array([[1.0]])], biases=[np.array([0.0])])
     state = AdamState.for_params(params, learning_rate=lr)
-    grads = MlpGrads(weights=[np.array([[0.37]])], biases=[np.array([0.0])])
-    new_params, new_state = adam_step(params, grads, state)
-    assert new_state.t == 1
-    update = new_params.weights[0][0, 0] - 1.0
+    adam_step(params, np.array([0.37, 0.0]), state)
+    assert state.t == 1
+    update = params.weights[0][0, 0] - 1.0
     assert abs(abs(update) - lr) <= 1e-6 * lr
     assert np.sign(update) == -np.sign(0.37)
 
 
 def test_adam_zero_gradient_keeps_params():
     params = init_params(MlpArchitecture(hidden_widths=(4,)), seed=8)
-    state = AdamState.for_params(params)
-    grads = MlpGrads(
-        weights=[np.zeros_like(w) for w in params.weights],
-        biases=[np.zeros_like(b) for b in params.biases],
-    )
-    new_params, _ = adam_step(params, grads, state)
-    for a, b in zip(new_params.weights, params.weights):
-        assert np.array_equal(a, b)
+    before = params.flat.copy()
+    adam_step(params, np.zeros_like(params.flat), AdamState.for_params(params))
+    assert np.array_equal(params.flat, before)
 
 
 def test_adam_deterministic():
     params = init_params(MlpArchitecture(hidden_widths=(4,)), seed=9)
-    rng = np.random.default_rng(9)
-    grads = MlpGrads(
-        weights=[rng.standard_normal(w.shape) for w in params.weights],
-        biases=[rng.standard_normal(b.shape) for b in params.biases],
-    )
-    out1 = adam_step(params, grads, AdamState.for_params(params))
-    out2 = adam_step(params, grads, AdamState.for_params(params))
-    for a, b in zip(out1[0].weights, out2[0].weights):
-        assert np.array_equal(a, b)
+    grad = np.random.default_rng(9).standard_normal(params.flat.size)
+    out1, out2 = params.copy(), params.copy()
+    adam_step(out1, grad, AdamState.for_params(out1))
+    adam_step(out2, grad, AdamState.for_params(out2))
+    assert np.array_equal(out1.flat, out2.flat)
+    assert not np.array_equal(out1.flat, params.flat)
 
 
 def test_adam_rejects_nonfinite_gradient():
     params = init_params(MlpArchitecture(hidden_widths=(4,)), seed=10)
-    grads = MlpGrads(
-        weights=[np.full_like(w, np.nan) for w in params.weights],
-        biases=[np.zeros_like(b) for b in params.biases],
-    )
+    state = AdamState.for_params(params)
+    before = params.flat.copy()
+    grad = np.zeros_like(params.flat)
+    params.split(grad)[0][0][:] = np.nan
     with pytest.raises(NumericalFailureError):
-        adam_step(params, grads, AdamState.for_params(params))
+        adam_step(params, grad, state)
+    # nothing is updated when the step is refused
+    assert np.array_equal(params.flat, before)
+    assert state.t == 0 and not state.m.any() and not state.v.any()
 
 
 def test_gradient_check_16_16_ensemble():
@@ -409,7 +479,7 @@ def test_gradient_check_16_16_ensemble():
         if min_preactivation_gap(params, coords) <= 1e-3:
             continue
         cot = rng.standard_normal(4)
-        ad = flatten_grads(mlp_backward(params, forward_trace(params, coords), cot))
+        ad = mlp_backward(params, forward_trace(params, coords), cot)
         fd = central_difference_grad(params, coords, cot)
         rel = np.abs(ad - fd).max() / max(np.abs(fd).max(), 1e-12)
         assert rel <= 1e-4
@@ -428,7 +498,7 @@ def test_bounded_outputs_layered_bound():
     rng = np.random.default_rng(12)
     coords = rng.uniform(-1, 1, size=(30, 2))
     for seed in range(100):
-        params = project_weights(init_params(arch, seed=seed), c)
+        params = init_params(arch, seed=seed, weight_bound=c)
         values = mlp_forward(params, coords)
         assert values.max() <= bound
 
@@ -455,3 +525,94 @@ def test_init_deterministic_by_seed():
     for x, y in zip(a.weights, b.weights):
         assert np.array_equal(x, y)
     assert any(not np.array_equal(x, y) for x, y in zip(a.weights, c.weights))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    hidden=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+    steps=st.integers(1, 6),
+    learning_rate=st.floats(1e-4, 0.5),
+    bound=st.one_of(st.none(), st.floats(0.05, 0.5)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_flat_adam_and_projection_match_per_layer_reference(hidden, steps, learning_rate,
+                                                           bound, seed):
+    rng = np.random.default_rng(seed)
+    params = random_params(rng, hidden)
+    params.flat[0] = 1.0  # outside every box drawn here, so a box binds
+    want = params.copy()
+    state = AdamState.for_params(params, learning_rate=learning_rate)
+    want_state = ReferenceAdamState.for_params(want, learning_rate=learning_rate)
+    clipped = False
+    for _ in range(steps):
+        grad = rng.standard_normal(params.flat.size) * rng.choice([0.0, 1e-6, 1.0, 1e3])
+        grad[rng.random(grad.size) < 0.2] = 0.0
+        grad_w, grad_b = params.split(grad)
+        adam_step(params, grad, state)
+        want, want_state = reference_adam_step(want, (list(grad_w), list(grad_b)), want_state)
+        if bound is not None:
+            clipped = clipped or params.max_abs() > bound
+            project_weights(params, bound)
+            want = reference_project_weights(want, bound)
+        for got, expected in zip(layers(params), layers(want)):
+            assert np.array_equal(bits(got), bits(expected))
+        m_w, m_b = params.split(state.m)
+        v_w, v_b = params.split(state.v)
+        for got, expected in zip((*m_w, *m_b, *v_w, *v_b),
+                                 (*want_state.m_weights, *want_state.m_biases,
+                                  *want_state.v_weights, *want_state.v_biases)):
+            assert np.array_equal(bits(got), bits(expected))
+        assert state.t == want_state.t
+        assert params.weight_bound == want.weight_bound
+    assert clipped or bound is None
+
+
+def test_layers_are_views_of_flat(tmp_path):
+    params = init_params(MlpArchitecture(hidden_widths=(3, 2)), seed=14)
+    assert params.flat.shape == (3 * 2 + 3 + 2 * 3 + 2 + 1 * 2 + 1,)
+    assert all(np.shares_memory(a, params.flat) for a in layers(params))
+    params.weights[1][0, 0] = 7.0
+    assert params.flat[3 * 2 + 3] == 7.0
+    params.flat[-1] = -5.0
+    assert params.biases[-1][0] == -5.0
+    # flat is in checkpoint order: the payload of each layer record, in turn
+    path = tmp_path / "net.mlpw"
+    save_params(path, params)
+    raw = path.read_bytes()[8:]
+    payload = b""
+    for w in params.weights:
+        payload += raw[8:8 + 8 * (w.size + w.shape[0])]
+        raw = raw[8 + 8 * (w.size + w.shape[0]):]
+    assert raw == b"" and payload == params.flat.astype("<f8").tobytes()
+
+
+def test_layers_cannot_be_rebound():
+    params = init_params(MlpArchitecture(hidden_widths=(3,)), seed=15)
+    with pytest.raises(TypeError):
+        params.weights[-1] = -params.weights[-1]
+    with pytest.raises(TypeError):
+        params.biases[0] = np.ones(3)
+    w = params.weights[-1]
+    before = w.copy()
+    np.negative(w, out=w)
+    assert np.array_equal(params.weights[-1], -before)
+
+
+def test_copy_owns_its_vector():
+    params = init_params(MlpArchitecture(hidden_widths=(4,)), seed=16, weight_bound=0.3)
+    dup = params.copy()
+    assert not np.shares_memory(dup.flat, params.flat)
+    assert all(np.shares_memory(a, dup.flat) for a in layers(dup))
+    assert (dup.leak, dup.weight_bound, dup.shapes) == (params.leak, 0.3, params.shapes)
+    dup.flat[:] = 0.0
+    assert params.max_abs() > 0.0
+    assert not dup.weights[0].any()
+
+
+def test_params_reject_mismatched_layers():
+    with pytest.raises(ValueError):
+        MlpParams(weights=[], biases=[])
+    with pytest.raises(ValueError):
+        MlpParams(weights=[np.ones((2, 2))], biases=[np.ones(3)])
+    with pytest.raises(ValueError):
+        MlpParams(weights=[np.ones(2)], biases=[np.ones(2)])

@@ -4,19 +4,16 @@ import pytest
 from compact_tik.errors import NumericalFailureError
 from compact_tik.experiment import substream_seed
 from compact_tik.grid import pixel_centers, shepp_logan
-from compact_tik.mlp import (
-    AdamState,
-    MlpArchitecture,
-    adam_step,
-    forward_trace,
-    init_params,
-    mlp_backward,
-    mlp_forward,
-    project_weights,
-)
+from compact_tik.mlp import MlpArchitecture, init_params, mlp_forward
 from compact_tik.nnsolver import NnReconstructionConfig, reconstruct_nn
 from compact_tik.radon import RadonGeometry, radon_forward, radon_operator
 from compact_tik.tikhonov import TikhonovProblem, solve_tikhonov, tikhonov_objective
+from test_mlp import (
+    ReferenceAdamState,
+    reference_adam_step,
+    reference_backward,
+    reference_project_weights,
+)
 
 NX = 16
 GEOM = RadonGeometry.for_grid(NX, 8)
@@ -153,7 +150,8 @@ def initial_objective(cfg, params):
 
 
 def negated_output_layer(params):
-    params.weights[-1] = -params.weights[-1]
+    w = params.weights[-1]
+    np.negative(w, out=w)
     return params
 
 
@@ -203,13 +201,15 @@ def test_output_dead_for_both_signs_raises(monkeypatch):
 
 
 def two_forward_reference(cfg):
-    """The loop as it was before it kept one forward trace per iteration:
-    one forward for the image, and a second one inside the backward."""
+    """The loop as it was before it kept one forward trace per iteration and
+    updated one flat parameter vector in place: one forward for the image, a
+    second one inside the backward, and an out-of-place Adam step and clamp
+    over per-layer lists."""
     coords = pixel_centers(cfg.nx, cfg.ny)
     params = init_params(cfg.architecture, cfg.seed, weight_bound=cfg.weight_bound)
     if not mlp_forward(params, coords).any():
         params = negated_output_layer(params)
-    state = AdamState.for_params(params, learning_rate=cfg.learning_rate)
+    state = ReferenceAdamState.for_params(params, learning_rate=cfg.learning_rate)
     trace = []
     best = (np.inf, None, None)
     for it in range(cfg.iterations + 1):
@@ -222,10 +222,10 @@ def two_forward_reference(cfg):
         if it == cfg.iterations:
             break
         cotangent = 2.0 * cfg.operator.apply_adjoint(residual) + 2.0 * cfg.alpha * x
-        grads = mlp_backward(params, forward_trace(params, coords), cotangent)
-        params, state = adam_step(params, grads, state)
+        grads = reference_backward(params, coords, cotangent)
+        params, state = reference_adam_step(params, grads, state)
         if cfg.weight_bound is not None:
-            params = project_weights(params, cfg.weight_bound)
+            params = reference_project_weights(params, cfg.weight_bound)
     return np.array(trace), best[1], best[2]
 
 

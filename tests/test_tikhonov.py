@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compact_tik.grid import shepp_logan
 from compact_tik.linop import DiagonalOperator, LinearOperator, matrix_operator
-from compact_tik.radon import RadonGeometry, radon_forward, radon_operator
+from compact_tik.radon import RadonGeometry, dense_matrix, radon_forward, radon_operator
 from compact_tik.tikhonov import (
     TikhonovProblem,
     dense_normal_solve,
@@ -69,8 +71,6 @@ def test_cg_matches_dense_oracle_16():
     img = shepp_logan(16, 16)
     geom = RadonGeometry.for_grid(16, 10)
     op = radon_operator(geom, 16, 16)
-    from compact_tik.radon import dense_matrix
-
     mat = dense_matrix(geom, 16, 16)
     rng = np.random.default_rng(4)
     data = radon_forward(img, geom).values + 0.01 * rng.standard_normal(geom.size)
@@ -79,6 +79,30 @@ def test_cg_matches_dense_oracle_16():
         direct = dense_normal_solve(mat, data, alpha)
         rel = np.linalg.norm(res.x - direct) / np.linalg.norm(direct)
         assert rel <= 1e-6
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.integers(4, 12),
+    n_angles=st.integers(1, 10),
+    det_halfwidth=st.floats(0.8, 1.6),
+    log10_alpha=st.floats(-3.0, 1.0),
+    with_prior=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cg_matches_dense_solve_property(n, n_angles, det_halfwidth, log10_alpha, with_prior,
+                                         seed):
+    geom = RadonGeometry.for_grid(n, n_angles, det_halfwidth=det_halfwidth)
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal(geom.size)
+    x_star = rng.standard_normal(n * n) if with_prior else None
+    alpha = 10.0**log10_alpha
+    problem = TikhonovProblem(op=radon_operator(geom, n, n), data=data, alpha=alpha,
+                              x_star=x_star)
+    res = solve_tikhonov(problem, max_iter=5000)
+    direct = dense_normal_solve(dense_matrix(geom, n, n), data, alpha, x_star=x_star)
+    assert res.converged
+    assert np.linalg.norm(res.x - direct) <= 1e-6 * np.linalg.norm(direct)
 
 
 def test_stability_bound_random_pairs():
