@@ -44,14 +44,12 @@ from .radon import (
     read_sinf,
     write_sinf,
 )
-from .rules import NetworkSize, RateParams, alpha_of_delta, network_size_of_delta
 from .tikhonov import (
     TikhonovProblem,
     TikhonovResult,
     dense_normal_solve,
     solve_tikhonov,
     tikhonov_objective,
-    z_alpha,
 )
 from .experiment import (
     ExperimentRecord,
@@ -62,6 +60,7 @@ from .experiment import (
     SweepConfig,
     SweepResult,
     add_noise,
+    alpha_of_delta,
     delta_for_snr,
     deltas_for_snr_range,
     fit_rate,

@@ -24,38 +24,25 @@ from .errors import NumericalFailureError
 from .grid import ImageGrid, shepp_logan, write_imgf, write_pgm16
 from .mlp import MlpArchitecture, save_params
 from .nnsolver import NnReconstructionConfig, reconstruct_nn
-from .radon import RadonGeometry, radon_forward, write_sinf
+# radon_forward is not called here: perfbench's tracer looks it up in this module
+from .radon import SinogramGrid, radon_forward, radon_operator, write_sinf  # noqa: F401
 from .tikhonov import TikhonovProblem, solve_tikhonov
 
 THREADS_ENV = "COMPACT_TIK_THREADS"
 
 
-def _parse_int(s):
-    return int(str(s))
-
-
-def _parse_float(s):
-    return float(str(s))
-
-
-def _parse_str(s):
-    return str(s)
-
-
 def _parse_int_list(s):
-    if isinstance(s, (tuple, list)):
-        return tuple(int(v) for v in s)
-    parts = [p.strip() for p in str(s).split(",") if p.strip()]
+    parts = [p.strip() for p in s.split(",") if p.strip()]
     if not parts:
         raise ValueError("expected a comma-separated list of integers")
     return tuple(int(p) for p in parts)
 
 
 def _optional(parse):
-    """``parse``, except that None and "none" (any case) parse to None."""
+    """``parse``, except that "none" (any case) parses to None."""
 
     def parse_optional(s):
-        if s is None or str(s).strip().lower() == "none":
+        if s.strip().lower() == "none":
             return None
         return parse(s)
 
@@ -75,81 +62,81 @@ def _serialize(value):
 # subcommand -> ordered {key: (parser, default, help)}
 SCHEMAS = {
     "phantom": {
-        "n": (_parse_int, 128, "grid size per axis"),
-        "out": (_parse_str, "phantom.pgm", "output image (.pgm or .imgf)"),
+        "n": (int, 128, "grid size per axis"),
+        "out": (str, "phantom.pgm", "output image (.pgm or .imgf)"),
     },
     "sinogram": {
-        "n": (_parse_int, 128, "grid size per axis"),
-        "angles": (_parse_int, 50, "number of projection angles in [0, pi)"),
-        "det_halfwidth": (_parse_float, math.sqrt(2.0), "detector half-extent"),
-        "delta": (_parse_float, 0.0, "noise scale (0 for clean data)"),
-        "seed": (_parse_int, 0, "noise seed"),
-        "out": (_parse_str, "sinogram.sinf", "output sinogram (.sinf)"),
+        "n": (int, 128, "grid size per axis"),
+        "angles": (int, 50, "number of projection angles in [0, pi)"),
+        "det_halfwidth": (float, math.sqrt(2.0), "detector half-extent"),
+        "delta": (float, 0.0, "noise scale (0 for clean data)"),
+        "seed": (int, 0, "noise seed"),
+        "out": (str, "sinogram.sinf", "output sinogram (.sinf)"),
     },
     "tikhonov": {
-        "n": (_parse_int, 64, "grid size per axis"),
-        "angles": (_parse_int, 30, "number of projection angles"),
-        "det_halfwidth": (_parse_float, math.sqrt(2.0), "detector half-extent"),
-        "alpha": (_parse_float, 1e-2, "regularization weight"),
-        "delta": (_parse_float, 0.0, "noise scale"),
-        "seed": (_parse_int, 0, "noise seed"),
-        "tol": (_parse_float, 1e-10, "CG relative tolerance"),
-        "max_iter": (_parse_int, 2000, "CG iteration cap"),
-        "out": (_parse_str, "reconstruction.imgf", "output image (.imgf or .pgm)"),
+        "n": (int, 64, "grid size per axis"),
+        "angles": (int, 30, "number of projection angles"),
+        "det_halfwidth": (float, math.sqrt(2.0), "detector half-extent"),
+        "alpha": (float, 1e-2, "regularization weight"),
+        "delta": (float, 0.0, "noise scale"),
+        "seed": (int, 0, "noise seed"),
+        "tol": (float, 1e-10, "CG relative tolerance"),
+        "max_iter": (int, 2000, "CG iteration cap"),
+        "out": (str, "reconstruction.imgf", "output image (.imgf or .pgm)"),
     },
     "nn-reconstruct": {
-        "n": (_parse_int, 64, "grid size per axis"),
-        "angles": (_parse_int, 30, "number of projection angles"),
-        "det_halfwidth": (_parse_float, math.sqrt(2.0), "detector half-extent"),
-        "alpha": (_parse_float, 1e-2, "regularization weight"),
-        "delta": (_parse_float, 0.0, "noise scale"),
-        "seed": (_parse_int, 0, "noise and init seed"),
+        "n": (int, 64, "grid size per axis"),
+        "angles": (int, 30, "number of projection angles"),
+        "det_halfwidth": (float, math.sqrt(2.0), "detector half-extent"),
+        "alpha": (float, 1e-2, "regularization weight"),
+        "delta": (float, 0.0, "noise scale"),
+        "seed": (int, 0, "noise and init seed"),
         "hidden": (_parse_int_list, (100, 100, 100, 100), "hidden layer widths"),
-        "iterations": (_parse_int, 5000, "optimizer steps"),
-        "learning_rate": (_parse_float, 1e-3, "Adam learning rate"),
-        "weight_bound": (_optional(_parse_float), None, "weight box half-width (none = unbounded)"),
-        "out": (_parse_str, "nn_reconstruction.imgf", "output image (.imgf or .pgm)"),
-        "trace": (_optional(_parse_str), None, "objective trace output path"),
-        "checkpoint": (_optional(_parse_str), None, "parameter checkpoint output (.mlpw)"),
+        "iterations": (int, 5000, "optimizer steps"),
+        "learning_rate": (float, 1e-3, "Adam learning rate"),
+        "weight_bound": (_optional(float), None, "weight box half-width (none = unbounded)"),
+        "out": (str, "nn_reconstruction.imgf", "output image (.imgf or .pgm)"),
+        "trace": (_optional(str), None, "objective trace output path"),
+        "checkpoint": (_optional(str), None, "parameter checkpoint output (.mlpw)"),
     },
     "sweep": {
-        "method": (_parse_str, "tikhonov", "reconstruction method: tikhonov or nn"),
-        "n": (_parse_int, 64, "grid size per axis"),
-        "angles": (_parse_int, 30, "number of projection angles"),
-        "det_halfwidth": (_parse_float, math.sqrt(2.0), "detector half-extent"),
-        "n_bins": (_optional(_parse_int), None, "detector bins (none = ceil(n * det_halfwidth))"),
-        "snr_min_db": (_parse_float, 16.6, "noisiest SNR level, dB"),
-        "snr_max_db": (_parse_float, 42.6, "cleanest SNR level, dB"),
-        "n_deltas": (_parse_int, 6, "number of noise levels"),
-        "realizations": (_parse_int, 3, "noise realizations per level"),
-        "n_alphas": (_parse_int, 20, "alpha grid size per level"),
-        "alpha_span_decades": (_parse_float, 1.5, "alpha grid half-span around alpha = delta"),
-        "seed": (_parse_int, 0, "base seed of the substream hierarchy"),
-        "cg_tol": (_parse_float, 1e-10, "CG relative tolerance"),
-        "cg_max_iter": (_parse_int, 2000, "CG iteration cap"),
+        "method": (str, "tikhonov", "reconstruction method: tikhonov or nn"),
+        "n": (int, 64, "grid size per axis"),
+        "angles": (int, 30, "number of projection angles"),
+        "det_halfwidth": (float, math.sqrt(2.0), "detector half-extent"),
+        "n_bins": (_optional(int), None, "detector bins (none = ceil(n * det_halfwidth))"),
+        "snr_min_db": (float, 16.6, "noisiest SNR level, dB"),
+        "snr_max_db": (float, 42.6, "cleanest SNR level, dB"),
+        "n_deltas": (int, 6, "number of noise levels"),
+        "realizations": (int, 3, "noise realizations per level"),
+        "n_alphas": (int, 20, "alpha grid size per level"),
+        "alpha_span_decades": (float, 1.5, "alpha grid half-span around alpha = delta"),
+        "seed": (int, 0, "base seed of the substream hierarchy"),
+        "cg_tol": (float, 1e-10, "CG relative tolerance"),
+        "cg_max_iter": (int, 2000, "CG iteration cap"),
         "nn_hidden": (_parse_int_list, (100, 100, 100, 100), "hidden widths (nn method)"),
-        "nn_iterations": (_parse_int, 5000, "optimizer steps (nn method)"),
-        "nn_learning_rate": (_parse_float, 1e-3, "Adam learning rate (nn method)"),
-        "nn_weight_bound": (_optional(_parse_float), None, "weight box half-width (nn method)"),
-        "out": (_parse_str, "sweep_out", "output directory"),
+        "nn_iterations": (int, 5000, "optimizer steps (nn method)"),
+        "nn_learning_rate": (float, 1e-3, "Adam learning rate (nn method)"),
+        "nn_weight_bound": (_optional(float), None, "weight box half-width (nn method)"),
+        "out": (str, "sweep_out", "output directory"),
     },
     "oracle-linear": {
-        "mu": (_parse_float, 1.0, "source-condition exponent in [1/2, 1]"),
-        "n_dim": (_parse_int, 200, "operator dimension"),
-        "delta_min": (_parse_float, 1e-6, "smallest noise level"),
-        "delta_max": (_parse_float, 1e-2, "largest noise level"),
-        "n_deltas": (_parse_int, 9, "number of noise levels (log-spaced)"),
-        "seed": (_parse_int, 0, "base seed"),
-        "out": (_optional(_parse_str), None, "optional output directory for tables"),
+        "mu": (float, 1.0, "source-condition exponent in [1/2, 1]"),
+        "n_dim": (int, 200, "operator dimension"),
+        "delta_min": (float, 1e-6, "smallest noise level"),
+        "delta_max": (float, 1e-2, "largest noise level"),
+        "n_deltas": (int, 9, "number of noise levels (log-spaced)"),
+        "seed": (int, 0, "base seed"),
+        "out": (_optional(str), None, "optional output directory for tables"),
     },
     "rate-fit": {
-        "table": (_parse_str, "aggregate.csv", "input table (aggregate or delta,error)"),
-        "out": (_optional(_parse_str), None, "optional output directory for the fits table"),
+        "table": (str, "aggregate.csv", "input table (aggregate or delta,error)"),
+        "out": (_optional(str), None, "optional output directory for the fits table"),
     },
     "plot": {
-        "table": (_parse_str, "aggregate.csv", "aggregate table to plot"),
-        "reference_exponent": (_parse_float, 2.0 / 3.0, "dashed reference slope"),
-        "out": (_parse_str, "errors.svg", "output SVG path"),
+        "table": (str, "aggregate.csv", "aggregate table to plot"),
+        "reference_exponent": (float, 2.0 / 3.0, "dashed reference slope"),
+        "out": (str, "errors.svg", "output SVG path"),
     },
 }
 
@@ -210,7 +197,7 @@ def resolve_config(subcommand, args):
     if args.config:
         cfg.update(parse_config_file(args.config, subcommand))
     for key, (parser, _, _) in schema.items():
-        flag_value = getattr(args, key.replace("-", "_"), None)
+        flag_value = getattr(args, key)
         if flag_value is not None:
             cfg[key] = parser(flag_value)
     return cfg
@@ -229,13 +216,9 @@ def _write_image(path, image: ImageGrid):
 
 
 def _noisy_sinogram(cfg):
-    phantom = shepp_logan(cfg["n"], cfg["n"])
-    geom = RadonGeometry.for_grid(cfg["n"], cfg["angles"], det_halfwidth=cfg["det_halfwidth"])
-    clean = radon_forward(phantom, geom)
-    values = experiment.add_noise(
-        clean.values, experiment.NoiseSpec(delta=cfg["delta"], seed=cfg["seed"])
-    )
-    return phantom, geom, clean, values
+    phantom, geom, clean = experiment.ct_scene(cfg["n"], cfg["angles"], cfg["det_halfwidth"])
+    noisy = experiment.add_noise(clean, experiment.NoiseSpec(delta=cfg["delta"], seed=cfg["seed"]))
+    return phantom, geom, noisy
 
 
 def cmd_phantom(cfg):
@@ -247,9 +230,7 @@ def cmd_phantom(cfg):
 
 
 def cmd_sinogram(cfg):
-    from .radon import SinogramGrid
-
-    _, geom, clean, noisy = _noisy_sinogram(cfg)
+    _, geom, noisy = _noisy_sinogram(cfg)
     write_sinf(cfg["out"], SinogramGrid(geometry=geom, values=noisy))
     _write_manifest("sinogram", cfg, str(cfg["out"]) + ".manifest")
     print(f"wrote {cfg['out']} ({geom.n_bins}x{geom.n_angles} bins x angles)")
@@ -257,9 +238,7 @@ def cmd_sinogram(cfg):
 
 
 def cmd_tikhonov(cfg):
-    from .radon import radon_operator
-
-    phantom, geom, _, noisy = _noisy_sinogram(cfg)
+    phantom, geom, noisy = _noisy_sinogram(cfg)
     op = radon_operator(geom, cfg["n"], cfg["n"])
     problem = TikhonovProblem(op=op, data=noisy, alpha=cfg["alpha"])
     result = solve_tikhonov(problem, tol=cfg["tol"], max_iter=cfg["max_iter"])
@@ -272,9 +251,7 @@ def cmd_tikhonov(cfg):
 
 
 def cmd_nn_reconstruct(cfg):
-    from .radon import radon_operator
-
-    phantom, geom, _, noisy = _noisy_sinogram(cfg)
+    phantom, geom, noisy = _noisy_sinogram(cfg)
     op = radon_operator(geom, cfg["n"], cfg["n"])
     nn_cfg = NnReconstructionConfig(
         architecture=MlpArchitecture(hidden_widths=cfg["hidden"]),
@@ -303,6 +280,8 @@ def cmd_nn_reconstruct(cfg):
 
 
 def cmd_sweep(cfg, threads):
+    if threads is None:
+        threads = int(os.environ.get(THREADS_ENV, "1"))
     os.makedirs(cfg["out"], exist_ok=True)
     deltas = experiment.sweep_deltas(
         nx=cfg["n"],
@@ -318,7 +297,6 @@ def cmd_sweep(cfg, threads):
         n_realizations=cfg["realizations"],
         method=cfg["method"],
         nx=cfg["n"],
-        ny=cfg["n"],
         n_angles=cfg["angles"],
         det_halfwidth=cfg["det_halfwidth"],
         n_bins=cfg["n_bins"],
@@ -438,6 +416,18 @@ def cmd_plot(cfg):
     return 0
 
 
+COMMANDS = {
+    "phantom": cmd_phantom,
+    "sinogram": cmd_sinogram,
+    "tikhonov": cmd_tikhonov,
+    "nn-reconstruct": cmd_nn_reconstruct,
+    "sweep": cmd_sweep,
+    "oracle-linear": cmd_oracle_linear,
+    "rate-fit": cmd_rate_fit,
+    "plot": cmd_plot,
+}
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse variant that reports usage errors via exit code 1."""
 
@@ -451,12 +441,13 @@ def build_parser():
     for name, schema in SCHEMAS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="INI config file; flags override its values")
-        p.add_argument("--threads", type=int, default=None,
-                       help=f"worker threads (fallback: ${THREADS_ENV})")
+        if name == "sweep":
+            p.add_argument("--threads", type=int, default=None,
+                           help=f"worker threads (fallback: ${THREADS_ENV})")
         for key, (_, default, help_text) in schema.items():
             p.add_argument(
                 f"--{key.replace('_', '-')}",
-                dest=key.replace("-", "_"),
+                dest=key,
                 default=None,
                 help=f"{help_text} (default: {_serialize(default)})",
             )
@@ -468,26 +459,8 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         cfg = resolve_config(args.subcommand, args)
-        threads = args.threads
-        if threads is None:
-            threads = int(os.environ.get(THREADS_ENV, "1"))
-        if args.subcommand == "phantom":
-            return cmd_phantom(cfg)
-        if args.subcommand == "sinogram":
-            return cmd_sinogram(cfg)
-        if args.subcommand == "tikhonov":
-            return cmd_tikhonov(cfg)
-        if args.subcommand == "nn-reconstruct":
-            return cmd_nn_reconstruct(cfg)
-        if args.subcommand == "sweep":
-            return cmd_sweep(cfg, threads)
-        if args.subcommand == "oracle-linear":
-            return cmd_oracle_linear(cfg)
-        if args.subcommand == "rate-fit":
-            return cmd_rate_fit(cfg)
-        if args.subcommand == "plot":
-            return cmd_plot(cfg)
-        raise ValueError(f"unknown subcommand {args.subcommand!r}")
+        options = {"threads": args.threads} if "threads" in args else {}
+        return COMMANDS[args.subcommand](cfg, **options)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -22,7 +22,6 @@ from .linop import DiagonalOperator
 from .mlp import MlpArchitecture
 from .nnsolver import NnReconstructionConfig, reconstruct_nn
 from .radon import RadonGeometry, radon_forward, radon_operator
-from .rules import alpha_of_delta
 from .tikhonov import TikhonovProblem, solve_tikhonov
 
 
@@ -106,11 +105,21 @@ def deltas_for_snr_range(y, snr_min_db, snr_max_db, count):
     return [delta_for_snr(y, t) for t in targets]
 
 
+def ct_scene(nx, n_angles, det_halfwidth=float(np.sqrt(2.0)), n_bins=None):
+    """The CT test scene: (Shepp-Logan phantom, geometry, clean sinogram values).
+
+    The phantom lives on an nx x nx grid and the geometry is
+    ``RadonGeometry.for_grid`` of that grid.
+    """
+    phantom = shepp_logan(nx, nx)
+    geom = RadonGeometry.for_grid(nx, n_angles, det_halfwidth=det_halfwidth, n_bins=n_bins)
+    return phantom, geom, radon_forward(phantom, geom).values
+
+
 def sweep_deltas(nx, n_angles, snr_min_db, snr_max_db, count,
                  det_halfwidth=float(np.sqrt(2.0)), n_bins=None):
     """Noise levels for a phantom sweep, derived from the clean sinogram."""
-    geom = RadonGeometry.for_grid(nx, n_angles, det_halfwidth=det_halfwidth, n_bins=n_bins)
-    y = radon_forward(shepp_logan(nx, nx), geom).values
+    _, _, y = ct_scene(nx, n_angles, det_halfwidth, n_bins)
     return deltas_for_snr_range(y, snr_min_db, snr_max_db, count)
 
 
@@ -192,22 +201,19 @@ class NnSettings:
 class SweepConfig:
     """Full protocol: noise levels, realizations, alpha grid, method.
 
-    ``alphas`` fixes one grid for every cell; when None, each delta gets
-    ``n_alphas`` log-spaced values centered on alpha = delta and spanning
-    ``alpha_span_decades`` decades each side. Deltas must be strictly
-    decreasing.
+    The image is nx x nx. Each delta gets ``n_alphas`` log-spaced alphas
+    centered on alpha = delta and spanning ``alpha_span_decades`` decades
+    each side. Deltas must be strictly decreasing.
     """
 
     deltas: list
     n_realizations: int
     method: str = "tikhonov"
     nx: int = 64
-    ny: int = 64
     n_angles: int = 30
     det_halfwidth: float = float(np.sqrt(2.0))
     n_bins: int | None = None
     base_seed: int = 0
-    alphas: list | None = None
     n_alphas: int = 20
     alpha_span_decades: float = 1.5
     cg_tol: float = 1e-10
@@ -224,22 +230,18 @@ class SweepConfig:
             raise ValueError("need at least one realization")
         if self.method not in ("tikhonov", "nn"):
             raise ValueError(f"method must be 'tikhonov' or 'nn', got {self.method!r}")
-        if self.alphas is not None:
-            self.alphas = [float(a) for a in self.alphas]
-            if not self.alphas or any(a <= 0 for a in self.alphas):
-                raise ValueError("alphas must be positive")
+        if self.n_alphas < 1:
+            raise ValueError(f"n_alphas must be at least 1, got {self.n_alphas}")
+        if not self.alpha_span_decades >= 0:  # also rejects NaN
+            raise ValueError(
+                f"alpha_span_decades must be nonnegative, got {self.alpha_span_decades}"
+            )
 
     def alpha_grid(self, delta):
         """Ascending alpha grid for one noise level."""
-        if self.alphas is not None:
-            return np.sort(np.asarray(self.alphas, dtype=np.float64))
         lo = np.log10(delta) - self.alpha_span_decades
         hi = np.log10(delta) + self.alpha_span_decades
         return np.logspace(lo, hi, self.n_alphas)
-
-    def geometry(self) -> RadonGeometry:
-        return RadonGeometry.for_grid(self.nx, self.n_angles, det_halfwidth=self.det_halfwidth,
-                                      n_bins=self.n_bins)
 
 
 @dataclass
@@ -284,7 +286,7 @@ def _nn_cell(op, y_noisy, alphas, truth, cfg, seed):
             operator=op,
             data=y_noisy,
             nx=cfg.nx,
-            ny=cfg.ny,
+            ny=cfg.nx,
             iterations=cfg.nn.iterations,
             learning_rate=cfg.nn.learning_rate,
             seed=seed,
@@ -306,11 +308,9 @@ def run_sweep(cfg: SweepConfig, threads=1) -> SweepResult:
     and skipped; deltas with no surviving cell are excluded from the rate
     fit and flagged.
     """
-    phantom = shepp_logan(cfg.nx, cfg.ny)
+    phantom, geom, y_clean = ct_scene(cfg.nx, cfg.n_angles, cfg.det_halfwidth, cfg.n_bins)
     truth = phantom.values
-    geom = cfg.geometry()
-    y_clean = radon_forward(phantom, geom).values
-    op = radon_operator(geom, cfg.nx, cfg.ny)
+    op = radon_operator(geom, cfg.nx, cfg.nx)
 
     cells = [
         (i, r, substream_seed(cfg.base_seed, i, r))
@@ -395,7 +395,29 @@ class LinearOracleResult:
     mu: float
 
 
-def linear_oracle(mu, n_dim, deltas, seed=0, tol=1e-12, max_iter=10000) -> LinearOracleResult:
+def alpha_of_delta(delta, mu):
+    """A-priori Holder rule alpha = delta^(2 / (2 mu + 1)).
+
+    It balances the worst-case bias and noise terms of the Tikhonov error
+    under a source condition with exponent mu in [1/2, 1]; at mu = 1/2 it
+    is alpha = delta.
+
+    The paper pairs it with an a-priori network size m(delta): depth
+    ceil(7 + (1 + ceil(log2 beta)) (11 + beta d)), about
+    delta^(-2d / (3 beta)) neurons and a weight bound growing slower than
+    delta^(-2s/3). That rule is not used here: for beta = 1 and d = 2 it
+    gives depth 20, and at the noise levels of the 32x32 reference sweep
+    its 19 hidden layers are 1 to 35 neurons wide, nets too thin to train.
+    Sweeps take the network size as a setting instead.
+    """
+    if delta <= 0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0.5 <= mu <= 1.0:
+        raise ValueError(f"mu must be in [1/2, 1], got {mu}")
+    return delta ** (2.0 / (2.0 * mu + 1.0))
+
+
+def linear_oracle(mu, n_dim, deltas, seed=0) -> LinearOracleResult:
     """Measure the convergence rate on a diagonal operator with known source element.
 
     The operator has singular values s_k = 1/k. The exact solution is
@@ -431,9 +453,9 @@ def linear_oracle(mu, n_dim, deltas, seed=0, tol=1e-12, max_iter=10000) -> Linea
         rng = np.random.Generator(np.random.PCG64(substream_seed(seed, i, 1)))
         n = standard_normal(rng, n_dim)
         y_noisy = y + delta * n / np.linalg.norm(n)
-        alpha = alpha_of_delta(delta, rule="holder", mu=mu)
+        alpha = alpha_of_delta(delta, mu)
         problem = TikhonovProblem(op=op, data=y_noisy, alpha=alpha)
-        result = solve_tikhonov(problem, tol=tol, max_iter=max_iter)
+        result = solve_tikhonov(problem, tol=1e-12, max_iter=10000)
         errors[i] = np.linalg.norm(result.x - x_dagger)
         alphas[i] = alpha
 

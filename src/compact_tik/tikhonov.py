@@ -64,15 +64,6 @@ def tikhonov_objective(op, data, alpha, x, x_star=None):
     return float(r @ r + alpha * (d @ d))
 
 
-def _normal_operator(op, alpha):
-    """The map v -> (A^T A + alpha I) v."""
-
-    def apply(v):
-        return op.apply_adjoint(op.apply(v)) + alpha * v
-
-    return apply
-
-
 def solve_tikhonov(problem: TikhonovProblem, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
                    x0=None) -> TikhonovResult:
     """Solve the normal equations by CG.
@@ -81,8 +72,12 @@ def solve_tikhonov(problem: TikhonovProblem, tol=DEFAULT_TOL, max_iter=DEFAULT_M
     so callers can audit optimality. ``x0`` warm-starts the iteration.
     """
     op, alpha = problem.op, problem.alpha
+
+    def normal_operator(v):
+        return op.apply_adjoint(op.apply(v)) + alpha * v
+
     rhs = op.apply_adjoint(problem.data) + alpha * problem.x_star
-    res = cg_solve(_normal_operator(op, alpha), rhs, tol=tol, max_iter=max_iter, x0=x0)
+    res = cg_solve(normal_operator, rhs, tol=tol, max_iter=max_iter, x0=x0)
     return TikhonovResult(
         x=res.x,
         iterations=res.iterations,
@@ -90,22 +85,6 @@ def solve_tikhonov(problem: TikhonovProblem, tol=DEFAULT_TOL, max_iter=DEFAULT_M
         rhs_norm=float(np.linalg.norm(rhs)),
         converged=res.converged,
     )
-
-
-def z_alpha(op, x_dagger, w, alpha, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
-    """Auxiliary element x_dagger - alpha (A^T A + alpha I)^{-1} A^T w.
-
-    For a diagonal operator this is componentwise
-    x_dagger_k - alpha s_k w_k / (s_k^2 + alpha).
-    """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    x_dagger = np.asarray(x_dagger, dtype=np.float64).ravel()
-    w = np.asarray(w, dtype=np.float64).ravel()
-    if x_dagger.size != op.domain_dim or w.size != op.range_dim:
-        raise ValueError("x_dagger/w dimensions inconsistent with the operator")
-    res = cg_solve(_normal_operator(op, alpha), op.apply_adjoint(w), tol=tol, max_iter=max_iter)
-    return x_dagger - alpha * res.x
 
 
 def dense_normal_solve(mat, data, alpha, x_star=None):

@@ -147,6 +147,14 @@ def test_sweep_reports_unconverged_cells_on_stderr(tmp_path, capsys):
     assert (out / "results.csv").read_text().splitlines() == ["delta,seed,alpha,error,snr_db,method"]
 
 
+def test_reference_tikhonov_tables_rerun_byte_for_byte(tmp_path):
+    reference = REFERENCE_DIR / "tikhonov"
+    out = tmp_path / "tik"
+    assert run_cli("sweep", "--config", str(reference / "manifest.ini"), "--out", str(out)) == 0
+    for table in ("results.csv", "aggregate.csv", "fits.csv"):
+        assert (out / table).read_bytes() == (reference / table).read_bytes(), table
+
+
 def test_config_round_trip(tmp_path):
     for subcommand, schema in SCHEMAS.items():
         cfg = {key: default for key, (_, default, _) in schema.items()}
@@ -238,3 +246,10 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
     )
     assert code == 0
     assert (out / "results.csv").exists()
+
+
+def test_threads_only_on_sweep(tmp_path, capsys):
+    out = tmp_path / "p.pgm"
+    assert run_cli("phantom", "--n", "4", "--threads", "2", "--out", str(out)) == 1
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()

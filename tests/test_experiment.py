@@ -8,6 +8,8 @@ from compact_tik.experiment import (
     SweepConfig,
     add_noise,
     aggregate_csv,
+    alpha_of_delta,
+    ct_scene,
     delta_for_snr,
     deltas_for_snr_range,
     fit_rate,
@@ -183,6 +185,16 @@ def test_sweep_config_validation():
         SweepConfig(deltas=[0.1], n_realizations=1, method="other")
 
 
+def test_sweep_config_rejects_empty_or_descending_alpha_grid():
+    with pytest.raises(ValueError, match="n_alphas"):
+        SweepConfig(deltas=[0.1], n_realizations=1, n_alphas=0)
+    for span in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="alpha_span_decades"):
+            SweepConfig(deltas=[0.1], n_realizations=1, alpha_span_decades=span)
+    single = SweepConfig(deltas=[0.1], n_realizations=1, n_alphas=1, alpha_span_decades=0.0)
+    assert single.alpha_grid(0.1) == pytest.approx([0.1])
+
+
 def test_alpha_grid_centered_on_delta():
     cfg = SweepConfig(deltas=[0.1], n_realizations=1, n_alphas=21, alpha_span_decades=1.0)
     grid = cfg.alpha_grid(0.1)
@@ -195,26 +207,27 @@ def test_alpha_grid_centered_on_delta():
 def test_run_sweep_single_cell_matches_direct_solve():
     deltas = [0.05]
     cfg = SweepConfig(
-        deltas=deltas, n_realizations=1, nx=12, ny=12, n_angles=6,
-        alphas=[0.02], base_seed=3,
+        deltas=deltas, n_realizations=1, nx=12, n_angles=6,
+        n_alphas=1, base_seed=3,
     )
+    (alpha,) = cfg.alpha_grid(0.05)
     result = run_sweep(cfg)
     assert len(result.records) == 1
     rec = result.records[0]
     # recompute the same cell by hand
     from compact_tik.grid import shepp_logan
-    from compact_tik.radon import radon_forward, radon_operator
+    from compact_tik.radon import RadonGeometry, radon_forward, radon_operator
 
     phantom = shepp_logan(12, 12)
-    geom = cfg.geometry()
+    geom = RadonGeometry.for_grid(12, 6)
     y = radon_forward(phantom, geom).values
     seed = substream_seed(3, 0, 0)
     y_noisy = add_noise(y, NoiseSpec(delta=0.05, seed=seed))
     op = radon_operator(geom, 12, 12)
-    x = solve_tikhonov(TikhonovProblem(op=op, data=y_noisy, alpha=0.02)).x
+    x = solve_tikhonov(TikhonovProblem(op=op, data=y_noisy, alpha=alpha)).x
     expected = np.linalg.norm(phantom.values - x)
     assert rec.best_error == pytest.approx(expected, rel=1e-12)
-    assert rec.best_alpha == 0.02
+    assert rec.best_alpha == alpha
     assert rec.seed == seed
 
 
@@ -225,7 +238,7 @@ def test_run_sweep_aggregate_of_equal_errors():
 
 def test_run_sweep_oracle_minimum_and_determinism():
     cfg = SweepConfig(
-        deltas=[0.2, 0.05], n_realizations=2, nx=12, ny=12, n_angles=6,
+        deltas=[0.2, 0.05], n_realizations=2, nx=12, n_angles=6,
         n_alphas=4, alpha_span_decades=1.0, base_seed=9,
     )
     r1 = run_sweep(cfg)
@@ -239,7 +252,7 @@ def test_run_sweep_oracle_minimum_and_determinism():
 
 def test_run_sweep_unconverged_solve_fails_its_cell():
     base = dict(
-        deltas=[0.2, 0.05], n_realizations=2, nx=12, ny=12, n_angles=6,
+        deltas=[0.2, 0.05], n_realizations=2, nx=12, n_angles=6,
         n_alphas=3, alpha_span_decades=1.0, base_seed=9,
     )
     capped = run_sweep(SweepConfig(**base, cg_max_iter=2))
@@ -261,13 +274,40 @@ def test_run_sweep_nn_method_smoke():
     from compact_tik.experiment import NnSettings
 
     cfg = SweepConfig(
-        deltas=[0.3], n_realizations=1, method="nn", nx=8, ny=8, n_angles=4,
-        alphas=[0.05], base_seed=1,
+        deltas=[0.3], n_realizations=1, method="nn", nx=8, n_angles=4,
+        n_alphas=1, base_seed=1,
         nn=NnSettings(hidden_widths=(6,), iterations=15, learning_rate=1e-2),
     )
     result = run_sweep(cfg)
     assert len(result.records) == 1
     assert result.records[0].best_error > 0
+
+
+def test_alpha_holder_mu_one():
+    # delta^(2/3) at delta = 1e-3
+    assert alpha_of_delta(1e-3, 1.0) == pytest.approx(1e-2)
+
+
+def test_alpha_holder_mu_half():
+    # exponent 2/(2*0.5+1) = 1, so alpha = delta
+    for delta in (1e-4, 0.1, 0.3):
+        assert alpha_of_delta(delta, 0.5) == delta
+
+
+def test_alpha_validation():
+    with pytest.raises(ValueError):
+        alpha_of_delta(0.0, 1.0)
+    with pytest.raises(ValueError):
+        alpha_of_delta(0.1, 2.0)
+    with pytest.raises(ValueError):
+        alpha_of_delta(0.1, 0.4)
+
+
+def test_alpha_strictly_increasing():
+    deltas = np.logspace(-8, -1, 30)
+    for mu in (1.0, 0.75, 0.5):
+        values = [alpha_of_delta(d, mu) for d in deltas]
+        assert all(b > a for a, b in zip(values, values[1:]))
 
 
 def test_linear_oracle_rates():
@@ -342,9 +382,12 @@ def test_explicit_bins_reach_both_geometry_users():
     from compact_tik.radon import RadonGeometry, radon_forward
 
     want = RadonGeometry(n_angles=8, n_bins=13, det_halfwidth=1.1, step=2.0 / 16)
-    cfg = SweepConfig(deltas=[0.1], n_realizations=1, nx=16, ny=16, n_angles=8,
-                      det_halfwidth=1.1, n_bins=13)
-    assert cfg.geometry() == want
-    y = radon_forward(shepp_logan(16, 16), want).values
+    phantom, geom, y = ct_scene(16, 8, det_halfwidth=1.1, n_bins=13)
+    assert geom == want
+    assert np.array_equal(y, radon_forward(shepp_logan(16, 16), want).values)
     assert sweep_deltas(16, 8, 16.6, 42.6, 4, det_halfwidth=1.1, n_bins=13) == \
         deltas_for_snr_range(y, 16.6, 42.6, 4)
+    # run_sweep reads the same geometry: its SNR is that of the 13-bin sinogram
+    cfg = SweepConfig(deltas=[0.1], n_realizations=1, nx=16, n_angles=8,
+                      det_halfwidth=1.1, n_bins=13, n_alphas=1)
+    assert run_sweep(cfg).records[0].snr_db == float(snr_db(y, 0.1))

@@ -11,7 +11,6 @@ from compact_tik.tikhonov import (
     dense_normal_solve,
     solve_tikhonov,
     tikhonov_objective,
-    z_alpha,
 )
 
 
@@ -148,41 +147,3 @@ def test_objective_dominance():
     for _ in range(10):
         v = rng.standard_normal(144)
         assert j_star <= tikhonov_objective(op, data, alpha, v) + 10 * tol
-
-
-def test_z_alpha_identity():
-    ident = matrix_operator(np.eye(4))
-    x_dagger = np.array([1.0, 2.0, -1.0, 0.5])
-    w = np.array([0.5, -0.5, 1.0, 2.0])
-    alpha = 0.8
-    z = z_alpha(ident, x_dagger, w, alpha)
-    assert np.allclose(z, x_dagger - (alpha / (1 + alpha)) * w, atol=1e-10)
-
-
-def test_z_alpha_tiny_alpha_identity():
-    ident = matrix_operator(np.eye(3))
-    x_dagger = np.ones(3)
-    w = np.array([1.0, -2.0, 3.0])
-    alpha = 1e-12
-    z = z_alpha(ident, x_dagger, w, alpha)
-    assert np.allclose(z, x_dagger - alpha * w / (1 + alpha), atol=1e-15)
-
-
-def test_z_alpha_diagonal_componentwise():
-    s = np.array([2.0, 1.0, 0.5, 0.25])
-    op = DiagonalOperator(s)
-    rng = np.random.default_rng(8)
-    x_dagger = rng.standard_normal(4)
-    w = rng.standard_normal(4)
-    alpha = 0.37
-    z = z_alpha(op, x_dagger, w, alpha)
-    expected = x_dagger - alpha * s * w / (s**2 + alpha)
-    assert np.allclose(z, expected, atol=1e-10)
-
-
-def test_z_alpha_validation():
-    ident = matrix_operator(np.eye(3))
-    with pytest.raises(ValueError):
-        z_alpha(ident, np.ones(3), np.ones(3), alpha=0.0)
-    with pytest.raises(ValueError):
-        z_alpha(ident, np.ones(2), np.ones(3), alpha=1.0)
