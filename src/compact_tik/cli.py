@@ -280,8 +280,12 @@ def cmd_nn_reconstruct(cfg):
 
 
 def cmd_sweep(cfg, threads):
+    source = "--threads"
     if threads is None:
+        source = f"${THREADS_ENV}"
         threads = int(os.environ.get(THREADS_ENV, "1"))
+    if threads < 1:
+        raise ValueError(f"{source} must be at least 1, got {threads}")
     os.makedirs(cfg["out"], exist_ok=True)
     deltas = experiment.sweep_deltas(
         nx=cfg["n"],

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NumericalFailureError
 from .grid import shepp_logan
-from .linop import DiagonalOperator
+from .linop import DiagonalOperator, cg_solve_shifted
 from .mlp import MlpArchitecture
 from .nnsolver import NnReconstructionConfig, reconstruct_nn
 from .radon import RadonGeometry, radon_forward, radon_operator
@@ -254,24 +254,43 @@ class SweepResult:
     fit: RateFit | None
 
 
-def _tikhonov_cell(op, y_noisy, alphas, truth, cfg):
-    """Errors over the alpha grid; solves share warm starts, largest alpha first.
+def _unconverged(alpha, iterations, residual, threshold):
+    return NumericalFailureError(
+        f"CG did not converge at alpha={alpha:.6g}: {iterations} iterations, "
+        f"normal residual {residual:.3e} > cg_tol * ||rhs|| = {threshold:.3e}"
+    )
 
-    A solve that stops at ``cg_max_iter`` raises NumericalFailureError, so
+
+def _tikhonov_cell(op, y_noisy, alphas, truth, cfg):
+    """Errors over the alpha grid from one multi-shift CG sequence.
+
+    Every alpha shares the right-hand side R^T y, so one Krylov sequence on
+    the smallest alpha, the slowest system, yields every other alpha as a
+    shift (``cg_solve_shifted``). Its residuals are recursive and drift
+    from the true ones, so each shifted iterate then warm-starts
+    ``solve_tikhonov``, which recomputes the true normal residual and
+    polishes only the iterates still above ``cg_tol``.
+
+    A shift still active after ``cg_max_iter`` Krylov iterations, or a
+    polish that stops at ``cg_max_iter``, raises NumericalFailureError, so
     the error of an unconverged iterate never enters the oracle minimum.
     """
+    base = float(alphas.min())
+    rhs = op.apply_adjoint(y_noisy)
+    shifted = cg_solve_shifted(lambda v: op.apply_adjoint(op.apply(v)) + base * v, rhs,
+                               alphas - base, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter)
+    if not shifted.converged.all():
+        j = np.flatnonzero(~shifted.converged)[0]
+        raise _unconverged(alphas[j], shifted.iterations, shifted.residual_norms[j],
+                           cfg.cg_tol * float(np.linalg.norm(rhs)))
     errors = np.empty(alphas.size)
-    x0 = None
-    for j in range(alphas.size - 1, -1, -1):
-        problem = TikhonovProblem(op=op, data=y_noisy, alpha=float(alphas[j]))
-        result = solve_tikhonov(problem, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter, x0=x0)
+    for j, alpha in enumerate(alphas):
+        problem = TikhonovProblem(op=op, data=y_noisy, alpha=float(alpha))
+        result = solve_tikhonov(problem, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter,
+                                x0=shifted.xs[j])
         if not result.converged:
-            raise NumericalFailureError(
-                f"CG did not converge at alpha={alphas[j]:.6g}: {result.iterations} iterations, "
-                f"normal residual {result.residual_norm:.3e} > cg_tol * ||rhs|| = "
-                f"{cfg.cg_tol * result.rhs_norm:.3e}"
-            )
-        x0 = result.x
+            raise _unconverged(alpha, result.iterations, result.residual_norm,
+                               cfg.cg_tol * result.rhs_norm)
         errors[j] = np.linalg.norm(truth - result.x)
     return errors
 

@@ -1,4 +1,4 @@
-"""Matrix-free linear operators and a conjugate-gradient solver.
+"""Matrix-free linear operators and conjugate-gradient solvers.
 
 An operator is anything exposing ``domain_dim``, ``range_dim``, ``apply``
 and ``apply_adjoint`` over flat float64 vectors; the adjoint pair must
@@ -135,8 +135,6 @@ def cg_solve(apply_spd, rhs, tol=1e-10, max_iter=2000, x0=None):
         mp = apply_spd(p)
         denom = p @ mp
         if not np.isfinite(denom) or denom <= 0.0:
-            if denom == 0.0 and rs == 0.0:
-                break
             raise NumericalFailureError(
                 f"CG breakdown at iteration {iterations}: p^T M p = {denom}"
             )
@@ -155,4 +153,127 @@ def cg_solve(apply_spd, rhs, tol=1e-10, max_iter=2000, x0=None):
         iterations=iterations,
         residual_norm=residual_norm,
         converged=residual_norm <= threshold,
+    )
+
+
+@dataclass(frozen=True)
+class ShiftedCgResult:
+    """One iterate per shift plus convergence metadata of the shared sequence.
+
+    ``residual_norms`` are the recursive residual norms |zeta_s| ||r||, as of
+    the iteration at which each shift was frozen or the iteration stopped.
+    """
+
+    xs: np.ndarray
+    iterations: int
+    residual_norms: np.ndarray
+    converged: np.ndarray
+
+
+def cg_solve_shifted(apply_base, rhs, shifts, tol=1e-10, max_iter=2000):
+    """Multi-shift CG for (M + s I) x_s = rhs, every shift s from one Krylov sequence.
+
+    CG runs on the base system M x = rhs from x0 = 0. The residual of each
+    shifted system stays collinear with the base residual, r_s = zeta_s r,
+    so each shift costs vector updates only and the whole set costs the
+    applications of M of the slowest system (Frommer & Maass, SIAM J. Sci.
+    Comput. 20 (1999); Jegerlehner, hep-lat/9612014). Shifts are
+    nonnegative, so the base system is the slowest and zeta_s shrinks as s
+    grows.
+
+    A shift is frozen once |zeta_s| ||r|| <= tol * ||rhs|| and never updated
+    again: past convergence its zeta keeps shrinking, underflows and would
+    turn the recurrence into 0/0. The recursive residuals drift from the
+    true ones by roundoff, so callers that need a verdict recompute
+    ||(M + s I) x_s - rhs||.
+
+    Parameters
+    ----------
+    apply_base : callable
+        x -> M x for the SPD base operator M (behavioral assumption, unchecked).
+    rhs : ndarray
+        Right-hand side shared by every shift.
+    shifts : array_like
+        Nonnegative shifts, 1-D and nonempty.
+    tol : float
+        Per-shift stopping tolerance relative to ||rhs||. Must be > 0.
+    max_iter : int
+        Cap on applications of M; shifts still active when it is hit are
+        reported unconverged, not raised.
+
+    Returns
+    -------
+    ShiftedCgResult
+        ``xs[s]`` is the iterate of ``shifts[s]``.
+
+    Raises
+    ------
+    NumericalFailureError
+        If non-finite values or a CG breakdown appear during the iteration.
+    """
+    if tol <= 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    shifts = np.asarray(shifts, dtype=np.float64)
+    if shifts.ndim != 1 or shifts.size == 0:
+        raise ValueError("shifts must be a nonempty 1-D array")
+    if not np.all(shifts >= 0.0):  # also rejects NaN
+        raise ValueError("shifts must be nonnegative")
+    r = np.array(rhs, dtype=np.float64)
+    rs = r @ r
+    if not np.isfinite(rs):
+        raise NumericalFailureError("non-finite right-hand side in cg_solve_shifted")
+    threshold = tol * float(np.sqrt(rs))
+    p = r.copy()
+    xs = np.zeros((shifts.size, r.size))
+    residuals = np.empty(shifts.size)
+    # state of the active shifts only; rows of a frozen shift are dropped
+    active = np.arange(shifts.size)
+    sigma = shifts
+    x_act = np.zeros_like(xs)
+    p_act = np.tile(r, (shifts.size, 1))
+    zeta = np.ones(shifts.size)
+    zeta_prev = np.ones(shifts.size)
+    step_prev, beta_prev = 1.0, 0.0
+    iterations = 0
+    while True:
+        res = zeta * np.sqrt(rs)
+        done = res <= threshold
+        if done.any():
+            xs[active[done]] = x_act[done]
+            residuals[active[done]] = res[done]
+            active, sigma, zeta, zeta_prev, x_act, p_act, res = (
+                a[~done] for a in (active, sigma, zeta, zeta_prev, x_act, p_act, res)
+            )
+        if active.size == 0 or iterations == max_iter:
+            break
+        mp = apply_base(p)
+        denom = p @ mp
+        if not np.isfinite(denom) or denom <= 0.0:
+            raise NumericalFailureError(
+                f"shifted CG breakdown at iteration {iterations}: p^T M p = {denom}"
+            )
+        step = rs / denom
+        zeta_next = zeta * zeta_prev * step_prev / (
+            step * beta_prev * (zeta_prev - zeta) + zeta_prev * step_prev * (1.0 + sigma * step)
+        )
+        ratio = zeta_next / zeta
+        x_act += (step * ratio)[:, None] * p_act
+        r = r - step * mp
+        rs_next = r @ r
+        if not np.isfinite(rs_next):
+            raise NumericalFailureError(f"non-finite residual at iteration {iterations}")
+        beta = rs_next / rs
+        p_act *= (beta * ratio * ratio)[:, None]
+        p_act += zeta_next[:, None] * r
+        p = r + beta * p
+        zeta_prev, zeta = zeta, zeta_next
+        step_prev, beta_prev, rs = step, beta, rs_next
+        iterations += 1
+    xs[active] = x_act
+    residuals[active] = res
+    return ShiftedCgResult(
+        xs=xs,
+        iterations=iterations,
+        residual_norms=residuals,
+        converged=residuals <= threshold,
     )

@@ -248,6 +248,23 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
     assert (out / "results.csv").exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("via_env", [False, True])
+def test_sweep_rejects_thread_counts_below_one(tmp_path, monkeypatch, capsys, threads, via_env):
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--n", "8", "--angles", "4", "--n-deltas", "2", "--realizations", "1",
+            "--n-alphas", "2", "--out", str(out)]
+    if via_env:
+        monkeypatch.setenv("COMPACT_TIK_THREADS", threads)
+    else:
+        argv += ["--threads", threads]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert "COMPACT_TIK_THREADS" in err if via_env else "--threads" in err
+    assert f"got {threads}" in err
+    assert not out.exists()
+
+
 def test_threads_only_on_sweep(tmp_path, capsys):
     out = tmp_path / "p.pgm"
     assert run_cli("phantom", "--n", "4", "--threads", "2", "--out", str(out)) == 1

@@ -7,6 +7,7 @@ from compact_tik.linop import (
     LinearOperator,
     adjoint_defect,
     cg_solve,
+    cg_solve_shifted,
     matrix_operator,
 )
 
@@ -145,3 +146,46 @@ def test_cg_raises_on_nonfinite():
 
     with pytest.raises(NumericalFailureError):
         cg_solve(bad, np.ones(3))
+
+
+def test_cg_shifted_freezes_converged_shifts():
+    # the base spectrum spans four decades, so the base system runs for many
+    # iterations; the largest shifts converge within a few, after which their
+    # zeta shrinks by about 1e-6 per iteration and would underflow to 0/0
+    eig = np.logspace(-4.0, 0.0, 200)
+    rhs = np.random.default_rng(11).standard_normal(200)
+    alphas = np.logspace(-3.0, 6.0, 10)
+    base = alphas[0]
+
+    def apply_base(v):
+        return (eig + base) * v
+
+    with np.errstate(all="raise"):
+        capped = cg_solve_shifted(apply_base, rhs, alphas - base, max_iter=5)
+        res = cg_solve_shifted(apply_base, rhs, alphas - base)
+    assert capped.iterations == 5
+    assert capped.converged[-3:].all() and not capped.converged[0]
+    assert res.converged.all() and res.iterations > 20
+    assert np.all(np.isfinite(res.xs))
+    for x, alpha in zip(res.xs, alphas):
+        assert np.linalg.norm((eig + alpha) * x - rhs) <= 1e-9 * np.linalg.norm(rhs)
+
+
+def test_cg_shifted_base_shift_is_plain_cg():
+    rng = np.random.default_rng(12)
+    b_mat = rng.standard_normal((25, 25))
+    spd = b_mat @ b_mat.T + np.eye(25)
+    rhs = rng.standard_normal(25)
+    res = cg_solve_shifted(lambda x: spd @ x, rhs, [0.0, 0.5, 3.0])
+    plain = cg_solve(lambda x: spd @ x, rhs)
+    assert np.array_equal(res.xs[0], plain.x)
+    assert res.iterations == plain.iterations
+
+
+def test_cg_shifted_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        cg_solve_shifted(lambda x: x, np.ones(2), [0.0], tol=0.0)
+    with pytest.raises(ValueError):
+        cg_solve_shifted(lambda x: x, np.ones(2), [])
+    with pytest.raises(ValueError):
+        cg_solve_shifted(lambda x: x, np.ones(2), [0.0, -1.0])

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from compact_tik.grid import shepp_logan
-from compact_tik.linop import DiagonalOperator, LinearOperator, matrix_operator
+from compact_tik.linop import DiagonalOperator, LinearOperator, cg_solve_shifted, matrix_operator
 from compact_tik.radon import RadonGeometry, dense_matrix, radon_forward, radon_operator
 from compact_tik.tikhonov import (
     TikhonovProblem,
@@ -102,6 +102,36 @@ def test_cg_matches_dense_solve_property(n, n_angles, det_halfwidth, log10_alpha
     direct = dense_normal_solve(dense_matrix(geom, n, n), data, alpha, x_star=x_star)
     assert res.converged
     assert np.linalg.norm(res.x - direct) <= 1e-6 * np.linalg.norm(direct)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    m=st.integers(1, 14),
+    n=st.integers(1, 12),
+    log10_center=st.floats(-2.0, 1.0),
+    span=st.floats(0.0, 1.5),
+    n_alphas=st.integers(1, 8),
+    zero_data=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=9, n=7, log10_center=-1.0, span=1.5, n_alphas=1, zero_data=False, seed=1)
+@example(m=9, n=7, log10_center=-1.0, span=0.0, n_alphas=5, zero_data=False, seed=2)
+@example(m=9, n=7, log10_center=-1.0, span=1.5, n_alphas=6, zero_data=True, seed=3)
+def test_shifted_cg_matches_dense_solve_property(m, n, log10_center, span, n_alphas, zero_data,
+                                                 seed):
+    # a sweep cell's solve: one Krylov sequence on the smallest alpha, the rest as shifts
+    rng = np.random.default_rng(seed)
+    mat = rng.standard_normal((m, n)) / np.sqrt(m)
+    data = np.zeros(m) if zero_data else rng.standard_normal(m)
+    alphas = np.logspace(log10_center - span, log10_center + span, n_alphas)
+    base = alphas.min()
+    res = cg_solve_shifted(lambda v: mat.T @ (mat @ v) + base * v, mat.T @ data, alphas - base,
+                           tol=1e-10, max_iter=1000)
+    assert res.converged.all()
+    assert res.xs.shape == (n_alphas, n)
+    for x, alpha in zip(res.xs, alphas):
+        direct = dense_normal_solve(mat, data, alpha)
+        assert np.linalg.norm(x - direct) <= 1e-6 * np.linalg.norm(direct)
 
 
 def test_stability_bound_random_pairs():
