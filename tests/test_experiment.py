@@ -270,6 +270,30 @@ def test_run_sweep_unconverged_solve_fails_its_cell():
     assert results_csv(default.records, "tikhonov") == results_csv(roomy.records, "tikhonov")
 
 
+def test_run_sweep_gives_every_alpha_a_true_residual_verdict(monkeypatch):
+    # every shifted iterate goes through experiment's solve_tikhonov, which
+    # recomputes the true normal residual; callers audit solves through that name
+    from compact_tik import experiment
+
+    calls = []
+
+    def recording_solve(problem, tol, max_iter, x0=None):
+        result = solve_tikhonov(problem, tol=tol, max_iter=max_iter, x0=x0)
+        calls.append((problem, tol, result))
+        return result
+
+    monkeypatch.setattr(experiment, "solve_tikhonov", recording_solve)
+    cfg = SweepConfig(deltas=[0.2, 0.05], n_realizations=2, nx=12, n_angles=6,
+                      n_alphas=4, alpha_span_decades=3.0, base_seed=9)
+    result = run_sweep(cfg)
+    assert result.failures == [] and len(calls) == 16
+    for problem, tol, res in calls:
+        op, alpha = problem.op, problem.alpha
+        normal = op.apply_adjoint(op.apply(res.x)) + alpha * res.x - op.apply_adjoint(problem.data)
+        assert res.converged and tol == cfg.cg_tol
+        assert np.linalg.norm(normal) <= cfg.cg_tol * res.rhs_norm
+
+
 def test_run_sweep_nn_method_smoke():
     from compact_tik.experiment import NnSettings
 
