@@ -5,8 +5,9 @@ Run from anywhere:
     python3 tools/bench_pairs.py --parent ../parent-checkout --change . \
         --workload tik_sweep_ct32 --pairs 10 --out BENCH_7.json
 
-Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, each
-run in a fresh process with that checkout as its working directory. Even
+Each pair runs ``perfbench/run.py`` once in each checkout at its default
+seed, untraced, for the ``run_seconds`` of the change's ``BENCHMARK.json``;
+each run is a fresh process with that checkout as its working directory. Even
 pairs run the parent first, odd pairs the change, so a drift of the host's
 speed does not favour one side. The two checkouts must hold the same
 ``perfbench/``, so that both sides are measured by identical benchmark code.
@@ -36,8 +37,6 @@ def parse_args(argv):
     p.add_argument("--change", required=True, help="checkout of the change")
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--seconds", type=float, default=20.0)
     p.add_argument("--out", required=True, help="BENCH_<pr>.json to create or extend")
     args = p.parse_args(argv)
     if args.pairs < 1:
@@ -45,10 +44,10 @@ def parse_args(argv):
     return args
 
 
-def run_once(checkout, args):
+def run_once(checkout, workload, seconds):
     """One perfbench run in ``checkout``: (provenance dict, result object)."""
-    cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", args.workload,
-           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
+    cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+           "--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -108,18 +107,20 @@ def summarize(runs, end_to_end):
 def main(argv=None):
     args = parse_args(argv)
     with open(os.path.join(args.change, "BENCHMARK.json")) as f:
-        end_to_end = json.load(f)["end_to_end"]
+        benchmark = json.load(f)
+    end_to_end, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
     bench = {"workloads": {}}
     if os.path.exists(args.out):
         with open(args.out) as f:
             bench = json.load(f)
-    entry = {"seed": args.seed, "seconds": args.seconds, "runs": []}
+    entry = {"seconds": seconds, "runs": []}
     bench["workloads"][args.workload] = entry
     checkouts = {"parent": args.parent, "change": args.change}
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
-            provenance, result = run_once(checkouts[side], args)
+            provenance, result = run_once(checkouts[side], args.workload, seconds)
+            entry["seed"] = provenance.get("seed")
             entry.setdefault("commits", {})[side] = provenance.get("commit")
             entry["host"] = {k: provenance.get(k) for k in ("python", "numpy", "blas", "nproc",
                                                             "thread_env")}
