@@ -28,9 +28,6 @@ from .nnsolver import NnReconstructionConfig, reconstruct_nn
 from .radon import SinogramGrid, radon_forward, radon_operator, write_sinf  # noqa: F401
 from .tikhonov import TikhonovProblem, solve_tikhonov
 
-THREADS_ENV = "COMPACT_TIK_THREADS"
-
-
 def _parse_int_list(s):
     parts = [p.strip() for p in s.split(",") if p.strip()]
     if not parts:
@@ -242,6 +239,9 @@ def cmd_tikhonov(cfg):
     op = radon_operator(geom, cfg["n"], cfg["n"])
     problem = TikhonovProblem(op=op, data=noisy, alpha=cfg["alpha"])
     result = solve_tikhonov(problem, tol=cfg["tol"], max_iter=cfg["max_iter"])
+    if not result.converged:
+        raise experiment._unconverged(cfg["alpha"], result.iterations, result.residual_norm,
+                                      cfg["tol"] * result.rhs_norm)
     image = ImageGrid(nx=cfg["n"], ny=cfg["n"], values=result.x)
     _write_image(cfg["out"], image)
     _write_manifest("tikhonov", cfg, str(cfg["out"]) + ".manifest")
@@ -280,12 +280,8 @@ def cmd_nn_reconstruct(cfg):
 
 
 def cmd_sweep(cfg, threads):
-    source = "--threads"
-    if threads is None:
-        source = f"${THREADS_ENV}"
-        threads = int(os.environ.get(THREADS_ENV, "1"))
     if threads < 1:
-        raise ValueError(f"{source} must be at least 1, got {threads}")
+        raise ValueError(f"--threads must be at least 1, got {threads}")
     os.makedirs(cfg["out"], exist_ok=True)
     deltas = experiment.sweep_deltas(
         nx=cfg["n"],
@@ -446,8 +442,8 @@ def build_parser():
         p = sub.add_parser(name)
         p.add_argument("--config", help="INI config file; flags override its values")
         if name == "sweep":
-            p.add_argument("--threads", type=int, default=None,
-                           help=f"worker threads (fallback: ${THREADS_ENV})")
+            p.add_argument("--threads", type=int, default=1,
+                           help="worker threads (default: 1)")
         for key, (_, default, help_text) in schema.items():
             p.add_argument(
                 f"--{key.replace('_', '-')}",

@@ -97,6 +97,10 @@ class CgResult:
 def cg_solve(apply_spd, rhs, tol=1e-10, max_iter=2000, x0=None):
     """Conjugate gradients for M x = rhs with M symmetric positive definite.
 
+    The single-shift case (shift 0) of :func:`cg_solve_shifted`. A warm
+    start solves M d = rhs - M x0 to the threshold of the original ``rhs``
+    and returns x0 + d, so a converged ``x0`` costs no iteration.
+
     Parameters
     ----------
     apply_spd : callable
@@ -122,37 +126,13 @@ def cg_solve(apply_spd, rhs, tol=1e-10, max_iter=2000, x0=None):
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     rhs = np.asarray(rhs, dtype=np.float64)
-    x = np.zeros_like(rhs) if x0 is None else np.array(x0, dtype=np.float64)
-    r = rhs - apply_spd(x)
-    p = r.copy()
-    rs = r @ r
-    if not np.isfinite(rs):
-        raise NumericalFailureError("non-finite initial residual in cg_solve")
-    rhs_norm = float(np.linalg.norm(rhs))
-    threshold = tol * rhs_norm
-    iterations = 0
-    while np.sqrt(rs) > threshold and iterations < max_iter:
-        mp = apply_spd(p)
-        denom = p @ mp
-        if not np.isfinite(denom) or denom <= 0.0:
-            raise NumericalFailureError(
-                f"CG breakdown at iteration {iterations}: p^T M p = {denom}"
-            )
-        step = rs / denom
-        x = x + step * p
-        r = r - step * mp
-        rs_next = r @ r
-        if not np.isfinite(rs_next):
-            raise NumericalFailureError(f"non-finite residual at iteration {iterations}")
-        p = r + (rs_next / rs) * p
-        rs = rs_next
-        iterations += 1
-    residual_norm = float(np.sqrt(rs))
+    r0 = rhs if x0 is None else rhs - apply_spd(np.asarray(x0, dtype=np.float64))
+    res = _shifted_cg(apply_spd, r0, np.zeros(1), tol * float(np.linalg.norm(rhs)), max_iter)
     return CgResult(
-        x=x,
-        iterations=iterations,
-        residual_norm=residual_norm,
-        converged=residual_norm <= threshold,
+        x=res.xs[0] if x0 is None else x0 + res.xs[0],
+        iterations=res.iterations,
+        residual_norm=float(res.residual_norms[0]),
+        converged=bool(res.converged[0]),
     )
 
 
@@ -218,11 +198,18 @@ def cg_solve_shifted(apply_base, rhs, shifts, tol=1e-10, max_iter=2000):
         raise ValueError("shifts must be a nonempty 1-D array")
     if not np.all(shifts >= 0.0):  # also rejects NaN
         raise ValueError("shifts must be nonnegative")
+    rhs = np.asarray(rhs, dtype=np.float64)
+    return _shifted_cg(apply_base, rhs, shifts, tol * float(np.linalg.norm(rhs)), max_iter)
+
+
+def _shifted_cg(apply_base, rhs, shifts, threshold, max_iter):
+    """:func:`cg_solve_shifted` from x0 = 0, freezing each shift at the absolute
+    ``threshold``. With the single shift 0, zeta and the ratio stay exactly 1,
+    so this is textbook CG bit for bit."""
     r = np.array(rhs, dtype=np.float64)
     rs = r @ r
     if not np.isfinite(rs):
-        raise NumericalFailureError("non-finite right-hand side in cg_solve_shifted")
-    threshold = tol * float(np.sqrt(rs))
+        raise NumericalFailureError("non-finite initial residual in CG")
     p = r.copy()
     xs = np.zeros((shifts.size, r.size))
     residuals = np.empty(shifts.size)
@@ -244,13 +231,13 @@ def cg_solve_shifted(apply_base, rhs, shifts, tol=1e-10, max_iter=2000):
             active, sigma, zeta, zeta_prev, x_act, p_act, res = (
                 a[~done] for a in (active, sigma, zeta, zeta_prev, x_act, p_act, res)
             )
-        if active.size == 0 or iterations == max_iter:
+        if active.size == 0 or iterations >= max_iter:
             break
         mp = apply_base(p)
         denom = p @ mp
         if not np.isfinite(denom) or denom <= 0.0:
             raise NumericalFailureError(
-                f"shifted CG breakdown at iteration {iterations}: p^T M p = {denom}"
+                f"CG breakdown at iteration {iterations}: p^T M p = {denom}"
             )
         step = rs / denom
         zeta_next = zeta * zeta_prev * step_prev / (

@@ -63,12 +63,11 @@ class MlpParams:
     """Weight matrices (d_i x d_{i-1}) and bias vectors (d_i,), layer by layer.
 
     The constructor copies them into one float64 vector ``flat``;
-    ``weights`` and ``biases`` are tuples of views into it. ``weight_bound``
-    is the box half-width c, or None for unbounded parameters. ``leak``
+    ``weights`` and ``biases`` are tuples of views into it. ``leak``
     travels with the parameters so a checkpoint fully determines the function.
     """
 
-    def __init__(self, weights, biases, leak=0.01, weight_bound=None):
+    def __init__(self, weights, biases, leak=0.01):
         weights = [np.asarray(w, dtype=np.float64) for w in weights]
         biases = [np.asarray(b, dtype=np.float64) for b in biases]
         if not weights or len(weights) != len(biases):
@@ -79,7 +78,6 @@ class MlpParams:
         if not 0.0 < leak < 1.0:
             raise ValueError(f"leak slope must be in (0, 1), got {leak}")
         self.leak = leak
-        self.weight_bound = weight_bound
         self.shapes = tuple(w.shape for w in weights)
         self._bind(np.concatenate([a.ravel() for layer in zip(weights, biases) for a in layer]))
 
@@ -204,7 +202,6 @@ def project_weights(params: MlpParams, c):
     if c <= 0:
         raise ValueError(f"weight bound must be positive, got {c}")
     np.clip(params.flat, -c, c, out=params.flat)
-    params.weight_bound = float(c)
 
 
 @dataclass
@@ -263,7 +260,7 @@ def save_params(path, params: MlpParams):
             f.write(b.astype("<f8").tobytes())
 
 
-def load_params(path, leak=0.01, weight_bound=None) -> MlpParams:
+def load_params(path, leak=0.01) -> MlpParams:
     """Read a checkpoint written by :func:`save_params`."""
     with open(path, "rb") as f:
         magic = f.read(4)
@@ -275,4 +272,4 @@ def load_params(path, leak=0.01, weight_bound=None) -> MlpParams:
             rows, cols = struct.unpack("<II", f.read(8))
             weights.append(np.frombuffer(f.read(8 * rows * cols), dtype="<f8").reshape(rows, cols))
             biases.append(np.frombuffer(f.read(8 * rows), dtype="<f8"))
-    return MlpParams(weights=weights, biases=biases, leak=leak, weight_bound=weight_bound)
+    return MlpParams(weights=weights, biases=biases, leak=leak)

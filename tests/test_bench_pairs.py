@@ -1,0 +1,87 @@
+import importlib.util
+import json
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+END_TO_END = [
+    {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "solves_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+]
+
+
+def run(pair, side, wall_s, solves_per_s, failed=0):
+    metrics = {"wall_s": {"value": wall_s}, "solves_per_s": {"value": solves_per_s}}
+    return {"pair": pair, "side": side,
+            "result": {"failed": failed, "attempted": 3, "correct": True, "metrics": metrics}}
+
+
+def test_summarize_counts_ties_for_neither_side_and_ignores_incomplete_pairs():
+    runs = [
+        run(0, "parent", 2.0, 1.0), run(0, "change", 1.0, 1.0),  # lower wall wins; rate tie
+        run(1, "change", 2.0, 3.0), run(1, "parent", 2.0, 2.0),  # wall tie; higher rate wins
+        run(2, "parent", 3.0, 0.5), run(2, "change", 4.0, 0.4, failed=1),  # change loses both
+        run(3, "parent", 0.1, 99.0),  # incomplete: the change never ran
+    ]
+    summary = bench_pairs.summarize(runs, END_TO_END)
+    assert summary["pairs"] == 3
+    assert summary["failed"] == {"parent": "0/9", "change": "1/9"}
+    wall, rate = summary["metrics"]["wall_s"], summary["metrics"]["solves_per_s"]
+    assert wall["change_better_pairs"] == 1
+    assert rate["change_better_pairs"] == 1
+    assert wall["parent"]["median"] == 2.0 and wall["change"]["median"] == 2.0
+    assert rate["parent"] == {"median": 1.0, "q1": 0.75, "q3": 1.5}
+    assert rate["change_over_parent"] == 1.0
+
+
+def make_checkout(root, run_py):
+    (root / "perfbench" / "__pycache__").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(run_py)
+    (root / "perfbench" / "layers.py").write_text("SITES = {}\n")
+    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END,
+                                                     "run_seconds": 1}))
+    return root
+
+
+def bench_args(parent, change, out):
+    return ["--parent", str(parent), "--change", str(change), "--workload", "w",
+            "--pairs", "1", "--out", str(out)]
+
+
+def test_mismatched_perfbench_is_refused_before_any_run(tmp_path, monkeypatch, capsys):
+    def no_run(*args):
+        raise AssertionError("perfbench started")
+
+    monkeypatch.setattr(bench_pairs, "run_once", no_run)
+    parent = make_checkout(tmp_path / "parent", "print('a')\n")
+    change = make_checkout(tmp_path / "change", "print('b')\n")
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(bench_args(parent, change, out)) == 1
+    assert "perfbench/run.py differs" in capsys.readouterr().err
+    assert not out.exists()
+
+    (change / "perfbench" / "run.py").write_text("print('a')\n")
+    (change / "perfbench" / "extra.py").write_text("")
+    assert bench_pairs.main(bench_args(parent, change, out)) == 1
+    assert "perfbench/extra.py differs" in capsys.readouterr().err
+
+
+def test_matching_perfbench_ignores_pycache(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_run(checkout, workload, seconds):
+        calls.append(checkout)
+        return {"seed": 42}, run(0, "parent", 1.0, 1.0)["result"]
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    parent = make_checkout(tmp_path / "parent", "print('a')\n")
+    change = make_checkout(tmp_path / "change", "print('a')\n")
+    (change / "perfbench" / "__pycache__" / "run.cpython.pyc").write_bytes(b"\0")
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(bench_args(parent, change, out)) == 0
+    assert calls == [str(parent), str(change)]
+    assert json.loads(out.read_text())["workloads"]["w"]["summary"]["pairs"] == 1
+

@@ -48,6 +48,18 @@ def test_sinogram_and_tikhonov(tmp_path):
     assert read_imgf(rec).nx == 16
 
 
+def test_tikhonov_unconverged_exit_2_writes_nothing(tmp_path, capsys):
+    rec = tmp_path / "x.imgf"
+    code = run_cli(
+        "tikhonov", "--n", "16", "--angles", "8", "--delta", "0.05", "--max-iter", "2",
+        "--out", str(rec),
+    )
+    assert code == 2
+    assert "CG did not converge at alpha=0.01: 2 iterations" in capsys.readouterr().err
+    assert not rec.exists()
+    assert not (tmp_path / "x.imgf.manifest").exists()
+
+
 def test_nn_reconstruct(tmp_path):
     out = tmp_path / "nn.imgf"
     trace = tmp_path / "trace.txt"
@@ -237,30 +249,13 @@ def test_numerical_failure_exit_2(tmp_path):
     assert code == 2
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("COMPACT_TIK_THREADS", "2")
-    out = tmp_path / "sweep"
-    code = run_cli(
-        "sweep", "--n", "12", "--angles", "6", "--n-deltas", "2",
-        "--realizations", "2", "--n-alphas", "2", "--out", str(out),
-    )
-    assert code == 0
-    assert (out / "results.csv").exists()
-
-
 @pytest.mark.parametrize("threads", ["0", "-3"])
-@pytest.mark.parametrize("via_env", [False, True])
-def test_sweep_rejects_thread_counts_below_one(tmp_path, monkeypatch, capsys, threads, via_env):
+def test_sweep_rejects_thread_counts_below_one(tmp_path, capsys, threads):
     out = tmp_path / "sweep"
-    argv = ["sweep", "--n", "8", "--angles", "4", "--n-deltas", "2", "--realizations", "1",
-            "--n-alphas", "2", "--out", str(out)]
-    if via_env:
-        monkeypatch.setenv("COMPACT_TIK_THREADS", threads)
-    else:
-        argv += ["--threads", threads]
-    assert run_cli(*argv) == 1
+    assert run_cli("sweep", "--n", "8", "--angles", "4", "--n-deltas", "2", "--realizations", "1",
+                   "--n-alphas", "2", "--out", str(out), "--threads", threads) == 1
     err = capsys.readouterr().err
-    assert "COMPACT_TIK_THREADS" in err if via_env else "--threads" in err
+    assert "--threads" in err
     assert f"got {threads}" in err
     assert not out.exists()
 

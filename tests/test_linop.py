@@ -3,6 +3,7 @@ import pytest
 
 from compact_tik.errors import NumericalFailureError
 from compact_tik.linop import (
+    CgResult,
     DiagonalOperator,
     LinearOperator,
     adjoint_defect,
@@ -88,6 +89,11 @@ def test_cg_zero_rhs():
     assert res.iterations == 0
     assert np.array_equal(res.x, np.zeros(4))
     assert res.converged
+    want = reference_cg(lambda x: 2.0 * x, np.zeros(4))
+    shifted = cg_solve_shifted(lambda x: 2.0 * x, np.zeros(4), [0.0])
+    assert np.array_equal(shifted.xs[0], want.x) and shifted.iterations == want.iterations == 0
+    assert res.residual_norm == shifted.residual_norms[0] == want.residual_norm == 0.0
+    assert shifted.converged[0] and want.converged
 
 
 def test_cg_converges_within_dimension():
@@ -171,15 +177,94 @@ def test_cg_shifted_freezes_converged_shifts():
         assert np.linalg.norm((eig + alpha) * x - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
 
+def reference_cg(apply_spd, rhs, tol=1e-10, max_iter=2000):
+    """Textbook CG from x0 = 0: the loop cg_solve ran before it became the
+    single-shift case of cg_solve_shifted."""
+    rhs = np.asarray(rhs, dtype=np.float64)
+    x = np.zeros_like(rhs)
+    r = rhs - apply_spd(x)
+    p = r.copy()
+    rs = r @ r
+    if not np.isfinite(rs):
+        raise NumericalFailureError("non-finite initial residual in cg_solve")
+    rhs_norm = float(np.linalg.norm(rhs))
+    threshold = tol * rhs_norm
+    iterations = 0
+    while np.sqrt(rs) > threshold and iterations < max_iter:
+        mp = apply_spd(p)
+        denom = p @ mp
+        if not np.isfinite(denom) or denom <= 0.0:
+            raise NumericalFailureError(
+                f"CG breakdown at iteration {iterations}: p^T M p = {denom}"
+            )
+        step = rs / denom
+        x = x + step * p
+        r = r - step * mp
+        rs_next = r @ r
+        if not np.isfinite(rs_next):
+            raise NumericalFailureError(f"non-finite residual at iteration {iterations}")
+        p = r + (rs_next / rs) * p
+        rs = rs_next
+        iterations += 1
+    residual_norm = float(np.sqrt(rs))
+    return CgResult(
+        x=x,
+        iterations=iterations,
+        residual_norm=residual_norm,
+        converged=residual_norm <= threshold,
+    )
+
+
+def random_spd(seed, n, ridge):
+    rng = np.random.default_rng(seed)
+    b_mat = rng.standard_normal((n, n))
+    return b_mat @ b_mat.T + ridge * np.eye(n), rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("seed, n, ridge, tol, max_iter", [
+    (20, 10, 10.0, 1e-10, 2000),
+    (21, 40, 0.1, 1e-8, 2000),
+    (22, 60, 1e-3, 1e-12, 2000),
+    (23, 30, 1e-6, 1e-14, 3),  # capped before convergence
+    (24, 25, 1.0, 1e-10, 0),
+])
+def test_cg_is_reference_cg_bit_for_bit(seed, n, ridge, tol, max_iter):
+    spd, rhs = random_spd(seed, n, ridge)
+    want = reference_cg(lambda x: spd @ x, rhs, tol=tol, max_iter=max_iter)
+    got = cg_solve(lambda x: spd @ x, rhs, tol=tol, max_iter=max_iter)
+    shifted = cg_solve_shifted(lambda x: spd @ x, rhs, [0.0], tol=tol, max_iter=max_iter)
+    assert np.array_equal(got.x, want.x)
+    assert (got.iterations, got.residual_norm, got.converged) == (
+        want.iterations, want.residual_norm, want.converged)
+    assert np.array_equal(shifted.xs[0], want.x)
+    assert (shifted.iterations, shifted.residual_norms[0], shifted.converged[0]) == (
+        want.iterations, want.residual_norm, want.converged)
+
+
 def test_cg_shifted_base_shift_is_plain_cg():
-    rng = np.random.default_rng(12)
-    b_mat = rng.standard_normal((25, 25))
-    spd = b_mat @ b_mat.T + np.eye(25)
-    rhs = rng.standard_normal(25)
+    spd, rhs = random_spd(12, 25, 1.0)
     res = cg_solve_shifted(lambda x: spd @ x, rhs, [0.0, 0.5, 3.0])
-    plain = cg_solve(lambda x: spd @ x, rhs)
+    plain = reference_cg(lambda x: spd @ x, rhs)
     assert np.array_equal(res.xs[0], plain.x)
     assert res.iterations == plain.iterations
+
+
+def test_cg_warm_start_from_solution_does_not_iterate():
+    spd, rhs = random_spd(25, 30, 1.0)
+    x0 = np.linalg.solve(spd, rhs)
+    assert np.linalg.norm(spd @ x0 - rhs) <= 1e-10 * np.linalg.norm(rhs)
+    res = cg_solve(lambda x: spd @ x, rhs, x0=x0)
+    assert res.iterations == 0 and res.converged
+    assert np.array_equal(res.x, x0)
+    assert res.residual_norm == np.linalg.norm(rhs - spd @ x0)
+
+
+def test_cg_warm_start_from_random_point_converges():
+    spd, rhs = random_spd(26, 40, 1.0)
+    x0 = 100.0 * np.random.default_rng(27).standard_normal(40)
+    res = cg_solve(lambda x: spd @ x, rhs, tol=1e-8, x0=x0)
+    assert res.converged and res.iterations > 0
+    assert np.linalg.norm(spd @ res.x - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
 
 def test_cg_shifted_rejects_bad_arguments():

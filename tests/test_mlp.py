@@ -139,9 +139,7 @@ def reference_adam_step(params, grads, state):
         new_mb.append(mn)
         new_vb.append(vn)
 
-    new_params = MlpParams(
-        weights=new_w, biases=new_b, leak=params.leak, weight_bound=params.weight_bound
-    )
+    new_params = MlpParams(weights=new_w, biases=new_b, leak=params.leak)
     new_state = ReferenceAdamState(
         m_weights=new_mw, m_biases=new_mb, v_weights=new_vw, v_biases=new_vb,
         t=t, learning_rate=lr, beta1=b1, beta2=b2, eps=eps,
@@ -155,7 +153,6 @@ def reference_project_weights(params, c):
         weights=[np.clip(w, -c, c) for w in params.weights],
         biases=[np.clip(b, -c, c) for b in params.biases],
         leak=params.leak,
-        weight_bound=float(c),
     )
 
 
@@ -306,7 +303,6 @@ def test_project_weights_clamps():
     assert params.weights[0].tolist() == [[3.0, -3.0]]
     assert params.biases[0].tolist() == [2.0]
     assert params.flat.tolist() == [3.0, -3.0, 2.0, 0.5, -0.25]
-    assert params.weight_bound == 3.0
 
 
 def test_project_weights_identity_inside_bound():
@@ -563,7 +559,6 @@ def test_flat_adam_and_projection_match_per_layer_reference(hidden, steps, learn
                                   *want_state.v_weights, *want_state.v_biases)):
             assert np.array_equal(bits(got), bits(expected))
         assert state.t == want_state.t
-        assert params.weight_bound == want.weight_bound
     assert clipped or bound is None
 
 
@@ -603,7 +598,7 @@ def test_copy_owns_its_vector():
     dup = params.copy()
     assert not np.shares_memory(dup.flat, params.flat)
     assert all(np.shares_memory(a, dup.flat) for a in layers(dup))
-    assert (dup.leak, dup.weight_bound, dup.shapes) == (params.leak, 0.3, params.shapes)
+    assert (dup.leak, dup.shapes) == (params.leak, params.shapes)
     dup.flat[:] = 0.0
     assert params.max_abs() > 0.0
     assert not dup.weights[0].any()

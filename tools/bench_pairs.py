@@ -10,7 +10,9 @@ seed, untraced, for the ``run_seconds`` of the change's ``BENCHMARK.json``;
 each run is a fresh process with that checkout as its working directory. Even
 pairs run the parent first, odd pairs the change, so a drift of the host's
 speed does not favour one side. The two checkouts must hold the same
-``perfbench/``, so that both sides are measured by identical benchmark code.
+``perfbench/``, so that both sides are measured by identical benchmark code;
+the script compares the bytes of every file there (``__pycache__`` aside)
+and exits with status 1, before any run, naming the first file that differs.
 
 The output file keeps one entry per workload; running the script again for
 another workload adds that entry and leaves the others. An entry holds
@@ -42,6 +44,26 @@ def parse_args(argv):
     if args.pairs < 1:
         p.error(f"--pairs must be at least 1, got {args.pairs}")
     return args
+
+
+def perfbench_files(checkout):
+    """{path relative to perfbench/: bytes} for every file outside __pycache__."""
+    root = os.path.join(checkout, "perfbench")
+    files = {}
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames[:] = [d for d in dirnames if d != "__pycache__"]
+        for name in filenames:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as f:
+                files[os.path.relpath(path, root)] = f.read()
+    return files
+
+
+def first_perfbench_difference(parent, change):
+    """The first file, in sorted order, whose bytes differ or that only one checkout has."""
+    a, b = perfbench_files(parent), perfbench_files(change)
+    return next((name for name in sorted(a.keys() | b.keys()) if a.get(name) != b.get(name)),
+                None)
 
 
 def run_once(checkout, workload, seconds):
@@ -106,6 +128,11 @@ def summarize(runs, end_to_end):
 
 def main(argv=None):
     args = parse_args(argv)
+    differs = first_perfbench_difference(args.parent, args.change)
+    if differs is not None:
+        print(f"error: perfbench/{differs} differs between {args.parent} and {args.change}",
+              file=sys.stderr)
+        return 1
     with open(os.path.join(args.change, "BENCHMARK.json")) as f:
         benchmark = json.load(f)
     end_to_end, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
