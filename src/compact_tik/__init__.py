@@ -46,7 +46,6 @@ from .radon import (
 )
 from .tikhonov import (
     TikhonovProblem,
-    TikhonovResult,
     dense_normal_solve,
     solve_tikhonov,
     tikhonov_objective,
@@ -54,7 +53,6 @@ from .tikhonov import (
 from .experiment import (
     ExperimentRecord,
     LinearOracleResult,
-    NnSettings,
     NoiseSpec,
     RateFit,
     SweepConfig,

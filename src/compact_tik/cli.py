@@ -2,9 +2,10 @@
 
 Configuration is line-oriented ``key = value`` under ``[subcommand]``
 section headers; command-line flags override file values, and defaults
-fill the rest. Unknown sections or keys are hard errors. Every run writes
-a manifest capturing the effective configuration (defaults materialized),
-and re-running a subcommand from its manifest reproduces the outputs.
+fill the rest. Unknown sections or keys, and repeated keys, are hard
+errors. Every run writes a manifest capturing the effective configuration
+(defaults materialized), and re-running a subcommand from its manifest
+reproduces the outputs.
 
 Exit codes: 0 success, 1 invalid configuration or arguments, 2 numerical
 failure.
@@ -141,14 +142,14 @@ SCHEMAS = {
 def parse_config_file(path, subcommand):
     """Read the [subcommand] section of an INI-style file.
 
-    Returns a dict of parsed values. Unknown sections and unknown keys in
-    the active section are errors; sections of other subcommands are
-    allowed and ignored.
+    Returns a dict of parsed values. Unknown sections, and unknown or
+    repeated keys in the active section, are errors; sections of other
+    subcommands are allowed and ignored.
     """
     schema = SCHEMAS[subcommand]
     values = {}
+    key_lines = {}
     section = None
-    seen_active = False
     with open(path) as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.strip()
@@ -158,7 +159,6 @@ def parse_config_file(path, subcommand):
                 section = line[1:-1].strip()
                 if section not in SCHEMAS:
                     raise ValueError(f"{path}:{lineno}: unknown section [{section}]")
-                seen_active = seen_active or section == subcommand
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
@@ -171,6 +171,9 @@ def parse_config_file(path, subcommand):
                 continue
             if key not in schema:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r} in [{section}]")
+            if key in key_lines:
+                raise ValueError(f"{path}:{lineno}: key {key!r} repeats line {key_lines[key]}")
+            key_lines[key] = lineno
             parser, _, _ = schema[key]
             try:
                 values[key] = parser(value)
@@ -264,9 +267,12 @@ def cmd_nn_reconstruct(cfg):
         learning_rate=cfg["learning_rate"],
         seed=cfg["seed"],
         weight_bound=cfg["weight_bound"],
-        trace_path=cfg["trace"],
     )
     recon = reconstruct_nn(nn_cfg)
+    if cfg["trace"] is not None:
+        with open(cfg["trace"], "w") as f:
+            f.write("# iteration objective\n")
+            f.writelines(f"{it} {v!r}\n" for it, v in enumerate(recon.objective_trace.tolist()))
     _write_image(cfg["out"], recon.image)
     if cfg["checkpoint"]:
         save_params(cfg["checkpoint"], recon.params)
@@ -305,21 +311,19 @@ def cmd_sweep(cfg, threads):
         alpha_span_decades=cfg["alpha_span_decades"],
         cg_tol=cfg["cg_tol"],
         cg_max_iter=cfg["cg_max_iter"],
-        nn=experiment.NnSettings(
-            hidden_widths=cfg["nn_hidden"],
-            iterations=cfg["nn_iterations"],
-            learning_rate=cfg["nn_learning_rate"],
-            weight_bound=cfg["nn_weight_bound"],
-        ),
+        nn_hidden=cfg["nn_hidden"],
+        nn_iterations=cfg["nn_iterations"],
+        nn_learning_rate=cfg["nn_learning_rate"],
+        nn_weight_bound=cfg["nn_weight_bound"],
     )
     result = experiment.run_sweep(sweep_cfg, threads=threads)
 
     out = cfg["out"]
     with open(os.path.join(out, "results.csv"), "w") as f:
-        f.write(experiment.results_csv(result.records, result.method))
+        f.write(experiment.results_csv(result.records, cfg["method"]))
     with open(os.path.join(out, "aggregate.csv"), "w") as f:
-        f.write(experiment.aggregate_csv(result.aggregates, result.method))
-    fits = [(result.method, result.fit)] if result.fit else []
+        f.write(experiment.aggregate_csv(result.aggregates, cfg["method"]))
+    fits = [(cfg["method"], result.fit)] if result.fit else []
     with open(os.path.join(out, "fits.csv"), "w") as f:
         f.write(experiment.fits_csv(fits))
     _write_manifest("sweep", cfg, os.path.join(out, "manifest.ini"))
@@ -355,10 +359,14 @@ def cmd_oracle_linear(cfg):
 
 def _read_csv(path):
     with open(path) as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    header = lines[0].split(",")
-    rows = [ln.split(",") for ln in lines[1:]]
-    return header, rows
+        lines = [(lineno, ln.strip().split(",")) for lineno, ln in enumerate(f, 1) if ln.strip()]
+    if len(lines) < 2:
+        raise ValueError(f"{path}: expected a header line and at least one row")
+    (_, header), *rows = lines
+    for lineno, row in rows:
+        if len(row) != len(header):
+            raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+    return header, [row for _, row in rows]
 
 
 def _table_deltas_errors(path):

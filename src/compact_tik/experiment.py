@@ -12,13 +12,13 @@ from __future__ import annotations
 import hashlib
 import io
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalFailureError
 from .grid import shepp_logan
-from .linop import DiagonalOperator, cg_solve_shifted
+from .linop import cg_solve_shifted
 from .mlp import MlpArchitecture
 from .nnsolver import NnReconstructionConfig, reconstruct_nn
 from .radon import RadonGeometry, radon_forward, radon_operator
@@ -130,7 +130,6 @@ class RateFit:
     slope: float
     intercept: float
     residual_norm: float
-    n_points: int
 
 
 def fit_rate(deltas, errors) -> RateFit:
@@ -139,37 +138,33 @@ def fit_rate(deltas, errors) -> RateFit:
     errors = np.asarray(errors, dtype=np.float64)
     if deltas.size != errors.size or deltas.size < 2:
         raise ValueError("need matching delta/error arrays with at least two points")
-    if np.any(deltas <= 0) or np.any(errors <= 0):
-        raise ValueError("deltas and errors must be positive")
+    # the comparisons are False for NaN, so NaN is rejected too
+    if not np.all((deltas > 0) & (deltas < np.inf) & (errors > 0) & (errors < np.inf)):
+        raise ValueError("deltas and errors must be positive and finite")
     lx, ly = np.log(deltas), np.log(errors)
     slope, intercept = np.polyfit(lx, ly, 1)
     residual = float(np.linalg.norm(ly - (slope * lx + intercept)))
-    return RateFit(
-        slope=float(slope), intercept=float(intercept),
-        residual_norm=residual, n_points=deltas.size,
-    )
+    return RateFit(slope=float(slope), intercept=float(intercept), residual_norm=residual)
 
 
 @dataclass
 class ExperimentRecord:
-    """Per-(delta, realization) results of an alpha sweep."""
+    """Per-(delta, realization) results of an alpha sweep; ``errors[j]`` is at ``alphas[j]``."""
 
     delta: float
     seed: int
     alphas: np.ndarray
     errors: np.ndarray
-    best_alpha: float
-    best_error: float
     snr_db: float
 
-    def __post_init__(self):
-        self.alphas = np.asarray(self.alphas, dtype=np.float64)
-        self.errors = np.asarray(self.errors, dtype=np.float64)
-        if self.best_error != self.errors.min():
-            raise ValueError("best_error must be the minimum per-alpha error")
-        winners = self.alphas[self.errors == self.best_error]
-        if self.best_alpha != winners.min():
-            raise ValueError("best_alpha must be the smallest alpha attaining the minimum")
+    @property
+    def best_error(self):
+        return float(self.errors.min())
+
+    # ties go to the smallest alpha
+    @property
+    def best_alpha(self):
+        return float(self.alphas[self.errors == self.errors.min()].min())
 
 
 @dataclass(frozen=True)
@@ -184,17 +179,6 @@ class DeltaAggregate:
     delta: float
     mean_error: float
     std_error: float
-    n_realizations: int
-
-
-@dataclass
-class NnSettings:
-    """Network reconstruction settings used inside a sweep."""
-
-    hidden_widths: tuple[int, ...] = (100, 100, 100, 100)
-    iterations: int = 5000
-    learning_rate: float = 1e-3
-    weight_bound: float | None = None
 
 
 @dataclass
@@ -218,7 +202,11 @@ class SweepConfig:
     alpha_span_decades: float = 1.5
     cg_tol: float = 1e-10
     cg_max_iter: int = 2000
-    nn: NnSettings = field(default_factory=NnSettings)
+    # network settings, read by method "nn" only
+    nn_hidden: tuple[int, ...] = (100, 100, 100, 100)
+    nn_iterations: int = 5000
+    nn_learning_rate: float = 1e-3
+    nn_weight_bound: float | None = None
 
     def __post_init__(self):
         self.deltas = [float(d) for d in self.deltas]
@@ -246,7 +234,6 @@ class SweepConfig:
 
 @dataclass
 class SweepResult:
-    method: str
     records: list
     aggregates: list
     failures: list
@@ -297,7 +284,7 @@ def _tikhonov_cell(op, y_noisy, alphas, truth, cfg):
 
 def _nn_cell(op, y_noisy, alphas, truth, cfg, seed):
     errors = np.empty(alphas.size)
-    arch = MlpArchitecture(hidden_widths=cfg.nn.hidden_widths)
+    arch = MlpArchitecture(hidden_widths=cfg.nn_hidden)
     for j, alpha in enumerate(alphas):
         nn_cfg = NnReconstructionConfig(
             architecture=arch,
@@ -306,10 +293,10 @@ def _nn_cell(op, y_noisy, alphas, truth, cfg, seed):
             data=y_noisy,
             nx=cfg.nx,
             ny=cfg.nx,
-            iterations=cfg.nn.iterations,
-            learning_rate=cfg.nn.learning_rate,
+            iterations=cfg.nn_iterations,
+            learning_rate=cfg.nn_learning_rate,
             seed=seed,
-            weight_bound=cfg.nn.weight_bound,
+            weight_bound=cfg.nn_weight_bound,
         )
         recon = reconstruct_nn(nn_cfg)
         errors[j] = np.linalg.norm(truth - recon.image.values)
@@ -349,15 +336,11 @@ def run_sweep(cfg: SweepConfig, threads=1) -> SweepResult:
                 errors = _nn_cell(op, y_noisy, alphas, truth, cfg, seed)
         except NumericalFailureError as exc:
             return i, CellFailure(delta=delta, seed=seed, message=str(exc))
-        best = errors.min()
-        best_alpha = alphas[errors == best].min()
         record = ExperimentRecord(
             delta=delta,
             seed=seed,
             alphas=alphas,
             errors=errors,
-            best_alpha=float(best_alpha),
-            best_error=float(best),
             snr_db=float(snr_db(y_clean, delta)),
         )
         return i, record
@@ -388,7 +371,6 @@ def run_sweep(cfg: SweepConfig, threads=1) -> SweepResult:
                 delta=delta,
                 mean_error=float(np.mean(best)),
                 std_error=float(np.std(best)),
-                n_realizations=len(best),
             )
         )
 
@@ -396,7 +378,6 @@ def run_sweep(cfg: SweepConfig, threads=1) -> SweepResult:
     if len(aggregates) >= 2:
         fit = fit_rate([a.delta for a in aggregates], [a.mean_error for a in aggregates])
     return SweepResult(
-        method=cfg.method,
         records=records,
         aggregates=aggregates,
         failures=failures,
@@ -411,7 +392,6 @@ class LinearOracleResult:
     deltas: np.ndarray
     errors: np.ndarray
     alphas: np.ndarray
-    mu: float
 
 
 def alpha_of_delta(delta, mu):
@@ -459,12 +439,12 @@ def linear_oracle(mu, n_dim, deltas, seed=0) -> LinearOracleResult:
         raise ValueError("deltas should span at least three decades")
 
     k = np.arange(1, n_dim + 1, dtype=np.float64)
-    op = DiagonalOperator(1.0 / k)
+    s = 1.0 / k
     rng_v = np.random.Generator(np.random.PCG64(substream_seed(seed, 0, 0)))
     v = k ** -(mu - 0.5) * np.where(rng_v.random(n_dim) < 0.5, -1.0, 1.0)
     v /= np.linalg.norm(v)
-    x_dagger = op.singular_values ** (2.0 * mu) * v
-    y = op.apply(x_dagger)
+    x_dagger = s ** (2.0 * mu) * v
+    y = s * x_dagger
 
     errors = np.empty(deltas.size)
     alphas = np.empty(deltas.size)
@@ -473,13 +453,12 @@ def linear_oracle(mu, n_dim, deltas, seed=0) -> LinearOracleResult:
         n = standard_normal(rng, n_dim)
         y_noisy = y + delta * n / np.linalg.norm(n)
         alpha = alpha_of_delta(delta, mu)
-        problem = TikhonovProblem(op=op, data=y_noisy, alpha=alpha)
-        result = solve_tikhonov(problem, tol=1e-12, max_iter=10000)
-        errors[i] = np.linalg.norm(result.x - x_dagger)
+        # the Tikhonov solution of the diagonal system in closed form, exact to rounding
+        errors[i] = np.linalg.norm(s * y_noisy / (s**2 + alpha) - x_dagger)
         alphas[i] = alpha
 
     fit = fit_rate(deltas, errors)
-    return LinearOracleResult(fit=fit, deltas=deltas, errors=errors, alphas=alphas, mu=mu)
+    return LinearOracleResult(fit=fit, deltas=deltas, errors=errors, alphas=alphas)
 
 
 def results_csv(records, method):

@@ -128,18 +128,16 @@ def pixel_centers(nx, ny):
     return np.column_stack([X.ravel(), Y.ravel()])
 
 
-def shepp_logan(nx, ny, ellipses=SHEPP_LOGAN_ELLIPSES):
+def shepp_logan(nx, ny):
     """Shepp-Logan phantom sampled at pixel centers.
 
-    Each pixel value is the sum of the intensities of the ellipses whose
-    open interior contains the pixel center; boundary points do not count.
+    Each pixel value is the sum of the intensities of the ``SHEPP_LOGAN_ELLIPSES``
+    whose open interior contains the pixel center; boundary points do not count.
 
     Parameters
     ----------
     nx, ny : int
         Output grid size.
-    ellipses : sequence of Ellipse, optional
-        Defaults to the classical ten-ellipse table.
 
     Returns
     -------
@@ -148,7 +146,7 @@ def shepp_logan(nx, ny, ellipses=SHEPP_LOGAN_ELLIPSES):
     centers = pixel_centers(nx, ny)
     x, y = centers[:, 0], centers[:, 1]
     values = np.zeros(nx * ny)
-    for e in ellipses:
+    for e in SHEPP_LOGAN_ELLIPSES:
         values += np.where(e.contains(x, y), e.intensity, 0.0)
     return ImageGrid(nx=nx, ny=ny, values=values)
 
@@ -176,12 +174,12 @@ def read_imgf(path):
     return ImageGrid(nx=nx, ny=ny, values=values.copy())
 
 
-def write_pgm16(path, image: ImageGrid, sidecar_path=None):
+def write_pgm16(path, image: ImageGrid):
     """Write a 16-bit binary PGM, min-max scaled to [0, 65535].
 
-    The affine scaling is recorded in a sidecar text file (default:
-    ``path`` + ``.scale.txt``) so intensities can be recovered. Constant
-    images map to 0 with scale 1.
+    The affine scaling is recorded in the sidecar text file ``path`` +
+    ``.scale.txt`` so intensities can be recovered. Constant images map to
+    0 with scale 1.
     """
     vmin = float(image.values.min())
     vmax = float(image.values.max())
@@ -194,9 +192,7 @@ def write_pgm16(path, image: ImageGrid, sidecar_path=None):
     with open(path, "wb") as f:
         f.write(f"P5\n{image.nx} {image.ny}\n65535\n".encode("ascii"))
         f.write(scaled.tobytes())
-    if sidecar_path is None:
-        sidecar_path = str(path) + ".scale.txt"
-    with open(sidecar_path, "w") as f:
+    with open(str(path) + ".scale.txt", "w") as f:
         f.write("# value = min + pgm / 65535 * (max - min)\n")
         f.write(f"min = {vmin!r}\n")
         f.write(f"max = {vmax!r}\n")

@@ -86,11 +86,12 @@ def adjoint_defect(op, n_probes=10, seed=0):
 
 @dataclass(frozen=True)
 class CgResult:
-    """Solution plus convergence metadata."""
+    """Solution plus convergence metadata; the iteration stops at tol * ``rhs_norm``."""
 
     x: np.ndarray
     iterations: int
     residual_norm: float
+    rhs_norm: float
     converged: bool
 
 
@@ -127,11 +128,13 @@ def cg_solve(apply_spd, rhs, tol=1e-10, max_iter=2000, x0=None):
         raise ValueError(f"tol must be positive, got {tol}")
     rhs = np.asarray(rhs, dtype=np.float64)
     r0 = rhs if x0 is None else rhs - apply_spd(np.asarray(x0, dtype=np.float64))
-    res = _shifted_cg(apply_spd, r0, np.zeros(1), tol * float(np.linalg.norm(rhs)), max_iter)
+    rhs_norm = float(np.linalg.norm(rhs))
+    res = _shifted_cg(apply_spd, r0, np.zeros(1), tol * rhs_norm, max_iter)
     return CgResult(
         x=res.xs[0] if x0 is None else x0 + res.xs[0],
         iterations=res.iterations,
         residual_norm=float(res.residual_norms[0]),
+        rhs_norm=rhs_norm,
         converged=bool(res.converged[0]),
     )
 

@@ -34,6 +34,11 @@ from .errors import NumericalFailureError
 
 MLPW_MAGIC = b"MLPW"
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class MlpArchitecture:
@@ -212,15 +217,11 @@ class AdamState:
     v: np.ndarray
     t: int = 0
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, params: MlpParams, learning_rate=1e-3, beta1=0.9, beta2=0.999,
-                   eps=1e-8):
+    def for_params(cls, params: MlpParams, learning_rate=1e-3):
         return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat),
-                   learning_rate=learning_rate, beta1=beta1, beta2=beta2, eps=eps)
+                   learning_rate=learning_rate)
 
 
 def adam_step(params: MlpParams, grad, state: AdamState):
@@ -233,16 +234,15 @@ def adam_step(params: MlpParams, grad, state: AdamState):
     if not np.all(np.isfinite(grad)):
         raise NumericalFailureError("non-finite gradient entries in adam_step")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    state.m *= b1
-    state.m += (1 - b1) * grad
-    state.v *= b2
-    state.v += (1 - b2) * grad * grad
-    step = state.m / (1.0 - b1**state.t)
+    state.m *= ADAM_BETA1
+    state.m += (1 - ADAM_BETA1) * grad
+    state.v *= ADAM_BETA2
+    state.v += (1 - ADAM_BETA2) * grad * grad
+    step = state.m / (1.0 - ADAM_BETA1**state.t)
     step *= state.learning_rate
-    denom = state.v / (1.0 - b2**state.t)
+    denom = state.v / (1.0 - ADAM_BETA2**state.t)
     np.sqrt(denom, out=denom)
-    denom += state.eps
+    denom += ADAM_EPS
     step /= denom
     params.flat -= step
 

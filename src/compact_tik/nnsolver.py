@@ -60,7 +60,6 @@ class NnReconstructionConfig:
     learning_rate: float = 1e-3
     seed: int = 0
     weight_bound: float | None = None
-    trace_path: str | None = None
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -148,12 +147,6 @@ def reconstruct_nn(cfg: NnReconstructionConfig) -> NnReconstruction:
         adam_step(params, grad, state)
         if cfg.weight_bound is not None:
             project_weights(params, cfg.weight_bound)
-
-    if cfg.trace_path is not None:
-        with open(cfg.trace_path, "w") as f:
-            f.write("# iteration objective\n")
-            for it, value in enumerate(trace):
-                f.write(f"{it} {float(value)!r}\n")
 
     return NnReconstruction(
         image=ImageGrid(nx=cfg.nx, ny=cfg.ny, values=best_image),

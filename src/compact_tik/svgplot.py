@@ -51,7 +51,7 @@ def render_plot(rows, reference_exponent):
     Parameters
     ----------
     rows : sequence of (delta, mean_error, std_error, method)
-        One point per (delta, method); deltas and means must be positive.
+        One point per (delta, method); all finite, deltas and means positive.
     reference_exponent : float
         Slope of the dashed log-log reference line; its intercept is the
         least-squares fit over all plotted means at this fixed slope.
@@ -66,8 +66,9 @@ def render_plot(rows, reference_exponent):
         raise ValueError("cannot plot an empty table")
     series = {}
     for delta, mean, std, method in rows:
-        if delta <= 0 or mean <= 0:
-            raise ValueError("deltas and mean errors must be positive on a log-log chart")
+        # the comparisons are False for NaN, so NaN is rejected too
+        if not (0 < delta < math.inf and 0 < mean < math.inf and math.isfinite(std)):
+            raise ValueError("deltas and mean errors must be positive and finite, stds finite")
         series.setdefault(method, []).append((float(delta), float(mean), float(std)))
     for pts in series.values():
         pts.sort(key=lambda p: p[0])

@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from compact_tik import cli
 from compact_tik.cli import SCHEMAS, main, parse_config_file, serialize_config
 
 REFERENCE_DIR = Path(__file__).resolve().parent.parent / "reference_runs" / "ct32"
@@ -76,6 +77,26 @@ def test_nn_reconstruct(tmp_path):
     assert np.all(read_imgf(out).values >= 0.0)
 
 
+def test_nn_reconstruct_trace_file(tmp_path, monkeypatch):
+    reconstruct = cli.reconstruct_nn
+    runs = []
+
+    def recording_reconstruct(cfg):
+        runs.append(reconstruct(cfg))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "reconstruct_nn", recording_reconstruct)
+    trace = tmp_path / "trace.txt"
+    assert run_cli("nn-reconstruct", "--n", "8", "--angles", "4", "--hidden", "6",
+                   "--iterations", "10", "--out", str(tmp_path / "nn.imgf"),
+                   "--trace", str(trace)) == 0
+    (recon,) = runs
+    assert len(recon.objective_trace) == 11
+    want = "# iteration objective\n" + "".join(
+        f"{it} {v!r}\n" for it, v in enumerate(recon.objective_trace.tolist()))
+    assert trace.read_bytes() == want.encode("ascii")
+
+
 def test_rate_fit_exact_power_law(tmp_path, capsys):
     table = tmp_path / "agg.csv"
     deltas = np.logspace(-4, -1, 6)
@@ -92,6 +113,31 @@ def test_rate_fit_plain_error_column(tmp_path, capsys):
     table.write_text("delta,error\n0.1,1.0\n0.01,0.1\n")
     assert run_cli("rate-fit", "--table", str(table)) == 0
     assert "slope = 1.000000" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["rate-fit", "plot"])
+@pytest.mark.parametrize("text, where", [
+    ("", ":"),  # empty file
+    ("delta,mean_error,std_error,method\n", ":"),  # header only
+    ("delta,mean_error,std_error,method\n0.1,1.0,0.0,tikhonov\n\n0.01\n", ":4:"),  # ragged
+])
+def test_bad_table_exit_1_names_path_and_line(tmp_path, capsys, command, text, where):
+    table = tmp_path / "agg.csv"
+    table.write_text(text)
+    assert run_cli(command, "--table", str(table), "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err.startswith(f"error: {table}{where}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["rate-fit", "plot"])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_table_values_exit_1(tmp_path, capsys, command, bad):
+    table = tmp_path / "agg.csv"
+    for row in (f"{bad},1.0,0.0,tikhonov", f"0.1,{bad},0.0,tikhonov"):
+        table.write_text(f"delta,mean_error,std_error,method\n{row}\n0.01,0.3,0.0,tikhonov\n")
+        assert run_cli(command, "--table", str(table), "--out", str(tmp_path / "out")) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_oracle_linear_cli(tmp_path, capsys):
@@ -202,6 +248,15 @@ def test_unknown_key_is_hard_error(tmp_path, capsys):
     path.write_text("[phantom]\nn = 16\nmystery = 3\n")
     assert run_cli("phantom", "--config", str(path)) == 1
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_repeated_key_is_hard_error(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text("[phantom]\nn = 8\n[sweep]\nn = 4\n\n[phantom]\nn = 16\n")
+    out = tmp_path / "p.pgm"
+    assert run_cli("phantom", "--config", str(path), "--out", str(out)) == 1
+    assert f"{path}:7: key 'n' repeats line 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_section_is_hard_error(tmp_path):

@@ -23,7 +23,7 @@ from compact_tik.experiment import (
     sweep_deltas,
 )
 from compact_tik.linop import DiagonalOperator
-from compact_tik.tikhonov import TikhonovProblem, solve_tikhonov
+from compact_tik.tikhonov import TikhonovProblem, dense_normal_solve, solve_tikhonov
 
 
 def test_substream_seed_stable_and_distinct():
@@ -161,16 +161,20 @@ def test_fit_rate_validation():
         fit_rate([0.1, 0.2], [0.0, 1.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fit_rate_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        fit_rate([0.1, 0.01], [1.0, bad])
+    with pytest.raises(ValueError, match="finite"):
+        fit_rate([bad, 0.01], [1.0, 0.5])
+
+
 def test_experiment_record_invariants():
-    with pytest.raises(ValueError):
-        ExperimentRecord(
-            delta=0.1, seed=1, alphas=np.array([0.1, 0.2]),
-            errors=np.array([2.0, 1.0]), best_alpha=0.1, best_error=2.0, snr_db=10.0,
-        )
     rec = ExperimentRecord(
         delta=0.1, seed=1, alphas=np.array([0.1, 0.2, 0.3]),
-        errors=np.array([2.0, 1.0, 1.0]), best_alpha=0.2, best_error=1.0, snr_db=10.0,
+        errors=np.array([2.0, 1.0, 1.0]), snr_db=10.0,
     )
+    assert rec.best_error == 1.0
     assert rec.best_alpha == 0.2  # smallest alpha on ties
 
 
@@ -232,7 +236,7 @@ def test_run_sweep_single_cell_matches_direct_solve():
 
 
 def test_run_sweep_aggregate_of_equal_errors():
-    agg = DeltaAggregate(delta=0.1, mean_error=2.0, std_error=0.0, n_realizations=5)
+    agg = DeltaAggregate(delta=0.1, mean_error=2.0, std_error=0.0)
     assert agg.std_error == 0.0
 
 
@@ -295,12 +299,9 @@ def test_run_sweep_gives_every_alpha_a_true_residual_verdict(monkeypatch):
 
 
 def test_run_sweep_nn_method_smoke():
-    from compact_tik.experiment import NnSettings
-
     cfg = SweepConfig(
         deltas=[0.3], n_realizations=1, method="nn", nx=8, n_angles=4,
-        n_alphas=1, base_seed=1,
-        nn=NnSettings(hidden_widths=(6,), iterations=15, learning_rate=1e-2),
+        n_alphas=1, base_seed=1, nn_hidden=(6,), nn_iterations=15, nn_learning_rate=1e-2,
     )
     result = run_sweep(cfg)
     assert len(result.records) == 1
@@ -369,6 +370,25 @@ def test_linear_oracle_stability_bound():
         assert err <= bias + delta / (2 * np.sqrt(alpha)) + 1e-12
 
 
+def test_linear_oracle_errors_are_exact_to_rounding():
+    # the diagonal system is solved in closed form: a dense solve of the same
+    # normal equations gives the same errors to rounding
+    mu, n_dim, seed = 0.75, 60, 5
+    res = linear_oracle(mu, n_dim, np.logspace(-6, -2, 5), seed=seed)
+    k = np.arange(1, n_dim + 1, dtype=np.float64)
+    s = 1.0 / k
+    rng_v = np.random.Generator(np.random.PCG64(substream_seed(seed, 0, 0)))
+    v = k ** -(mu - 0.5) * np.where(rng_v.random(n_dim) < 0.5, -1.0, 1.0)
+    v /= np.linalg.norm(v)
+    x_dagger = s ** (2.0 * mu) * v
+    for i, (delta, alpha, err) in enumerate(zip(res.deltas, res.alphas, res.errors)):
+        n = standard_normal(np.random.Generator(np.random.PCG64(substream_seed(seed, i, 1))),
+                            n_dim)
+        y_noisy = s * x_dagger + delta * n / np.linalg.norm(n)
+        x = dense_normal_solve(np.diag(s), y_noisy, alpha)
+        assert err == pytest.approx(np.linalg.norm(x - x_dagger), rel=1e-10, abs=0.0)
+
+
 def test_linear_oracle_validation():
     with pytest.raises(ValueError):
         linear_oracle(0.3, 200, np.logspace(-6, -2, 9))
@@ -381,13 +401,13 @@ def test_linear_oracle_validation():
 def test_csv_formats():
     rec = ExperimentRecord(
         delta=0.1, seed=3, alphas=np.array([0.1, 0.2]),
-        errors=np.array([2.0, 1.5]), best_alpha=0.2, best_error=1.5, snr_db=12.5,
+        errors=np.array([2.0, 1.5]), snr_db=12.5,
     )
     text = results_csv([rec], "tikhonov")
     lines = text.strip().splitlines()
     assert lines[0] == "delta,seed,alpha,error,snr_db,method"
     assert lines[1] == "0.1,3,0.1,2.0,12.5,tikhonov"
-    agg = aggregate_csv([DeltaAggregate(0.1, 1.75, 0.25, 2)], "tikhonov")
+    agg = aggregate_csv([DeltaAggregate(0.1, 1.75, 0.25)], "tikhonov")
     assert agg.splitlines()[0] == "delta,mean_error,std_error,method"
     assert agg.splitlines()[1] == "0.1,1.75,0.25,tikhonov"
     fit = fit_rate([0.1, 0.01], [1.0, 0.1])

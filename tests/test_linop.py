@@ -211,6 +211,7 @@ def reference_cg(apply_spd, rhs, tol=1e-10, max_iter=2000):
         x=x,
         iterations=iterations,
         residual_norm=residual_norm,
+        rhs_norm=rhs_norm,
         converged=residual_norm <= threshold,
     )
 
@@ -234,8 +235,8 @@ def test_cg_is_reference_cg_bit_for_bit(seed, n, ridge, tol, max_iter):
     got = cg_solve(lambda x: spd @ x, rhs, tol=tol, max_iter=max_iter)
     shifted = cg_solve_shifted(lambda x: spd @ x, rhs, [0.0], tol=tol, max_iter=max_iter)
     assert np.array_equal(got.x, want.x)
-    assert (got.iterations, got.residual_norm, got.converged) == (
-        want.iterations, want.residual_norm, want.converged)
+    assert (got.iterations, got.residual_norm, got.rhs_norm, got.converged) == (
+        want.iterations, want.residual_norm, want.rhs_norm, want.converged)
     assert np.array_equal(shifted.xs[0], want.x)
     assert (shifted.iterations, shifted.residual_norms[0], shifted.converged[0]) == (
         want.iterations, want.residual_norm, want.converged)
@@ -257,6 +258,7 @@ def test_cg_warm_start_from_solution_does_not_iterate():
     assert res.iterations == 0 and res.converged
     assert np.array_equal(res.x, x0)
     assert res.residual_norm == np.linalg.norm(rhs - spd @ x0)
+    assert res.rhs_norm == np.linalg.norm(rhs)
 
 
 def test_cg_warm_start_from_random_point_converges():

@@ -108,18 +108,6 @@ def test_unconstrained_minimum_dominates():
     assert j_tik <= recon.final_objective + 1e-6 * j_tik
 
 
-def test_trace_file(tmp_path):
-    path = tmp_path / "trace.txt"
-    cfg = make_config(iterations=10, trace_path=str(path))
-    recon = reconstruct_nn(cfg)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("#")
-    assert len(lines) == 12  # header + 11 values
-    it, value = lines[1].split()
-    assert it == "0"
-    assert float(value) == recon.objective_trace[0]
-
-
 # Ct32 reference-sweep setting, where the zero-bias init can be dead: the
 # output pre-activation is <= 0 at every pixel, so the output ReLU returns
 # the zero image and passes no gradient.

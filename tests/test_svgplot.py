@@ -21,6 +21,16 @@ def test_nonpositive_rejected():
         render_plot([(0.1, -1.0, 0.0, "m")], 0.5)
 
 
+@pytest.mark.parametrize("row", [
+    (np.nan, 1.0, 0.0, "m"), (np.inf, 1.0, 0.0, "m"),
+    (0.1, np.nan, 0.0, "m"), (0.1, np.inf, 0.0, "m"),
+    (0.1, 1.0, np.nan, "m"), (0.1, 1.0, np.inf, "m"),
+])
+def test_non_finite_rejected(row):
+    with pytest.raises(ValueError, match="finite"):
+        render_plot([row, (0.01, 0.5, 0.0, "m")], 0.5)
+
+
 def test_single_method_element_counts():
     deltas = np.logspace(-3, -1, 6)
     rows = [(d, d**0.5, 0.1 * d**0.5, "tikhonov") for d in deltas]

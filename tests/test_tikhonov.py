@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from compact_tik.grid import shepp_logan
-from compact_tik.linop import DiagonalOperator, LinearOperator, cg_solve_shifted, matrix_operator
+from compact_tik.linop import cg_solve_shifted, matrix_operator
 from compact_tik.radon import RadonGeometry, dense_matrix, radon_forward, radon_operator
 from compact_tik.tikhonov import (
     TikhonovProblem,
@@ -12,25 +12,6 @@ from compact_tik.tikhonov import (
     solve_tikhonov,
     tikhonov_objective,
 )
-
-
-def zero_operator(n, m):
-    return LinearOperator(
-        domain_dim=n,
-        range_dim=m,
-        apply=lambda x: np.zeros(m),
-        apply_adjoint=lambda y: np.zeros(n),
-    )
-
-
-def test_zero_operator_returns_prior():
-    rng = np.random.default_rng(0)
-    x_star = rng.standard_normal(6)
-    problem = TikhonovProblem(
-        op=zero_operator(6, 4), data=rng.standard_normal(4), alpha=0.7, x_star=x_star
-    )
-    res = solve_tikhonov(problem)
-    assert np.allclose(res.x, x_star, atol=1e-12)
 
 
 def test_identity_closed_form():
@@ -50,10 +31,6 @@ def test_alpha_validation():
 def test_dimension_validation():
     with pytest.raises(ValueError):
         TikhonovProblem(op=matrix_operator(np.eye(2)), data=np.ones(3), alpha=1.0)
-    with pytest.raises(ValueError):
-        TikhonovProblem(
-            op=matrix_operator(np.eye(2)), data=np.ones(2), alpha=1.0, x_star=np.ones(3)
-        )
 
 
 def test_radon_normal_equation_residual():
@@ -63,6 +40,7 @@ def test_radon_normal_equation_residual():
     data = radon_forward(img, geom).values
     res = solve_tikhonov(TikhonovProblem(op=op, data=data, alpha=0.1), tol=1e-8)
     rhs_norm = np.linalg.norm(op.apply_adjoint(data))
+    assert res.rhs_norm == rhs_norm
     assert res.residual_norm <= 1e-8 * rhs_norm
 
 
@@ -86,20 +64,16 @@ def test_cg_matches_dense_oracle_16():
     n_angles=st.integers(1, 10),
     det_halfwidth=st.floats(0.8, 1.6),
     log10_alpha=st.floats(-3.0, 1.0),
-    with_prior=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_cg_matches_dense_solve_property(n, n_angles, det_halfwidth, log10_alpha, with_prior,
-                                         seed):
+def test_cg_matches_dense_solve_property(n, n_angles, det_halfwidth, log10_alpha, seed):
     geom = RadonGeometry.for_grid(n, n_angles, det_halfwidth=det_halfwidth)
     rng = np.random.default_rng(seed)
     data = rng.standard_normal(geom.size)
-    x_star = rng.standard_normal(n * n) if with_prior else None
     alpha = 10.0**log10_alpha
-    problem = TikhonovProblem(op=radon_operator(geom, n, n), data=data, alpha=alpha,
-                              x_star=x_star)
+    problem = TikhonovProblem(op=radon_operator(geom, n, n), data=data, alpha=alpha)
     res = solve_tikhonov(problem, max_iter=5000)
-    direct = dense_normal_solve(dense_matrix(geom, n, n), data, alpha, x_star=x_star)
+    direct = dense_normal_solve(dense_matrix(geom, n, n), data, alpha)
     assert res.converged
     assert np.linalg.norm(res.x - direct) <= 1e-6 * np.linalg.norm(direct)
 
