@@ -19,7 +19,7 @@ from .grid import (
     write_imgf,
     write_pgm16,
 )
-from .linop import CgResult, DiagonalOperator, LinearOperator, adjoint_defect, cg_solve, matrix_operator
+from .linop import CgResult, LinearOperator, adjoint_defect, cg_solve, matrix_operator
 from .mlp import (
     AdamState,
     MlpArchitecture,

@@ -358,6 +358,7 @@ def cmd_oracle_linear(cfg):
 
 
 def _read_csv(path):
+    """Header fields and ``(line number, fields)`` per nonblank row."""
     with open(path) as f:
         lines = [(lineno, ln.strip().split(",")) for lineno, ln in enumerate(f, 1) if ln.strip()]
     if len(lines) < 2:
@@ -366,7 +367,14 @@ def _read_csv(path):
     for lineno, row in rows:
         if len(row) != len(header):
             raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-    return header, [row for _, row in rows]
+    return header, rows
+
+
+def _number(path, lineno, field):
+    try:
+        return float(field)
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: not a number: {field!r}") from None
 
 
 def _table_deltas_errors(path):
@@ -384,9 +392,10 @@ def _table_deltas_errors(path):
         raise ValueError(f"{path}: no 'error' or 'mean_error' column")
     m_col = header.index("method") if "method" in header else None
     triples = []
-    for row in rows:
+    for lineno, row in rows:
         method = row[m_col] if m_col is not None else "all"
-        triples.append((float(row[d_col]), float(row[e_col]), method))
+        triples.append((_number(path, lineno, row[d_col]), _number(path, lineno, row[e_col]),
+                        method))
     return triples
 
 
@@ -413,11 +422,12 @@ def cmd_rate_fit(cfg):
 
 
 def cmd_plot(cfg):
-    header, rows = _read_csv(cfg["table"])
+    path = cfg["table"]
+    header, rows = _read_csv(path)
     required = ["delta", "mean_error", "std_error", "method"]
     if header[: len(required)] != required:
-        raise ValueError(f"{cfg['table']}: expected header {','.join(required)}")
-    points = [(float(r[0]), float(r[1]), float(r[2]), r[3]) for r in rows]
+        raise ValueError(f"{path}: expected header {','.join(required)}")
+    points = [(*(_number(path, lineno, f) for f in r[:3]), r[3]) for lineno, r in rows]
     svgplot.emit_plot(cfg["out"], points, cfg["reference_exponent"])
     _write_manifest("plot", cfg, str(cfg["out"]) + ".manifest")
     print(f"wrote {cfg['out']}")

@@ -36,31 +36,6 @@ def matrix_operator(mat):
     )
 
 
-class DiagonalOperator:
-    """Square operator with positive singular values, stored nonincreasing.
-
-    Satisfies the LinearOperator contract; apply and apply_adjoint coincide.
-    """
-
-    def __init__(self, singular_values):
-        s = np.asarray(singular_values, dtype=np.float64)
-        if s.ndim != 1 or s.size == 0:
-            raise ValueError("singular_values must be a nonempty 1-D array")
-        if np.any(s <= 0):
-            raise ValueError("singular values must be positive")
-        if np.any(np.diff(s) > 0):
-            raise ValueError("singular values must be nonincreasing")
-        self.singular_values = s
-        self.domain_dim = s.size
-        self.range_dim = s.size
-
-    def apply(self, x):
-        return self.singular_values * x
-
-    def apply_adjoint(self, y):
-        return self.singular_values * y
-
-
 def adjoint_defect(op, n_probes=10, seed=0):
     """Max relative defect |<Ax,y> - <x,A^T y>| / (||Ax|| ||y||) on random probes.
 

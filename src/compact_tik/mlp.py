@@ -9,17 +9,22 @@ such bounded networks are the compact solution sets this package
 minimizes over.
 
 Gradients are reverse-mode: :func:`forward_trace` keeps every layer's
-input and pre-activation, and :func:`mlp_backward` consumes that trace
-without evaluating the network again. At an activation kink (input
-exactly 0) the derivative takes the negative-side slope: zero for the
-output ReLU, the leak slope for hidden units.
+activation, and :func:`mlp_backward` consumes that trace without
+evaluating the network again. At an activation kink (input exactly 0)
+the derivative takes the negative-side slope: zero for the output ReLU,
+``LEAK`` for hidden units.
 
-The hidden leaky ReLU is max(z, leak z) and its slope max(sign z, leak).
-For 0 < leak < 1 (enforced by :class:`MlpArchitecture` and
-:class:`MlpParams`) these equal the branch forms "z if z > 0 else leak z"
-and "1 if z > 0 else leak" bit for bit, signed zeros included, and
-unlike ``np.where`` over a random sign mask they do not stall on branch
-mispredictions.
+The hidden leaky ReLU is a = max(z, LEAK z) and its slope
+max(sign z, LEAK). Because 0 < LEAK < 1 these equal the branch forms
+"z if z > 0 else LEAK z" and "1 if z > 0 else LEAK" bit for bit, signed
+zeros included, and unlike ``np.where`` over a random sign mask they do
+not stall on branch mispredictions.
+
+The activations alone determine the slopes, so the trace keeps no
+pre-activations. Where z > 0, a = z > 0; where z is NaN, a is NaN; where
+z <= 0, a <= 0 (-0.0 when LEAK z underflows). So max(sign a, LEAK)
+equals max(sign z, LEAK) for every float64, and the output ReLU's
+max(z, 0) > 0 exactly when z > 0.
 """
 
 from __future__ import annotations
@@ -39,24 +44,21 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# negative-side slope of the hidden leaky ReLU; must lie in (0, 1) for the
+# branch-free forms in the module docstring to be exact
+LEAK = 0.01
+
 
 @dataclass(frozen=True)
 class MlpArchitecture:
-    """Hidden layer widths and the leaky-ReLU slope.
-
-    Input is 2-D (coordinates), output 1-D (intensity). ``leak`` is the
-    leaky-ReLU negative-side slope, in (0, 1).
-    """
+    """Hidden layer widths. Input is 2-D (coordinates), output 1-D (intensity)."""
 
     hidden_widths: tuple[int, ...]
-    leak: float = 0.01
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
         if any(w < 1 for w in self.hidden_widths):
             raise ValueError(f"layer widths must be >= 1, got {self.hidden_widths}")
-        if not 0.0 < self.leak < 1.0:
-            raise ValueError(f"leak slope must be in (0, 1), got {self.leak}")
 
     @property
     def widths(self):
@@ -68,11 +70,10 @@ class MlpParams:
     """Weight matrices (d_i x d_{i-1}) and bias vectors (d_i,), layer by layer.
 
     The constructor copies them into one float64 vector ``flat``;
-    ``weights`` and ``biases`` are tuples of views into it. ``leak``
-    travels with the parameters so a checkpoint fully determines the function.
+    ``weights`` and ``biases`` are tuples of views into it.
     """
 
-    def __init__(self, weights, biases, leak=0.01):
+    def __init__(self, weights, biases):
         weights = [np.asarray(w, dtype=np.float64) for w in weights]
         biases = [np.asarray(b, dtype=np.float64) for b in biases]
         if not weights or len(weights) != len(biases):
@@ -80,9 +81,6 @@ class MlpParams:
         for w, b in zip(weights, biases):
             if w.ndim != 2 or b.shape != (w.shape[0],):
                 raise ValueError(f"layer shape mismatch: W {w.shape}, b {b.shape}")
-        if not 0.0 < leak < 1.0:
-            raise ValueError(f"leak slope must be in (0, 1), got {leak}")
-        self.leak = leak
         self.shapes = tuple(w.shape for w in weights)
         self._bind(np.concatenate([a.ravel() for layer in zip(weights, biases) for a in layer]))
 
@@ -105,9 +103,6 @@ class MlpParams:
         out._bind(self.flat.copy())
         return out
 
-    def max_abs(self):
-        return np.abs(self.flat).max()
-
 
 def init_params(arch: MlpArchitecture, seed, weight_bound=None) -> MlpParams:
     """Seeded symmetric-uniform init: W ~ U(-a, a), a = sqrt(6/(fan_in+fan_out)), b = 0.
@@ -126,7 +121,7 @@ def init_params(arch: MlpArchitecture, seed, weight_bound=None) -> MlpParams:
         a = np.sqrt(6.0 / (d_in + d_out))
         weights.append(rng.uniform(-a, a, size=(d_out, d_in)))
         biases.append(np.zeros(d_out))
-    params = MlpParams(weights=weights, biases=biases, leak=arch.leak)
+    params = MlpParams(weights=weights, biases=biases)
     if weight_bound is not None:
         project_weights(params, weight_bound)
     return params
@@ -135,9 +130,9 @@ def init_params(arch: MlpArchitecture, seed, weight_bound=None) -> MlpParams:
 def forward_trace(params: MlpParams, coords):
     """Forward pass keeping what the backward sweep needs.
 
-    Returns ``(activations, pre)``: ``activations[0]`` is the coordinate
-    array and ``activations[i + 1]`` the output of layer i; ``pre[i]`` is
-    layer i's pre-activation. The network output is ``activations[-1]``.
+    Returns the list ``activations``: ``activations[0]`` is the coordinate
+    array and ``activations[i + 1]`` the output of layer i. The network
+    output is ``activations[-1]``.
     """
     h = np.asarray(coords, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != params.weights[0].shape[1]:
@@ -146,19 +141,16 @@ def forward_trace(params: MlpParams, coords):
         )
     n_layers = len(params.weights)
     activations = [h]
-    pre = []
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w.T
-        z += b
-        pre.append(z)
+        h = h @ w.T
+        h += b
         if i < n_layers - 1:
-            # branch-free leaky ReLU, exact for 0 < leak < 1 (module docstring)
-            h = params.leak * z
-            np.maximum(z, h, out=h)
+            # branch-free leaky ReLU, exact because 0 < LEAK < 1 (module docstring)
+            np.maximum(h, LEAK * h, out=h)
         else:
-            h = np.maximum(z, 0.0)
+            np.maximum(h, 0.0, out=h)
         activations.append(h)
-    return activations, pre
+    return activations
 
 
 def mlp_forward(params: MlpParams, coords):
@@ -166,38 +158,37 @@ def mlp_forward(params: MlpParams, coords):
 
     Returns a length-n vector; nonnegative by the final ReLU.
     """
-    activations, _ = forward_trace(params, coords)
-    return activations[-1][:, 0]
+    return forward_trace(params, coords)[-1][:, 0]
 
 
-def mlp_backward(params: MlpParams, trace, output_cotangent):
+def mlp_backward(params: MlpParams, activations, output_cotangent):
     """Gradient of sum_k cotangent_k * output_k with respect to the parameters.
 
-    ``trace`` is the ``(activations, pre)`` pair that :func:`forward_trace`
-    returned for these parameters; it is read, not modified. The gradient
-    is laid out like ``params.flat``.
+    ``activations`` is the list that :func:`forward_trace` returned for
+    these parameters; it is read, not modified. The gradient is laid out
+    like ``params.flat``.
     """
-    activations, pre = trace
     cot = np.asarray(output_cotangent, dtype=np.float64).ravel()
     if cot.size != activations[0].shape[0]:
         raise ValueError(
             f"cotangent length {cot.size} != number of coordinates {activations[0].shape[0]}"
         )
     n_layers = len(params.weights)
-    if len(pre) != n_layers:
-        raise ValueError(f"trace has {len(pre)} layers, parameters have {n_layers}")
+    if len(activations) != n_layers + 1:
+        raise ValueError(f"trace has {len(activations) - 1} layers, parameters have {n_layers}")
     grad = np.empty_like(params.flat)
     gw, gb = params.split(grad)
     # output layer: derivative of ReLU at 0 taken as 0
-    delta = cot[:, None] * (pre[-1] > 0)
+    delta = cot[:, None] * (activations[-1] > 0)
     for i in range(n_layers - 1, -1, -1):
         np.matmul(delta.T, activations[i], out=gw[i])
         delta.sum(axis=0, out=gb[i])
         if i > 0:
             delta = delta @ params.weights[i]
-            # slope 1 where pre > 0, leak elsewhere, kink included
-            slope = np.sign(pre[i - 1])
-            np.maximum(slope, params.leak, out=slope)
+            # slope 1 where the pre-activation is > 0, LEAK elsewhere, kink
+            # included; read from the activation (module docstring)
+            slope = np.sign(activations[i])
+            np.maximum(slope, LEAK, out=slope)
             delta *= slope
     return grad
 
@@ -260,7 +251,7 @@ def save_params(path, params: MlpParams):
             f.write(b.astype("<f8").tobytes())
 
 
-def load_params(path, leak=0.01) -> MlpParams:
+def load_params(path) -> MlpParams:
     """Read a checkpoint written by :func:`save_params`."""
     with open(path, "rb") as f:
         magic = f.read(4)
@@ -272,4 +263,4 @@ def load_params(path, leak=0.01) -> MlpParams:
             rows, cols = struct.unpack("<II", f.read(8))
             weights.append(np.frombuffer(f.read(8 * rows * cols), dtype="<f8").reshape(rows, cols))
             biases.append(np.frombuffer(f.read(8 * rows), dtype="<f8"))
-    return MlpParams(weights=weights, biases=biases, leak=leak)
+    return MlpParams(weights=weights, biases=biases)

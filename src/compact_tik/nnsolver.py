@@ -130,7 +130,7 @@ def reconstruct_nn(cfg: NnReconstructionConfig) -> NnReconstruction:
 
     for it in range(cfg.iterations + 1):
         fwd = forward_trace(params, coords)
-        x = fwd[0][-1][:, 0]
+        x = fwd[-1][:, 0]
         objective, cotangent = _objective_and_cotangent(op, data, alpha, x)
         if not np.isfinite(objective):
             raise NumericalFailureError(f"non-finite objective at iteration {it}")

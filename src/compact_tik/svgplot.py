@@ -51,7 +51,8 @@ def render_plot(rows, reference_exponent):
     Parameters
     ----------
     rows : sequence of (delta, mean_error, std_error, method)
-        One point per (delta, method); all finite, deltas and means positive.
+        One point per (delta, method); all finite, deltas and means positive,
+        stds nonnegative.
     reference_exponent : float
         Slope of the dashed log-log reference line; its intercept is the
         least-squares fit over all plotted means at this fixed slope.
@@ -67,8 +68,9 @@ def render_plot(rows, reference_exponent):
     series = {}
     for delta, mean, std, method in rows:
         # the comparisons are False for NaN, so NaN is rejected too
-        if not (0 < delta < math.inf and 0 < mean < math.inf and math.isfinite(std)):
-            raise ValueError("deltas and mean errors must be positive and finite, stds finite")
+        if not (0 < delta < math.inf and 0 < mean < math.inf and 0 <= std < math.inf):
+            raise ValueError("deltas and mean errors must be positive and finite, "
+                             "stds finite and nonnegative")
         series.setdefault(method, []).append((float(delta), float(mean), float(std)))
     for pts in series.values():
         pts.sort(key=lambda p: p[0])
@@ -79,7 +81,7 @@ def render_plot(rows, reference_exponent):
         for d, m, s in pts:
             xs.append(d)
             ys.append(m)
-            ys.append(m + s if s > 0 else m)
+            ys.append(m + s)
             lo = m - s
             ys.append(lo if lo > 0 else m * 1e-3)
     frame = _LogLogFrame(xs, ys)
@@ -143,7 +145,7 @@ def render_plot(rows, reference_exponent):
     for idx, (method, pts) in enumerate(series.items()):
         color = _PALETTE[idx % len(_PALETTE)]
         for d, m, s in pts:
-            hi = m + s if s > 0 else m
+            hi = m + s
             lo = m - s
             if lo <= 0:
                 lo = m * 1e-3

@@ -140,6 +140,26 @@ def test_non_finite_table_values_exit_1(tmp_path, capsys, command, bad):
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, text", [
+    ("rate-fit", "delta,error\n0.1,abc\n"),
+    ("plot", "delta,mean_error,std_error,method\n0.1,abc,0.0,tikhonov\n"),
+])
+def test_non_numeric_table_field_exit_1_names_path_and_line(tmp_path, capsys, command, text):
+    table = tmp_path / "agg.csv"
+    table.write_text(text)
+    assert run_cli(command, "--table", str(table), "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err.startswith(f"error: {table}:2: not a number: 'abc'")
+    assert not (tmp_path / "out").exists()
+
+
+def test_plot_rejects_negative_std_exit_1(tmp_path, capsys):
+    table = tmp_path / "agg.csv"
+    table.write_text("delta,mean_error,std_error,method\n0.1,1.0,-5.0,t\n0.01,0.3,0.0,t\n")
+    assert run_cli("plot", "--table", str(table), "--out", str(tmp_path / "fig.svg")) == 1
+    assert "nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "fig.svg").exists()
+
+
 def test_oracle_linear_cli(tmp_path, capsys):
     out = tmp_path / "oracle"
     code = run_cli("oracle-linear", "--mu", "1.0", "--seed", "0", "--out", str(out))

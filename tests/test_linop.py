@@ -4,7 +4,6 @@ import pytest
 from compact_tik.errors import NumericalFailureError
 from compact_tik.linop import (
     CgResult,
-    DiagonalOperator,
     LinearOperator,
     adjoint_defect,
     cg_solve,
@@ -50,23 +49,7 @@ def test_adjoint_defect_reports_nan():
 
 def test_adjoint_defect_needs_a_probe():
     with pytest.raises(ValueError):
-        adjoint_defect(DiagonalOperator([1.0]), n_probes=0)
-
-
-def test_diagonal_operator_validation():
-    with pytest.raises(ValueError):
-        DiagonalOperator([1.0, -0.5])
-    with pytest.raises(ValueError):
-        DiagonalOperator([0.5, 1.0])  # increasing
-    with pytest.raises(ValueError):
-        DiagonalOperator([])
-
-
-def test_diagonal_operator_apply():
-    op = DiagonalOperator([3.0, 2.0, 1.0])
-    x = np.array([1.0, 1.0, 2.0])
-    assert np.allclose(op.apply(x), [3.0, 2.0, 2.0])
-    assert np.allclose(op.apply_adjoint(x), [3.0, 2.0, 2.0])
+        adjoint_defect(matrix_operator(np.eye(1)), n_probes=0)
 
 
 def test_cg_identity_single_iteration():

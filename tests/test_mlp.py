@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from compact_tik.errors import NumericalFailureError
 from compact_tik.mlp import (
+    LEAK,
     AdamState,
     MlpArchitecture,
     MlpParams,
@@ -47,8 +48,9 @@ def central_difference_grad(params, coords, cot, h=1e-5):
 
 
 def min_preactivation_gap(params, coords):
-    _, pre = forward_trace(params, coords)
-    return min(np.abs(z).min() for z in pre)
+    activations = forward_trace(params, coords)
+    return min(np.abs(a @ w.T + b).min()
+               for a, w, b in zip(activations, params.weights, params.biases))
 
 
 def bits(a):
@@ -64,14 +66,18 @@ def reference_forward_trace(params, coords):
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         z = h @ w.T + b
         pre.append(z)
-        h = np.where(z > 0, z, params.leak * z) if i < n_layers - 1 else np.maximum(z, 0.0)
+        h = np.where(z > 0, z, LEAK * z) if i < n_layers - 1 else np.maximum(z, 0.0)
         activations.append(h)
     return activations, pre
 
 
 def reference_backward(params, coords, cot):
     """The backward that re-ran the forward from the coordinates."""
-    activations, pre = reference_forward_trace(params, coords)
+    return reference_backward_from(params, *reference_forward_trace(params, coords), cot)
+
+
+def reference_backward_from(params, activations, pre, cot):
+    """The backward over activations and pre-activations, with np.where slopes."""
     n_layers = len(params.weights)
     gw, gb = [None] * n_layers, [None] * n_layers
     delta = cot[:, None] * (pre[-1] > 0)
@@ -79,7 +85,7 @@ def reference_backward(params, coords, cot):
         gw[i] = delta.T @ activations[i]
         gb[i] = delta.sum(axis=0)
         if i > 0:
-            delta = (delta @ params.weights[i]) * np.where(pre[i - 1] > 0, 1.0, params.leak)
+            delta = (delta @ params.weights[i]) * np.where(pre[i - 1] > 0, 1.0, LEAK)
     return gw, gb
 
 
@@ -139,7 +145,7 @@ def reference_adam_step(params, grads, state):
         new_mb.append(mn)
         new_vb.append(vn)
 
-    new_params = MlpParams(weights=new_w, biases=new_b, leak=params.leak)
+    new_params = MlpParams(weights=new_w, biases=new_b)
     new_state = ReferenceAdamState(
         m_weights=new_mw, m_biases=new_mb, v_weights=new_vw, v_biases=new_vb,
         t=t, learning_rate=lr, beta1=b1, beta2=b2, eps=eps,
@@ -152,17 +158,15 @@ def reference_project_weights(params, c):
     return MlpParams(
         weights=[np.clip(w, -c, c) for w in params.weights],
         biases=[np.clip(b, -c, c) for b in params.biases],
-        leak=params.leak,
     )
 
 
-def random_params(rng, hidden, scale=1.0, leak=0.01):
+def random_params(rng, hidden, scale=1.0):
     widths = (2, *hidden, 1)
     return MlpParams(
         weights=[scale * rng.standard_normal((d_out, d_in))
                  for d_in, d_out in zip(widths, widths[1:])],
         biases=[scale * rng.standard_normal(d) for d in widths[1:]],
-        leak=leak,
     )
 
 
@@ -170,11 +174,13 @@ def layers(params):
     return (*params.weights, *params.biases)
 
 
+def max_abs(params):
+    return np.abs(params.flat).max()
+
+
 def test_architecture_validation():
     with pytest.raises(ValueError):
         MlpArchitecture(hidden_widths=(0,))
-    with pytest.raises(ValueError):
-        MlpArchitecture(hidden_widths=(4,), leak=1.5)
     arch = MlpArchitecture(hidden_widths=(100, 100, 100, 100))
     assert arch.widths == (2, 100, 100, 100, 100, 1)
 
@@ -185,7 +191,6 @@ def test_forward_zero_params_is_zero():
     zeroed = MlpParams(
         weights=[np.zeros_like(w) for w in params.weights],
         biases=[np.zeros_like(b) for b in params.biases],
-        leak=arch.leak,
     )
     coords = np.array([[0.1, -0.2], [0.5, 0.5], [0.0, 0.0]])
     assert np.array_equal(mlp_forward(zeroed, coords), np.zeros(3))
@@ -273,11 +278,9 @@ def test_backward_cotangent_length_mismatch():
 def test_kink_subgradient_convention():
     # one unit fed exactly 0: ReLU output derivative is the negative side (0),
     # leaky hidden derivative is the leak slope
-    leak = 0.01
     params = MlpParams(
         weights=[np.array([[1.0, 0.0]]), np.array([[1.0]])],
         biases=[np.zeros(1), np.zeros(1)],
-        leak=leak,
     )
     coords = np.array([[0.0, 0.0]])  # hidden pre-activation exactly 0, output 0
     _, grad_b = params.split(mlp_backward(params, forward_trace(params, coords), np.ones(1)))
@@ -287,11 +290,10 @@ def test_kink_subgradient_convention():
     params2 = MlpParams(
         weights=[np.array([[1.0, 0.0]]), np.array([[1.0]])],
         biases=[np.zeros(1), np.array([1.0])],
-        leak=leak,
     )
     _, grad_b2 = params2.split(mlp_backward(params2, forward_trace(params2, coords), np.ones(1)))
-    # d output / d hidden-bias = W2 * leaky'(0) = leak
-    assert grad_b2[0][0] == pytest.approx(leak)
+    # d output / d hidden-bias = W2 * leaky'(0) = LEAK
+    assert grad_b2[0][0] == pytest.approx(LEAK)
 
 
 def test_project_weights_clamps():
@@ -307,7 +309,7 @@ def test_project_weights_clamps():
 
 def test_project_weights_identity_inside_bound():
     params = init_params(MlpArchitecture(hidden_widths=(4,)), seed=6)
-    c = params.max_abs() + 1.0
+    c = max_abs(params) + 1.0
     clipped = params.copy()
     project_weights(clipped, c)
     assert np.array_equal(clipped.flat, params.flat)
@@ -325,19 +327,18 @@ def test_project_weights_idempotent_and_max():
     twice = once.copy()
     project_weights(twice, c)
     assert np.array_equal(once.flat, twice.flat)
-    assert once.max_abs() == min(c, params.max_abs())
+    assert max_abs(once) == min(c, max_abs(params))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     hidden=st.lists(st.integers(1, 12), min_size=1, max_size=3),
-    leak=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     n_points=st.integers(1, 20),
     zero_hidden_biases=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_forward_and_backward_match_np_where_reference(hidden, leak, n_points,
-                                                       zero_hidden_biases, seed):
+def test_forward_and_backward_match_np_where_reference(hidden, n_points, zero_hidden_biases,
+                                                       seed):
     rng = np.random.default_rng(seed)
     widths = (2, *hidden, 1)
     biases = [rng.standard_normal(d) for d in widths[1:]]
@@ -348,7 +349,6 @@ def test_forward_and_backward_match_np_where_reference(hidden, leak, n_points,
     params = MlpParams(
         weights=[rng.standard_normal((d_out, d_in)) for d_in, d_out in zip(widths, widths[1:])],
         biases=biases,
-        leak=leak,
     )
     coords = rng.uniform(-1, 1, size=(n_points, 2))
     coords[0] = 0.0
@@ -357,21 +357,54 @@ def test_forward_and_backward_match_np_where_reference(hidden, leak, n_points,
     cot = rng.standard_normal(n_points)
     cot[rng.random(n_points) < 0.2] = 0.0
 
-    activations, pre = forward_trace(params, coords)
-    want_activations, want_pre = reference_forward_trace(params, coords)
-    for got, want in zip((*activations, *pre), (*want_activations, *want_pre)):
+    activations = forward_trace(params, coords)
+    want_activations, _ = reference_forward_trace(params, coords)
+    assert len(activations) == len(want_activations)
+    for got, want in zip(activations, want_activations):
         assert np.array_equal(bits(got), bits(want))
     assert np.array_equal(bits(mlp_forward(params, coords)), bits(want_activations[-1][:, 0]))
 
-    trace = (activations, pre)
-    kept = [a.copy() for a in (*activations, *pre)]
-    got_gw, got_gb = params.split(mlp_backward(params, trace, cot))
+    kept = [a.copy() for a in activations]
+    got_gw, got_gb = params.split(mlp_backward(params, activations, cot))
     want_gw, want_gb = reference_backward(params, coords, cot)
     for got, want in zip((*got_gw, *got_gb), (*want_gw, *want_gb)):
         assert np.array_equal(bits(got), bits(want))
     # the backward reads the trace and leaves it as it was
-    for got, want in zip((*activations, *pre), kept):
+    for got, want in zip(activations, kept):
         assert np.array_equal(bits(got), bits(want))
+
+
+def test_backward_slopes_at_signed_zeros_and_underflow():
+    # hidden pre-activations 0.0, -0.0 and -5e-324; at the last, LEAK * z
+    # underflows to -0.0, so the activation is a zero, yet the slope taken
+    # from it must be LEAK as at every z <= 0
+    z = np.array([[0.0, -0.0, -5e-324]])
+    hidden = np.maximum(z, LEAK * z)
+    assert np.array_equal(bits(hidden), bits(np.array([[0.0, -0.0, -0.0]])))
+    w_out = np.array([[1.0, -2.0, 3.0]])
+    cot = np.array([1.5])
+    want_slopes = cot * w_out * LEAK
+
+    # through the forward: a matmul never yields -0.0 here, so it reaches 0.0
+    # and -5e-324 (from the biases, with zero weights)
+    params = MlpParams(weights=[np.zeros((3, 2)), w_out], biases=[z[0], np.array([0.5])])
+    coords = np.zeros((1, 2))
+    activations = forward_trace(params, coords)
+    assert np.array_equal(bits(activations[1]), bits(np.array([[0.0, 0.0, -0.0]])))
+    got_gw, got_gb = params.split(mlp_backward(params, activations, cot))
+    want_gw, want_gb = reference_backward(params, coords, cot)
+    for got, want in zip((*got_gw, *got_gb), (*want_gw, *want_gb)):
+        assert np.array_equal(bits(got), bits(want))
+    assert np.array_equal(got_gb[0], want_slopes[0])
+
+    # a trace built from the three pre-activations, -0.0 included
+    z_out = hidden @ w_out.T + params.biases[1]
+    activations = [coords, hidden, np.maximum(z_out, 0.0)]
+    got_gw, got_gb = params.split(mlp_backward(params, activations, cot))
+    want_gw, want_gb = reference_backward_from(params, activations, [z, z_out], cot)
+    for got, want in zip((*got_gw, *got_gb), (*want_gw, *want_gb)):
+        assert np.array_equal(bits(got), bits(want))
+    assert np.array_equal(got_gb[0], want_slopes[0])
 
 
 def test_backward_rejects_trace_of_other_depth():
@@ -395,24 +428,12 @@ def test_project_weights_property(hidden, scale, c, seed):
     project_weights(once, c)
     twice = once.copy()
     project_weights(twice, c)
-    assert once.max_abs() <= c
+    assert max_abs(once) <= c
     assert np.array_equal(bits(once.flat), bits(twice.flat))
     inside = np.abs(params.flat) <= c
     assert np.array_equal(once.flat[inside], params.flat[inside])
     for got, want in zip(layers(once), layers(reference_project_weights(params, c))):
         assert np.array_equal(bits(got), bits(want))
-
-
-def test_params_reject_leak_outside_unit_interval(tmp_path):
-    weights, biases = [np.ones((1, 2))], [np.zeros(1)]
-    for leak in (0.0, 1.0, -0.01, 1.5, np.nan):
-        with pytest.raises(ValueError):
-            MlpParams(weights=weights, biases=biases, leak=leak)
-    path = tmp_path / "net.mlpw"
-    save_params(path, MlpParams(weights=weights, biases=biases))
-    with pytest.raises(ValueError):
-        load_params(path, leak=1.0)
-    assert load_params(path, leak=0.5).leak == 0.5
 
 
 def test_project_weights_validation():
@@ -547,7 +568,7 @@ def test_flat_adam_and_projection_match_per_layer_reference(hidden, steps, learn
         adam_step(params, grad, state)
         want, want_state = reference_adam_step(want, (list(grad_w), list(grad_b)), want_state)
         if bound is not None:
-            clipped = clipped or params.max_abs() > bound
+            clipped = clipped or max_abs(params) > bound
             project_weights(params, bound)
             want = reference_project_weights(want, bound)
         for got, expected in zip(layers(params), layers(want)):
@@ -598,9 +619,9 @@ def test_copy_owns_its_vector():
     dup = params.copy()
     assert not np.shares_memory(dup.flat, params.flat)
     assert all(np.shares_memory(a, dup.flat) for a in layers(dup))
-    assert (dup.leak, dup.shapes) == (params.leak, params.shapes)
+    assert dup.shapes == params.shapes
     dup.flat[:] = 0.0
-    assert params.max_abs() > 0.0
+    assert max_abs(params) > 0.0
     assert not dup.weights[0].any()
 
 
