@@ -10,9 +10,7 @@ compares the fitted rate to the predicted power laws.
 
 from .errors import NumericalFailureError
 from .grid import (
-    Ellipse,
     ImageGrid,
-    SHEPP_LOGAN_ELLIPSES,
     pixel_centers,
     read_imgf,
     shepp_logan,
@@ -49,6 +47,7 @@ from .tikhonov import (
     dense_normal_solve,
     solve_tikhonov,
     tikhonov_objective,
+    unconverged_error,
 )
 from .experiment import (
     ExperimentRecord,

@@ -14,6 +14,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -27,7 +28,7 @@ from .mlp import MlpArchitecture, save_params
 from .nnsolver import NnReconstructionConfig, reconstruct_nn
 # radon_forward is not called here: perfbench's tracer looks it up in this module
 from .radon import SinogramGrid, radon_forward, radon_operator, write_sinf  # noqa: F401
-from .tikhonov import TikhonovProblem, solve_tikhonov
+from .tikhonov import TikhonovProblem, solve_tikhonov, unconverged_error
 
 def _parse_int_list(s):
     parts = [p.strip() for p in s.split(",") if p.strip()]
@@ -56,6 +57,10 @@ def _serialize(value):
         return repr(value)
     return str(value)
 
+
+# the [sweep] keys that SweepConfig carries, with their defaults
+_SWEEP = {f.name: f.default for f in dataclasses.fields(experiment.SweepConfig)
+          if f.name != "deltas"}
 
 # subcommand -> ordered {key: (parser, default, help)}
 SCHEMAS = {
@@ -98,24 +103,27 @@ SCHEMAS = {
         "checkpoint": (_optional(str), None, "parameter checkpoint output (.mlpw)"),
     },
     "sweep": {
-        "method": (str, "tikhonov", "reconstruction method: tikhonov or nn"),
-        "n": (int, 64, "grid size per axis"),
-        "angles": (int, 30, "number of projection angles"),
-        "det_halfwidth": (float, math.sqrt(2.0), "detector half-extent"),
-        "n_bins": (_optional(int), None, "detector bins (none = ceil(n * det_halfwidth))"),
+        "method": (str, _SWEEP["method"], "reconstruction method: tikhonov or nn"),
+        "n": (int, _SWEEP["n"], "grid size per axis"),
+        "angles": (int, _SWEEP["angles"], "number of projection angles"),
+        "det_halfwidth": (float, _SWEEP["det_halfwidth"], "detector half-extent"),
+        "n_bins": (_optional(int), _SWEEP["n_bins"],
+                   "detector bins (none = ceil(n * det_halfwidth))"),
         "snr_min_db": (float, 16.6, "noisiest SNR level, dB"),
         "snr_max_db": (float, 42.6, "cleanest SNR level, dB"),
         "n_deltas": (int, 6, "number of noise levels"),
-        "realizations": (int, 3, "noise realizations per level"),
-        "n_alphas": (int, 20, "alpha grid size per level"),
-        "alpha_span_decades": (float, 1.5, "alpha grid half-span around alpha = delta"),
-        "seed": (int, 0, "base seed of the substream hierarchy"),
-        "cg_tol": (float, 1e-10, "CG relative tolerance"),
-        "cg_max_iter": (int, 2000, "CG iteration cap"),
-        "nn_hidden": (_parse_int_list, (100, 100, 100, 100), "hidden widths (nn method)"),
-        "nn_iterations": (int, 5000, "optimizer steps (nn method)"),
-        "nn_learning_rate": (float, 1e-3, "Adam learning rate (nn method)"),
-        "nn_weight_bound": (_optional(float), None, "weight box half-width (nn method)"),
+        "realizations": (int, _SWEEP["realizations"], "noise realizations per level"),
+        "n_alphas": (int, _SWEEP["n_alphas"], "alpha grid size per level"),
+        "alpha_span_decades": (float, _SWEEP["alpha_span_decades"],
+                               "alpha grid half-span around alpha = delta"),
+        "seed": (int, _SWEEP["seed"], "base seed of the substream hierarchy"),
+        "cg_tol": (float, _SWEEP["cg_tol"], "CG relative tolerance"),
+        "cg_max_iter": (int, _SWEEP["cg_max_iter"], "CG iteration cap"),
+        "nn_hidden": (_parse_int_list, _SWEEP["nn_hidden"], "hidden widths (nn method)"),
+        "nn_iterations": (int, _SWEEP["nn_iterations"], "optimizer steps (nn method)"),
+        "nn_learning_rate": (float, _SWEEP["nn_learning_rate"], "Adam learning rate (nn method)"),
+        "nn_weight_bound": (_optional(float), _SWEEP["nn_weight_bound"],
+                            "weight box half-width (nn method)"),
         "out": (str, "sweep_out", "output directory"),
     },
     "oracle-linear": {
@@ -243,8 +251,8 @@ def cmd_tikhonov(cfg):
     problem = TikhonovProblem(op=op, data=noisy, alpha=cfg["alpha"])
     result = solve_tikhonov(problem, tol=cfg["tol"], max_iter=cfg["max_iter"])
     if not result.converged:
-        raise experiment._unconverged(cfg["alpha"], result.iterations, result.residual_norm,
-                                      cfg["tol"] * result.rhs_norm)
+        raise unconverged_error(cfg["alpha"], result.iterations, result.residual_norm,
+                                cfg["tol"] * result.rhs_norm)
     image = ImageGrid(nx=cfg["n"], ny=cfg["n"], values=result.x)
     _write_image(cfg["out"], image)
     _write_manifest("tikhonov", cfg, str(cfg["out"]) + ".manifest")
@@ -289,33 +297,9 @@ def cmd_sweep(cfg, threads):
     if threads < 1:
         raise ValueError(f"--threads must be at least 1, got {threads}")
     os.makedirs(cfg["out"], exist_ok=True)
-    deltas = experiment.sweep_deltas(
-        nx=cfg["n"],
-        n_angles=cfg["angles"],
-        det_halfwidth=cfg["det_halfwidth"],
-        n_bins=cfg["n_bins"],
-        snr_min_db=cfg["snr_min_db"],
-        snr_max_db=cfg["snr_max_db"],
-        count=cfg["n_deltas"],
-    )
-    sweep_cfg = experiment.SweepConfig(
-        deltas=deltas,
-        n_realizations=cfg["realizations"],
-        method=cfg["method"],
-        nx=cfg["n"],
-        n_angles=cfg["angles"],
-        det_halfwidth=cfg["det_halfwidth"],
-        n_bins=cfg["n_bins"],
-        base_seed=cfg["seed"],
-        n_alphas=cfg["n_alphas"],
-        alpha_span_decades=cfg["alpha_span_decades"],
-        cg_tol=cfg["cg_tol"],
-        cg_max_iter=cfg["cg_max_iter"],
-        nn_hidden=cfg["nn_hidden"],
-        nn_iterations=cfg["nn_iterations"],
-        nn_learning_rate=cfg["nn_learning_rate"],
-        nn_weight_bound=cfg["nn_weight_bound"],
-    )
+    deltas = experiment.sweep_deltas(cfg["n"], cfg["angles"], cfg["snr_min_db"], cfg["snr_max_db"],
+                                     cfg["n_deltas"], cfg["det_halfwidth"], cfg["n_bins"])
+    sweep_cfg = experiment.SweepConfig(deltas=deltas, **{key: cfg[key] for key in _SWEEP})
     result = experiment.run_sweep(sweep_cfg, threads=threads)
 
     out = cfg["out"]
@@ -370,11 +354,17 @@ def _read_csv(path):
     return header, rows
 
 
-def _number(path, lineno, field):
+def _number(path, lineno, name, field, zero_ok=False):
+    """``field`` of column ``name`` as a finite float, positive or (if ``zero_ok``) zero."""
     try:
-        return float(field)
+        value = float(field)
     except ValueError:
         raise ValueError(f"{path}:{lineno}: not a number: {field!r}") from None
+    # the comparisons are False for NaN, so NaN is out of range too
+    if not (0 < value < math.inf or (zero_ok and value == 0)):
+        sign = "nonnegative" if zero_ok else "positive"
+        raise ValueError(f"{path}:{lineno}: {name} must be {sign} and finite, got {field!r}")
+    return value
 
 
 def _table_deltas_errors(path):
@@ -394,8 +384,8 @@ def _table_deltas_errors(path):
     triples = []
     for lineno, row in rows:
         method = row[m_col] if m_col is not None else "all"
-        triples.append((_number(path, lineno, row[d_col]), _number(path, lineno, row[e_col]),
-                        method))
+        triples.append((_number(path, lineno, "delta", row[d_col]),
+                        _number(path, lineno, header[e_col], row[e_col]), method))
     return triples
 
 
@@ -427,7 +417,8 @@ def cmd_plot(cfg):
     required = ["delta", "mean_error", "std_error", "method"]
     if header[: len(required)] != required:
         raise ValueError(f"{path}: expected header {','.join(required)}")
-    points = [(*(_number(path, lineno, f) for f in r[:3]), r[3]) for lineno, r in rows]
+    points = [(_number(path, lineno, "delta", r[0]), _number(path, lineno, "mean_error", r[1]),
+               _number(path, lineno, "std_error", r[2], zero_ok=True), r[3]) for lineno, r in rows]
     svgplot.emit_plot(cfg["out"], points, cfg["reference_exponent"])
     _write_manifest("plot", cfg, str(cfg["out"]) + ".manifest")
     print(f"wrote {cfg['out']}")

@@ -22,7 +22,7 @@ from .linop import cg_solve_shifted
 from .mlp import MlpArchitecture
 from .nnsolver import NnReconstructionConfig, reconstruct_nn
 from .radon import RadonGeometry, radon_forward, radon_operator
-from .tikhonov import TikhonovProblem, solve_tikhonov
+from .tikhonov import TikhonovProblem, solve_tikhonov, unconverged_error
 
 
 def substream_seed(base_seed, *parts):
@@ -185,21 +185,23 @@ class DeltaAggregate:
 class SweepConfig:
     """Full protocol: noise levels, realizations, alpha grid, method.
 
-    The image is nx x nx. Each delta gets ``n_alphas`` log-spaced alphas
-    centered on alpha = delta and spanning ``alpha_span_decades`` decades
-    each side. Deltas must be strictly decreasing.
+    Every field but ``deltas`` is the ``[sweep]`` setting of the same name,
+    with its default. The image is n x n. Each delta gets ``n_alphas``
+    log-spaced alphas centered on alpha = delta and spanning
+    ``alpha_span_decades`` decades each side. Deltas must be strictly
+    decreasing.
     """
 
     deltas: list
-    n_realizations: int
     method: str = "tikhonov"
-    nx: int = 64
-    n_angles: int = 30
+    n: int = 64
+    angles: int = 30
     det_halfwidth: float = float(np.sqrt(2.0))
     n_bins: int | None = None
-    base_seed: int = 0
+    realizations: int = 3
     n_alphas: int = 20
     alpha_span_decades: float = 1.5
+    seed: int = 0
     cg_tol: float = 1e-10
     cg_max_iter: int = 2000
     # network settings, read by method "nn" only
@@ -214,7 +216,7 @@ class SweepConfig:
             raise ValueError("deltas must be a nonempty list of positive values")
         if any(b >= a for a, b in zip(self.deltas, self.deltas[1:])):
             raise ValueError("deltas must be strictly decreasing")
-        if self.n_realizations < 1:
+        if self.realizations < 1:
             raise ValueError("need at least one realization")
         if self.method not in ("tikhonov", "nn"):
             raise ValueError(f"method must be 'tikhonov' or 'nn', got {self.method!r}")
@@ -241,13 +243,6 @@ class SweepResult:
     fit: RateFit | None
 
 
-def _unconverged(alpha, iterations, residual, threshold):
-    return NumericalFailureError(
-        f"CG did not converge at alpha={alpha:.6g}: {iterations} iterations, "
-        f"normal residual {residual:.3e} > cg_tol * ||rhs|| = {threshold:.3e}"
-    )
-
-
 def _tikhonov_cell(op, y_noisy, alphas, truth, cfg):
     """Errors over the alpha grid from one multi-shift CG sequence.
 
@@ -268,16 +263,16 @@ def _tikhonov_cell(op, y_noisy, alphas, truth, cfg):
                                alphas - base, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter)
     if not shifted.converged.all():
         j = np.flatnonzero(~shifted.converged)[0]
-        raise _unconverged(alphas[j], shifted.iterations, shifted.residual_norms[j],
-                           cfg.cg_tol * float(np.linalg.norm(rhs)))
+        raise unconverged_error(alphas[j], shifted.iterations, shifted.residual_norms[j],
+                                cfg.cg_tol * float(np.linalg.norm(rhs)))
     errors = np.empty(alphas.size)
     for j, alpha in enumerate(alphas):
         problem = TikhonovProblem(op=op, data=y_noisy, alpha=float(alpha))
         result = solve_tikhonov(problem, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter,
                                 x0=shifted.xs[j])
         if not result.converged:
-            raise _unconverged(alpha, result.iterations, result.residual_norm,
-                               cfg.cg_tol * result.rhs_norm)
+            raise unconverged_error(alpha, result.iterations, result.residual_norm,
+                                    cfg.cg_tol * result.rhs_norm)
         errors[j] = np.linalg.norm(truth - result.x)
     return errors
 
@@ -291,8 +286,8 @@ def _nn_cell(op, y_noisy, alphas, truth, cfg, seed):
             alpha=float(alpha),
             operator=op,
             data=y_noisy,
-            nx=cfg.nx,
-            ny=cfg.nx,
+            nx=cfg.n,
+            ny=cfg.n,
             iterations=cfg.nn_iterations,
             learning_rate=cfg.nn_learning_rate,
             seed=seed,
@@ -314,14 +309,14 @@ def run_sweep(cfg: SweepConfig, threads=1) -> SweepResult:
     and skipped; deltas with no surviving cell are excluded from the rate
     fit and flagged.
     """
-    phantom, geom, y_clean = ct_scene(cfg.nx, cfg.n_angles, cfg.det_halfwidth, cfg.n_bins)
+    phantom, geom, y_clean = ct_scene(cfg.n, cfg.angles, cfg.det_halfwidth, cfg.n_bins)
     truth = phantom.values
-    op = radon_operator(geom, cfg.nx, cfg.nx)
+    op = radon_operator(geom, cfg.n, cfg.n)
 
     cells = [
-        (i, r, substream_seed(cfg.base_seed, i, r))
+        (i, r, substream_seed(cfg.seed, i, r))
         for i in range(len(cfg.deltas))
-        for r in range(cfg.n_realizations)
+        for r in range(cfg.realizations)
     ]
 
     def run_cell(cell):

@@ -40,48 +40,6 @@ IMGF_MAGIC = b"IMGF"
 
 
 @dataclass(frozen=True)
-class Ellipse:
-    """Additive ellipse: adds ``intensity`` on its open interior.
-
-    Parameters
-    ----------
-    center : (float, float)
-        Center (cx, cy) in the square.
-    semi_axes : (float, float)
-        Semi-axes (a, b), both > 0.
-    rotation : float
-        Counterclockwise rotation of the a-axis, radians.
-    intensity : float
-        Value added inside the ellipse.
-    """
-
-    center: tuple[float, float]
-    semi_axes: tuple[float, float]
-    rotation: float
-    intensity: float
-
-    def __post_init__(self):
-        a, b = self.semi_axes
-        if a <= 0 or b <= 0:
-            raise ValueError(f"semi-axes must be positive, got {self.semi_axes}")
-
-    def contains(self, x, y):
-        """Open-interior membership test, vectorized over x and y."""
-        cx, cy = self.center
-        a, b = self.semi_axes
-        c, s = math.cos(self.rotation), math.sin(self.rotation)
-        u = (x - cx) * c + (y - cy) * s
-        v = -(x - cx) * s + (y - cy) * c
-        return (u / a) ** 2 + (v / b) ** 2 < 1.0
-
-
-SHEPP_LOGAN_ELLIPSES = tuple(
-    Ellipse(center=(cx, cy), semi_axes=(a, b), rotation=math.radians(deg), intensity=val)
-    for val, a, b, cx, cy, deg in SHEPP_LOGAN_TABLE
-)
-
-
-@dataclass(frozen=True)
 class ImageGrid:
     """A discretized function on [-1, 1]^2.
 
@@ -131,8 +89,9 @@ def pixel_centers(nx, ny):
 def shepp_logan(nx, ny):
     """Shepp-Logan phantom sampled at pixel centers.
 
-    Each pixel value is the sum of the intensities of the ``SHEPP_LOGAN_ELLIPSES``
-    whose open interior contains the pixel center; boundary points do not count.
+    Each pixel value is the sum of the intensities of the ``SHEPP_LOGAN_TABLE``
+    ellipses whose open interior contains the pixel center; boundary points do
+    not count.
 
     Parameters
     ----------
@@ -146,8 +105,13 @@ def shepp_logan(nx, ny):
     centers = pixel_centers(nx, ny)
     x, y = centers[:, 0], centers[:, 1]
     values = np.zeros(nx * ny)
-    for e in SHEPP_LOGAN_ELLIPSES:
-        values += np.where(e.contains(x, y), e.intensity, 0.0)
+    for val, a, b, cx, cy, deg in SHEPP_LOGAN_TABLE:
+        phi = math.radians(deg)
+        c, s = math.cos(phi), math.sin(phi)
+        # (u, v): the pixel center in the ellipse's rotated frame
+        u = (x - cx) * c + (y - cy) * s
+        v = -(x - cx) * s + (y - cy) * c
+        values += np.where((u / a) ** 2 + (v / b) ** 2 < 1.0, val, 0.0)
     return ImageGrid(nx=nx, ny=ny, values=values)
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalFailureError
 from .linop import CgResult, cg_solve
 
 
@@ -53,6 +54,14 @@ def solve_tikhonov(problem: TikhonovProblem, tol=1e-10, max_iter=2000, x0=None) 
 
     return cg_solve(normal_operator, op.apply_adjoint(problem.data), tol=tol,
                     max_iter=max_iter, x0=x0)
+
+
+def unconverged_error(alpha, iterations, residual, threshold):
+    """NumericalFailureError for a CG solve at ``alpha`` that stopped above ``threshold``."""
+    return NumericalFailureError(
+        f"CG did not converge at alpha={alpha:.6g}: {iterations} iterations, "
+        f"normal residual {residual:.3e} > cg_tol * ||rhs|| = {threshold:.3e}"
+    )
 
 
 def dense_normal_solve(mat, data, alpha):

@@ -179,8 +179,8 @@ def test_criterion_06_ct_rate_study():
     deltas = ct.experiment.sweep_deltas(nx=64, n_angles=30, snr_min_db=16.6,
                                         snr_max_db=42.6, count=6)
     cfg = ct.SweepConfig(
-        deltas=deltas, n_realizations=3, method="tikhonov", nx=64,
-        n_angles=30, base_seed=0, n_alphas=10, alpha_span_decades=1.5,
+        deltas=deltas, realizations=3, method="tikhonov", n=64,
+        angles=30, seed=0, n_alphas=10, alpha_span_decades=1.5,
     )
     result = ct.run_sweep(cfg)
     cpu = time.process_time() - cpu_start

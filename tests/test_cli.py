@@ -1,12 +1,17 @@
+import dataclasses
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from compact_tik import cli
+from compact_tik import cli, experiment
 from compact_tik.cli import SCHEMAS, main, parse_config_file, serialize_config
 
-REFERENCE_DIR = Path(__file__).resolve().parent.parent / "reference_runs" / "ct32"
+REPO = Path(__file__).resolve().parent.parent
+REFERENCE_DIR = REPO / "reference_runs" / "ct32"
 
 
 def run_cli(*argv):
@@ -152,6 +157,36 @@ def test_non_numeric_table_field_exit_1_names_path_and_line(tmp_path, capsys, co
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("delta,error\n0.1,1.0\n-0.01,0.3\n", ":3: delta must be positive and finite, got '-0.01'"),
+    ("delta,error\n0.1,1.0\nnan,0.3\n", ":3: delta must be positive and finite, got 'nan'"),
+    ("delta,error\n0.1,0.0\n0.01,0.3\n", ":2: error must be positive and finite, got '0.0'"),
+    ("delta,mean_error,std_error,method\n0.1,-1.0,0.0,t\n0.01,0.3,0.0,t\n",
+     ":2: mean_error must be positive and finite, got '-1.0'"),
+])
+def test_rate_fit_out_of_range_value_names_path_and_line(tmp_path, capsys, text, message):
+    table = tmp_path / "agg.csv"
+    table.write_text(text)
+    assert run_cli("rate-fit", "--table", str(table), "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == f"error: {table}{message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0.1,1.0,-5.0,t", "std_error must be nonnegative and finite, got '-5.0'"),
+    ("0.1,1.0,nan,t", "std_error must be nonnegative and finite, got 'nan'"),
+    ("0.0,1.0,0.0,t", "delta must be positive and finite, got '0.0'"),
+    ("nan,1.0,0.0,t", "delta must be positive and finite, got 'nan'"),
+    ("0.1,-1.0,0.0,t", "mean_error must be positive and finite, got '-1.0'"),
+])
+def test_plot_out_of_range_value_names_path_and_line(tmp_path, capsys, row, message):
+    table = tmp_path / "agg.csv"
+    table.write_text(f"delta,mean_error,std_error,method\n0.2,2.0,0.0,t\n{row}\n")
+    assert run_cli("plot", "--table", str(table), "--out", str(tmp_path / "fig.svg")) == 1
+    assert capsys.readouterr().err == f"error: {table}:3: {message}\n"
+    assert not (tmp_path / "fig.svg").exists()
+
+
 def test_plot_rejects_negative_std_exit_1(tmp_path, capsys):
     table = tmp_path / "agg.csv"
     table.write_text("delta,mean_error,std_error,method\n0.1,1.0,-5.0,t\n0.01,0.3,0.0,t\n")
@@ -233,6 +268,30 @@ def test_reference_tikhonov_tables_rerun_byte_for_byte(tmp_path):
         assert (out / table).read_bytes() == (reference / table).read_bytes(), table
 
 
+@pytest.mark.parametrize("variant", ["free", "box"])
+def test_reference_nn_short_tables_rerun_byte_for_byte(tmp_path, variant):
+    # BLAS threading must be fixed before numpy loads, hence a fresh interpreter
+    reference = REFERENCE_DIR / "nn_short" / variant
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / variant
+    proc = subprocess.run([sys.executable, "-m", "compact_tik.cli", "sweep", "--config",
+                           str(reference / "manifest.ini"), "--out", str(out)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    for table in ("results.csv", "aggregate.csv", "fits.csv"):
+        assert (out / table).read_bytes() == (reference / table).read_bytes(), table
+
+
+def test_sweep_config_fields_are_the_sweep_keys():
+    schema = SCHEMAS["sweep"]
+    fields = {f.name: f.default for f in dataclasses.fields(experiment.SweepConfig)}
+    assert set(fields) == {"deltas"} | set(schema) - {"snr_min_db", "snr_max_db", "n_deltas", "out"}
+    for key, default in fields.items():
+        if key != "deltas":
+            assert (type(schema[key][1]), schema[key][1]) == (type(default), default), key
+
+
 def test_config_round_trip(tmp_path):
     for subcommand, schema in SCHEMAS.items():
         cfg = {key: default for key, (_, default, _) in schema.items()}
@@ -245,7 +304,7 @@ def test_config_round_trip(tmp_path):
         assert serialize_config(subcommand, materialized) == text
 
 
-@pytest.mark.parametrize("method", ["tikhonov", "nn"])
+@pytest.mark.parametrize("method", ["tikhonov", "nn", "nn_short/free", "nn_short/box"])
 def test_committed_manifests_reserialize_byte_for_byte(method):
     path = REFERENCE_DIR / method / "manifest.ini"
     assert serialize_config("sweep", parse_config_file(path, "sweep")) == path.read_text()

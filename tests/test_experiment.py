@@ -180,27 +180,27 @@ def test_experiment_record_invariants():
 
 def test_sweep_config_validation():
     with pytest.raises(ValueError):
-        SweepConfig(deltas=[], n_realizations=1)
+        SweepConfig(deltas=[], realizations=1)
     with pytest.raises(ValueError):
-        SweepConfig(deltas=[0.1, 0.2], n_realizations=1)  # increasing
+        SweepConfig(deltas=[0.1, 0.2], realizations=1)  # increasing
     with pytest.raises(ValueError):
-        SweepConfig(deltas=[0.1], n_realizations=0)
+        SweepConfig(deltas=[0.1], realizations=0)
     with pytest.raises(ValueError):
-        SweepConfig(deltas=[0.1], n_realizations=1, method="other")
+        SweepConfig(deltas=[0.1], realizations=1, method="other")
 
 
 def test_sweep_config_rejects_empty_or_descending_alpha_grid():
     with pytest.raises(ValueError, match="n_alphas"):
-        SweepConfig(deltas=[0.1], n_realizations=1, n_alphas=0)
+        SweepConfig(deltas=[0.1], realizations=1, n_alphas=0)
     for span in (-1.0, float("nan")):
         with pytest.raises(ValueError, match="alpha_span_decades"):
-            SweepConfig(deltas=[0.1], n_realizations=1, alpha_span_decades=span)
-    single = SweepConfig(deltas=[0.1], n_realizations=1, n_alphas=1, alpha_span_decades=0.0)
+            SweepConfig(deltas=[0.1], realizations=1, alpha_span_decades=span)
+    single = SweepConfig(deltas=[0.1], realizations=1, n_alphas=1, alpha_span_decades=0.0)
     assert single.alpha_grid(0.1) == pytest.approx([0.1])
 
 
 def test_alpha_grid_centered_on_delta():
-    cfg = SweepConfig(deltas=[0.1], n_realizations=1, n_alphas=21, alpha_span_decades=1.0)
+    cfg = SweepConfig(deltas=[0.1], realizations=1, n_alphas=21, alpha_span_decades=1.0)
     grid = cfg.alpha_grid(0.1)
     assert grid.size == 21
     assert grid[0] == pytest.approx(0.01)
@@ -211,8 +211,8 @@ def test_alpha_grid_centered_on_delta():
 def test_run_sweep_single_cell_matches_direct_solve():
     deltas = [0.05]
     cfg = SweepConfig(
-        deltas=deltas, n_realizations=1, nx=12, n_angles=6,
-        n_alphas=1, base_seed=3,
+        deltas=deltas, realizations=1, n=12, angles=6,
+        n_alphas=1, seed=3,
     )
     (alpha,) = cfg.alpha_grid(0.05)
     result = run_sweep(cfg)
@@ -242,8 +242,8 @@ def test_run_sweep_aggregate_of_equal_errors():
 
 def test_run_sweep_oracle_minimum_and_determinism():
     cfg = SweepConfig(
-        deltas=[0.2, 0.05], n_realizations=2, nx=12, n_angles=6,
-        n_alphas=4, alpha_span_decades=1.0, base_seed=9,
+        deltas=[0.2, 0.05], realizations=2, n=12, angles=6,
+        n_alphas=4, alpha_span_decades=1.0, seed=9,
     )
     r1 = run_sweep(cfg)
     r2 = run_sweep(cfg, threads=2)
@@ -256,8 +256,8 @@ def test_run_sweep_oracle_minimum_and_determinism():
 
 def test_run_sweep_unconverged_solve_fails_its_cell():
     base = dict(
-        deltas=[0.2, 0.05], n_realizations=2, nx=12, n_angles=6,
-        n_alphas=3, alpha_span_decades=1.0, base_seed=9,
+        deltas=[0.2, 0.05], realizations=2, n=12, angles=6,
+        n_alphas=3, alpha_span_decades=1.0, seed=9,
     )
     capped = run_sweep(SweepConfig(**base, cg_max_iter=2))
     assert capped.records == [] and capped.aggregates == [] and capped.fit is None
@@ -287,8 +287,8 @@ def test_run_sweep_gives_every_alpha_a_true_residual_verdict(monkeypatch):
         return result
 
     monkeypatch.setattr(experiment, "solve_tikhonov", recording_solve)
-    cfg = SweepConfig(deltas=[0.2, 0.05], n_realizations=2, nx=12, n_angles=6,
-                      n_alphas=4, alpha_span_decades=3.0, base_seed=9)
+    cfg = SweepConfig(deltas=[0.2, 0.05], realizations=2, n=12, angles=6,
+                      n_alphas=4, alpha_span_decades=3.0, seed=9)
     result = run_sweep(cfg)
     assert result.failures == [] and len(calls) == 16
     for problem, tol, res in calls:
@@ -300,8 +300,8 @@ def test_run_sweep_gives_every_alpha_a_true_residual_verdict(monkeypatch):
 
 def test_run_sweep_nn_method_smoke():
     cfg = SweepConfig(
-        deltas=[0.3], n_realizations=1, method="nn", nx=8, n_angles=4,
-        n_alphas=1, base_seed=1, nn_hidden=(6,), nn_iterations=15, nn_learning_rate=1e-2,
+        deltas=[0.3], realizations=1, method="nn", n=8, angles=4,
+        n_alphas=1, seed=1, nn_hidden=(6,), nn_iterations=15, nn_learning_rate=1e-2,
     )
     result = run_sweep(cfg)
     assert len(result.records) == 1
@@ -433,6 +433,6 @@ def test_explicit_bins_reach_both_geometry_users():
     assert sweep_deltas(16, 8, 16.6, 42.6, 4, det_halfwidth=1.1, n_bins=13) == \
         deltas_for_snr_range(y, 16.6, 42.6, 4)
     # run_sweep reads the same geometry: its SNR is that of the 13-bin sinogram
-    cfg = SweepConfig(deltas=[0.1], n_realizations=1, nx=16, n_angles=8,
+    cfg = SweepConfig(deltas=[0.1], realizations=1, n=16, angles=8,
                       det_halfwidth=1.1, n_bins=13, n_alphas=1)
     assert run_sweep(cfg).records[0].snr_db == float(snr_db(y, 0.1))

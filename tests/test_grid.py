@@ -5,7 +5,6 @@ import pytest
 
 from compact_tik.grid import (
     SHEPP_LOGAN_TABLE,
-    Ellipse,
     ImageGrid,
     pixel_centers,
     read_imgf,
@@ -48,11 +47,6 @@ def test_pixel_centers_rejects_empty():
         pixel_centers(0, 4)
     with pytest.raises(ValueError):
         pixel_centers(4, -1)
-
-
-def test_ellipse_validation():
-    with pytest.raises(ValueError):
-        Ellipse(center=(0, 0), semi_axes=(0.0, 1.0), rotation=0.0, intensity=1.0)
 
 
 def test_phantom_outside_everything_is_zero():
