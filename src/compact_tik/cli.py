@@ -296,10 +296,10 @@ def cmd_nn_reconstruct(cfg):
 def cmd_sweep(cfg, threads):
     if threads < 1:
         raise ValueError(f"--threads must be at least 1, got {threads}")
-    os.makedirs(cfg["out"], exist_ok=True)
     deltas = experiment.sweep_deltas(cfg["n"], cfg["angles"], cfg["snr_min_db"], cfg["snr_max_db"],
                                      cfg["n_deltas"], cfg["det_halfwidth"], cfg["n_bins"])
     sweep_cfg = experiment.SweepConfig(deltas=deltas, **{key: cfg[key] for key in _SWEEP})
+    os.makedirs(cfg["out"], exist_ok=True)
     result = experiment.run_sweep(sweep_cfg, threads=threads)
 
     out = cfg["out"]

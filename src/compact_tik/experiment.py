@@ -9,8 +9,12 @@ produced by the Box-Muller transform of the generator's uniform output.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
+import itertools
+import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -99,6 +103,8 @@ def deltas_for_snr_range(y, snr_min_db, snr_max_db, count):
     """
     if count < 2:
         raise ValueError(f"need at least two levels, got {count}")
+    if not np.isfinite(snr_min_db) or not np.isfinite(snr_max_db):
+        raise ValueError(f"snr bounds must be finite, got {snr_min_db} and {snr_max_db}")
     if snr_min_db >= snr_max_db:
         raise ValueError("snr_min_db must be below snr_max_db")
     targets = np.linspace(snr_min_db, snr_max_db, count)
@@ -212,8 +218,8 @@ class SweepConfig:
 
     def __post_init__(self):
         self.deltas = [float(d) for d in self.deltas]
-        if not self.deltas or any(d <= 0 for d in self.deltas):
-            raise ValueError("deltas must be a nonempty list of positive values")
+        if not self.deltas or not all(0 < d < np.inf for d in self.deltas):  # also rejects NaN
+            raise ValueError(f"deltas must be nonempty, positive and finite, got {self.deltas}")
         if any(b >= a for a, b in zip(self.deltas, self.deltas[1:])):
             raise ValueError("deltas must be strictly decreasing")
         if self.realizations < 1:
@@ -222,6 +228,8 @@ class SweepConfig:
             raise ValueError(f"method must be 'tikhonov' or 'nn', got {self.method!r}")
         if self.n_alphas < 1:
             raise ValueError(f"n_alphas must be at least 1, got {self.n_alphas}")
+        if not 0 < self.cg_tol < np.inf:  # also rejects NaN
+            raise ValueError(f"cg_tol must be positive and finite, got {self.cg_tol}")
         if not self.alpha_span_decades >= 0:  # also rejects NaN
             raise ValueError(
                 f"alpha_span_decades must be nonnegative, got {self.alpha_span_decades}"
@@ -298,87 +306,64 @@ def _nn_cell(op, y_noisy, alphas, truth, cfg, seed):
     return errors
 
 
-def run_sweep(cfg: SweepConfig, threads=1) -> SweepResult:
-    """Run the full protocol and aggregate oracle-selected errors.
+def _sweep_cell(cfg, op, y_clean, truth, i, r):
+    """Cell (i, r) at ``cfg.deltas[i]``, with noise from substream (cfg.seed, i, r).
 
-    For each (delta, realization) cell: draw data noise from the cell's
-    substream, reconstruct for every alpha on the grid, record the error
-    ||truth - reconstruction|| per alpha and keep the oracle minimum.
-    Aggregates are mean and population standard deviation of the best
-    error across realizations. Cells that fail numerically are recorded
-    and skipped; deltas with no surviving cell are excluded from the rate
-    fit and flagged.
+    Returns an ExperimentRecord of the errors over the alpha grid, or a
+    CellFailure. When done, writes "cell k of n" (k counts in cell order),
+    the delta, the wall seconds and "failed" if it failed to stderr.
+    """
+    start = time.perf_counter()
+    delta, seed = cfg.deltas[i], substream_seed(cfg.seed, i, r)
+    alphas = cfg.alpha_grid(delta)
+    y_noisy = add_noise(y_clean, NoiseSpec(delta=delta, seed=seed))
+    try:
+        if cfg.method == "tikhonov":
+            errors = _tikhonov_cell(op, y_noisy, alphas, truth, cfg)
+        else:
+            errors = _nn_cell(op, y_noisy, alphas, truth, cfg, seed)
+        outcome = ExperimentRecord(delta=delta, seed=seed, alphas=alphas, errors=errors,
+                                   snr_db=float(snr_db(y_clean, delta)))
+    except NumericalFailureError as exc:
+        outcome = CellFailure(delta=delta, seed=seed, message=str(exc))
+    k, n = i * cfg.realizations + r + 1, len(cfg.deltas) * cfg.realizations
+    failed = " failed" if isinstance(outcome, CellFailure) else ""
+    seconds = time.perf_counter() - start
+    sys.stderr.write(f"cell {k} of {n}: delta={delta:.6g} {seconds:.2f} s{failed}\n")
+    return outcome
+
+
+def run_sweep(cfg: SweepConfig, threads=1) -> SweepResult:
+    """Run every (delta, realization) cell and aggregate the oracle-selected errors.
+
+    A record's oracle error is its minimum over alpha. Aggregates are mean
+    and population standard deviation of those across realizations. Cells
+    that fail numerically are recorded and skipped; deltas with no
+    surviving cell are excluded from the rate fit and flagged.
     """
     phantom, geom, y_clean = ct_scene(cfg.n, cfg.angles, cfg.det_halfwidth, cfg.n_bins)
-    truth = phantom.values
     op = radon_operator(geom, cfg.n, cfg.n)
-
-    cells = [
-        (i, r, substream_seed(cfg.seed, i, r))
-        for i in range(len(cfg.deltas))
-        for r in range(cfg.realizations)
-    ]
-
-    def run_cell(cell):
-        i, r, seed = cell
-        delta = cfg.deltas[i]
-        alphas = cfg.alpha_grid(delta)
-        y_noisy = add_noise(y_clean, NoiseSpec(delta=delta, seed=seed))
-        try:
-            if cfg.method == "tikhonov":
-                errors = _tikhonov_cell(op, y_noisy, alphas, truth, cfg)
-            else:
-                errors = _nn_cell(op, y_noisy, alphas, truth, cfg, seed)
-        except NumericalFailureError as exc:
-            return i, CellFailure(delta=delta, seed=seed, message=str(exc))
-        record = ExperimentRecord(
-            delta=delta,
-            seed=seed,
-            alphas=alphas,
-            errors=errors,
-            snr_db=float(snr_db(y_clean, delta)),
-        )
-        return i, record
-
+    cell = functools.partial(_sweep_cell, cfg, op, y_clean, phantom.values)
+    cells = list(itertools.product(range(len(cfg.deltas)), range(cfg.realizations)))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run_cell, cells))
+            outcomes = list(pool.map(cell, *zip(*cells)))
     else:
-        outcomes = [run_cell(c) for c in cells]
+        outcomes = list(itertools.starmap(cell, cells))
 
-    records, failures = [], []
-    per_delta = {i: [] for i in range(len(cfg.deltas))}
-    for i, outcome in outcomes:
-        if isinstance(outcome, CellFailure):
-            failures.append(outcome)
-        else:
-            records.append(outcome)
-            per_delta[i].append(outcome.best_error)
-
+    records = [o for o in outcomes if isinstance(o, ExperimentRecord)]
+    failures = [o for o in outcomes if isinstance(o, CellFailure)]
     aggregates, failed_deltas = [], []
-    for i, delta in enumerate(cfg.deltas):
-        best = per_delta[i]
-        if not best:
+    for delta in cfg.deltas:
+        # deltas are finite and distinct, so a record's delta names its level
+        best = [rec.best_error for rec in records if rec.delta == delta]
+        if best:
+            aggregates.append(DeltaAggregate(delta, float(np.mean(best)), float(np.std(best))))
+        else:
             failed_deltas.append(delta)
-            continue
-        aggregates.append(
-            DeltaAggregate(
-                delta=delta,
-                mean_error=float(np.mean(best)),
-                std_error=float(np.std(best)),
-            )
-        )
-
-    fit = None
-    if len(aggregates) >= 2:
-        fit = fit_rate([a.delta for a in aggregates], [a.mean_error for a in aggregates])
-    return SweepResult(
-        records=records,
-        aggregates=aggregates,
-        failures=failures,
-        failed_deltas=failed_deltas,
-        fit=fit,
-    )
+    fit = (fit_rate([a.delta for a in aggregates], [a.mean_error for a in aggregates])
+           if len(aggregates) >= 2 else None)
+    return SweepResult(records, aggregates, failures, failed_deltas, fit)
 
 
 @dataclass

@@ -84,7 +84,7 @@ def cg_solve(apply_spd, rhs, tol=1e-10, max_iter=2000, x0=None):
     rhs : ndarray
         Right-hand side.
     tol : float
-        Stop when ||M x - rhs|| <= tol * ||rhs||. Must be > 0.
+        Stop when ||M x - rhs|| <= tol * ||rhs||. Must be positive and finite.
     max_iter : int
         Iteration cap; hitting it is reported, not raised.
     x0 : ndarray, optional
@@ -99,8 +99,8 @@ def cg_solve(apply_spd, rhs, tol=1e-10, max_iter=2000, x0=None):
     NumericalFailureError
         If non-finite values appear during the iteration.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < np.inf:  # also rejects NaN
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     rhs = np.asarray(rhs, dtype=np.float64)
     r0 = rhs if x0 is None else rhs - apply_spd(np.asarray(x0, dtype=np.float64))
     rhs_norm = float(np.linalg.norm(rhs))
@@ -154,7 +154,7 @@ def cg_solve_shifted(apply_base, rhs, shifts, tol=1e-10, max_iter=2000):
     shifts : array_like
         Nonnegative shifts, 1-D and nonempty.
     tol : float
-        Per-shift stopping tolerance relative to ||rhs||. Must be > 0.
+        Per-shift stopping tolerance relative to ||rhs||; positive, finite.
     max_iter : int
         Cap on applications of M; shifts still active when it is hit are
         reported unconverged, not raised.
@@ -169,8 +169,8 @@ def cg_solve_shifted(apply_base, rhs, shifts, tol=1e-10, max_iter=2000):
     NumericalFailureError
         If non-finite values or a CG breakdown appear during the iteration.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < np.inf:  # also rejects NaN
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     shifts = np.asarray(shifts, dtype=np.float64)
     if shifts.ndim != 1 or shifts.size == 0:
         raise ValueError("shifts must be a nonempty 1-D array")

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines. Criteria 6 and 7 run desk-scale experiments and take a few minutes
-combined; everything else is seconds.
+lines. Criteria 6 and 7 run desk-scale experiments and take about 20 s and
+50 s on a 2-vCPU host; everything else is seconds. Every running maximum
+uses ``np.maximum``, which propagates NaN, so a NaN never passes a bound.
 """
 
 import time
@@ -28,15 +29,8 @@ def test_criterion_01_adjoint_exactness():
     start = time.time()
     geom = ct.RadonGeometry.for_grid(64, 30)
     op = ct.radon_operator(geom, 64, 64)
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for _ in range(20):
-        x = rng.standard_normal(op.domain_dim)
-        y = rng.standard_normal(op.range_dim)
-        rx = op.apply(x)
-        rty = op.apply_adjoint(y)
-        defect = abs(rx @ y - x @ rty) / (np.linalg.norm(rx) * np.linalg.norm(y))
-        worst = max(worst, defect)
+    # max over 20 probes of |<Rx, y> - <x, R^T y>| / (||Rx|| ||y||); NaN on any probe is NaN
+    worst = ct.adjoint_defect(op, n_probes=20, seed=101)
     elapsed = time.time() - start
     report(
         "1",
@@ -54,8 +48,8 @@ def test_criterion_02_dense_equivalence():
     for _ in range(20):
         x = rng.standard_normal(64)
         y = rng.standard_normal(geom.size)
-        worst = max(worst, np.abs(op.apply(x) - mat @ x).max())
-        worst = max(worst, np.abs(op.apply_adjoint(y) - mat.T @ y).max())
+        worst = np.maximum(worst, np.abs(op.apply(x) - mat @ x).max())
+        worst = np.maximum(worst, np.abs(op.apply_adjoint(y) - mat.T @ y).max())
     report("2", worst <= 1e-12, f"matrix-free vs dense elementwise {worst:.2e} (<= 1e-12)")
 
 
@@ -72,7 +66,7 @@ def test_criterion_03_tikhonov_correctness():
             ct.TikhonovProblem(op=op, data=data, alpha=alpha), max_iter=5000
         )
         direct = ct.dense_normal_solve(mat, data, alpha)
-        worst_rel = max(worst_rel, np.linalg.norm(res.x - direct) / np.linalg.norm(direct))
+        worst_rel = np.maximum(worst_rel, np.linalg.norm(res.x - direct) / np.linalg.norm(direct))
     stable = True
     for i in range(20):
         alpha = (1e-3, 1e-1, 10.0)[i % 3]
@@ -117,8 +111,8 @@ def test_criterion_04_gradient_check():
             down = float(ct.mlp_forward(params, coords) @ cot)
             theta[j] = orig
             fd[j] = (up - down) / (2 * h)
-        rel = np.abs(ad - fd).max() / max(np.abs(fd).max(), 1e-12)
-        worst = max(worst, rel)
+        rel = np.abs(ad - fd).max() / np.maximum(np.abs(fd).max(), 1e-12)
+        worst = np.maximum(worst, rel)
         checked += 1
     elapsed = time.time() - start
     report(
@@ -284,7 +278,7 @@ def test_criterion_08_snr_bookkeeping():
     for target in (42.60, 23.10, 16.58):
         delta = ct.delta_for_snr(y, target)
         deltas[target] = delta
-        worst = max(worst, abs(ct.snr_db(y, delta) - target))
+        worst = np.maximum(worst, abs(ct.snr_db(y, delta) - target))
     ok = worst <= 1e-12 and all(d > 0 and np.isfinite(d) for d in deltas.values())
     report(
         "8",

@@ -260,6 +260,37 @@ def test_sweep_reports_unconverged_cells_on_stderr(tmp_path, capsys):
     assert (out / "results.csv").read_text().splitlines() == ["delta,seed,alpha,error,snr_db,method"]
 
 
+def test_sweep_reports_each_finished_cell_on_stderr(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", "--n", "12", "--angles", "6", "--n-deltas", "2",
+                   "--realizations", "2", "--n-alphas", "3", "--out", str(out)) == 0
+    captured = capsys.readouterr()
+    assert captured.out.count("\n") == 1 and captured.out.startswith(f"wrote {out}/results.csv")
+    rows = (out / "aggregate.csv").read_text().splitlines()[1:]
+    deltas = [float(row.split(",")[0]) for row in rows]
+    lines = captured.err.splitlines()
+    assert len(lines) == 4
+    for k, line in enumerate(lines, 1):
+        prefix = f"cell {k} of 4: delta={deltas[(k - 1) // 2]:.6g} "
+        assert line.startswith(prefix) and line.endswith(" s"), line
+        float(line[len(prefix):-2])  # the wall seconds
+
+
+@pytest.mark.parametrize("setting, message", [
+    (["--snr-min-db", "nan"], "snr bounds must be finite"),
+    (["--method", "nn", "--snr-min-db", "nan"], "snr bounds must be finite"),
+    (["--cg-tol", "nan"], "cg_tol must be positive and finite"),
+])
+def test_sweep_rejects_non_finite_settings_before_any_cell(tmp_path, capsys, setting, message):
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", "--n", "8", "--angles", "4", "--n-deltas", "2", "--realizations", "1",
+                   "--n-alphas", "2", "--nn-hidden", "6", "--nn-iterations", "5",
+                   "--out", str(out), *setting) == 1
+    err = capsys.readouterr().err
+    assert message in err and "cell " not in err
+    assert not out.exists()
+
+
 def test_reference_tikhonov_tables_rerun_byte_for_byte(tmp_path):
     reference = REFERENCE_DIR / "tikhonov"
     out = tmp_path / "tik"

@@ -116,6 +116,13 @@ def test_deltas_for_snr_range_decreasing():
     assert snr_db(y, deltas[-1]) == pytest.approx(42.6, abs=1e-12)
 
 
+@pytest.mark.parametrize("bounds", [(np.nan, 40.0), (10.0, np.nan), (-np.inf, 40.0),
+                                    (10.0, np.inf)])
+def test_deltas_for_snr_range_rejects_non_finite_bounds(bounds):
+    with pytest.raises(ValueError, match="finite"):
+        deltas_for_snr_range(np.ones(100), *bounds, 3)
+
+
 def test_fit_rate_exact_power_law():
     deltas = np.logspace(-5, -1, 7)
     fit = fit_rate(deltas, deltas ** (2.0 / 3.0))
@@ -187,6 +194,18 @@ def test_sweep_config_validation():
         SweepConfig(deltas=[0.1], realizations=0)
     with pytest.raises(ValueError):
         SweepConfig(deltas=[0.1], realizations=1, method="other")
+
+
+@pytest.mark.parametrize("deltas", [[np.nan], [np.inf, 1.0], [0.1, np.nan]])
+def test_sweep_config_rejects_non_finite_deltas(deltas):
+    with pytest.raises(ValueError, match="deltas must be nonempty, positive and finite"):
+        SweepConfig(deltas=deltas, realizations=1)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-10])
+def test_sweep_config_rejects_cg_tol_not_positive_and_finite(tol):
+    with pytest.raises(ValueError, match="cg_tol must be positive and finite"):
+        SweepConfig(deltas=[0.1], realizations=1, cg_tol=tol)
 
 
 def test_sweep_config_rejects_empty_or_descending_alpha_grid():
@@ -272,6 +291,30 @@ def test_run_sweep_unconverged_solve_fails_its_cell():
     roomy = run_sweep(SweepConfig(**base, cg_max_iter=10**6))
     assert default.failures == [] and len(default.records) == 4
     assert results_csv(default.records, "tikhonov") == results_csv(roomy.records, "tikhonov")
+
+
+def test_run_sweep_mixed_outcome_summarizes_only_the_surviving_levels(capsys):
+    # Krylov iterations per cell here: 41, 41 at delta 0.2; 57, 58 at 0.05;
+    # 75, 74 at 0.01. A cap of 65 fails both cells of the smallest delta only.
+    base = dict(realizations=2, n=12, angles=6, n_alphas=3, alpha_span_decades=1.0, seed=9)
+    cfg = SweepConfig(deltas=[0.2, 0.05, 0.01], cg_max_iter=65, **base)
+    serial = run_sweep(cfg)
+    progress = capsys.readouterr().err.splitlines()
+    threaded = run_sweep(cfg, threads=2)
+
+    assert serial.failed_deltas == [0.01]
+    assert [(f.delta, f.seed) for f in serial.failures] == [
+        (0.01, substream_seed(9, 2, 0)), (0.01, substream_seed(9, 2, 1))]
+    assert [line.endswith(" failed") for line in progress] == [False] * 4 + [True] * 2
+    # the surviving levels keep their substreams, so they match a sweep of those levels alone
+    survivors = run_sweep(SweepConfig(deltas=[0.2, 0.05], **base))
+    assert survivors.failures == [] and survivors.fit is not None
+    for result in (serial, threaded):
+        assert results_csv(result.records, "t") == results_csv(survivors.records, "t")
+        assert aggregate_csv(result.aggregates, "t") == aggregate_csv(survivors.aggregates, "t")
+        assert fits_csv([("t", result.fit)]) == fits_csv([("t", survivors.fit)])
+    assert threaded.failures == serial.failures
+    assert threaded.failed_deltas == serial.failed_deltas
 
 
 def test_run_sweep_gives_every_alpha_a_true_residual_verdict(monkeypatch):

@@ -127,6 +127,15 @@ def test_cg_rejects_bad_tol():
         cg_solve(lambda x: x, np.ones(2), tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf])
+def test_cg_rejects_non_finite_tol(tol):
+    # a NaN tol fails `tol <= 0` too, and an infinite one stops at once as "converged"
+    with pytest.raises(ValueError, match="finite"):
+        cg_solve(lambda x: x, np.ones(2), tol=tol)
+    with pytest.raises(ValueError, match="finite"):
+        cg_solve_shifted(lambda x: x, np.ones(2), [0.0, 1.0], tol=tol)
+
+
 def test_cg_raises_on_nonfinite():
     def bad(x):
         out = x.copy()
