@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import experiment, svgplot
-from .errors import NumericalFailureError
+from .errors import NumericalFailureError, check_positive
 from .grid import ImageGrid, shepp_logan, write_imgf, write_pgm16
 from .mlp import MlpArchitecture, save_params
 from .nnsolver import NnReconstructionConfig, reconstruct_nn
@@ -251,8 +251,7 @@ def cmd_tikhonov(cfg):
     problem = TikhonovProblem(op=op, data=noisy, alpha=cfg["alpha"])
     result = solve_tikhonov(problem, tol=cfg["tol"], max_iter=cfg["max_iter"])
     if not result.converged:
-        raise unconverged_error(cfg["alpha"], result.iterations, result.residual_norm,
-                                cfg["tol"] * result.rhs_norm)
+        raise unconverged_error(cfg["alpha"], result, cfg["tol"])
     image = ImageGrid(nx=cfg["n"], ny=cfg["n"], values=result.x)
     _write_image(cfg["out"], image)
     _write_manifest("tikhonov", cfg, str(cfg["out"]) + ".manifest")
@@ -324,6 +323,8 @@ def cmd_sweep(cfg, threads):
 
 
 def cmd_oracle_linear(cfg):
+    for key in ("delta_min", "delta_max"):
+        check_positive(key, cfg[key])
     deltas = np.logspace(
         math.log10(cfg["delta_min"]), math.log10(cfg["delta_max"]), cfg["n_deltas"]
     )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailureError
+from .errors import NumericalFailureError, check_positive
 from .grid import shepp_logan
 from .linop import cg_solve_shifted
 from .mlp import MlpArchitecture
@@ -62,8 +62,7 @@ class NoiseSpec:
     seed: int
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise ValueError(f"delta must be nonnegative, got {self.delta}")
+        check_positive("delta", self.delta, zero_ok=True)
 
 
 def add_noise(y, spec: NoiseSpec):
@@ -77,8 +76,7 @@ def add_noise(y, spec: NoiseSpec):
 
 def snr_db(y, delta):
     """Data signal-to-noise ratio 20 log10(||y|| / (sqrt(M) delta)) in dB."""
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    check_positive("delta", delta)
     y = np.asarray(y, dtype=np.float64)
     norm = np.linalg.norm(y)
     if norm == 0:
@@ -228,12 +226,14 @@ class SweepConfig:
             raise ValueError(f"method must be 'tikhonov' or 'nn', got {self.method!r}")
         if self.n_alphas < 1:
             raise ValueError(f"n_alphas must be at least 1, got {self.n_alphas}")
-        if not 0 < self.cg_tol < np.inf:  # also rejects NaN
-            raise ValueError(f"cg_tol must be positive and finite, got {self.cg_tol}")
-        if not self.alpha_span_decades >= 0:  # also rejects NaN
-            raise ValueError(
-                f"alpha_span_decades must be nonnegative, got {self.alpha_span_decades}"
-            )
+        check_positive("cg_tol", self.cg_tol)
+        check_positive("alpha_span_decades", self.alpha_span_decades, zero_ok=True)
+        if self.nn_iterations < 1:
+            raise ValueError(f"nn_iterations must be at least 1, got {self.nn_iterations}")
+        check_positive("nn_learning_rate", self.nn_learning_rate)
+        if self.nn_weight_bound is not None:
+            check_positive("nn_weight_bound", self.nn_weight_bound)
+        MlpArchitecture(self.nn_hidden)  # rejects a width below 1
 
     def alpha_grid(self, delta):
         """Ascending alpha grid for one noise level."""
@@ -266,21 +266,18 @@ def _tikhonov_cell(op, y_noisy, alphas, truth, cfg):
     the error of an unconverged iterate never enters the oracle minimum.
     """
     base = float(alphas.min())
-    rhs = op.apply_adjoint(y_noisy)
-    shifted = cg_solve_shifted(lambda v: op.apply_adjoint(op.apply(v)) + base * v, rhs,
-                               alphas - base, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter)
-    if not shifted.converged.all():
-        j = np.flatnonzero(~shifted.converged)[0]
-        raise unconverged_error(alphas[j], shifted.iterations, shifted.residual_norms[j],
-                                cfg.cg_tol * float(np.linalg.norm(rhs)))
+    shifted = cg_solve_shifted(lambda v: op.apply_adjoint(op.apply(v)) + base * v,
+                               op.apply_adjoint(y_noisy), alphas - base, tol=cfg.cg_tol,
+                               max_iter=cfg.cg_max_iter)
+    for alpha, res in zip(alphas, shifted):
+        if not res.converged:
+            raise unconverged_error(alpha, res, cfg.cg_tol)
     errors = np.empty(alphas.size)
-    for j, alpha in enumerate(alphas):
+    for j, (alpha, res) in enumerate(zip(alphas, shifted)):
         problem = TikhonovProblem(op=op, data=y_noisy, alpha=float(alpha))
-        result = solve_tikhonov(problem, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter,
-                                x0=shifted.xs[j])
+        result = solve_tikhonov(problem, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter, x0=res.x)
         if not result.converged:
-            raise unconverged_error(alpha, result.iterations, result.residual_norm,
-                                    cfg.cg_tol * result.rhs_norm)
+            raise unconverged_error(alpha, result, cfg.cg_tol)
         errors[j] = np.linalg.norm(truth - result.x)
     return errors
 
@@ -389,8 +386,7 @@ def alpha_of_delta(delta, mu):
     its 19 hidden layers are 1 to 35 neurons wide, nets too thin to train.
     Sweeps take the network size as a setting instead.
     """
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    check_positive("delta", delta)
     if not 0.5 <= mu <= 1.0:
         raise ValueError(f"mu must be in [1/2, 1], got {mu}")
     return delta ** (2.0 / (2.0 * mu + 1.0))
@@ -413,8 +409,8 @@ def linear_oracle(mu, n_dim, deltas, seed=0) -> LinearOracleResult:
     if n_dim < 10:
         raise ValueError(f"n_dim must be >= 10, got {n_dim}")
     deltas = np.asarray(sorted(deltas, reverse=True), dtype=np.float64)
-    if deltas.size < 2 or np.any(deltas <= 0):
-        raise ValueError("need at least two positive deltas")
+    if deltas.size < 2 or not np.all((deltas > 0) & (deltas < np.inf)):  # also rejects NaN
+        raise ValueError("need at least two positive, finite deltas")
     if deltas.max() / deltas.min() < 1e3:
         raise ValueError("deltas should span at least three decades")
 

@@ -7,12 +7,13 @@ satisfy <Ax, y> = <x, A^T y> up to floating-point roundoff.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalFailureError
+from .errors import NumericalFailureError, check_positive
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ def adjoint_defect(op, n_probes=10, seed=0):
 
 @dataclass(frozen=True)
 class CgResult:
-    """Solution plus convergence metadata; the iteration stops at tol * ``rhs_norm``."""
+    """One system's solution and convergence metadata; the iteration stops at tol * ``rhs_norm``."""
 
     x: np.ndarray
     iterations: int
@@ -99,33 +100,11 @@ def cg_solve(apply_spd, rhs, tol=1e-10, max_iter=2000, x0=None):
     NumericalFailureError
         If non-finite values appear during the iteration.
     """
-    if not 0 < tol < np.inf:  # also rejects NaN
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    check_positive("tol", tol)
     rhs = np.asarray(rhs, dtype=np.float64)
     r0 = rhs if x0 is None else rhs - apply_spd(np.asarray(x0, dtype=np.float64))
-    rhs_norm = float(np.linalg.norm(rhs))
-    res = _shifted_cg(apply_spd, r0, np.zeros(1), tol * rhs_norm, max_iter)
-    return CgResult(
-        x=res.xs[0] if x0 is None else x0 + res.xs[0],
-        iterations=res.iterations,
-        residual_norm=float(res.residual_norms[0]),
-        rhs_norm=rhs_norm,
-        converged=bool(res.converged[0]),
-    )
-
-
-@dataclass(frozen=True)
-class ShiftedCgResult:
-    """One iterate per shift plus convergence metadata of the shared sequence.
-
-    ``residual_norms`` are the recursive residual norms |zeta_s| ||r||, as of
-    the iteration at which each shift was frozen or the iteration stopped.
-    """
-
-    xs: np.ndarray
-    iterations: int
-    residual_norms: np.ndarray
-    converged: np.ndarray
+    (res,) = _shifted_cg(apply_spd, r0, np.zeros(1), tol, float(np.linalg.norm(rhs)), max_iter)
+    return res if x0 is None else dataclasses.replace(res, x=x0 + res.x)
 
 
 def cg_solve_shifted(apply_base, rhs, shifts, tol=1e-10, max_iter=2000):
@@ -161,29 +140,32 @@ def cg_solve_shifted(apply_base, rhs, shifts, tol=1e-10, max_iter=2000):
 
     Returns
     -------
-    ShiftedCgResult
-        ``xs[s]`` is the iterate of ``shifts[s]``.
+    list of CgResult
+        One per shift, in shift order. ``iterations`` is the length of the
+        shared sequence; ``residual_norm`` is the recursive |zeta_s| ||r||
+        as of the iteration at which the shift was frozen or the iteration
+        stopped.
 
     Raises
     ------
     NumericalFailureError
         If non-finite values or a CG breakdown appear during the iteration.
     """
-    if not 0 < tol < np.inf:  # also rejects NaN
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    check_positive("tol", tol)
     shifts = np.asarray(shifts, dtype=np.float64)
     if shifts.ndim != 1 or shifts.size == 0:
         raise ValueError("shifts must be a nonempty 1-D array")
     if not np.all(shifts >= 0.0):  # also rejects NaN
         raise ValueError("shifts must be nonnegative")
     rhs = np.asarray(rhs, dtype=np.float64)
-    return _shifted_cg(apply_base, rhs, shifts, tol * float(np.linalg.norm(rhs)), max_iter)
+    return _shifted_cg(apply_base, rhs, shifts, tol, float(np.linalg.norm(rhs)), max_iter)
 
 
-def _shifted_cg(apply_base, rhs, shifts, threshold, max_iter):
+def _shifted_cg(apply_base, rhs, shifts, tol, rhs_norm, max_iter):
     """:func:`cg_solve_shifted` from x0 = 0, freezing each shift at the absolute
-    ``threshold``. With the single shift 0, zeta and the ratio stay exactly 1,
-    so this is textbook CG bit for bit."""
+    threshold tol * ``rhs_norm``. With the single shift 0, zeta and the ratio
+    stay exactly 1, so this is textbook CG bit for bit."""
+    threshold = tol * rhs_norm
     r = np.array(rhs, dtype=np.float64)
     rs = r @ r
     if not np.isfinite(rs):
@@ -236,9 +218,5 @@ def _shifted_cg(apply_base, rhs, shifts, threshold, max_iter):
         iterations += 1
     xs[active] = x_act
     residuals[active] = res
-    return ShiftedCgResult(
-        xs=xs,
-        iterations=iterations,
-        residual_norms=residuals,
-        converged=residuals <= threshold,
-    )
+    return [CgResult(x=x, iterations=iterations, residual_norm=float(norm), rhs_norm=rhs_norm,
+                     converged=bool(norm <= threshold)) for x, norm in zip(xs, residuals)]

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailureError
+from .errors import NumericalFailureError, check_positive
 
 MLPW_MAGIC = b"MLPW"
 
@@ -58,7 +58,7 @@ class MlpArchitecture:
     def __post_init__(self):
         object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
         if any(w < 1 for w in self.hidden_widths):
-            raise ValueError(f"layer widths must be >= 1, got {self.hidden_widths}")
+            raise ValueError(f"hidden widths must be >= 1, got {self.hidden_widths}")
 
     @property
     def widths(self):
@@ -195,8 +195,7 @@ def mlp_backward(params: MlpParams, activations, output_cotangent):
 
 def project_weights(params: MlpParams, c):
     """Clamp every weight and bias entry to [-c, c], in place. Idempotent."""
-    if c <= 0:
-        raise ValueError(f"weight bound must be positive, got {c}")
+    check_positive("weight_bound", c)
     np.clip(params.flat, -c, c, out=params.flat)
 
 

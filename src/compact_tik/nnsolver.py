@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailureError
+from .errors import NumericalFailureError, check_positive
 from .grid import ImageGrid, pixel_centers
 from .mlp import (
     AdamState,
@@ -62,8 +62,10 @@ class NnReconstructionConfig:
     weight_bound: float | None = None
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        check_positive("alpha", self.alpha)
+        check_positive("learning_rate", self.learning_rate)
+        if self.weight_bound is not None:
+            check_positive("weight_bound", self.weight_bound)
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if self.operator.domain_dim != self.nx * self.ny:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_positive
 from .grid import ImageGrid
 from .linop import LinearOperator
 
@@ -56,8 +57,8 @@ class RadonGeometry:
             raise ValueError(f"need at least one angle, got {self.n_angles}")
         if self.n_bins < 1:
             raise ValueError(f"need at least one detector bin, got {self.n_bins}")
-        if self.det_halfwidth <= 0 or self.step <= 0:
-            raise ValueError("det_halfwidth and step must be positive")
+        check_positive("det_halfwidth", self.det_halfwidth)
+        check_positive("step", self.step)
 
     @classmethod
     def for_grid(cls, nx, n_angles, det_halfwidth=math.sqrt(2.0), n_bins=None):
@@ -68,6 +69,7 @@ class RadonGeometry:
         covering the image diagonal this gives 182 bins at nx = 128.
         step = one pixel width.
         """
+        check_positive("det_halfwidth", det_halfwidth)
         return cls(
             n_angles=n_angles,
             n_bins=math.ceil(nx * det_halfwidth) if n_bins is None else n_bins,

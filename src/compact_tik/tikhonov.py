@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailureError
+from .errors import NumericalFailureError, check_positive
 from .linop import CgResult, cg_solve
 
 
@@ -25,8 +25,7 @@ class TikhonovProblem:
     alpha: float
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        check_positive("alpha", self.alpha)
         self.data = np.asarray(self.data, dtype=np.float64).ravel()
         if self.data.size != self.op.range_dim:
             raise ValueError(
@@ -56,11 +55,12 @@ def solve_tikhonov(problem: TikhonovProblem, tol=1e-10, max_iter=2000, x0=None) 
                     max_iter=max_iter, x0=x0)
 
 
-def unconverged_error(alpha, iterations, residual, threshold):
-    """NumericalFailureError for a CG solve at ``alpha`` that stopped above ``threshold``."""
+def unconverged_error(alpha, result: CgResult, tol):
+    """NumericalFailureError for a CG ``result`` at ``alpha`` that stopped above tol * ||rhs||."""
     return NumericalFailureError(
-        f"CG did not converge at alpha={alpha:.6g}: {iterations} iterations, "
-        f"normal residual {residual:.3e} > cg_tol * ||rhs|| = {threshold:.3e}"
+        f"CG did not converge at alpha={alpha:.6g}: {result.iterations} iterations, "
+        f"normal residual {result.residual_norm:.3e} > cg_tol * ||rhs|| = "
+        f"{tol * result.rhs_norm:.3e}"
     )
 
 

@@ -61,7 +61,9 @@ def test_tikhonov_unconverged_exit_2_writes_nothing(tmp_path, capsys):
         "--out", str(rec),
     )
     assert code == 2
-    assert "CG did not converge at alpha=0.01: 2 iterations" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "numerical failure: CG did not converge at alpha=0.01: 2 iterations, "
+        "normal residual 5.036e-01 > cg_tol * ||rhs|| = 1.858e-09\n")
     assert not rec.exists()
     assert not (tmp_path / "x.imgf.manifest").exists()
 
@@ -289,6 +291,38 @@ def test_sweep_rejects_non_finite_settings_before_any_cell(tmp_path, capsys, set
     err = capsys.readouterr().err
     assert message in err and "cell " not in err
     assert not out.exists()
+
+
+SMALL = ["--n", "8", "--angles", "4"]
+SMALL_SWEEP = SMALL + ["--n-deltas", "2", "--realizations", "1", "--n-alphas", "2"]
+NN_SWEEP = SMALL_SWEEP + ["--method", "nn", "--nn-hidden", "4", "--nn-iterations", "2"]
+
+
+@pytest.mark.parametrize("argv, setting", [
+    (["sinogram", *SMALL, "--delta", "nan"], "delta"),
+    (["sinogram", *SMALL, "--det-halfwidth", "inf"], "det_halfwidth"),
+    (["tikhonov", *SMALL, "--delta", "nan"], "delta"),
+    (["tikhonov", *SMALL, "--alpha", "nan"], "alpha"),
+    (["nn-reconstruct", *SMALL, "--hidden", "4", "--iterations", "2",
+      "--weight-bound", "nan"], "weight_bound"),
+    (["nn-reconstruct", *SMALL, "--hidden", "4", "--iterations", "2",
+      "--learning-rate", "-1"], "learning_rate"),
+    (["sweep", *SMALL_SWEEP, "--alpha-span-decades", "inf"], "alpha_span_decades"),
+    (["sweep", *NN_SWEEP, "--nn-learning-rate", "-0.01"], "nn_learning_rate"),
+    (["sweep", *NN_SWEEP, "--nn-learning-rate", "nan"], "nn_learning_rate"),
+    (["sweep", *NN_SWEEP, "--nn-weight-bound", "nan"], "nn_weight_bound"),
+    (["sweep", *NN_SWEEP, "--nn-iterations", "0"], "nn_iterations"),
+    # the setting's help text calls it "hidden widths", as the message does
+    (["sweep", *NN_SWEEP, "--nn-hidden", "0"], "hidden widths"),
+    (["oracle-linear", "--delta-min", "-1"], "delta_min"),
+    (["oracle-linear", "--delta-max", "nan"], "delta_max"),
+])
+def test_out_of_range_setting_exits_1_before_writing(tmp_path, capsys, argv, setting):
+    # each output goes to tmp_path/out, so an empty tmp_path means nothing was written
+    assert run_cli(*argv, "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and setting in err, err
+    assert os.listdir(tmp_path) == []
 
 
 def test_reference_tikhonov_tables_rerun_byte_for_byte(tmp_path):

@@ -281,10 +281,14 @@ def test_run_sweep_unconverged_solve_fails_its_cell():
     capped = run_sweep(SweepConfig(**base, cg_max_iter=2))
     assert capped.records == [] and capped.aggregates == [] and capped.fit is None
     assert capped.failed_deltas == base["deltas"]
-    assert len(capped.failures) == 4
-    message = capped.failures[0].message
-    assert "did not converge at alpha=" in message
-    assert "2 iterations" in message and "normal residual" in message
+    # each cell reports the first unconverged shift of its Krylov sequence, before any polish
+    assert [f.message for f in capped.failures] == [
+        f"CG did not converge at alpha={alpha}: 2 iterations, normal residual {residual} "
+        f"> cg_tol * ||rhs|| = {threshold}"
+        for alpha, residual, threshold in [("0.02", "4.751e-01", "1.223e-09"),
+                                           ("0.02", "3.862e-01", "1.201e-09"),
+                                           ("0.005", "2.972e-01", "1.214e-09"),
+                                           ("0.005", "2.931e-01", "1.227e-09")]]
 
     # at the default cap every solve converges, and the cap changes nothing
     default = run_sweep(SweepConfig(**base))

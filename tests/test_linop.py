@@ -74,9 +74,9 @@ def test_cg_zero_rhs():
     assert res.converged
     want = reference_cg(lambda x: 2.0 * x, np.zeros(4))
     shifted = cg_solve_shifted(lambda x: 2.0 * x, np.zeros(4), [0.0])
-    assert np.array_equal(shifted.xs[0], want.x) and shifted.iterations == want.iterations == 0
-    assert res.residual_norm == shifted.residual_norms[0] == want.residual_norm == 0.0
-    assert shifted.converged[0] and want.converged
+    assert np.array_equal(shifted[0].x, want.x) and shifted[0].iterations == want.iterations == 0
+    assert res.residual_norm == shifted[0].residual_norm == want.residual_norm == 0.0
+    assert shifted[0].converged and want.converged
 
 
 def test_cg_converges_within_dimension():
@@ -161,12 +161,12 @@ def test_cg_shifted_freezes_converged_shifts():
     with np.errstate(all="raise"):
         capped = cg_solve_shifted(apply_base, rhs, alphas - base, max_iter=5)
         res = cg_solve_shifted(apply_base, rhs, alphas - base)
-    assert capped.iterations == 5
-    assert capped.converged[-3:].all() and not capped.converged[0]
-    assert res.converged.all() and res.iterations > 20
-    assert np.all(np.isfinite(res.xs))
-    for x, alpha in zip(res.xs, alphas):
-        assert np.linalg.norm((eig + alpha) * x - rhs) <= 1e-9 * np.linalg.norm(rhs)
+    assert all(c.iterations == 5 for c in capped)
+    assert all(c.converged for c in capped[-3:]) and not capped[0].converged
+    assert all(r.converged and r.iterations > 20 for r in res)
+    assert all(np.all(np.isfinite(r.x)) for r in res)
+    for r, alpha in zip(res, alphas):
+        assert np.linalg.norm((eig + alpha) * r.x - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
 
 def reference_cg(apply_spd, rhs, tol=1e-10, max_iter=2000):
@@ -229,8 +229,8 @@ def test_cg_is_reference_cg_bit_for_bit(seed, n, ridge, tol, max_iter):
     assert np.array_equal(got.x, want.x)
     assert (got.iterations, got.residual_norm, got.rhs_norm, got.converged) == (
         want.iterations, want.residual_norm, want.rhs_norm, want.converged)
-    assert np.array_equal(shifted.xs[0], want.x)
-    assert (shifted.iterations, shifted.residual_norms[0], shifted.converged[0]) == (
+    assert np.array_equal(shifted[0].x, want.x)
+    assert (shifted[0].iterations, shifted[0].residual_norm, shifted[0].converged) == (
         want.iterations, want.residual_norm, want.converged)
 
 
@@ -238,8 +238,8 @@ def test_cg_shifted_base_shift_is_plain_cg():
     spd, rhs = random_spd(12, 25, 1.0)
     res = cg_solve_shifted(lambda x: spd @ x, rhs, [0.0, 0.5, 3.0])
     plain = reference_cg(lambda x: spd @ x, rhs)
-    assert np.array_equal(res.xs[0], plain.x)
-    assert res.iterations == plain.iterations
+    assert np.array_equal(res[0].x, plain.x)
+    assert res[0].iterations == plain.iterations
 
 
 def test_cg_warm_start_from_solution_does_not_iterate():

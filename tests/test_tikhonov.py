@@ -101,11 +101,11 @@ def test_shifted_cg_matches_dense_solve_property(m, n, log10_center, span, n_alp
     base = alphas.min()
     res = cg_solve_shifted(lambda v: mat.T @ (mat @ v) + base * v, mat.T @ data, alphas - base,
                            tol=1e-10, max_iter=1000)
-    assert res.converged.all()
-    assert res.xs.shape == (n_alphas, n)
-    for x, alpha in zip(res.xs, alphas):
+    assert all(r.converged for r in res)
+    assert len(res) == n_alphas and all(r.x.shape == (n,) for r in res)
+    for r, alpha in zip(res, alphas):
         direct = dense_normal_solve(mat, data, alpha)
-        assert np.linalg.norm(x - direct) <= 1e-6 * np.linalg.norm(direct)
+        assert np.linalg.norm(r.x - direct) <= 1e-6 * np.linalg.norm(direct)
 
 
 def test_stability_bound_random_pairs():
