@@ -44,10 +44,11 @@ from .radon import (
 )
 from .tikhonov import (
     TikhonovProblem,
+    check_converged,
     dense_normal_solve,
+    normal_operator,
     solve_tikhonov,
     tikhonov_objective,
-    unconverged_error,
 )
 from .experiment import (
     ExperimentRecord,

@@ -28,7 +28,7 @@ from .mlp import MlpArchitecture, save_params
 from .nnsolver import NnReconstructionConfig, reconstruct_nn
 # radon_forward is not called here: perfbench's tracer looks it up in this module
 from .radon import SinogramGrid, radon_forward, radon_operator, write_sinf  # noqa: F401
-from .tikhonov import TikhonovProblem, solve_tikhonov, unconverged_error
+from .tikhonov import TikhonovProblem, check_converged, solve_tikhonov
 
 def _parse_int_list(s):
     parts = [p.strip() for p in s.split(",") if p.strip()]
@@ -246,12 +246,12 @@ def cmd_sinogram(cfg):
 
 
 def cmd_tikhonov(cfg):
+    check_positive("max_iter", cfg["max_iter"])
     phantom, geom, noisy = _noisy_sinogram(cfg)
     op = radon_operator(geom, cfg["n"], cfg["n"])
     problem = TikhonovProblem(op=op, data=noisy, alpha=cfg["alpha"])
     result = solve_tikhonov(problem, tol=cfg["tol"], max_iter=cfg["max_iter"])
-    if not result.converged:
-        raise unconverged_error(cfg["alpha"], result, cfg["tol"])
+    check_converged(cfg["alpha"], result, cfg["tol"], "tol")
     image = ImageGrid(nx=cfg["n"], ny=cfg["n"], values=result.x)
     _write_image(cfg["out"], image)
     _write_manifest("tikhonov", cfg, str(cfg["out"]) + ".manifest")
@@ -293,8 +293,7 @@ def cmd_nn_reconstruct(cfg):
 
 
 def cmd_sweep(cfg, threads):
-    if threads < 1:
-        raise ValueError(f"--threads must be at least 1, got {threads}")
+    check_positive("--threads", threads)
     deltas = experiment.sweep_deltas(cfg["n"], cfg["angles"], cfg["snr_min_db"], cfg["snr_max_db"],
                                      cfg["n_deltas"], cfg["det_halfwidth"], cfg["n_bins"])
     sweep_cfg = experiment.SweepConfig(deltas=deltas, **{key: cfg[key] for key in _SWEEP})
@@ -325,6 +324,8 @@ def cmd_sweep(cfg, threads):
 def cmd_oracle_linear(cfg):
     for key in ("delta_min", "delta_max"):
         check_positive(key, cfg[key])
+    if cfg["n_deltas"] < 2:
+        raise ValueError(f"n_deltas must be at least 2, got {cfg['n_deltas']}")
     deltas = np.logspace(
         math.log10(cfg["delta_min"]), math.log10(cfg["delta_max"]), cfg["n_deltas"]
     )

@@ -26,7 +26,7 @@ from .linop import cg_solve_shifted
 from .mlp import MlpArchitecture
 from .nnsolver import NnReconstructionConfig, reconstruct_nn
 from .radon import RadonGeometry, radon_forward, radon_operator
-from .tikhonov import TikhonovProblem, solve_tikhonov, unconverged_error
+from .tikhonov import TikhonovProblem, check_converged, normal_operator, solve_tikhonov
 
 
 def substream_seed(base_seed, *parts):
@@ -63,6 +63,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         check_positive("delta", self.delta, zero_ok=True)
+        check_positive("seed", self.seed, zero_ok=True)
 
 
 def add_noise(y, spec: NoiseSpec):
@@ -220,17 +221,12 @@ class SweepConfig:
             raise ValueError(f"deltas must be nonempty, positive and finite, got {self.deltas}")
         if any(b >= a for a, b in zip(self.deltas, self.deltas[1:])):
             raise ValueError("deltas must be strictly decreasing")
-        if self.realizations < 1:
-            raise ValueError("need at least one realization")
         if self.method not in ("tikhonov", "nn"):
             raise ValueError(f"method must be 'tikhonov' or 'nn', got {self.method!r}")
-        if self.n_alphas < 1:
-            raise ValueError(f"n_alphas must be at least 1, got {self.n_alphas}")
-        check_positive("cg_tol", self.cg_tol)
+        for name in ("realizations", "n_alphas", "cg_tol", "cg_max_iter", "nn_iterations",
+                     "nn_learning_rate"):
+            check_positive(name, getattr(self, name))
         check_positive("alpha_span_decades", self.alpha_span_decades, zero_ok=True)
-        if self.nn_iterations < 1:
-            raise ValueError(f"nn_iterations must be at least 1, got {self.nn_iterations}")
-        check_positive("nn_learning_rate", self.nn_learning_rate)
         if self.nn_weight_bound is not None:
             check_positive("nn_weight_bound", self.nn_weight_bound)
         MlpArchitecture(self.nn_hidden)  # rejects a width below 1
@@ -266,18 +262,15 @@ def _tikhonov_cell(op, y_noisy, alphas, truth, cfg):
     the error of an unconverged iterate never enters the oracle minimum.
     """
     base = float(alphas.min())
-    shifted = cg_solve_shifted(lambda v: op.apply_adjoint(op.apply(v)) + base * v,
-                               op.apply_adjoint(y_noisy), alphas - base, tol=cfg.cg_tol,
-                               max_iter=cfg.cg_max_iter)
+    shifted = cg_solve_shifted(normal_operator(op, base), op.apply_adjoint(y_noisy),
+                               alphas - base, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter)
     for alpha, res in zip(alphas, shifted):
-        if not res.converged:
-            raise unconverged_error(alpha, res, cfg.cg_tol)
+        check_converged(alpha, res, cfg.cg_tol, "cg_tol")
     errors = np.empty(alphas.size)
     for j, (alpha, res) in enumerate(zip(alphas, shifted)):
         problem = TikhonovProblem(op=op, data=y_noisy, alpha=float(alpha))
         result = solve_tikhonov(problem, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter, x0=res.x)
-        if not result.converged:
-            raise unconverged_error(alpha, result, cfg.cg_tol)
+        check_converged(alpha, result, cfg.cg_tol, "cg_tol")
         errors[j] = np.linalg.norm(truth - result.x)
     return errors
 

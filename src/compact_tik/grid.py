@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_positive
+
 #: Classical Shepp-Logan phantom, ten ellipses as
 #: (intensity, semi-axis a, semi-axis b, center x, center y, rotation in degrees).
 #: Parameters from Shepp & Logan, "The Fourier reconstruction of a head section"
@@ -52,8 +54,8 @@ class ImageGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.nx < 1 or self.ny < 1:
-            raise ValueError(f"grid must have at least one pixel per axis, got {self.nx}x{self.ny}")
+        check_positive("nx", self.nx)
+        check_positive("ny", self.ny)
         v = np.asarray(self.values, dtype=np.float64).ravel()
         if v.size != self.nx * self.ny:
             raise ValueError(f"expected {self.nx * self.ny} values, got {v.size}")
@@ -78,8 +80,8 @@ def pixel_centers(nx, ny):
         Centers in row-major order (first coordinate fastest); all strictly
         inside (-1, 1)^2.
     """
-    if nx < 1 or ny < 1:
-        raise ValueError(f"grid must have at least one pixel per axis, got {nx}x{ny}")
+    check_positive("nx", nx)
+    check_positive("ny", ny)
     xs = -1.0 + (np.arange(nx) + 0.5) * (2.0 / nx)
     ys = -1.0 + (np.arange(ny) + 0.5) * (2.0 / ny)
     X, Y = np.meshgrid(xs, ys)

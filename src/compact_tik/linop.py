@@ -44,8 +44,7 @@ def adjoint_defect(op, n_probes=10, seed=0):
     result NaN, never a pass. A probe with ||Ax|| ||y|| = 0 has no relative
     defect and raises ValueError.
     """
-    if n_probes < 1:
-        raise ValueError(f"need at least one probe, got {n_probes}")
+    check_positive("n_probes", n_probes)
     rng = np.random.default_rng(seed)
     defects = []
     for k in range(n_probes):

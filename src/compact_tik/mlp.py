@@ -57,8 +57,8 @@ class MlpArchitecture:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
-        if any(w < 1 for w in self.hidden_widths):
-            raise ValueError(f"hidden widths must be >= 1, got {self.hidden_widths}")
+        for w in self.hidden_widths:
+            check_positive("hidden widths", w)
 
     @property
     def widths(self):

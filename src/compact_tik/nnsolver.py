@@ -62,12 +62,11 @@ class NnReconstructionConfig:
     weight_bound: float | None = None
 
     def __post_init__(self):
-        check_positive("alpha", self.alpha)
-        check_positive("learning_rate", self.learning_rate)
+        for name in ("alpha", "learning_rate", "iterations"):
+            check_positive(name, getattr(self, name))
+        check_positive("seed", self.seed, zero_ok=True)
         if self.weight_bound is not None:
             check_positive("weight_bound", self.weight_bound)
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if self.operator.domain_dim != self.nx * self.ny:
             raise ValueError(
                 f"operator domain {self.operator.domain_dim} != grid size {self.nx * self.ny}"

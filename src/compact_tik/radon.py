@@ -53,12 +53,8 @@ class RadonGeometry:
     step: float
 
     def __post_init__(self):
-        if self.n_angles < 1:
-            raise ValueError(f"need at least one angle, got {self.n_angles}")
-        if self.n_bins < 1:
-            raise ValueError(f"need at least one detector bin, got {self.n_bins}")
-        check_positive("det_halfwidth", self.det_halfwidth)
-        check_positive("step", self.step)
+        for name in ("n_angles", "n_bins", "det_halfwidth", "step"):
+            check_positive(name, getattr(self, name))
 
     @classmethod
     def for_grid(cls, nx, n_angles, det_halfwidth=math.sqrt(2.0), n_bins=None):
@@ -232,8 +228,8 @@ def radon_adjoint(sino: SinogramGrid, nx, ny) -> ImageGrid:
     Scatters each ray value back through the same table entries;
     satisfies <Rx, y> = <x, R^T y> to floating-point accuracy.
     """
-    if nx < 1 or ny < 1:
-        raise ValueError(f"grid must have at least one pixel per axis, got {nx}x{ny}")
+    check_positive("nx", nx)
+    check_positive("ny", ny)
     table = _projector(sino.geometry, nx, ny)
     contrib = sino.values[table.row]
     contrib *= table.val

@@ -39,6 +39,11 @@ def tikhonov_objective(op, data, alpha, x):
     return float(r @ r + alpha * (x @ x))
 
 
+def normal_operator(op, alpha):
+    """The map v -> (A^T A + alpha I) v of the normal equations."""
+    return lambda v: op.apply_adjoint(op.apply(v)) + alpha * v
+
+
 def solve_tikhonov(problem: TikhonovProblem, tol=1e-10, max_iter=2000, x0=None) -> CgResult:
     """Solve the normal equations by CG.
 
@@ -46,22 +51,19 @@ def solve_tikhonov(problem: TikhonovProblem, tol=1e-10, max_iter=2000, x0=None) 
     and ||A^T y^d|| so callers can audit optimality. ``x0`` warm-starts the
     iteration.
     """
-    op, alpha = problem.op, problem.alpha
-
-    def normal_operator(v):
-        return op.apply_adjoint(op.apply(v)) + alpha * v
-
-    return cg_solve(normal_operator, op.apply_adjoint(problem.data), tol=tol,
+    op = problem.op
+    return cg_solve(normal_operator(op, problem.alpha), op.apply_adjoint(problem.data), tol=tol,
                     max_iter=max_iter, x0=x0)
 
 
-def unconverged_error(alpha, result: CgResult, tol):
-    """NumericalFailureError for a CG ``result`` at ``alpha`` that stopped above tol * ||rhs||."""
-    return NumericalFailureError(
-        f"CG did not converge at alpha={alpha:.6g}: {result.iterations} iterations, "
-        f"normal residual {result.residual_norm:.3e} > cg_tol * ||rhs|| = "
-        f"{tol * result.rhs_norm:.3e}"
-    )
+def check_converged(alpha, result: CgResult, tol, tol_name):
+    """Raise NumericalFailureError, naming the setting ``tol_name``, unless ``result`` converged."""
+    if not result.converged:
+        raise NumericalFailureError(
+            f"CG did not converge at alpha={alpha:.6g}: {result.iterations} iterations, "
+            f"normal residual {result.residual_norm:.3e} > {tol_name} * ||rhs|| = "
+            f"{tol * result.rhs_norm:.3e}"
+        )
 
 
 def dense_normal_solve(mat, data, alpha):

@@ -2,6 +2,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
 bench_pairs = importlib.util.module_from_spec(spec)
@@ -85,3 +87,24 @@ def test_matching_perfbench_ignores_pycache(tmp_path, monkeypatch):
     assert calls == [str(parent), str(change)]
     assert json.loads(out.read_text())["workloads"]["w"]["summary"]["pairs"] == 1
 
+
+# a clone holds a .git directory, a linked work tree a .git file
+@pytest.mark.parametrize("parent_git, change_git", [
+    (None, None), ("dir", None), (None, "file"), ("dir", "file"),
+])
+def test_checkout_kinds_are_recorded_and_a_mismatch_warns(tmp_path, monkeypatch, capsys,
+                                                          parent_git, change_git):
+    monkeypatch.setattr(bench_pairs, "run_once",
+                        lambda *args: ({}, run(0, "parent", 1.0, 1.0)["result"]))
+    parent = make_checkout(tmp_path / "parent", "print('a')\n")
+    change = make_checkout(tmp_path / "change", "print('a')\n")
+    if parent_git:
+        (parent / ".git").mkdir()
+    if change_git:
+        (change / ".git").write_text("gitdir: elsewhere\n")
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(bench_args(parent, change, out)) == 0
+    kind = {None: "plain copy", "dir": "git work tree", "file": "git work tree"}
+    assert json.loads(out.read_text())["workloads"]["w"]["checkout_kinds"] == {
+        "parent": kind[parent_git], "change": kind[change_git]}
+    assert ("warning:" in capsys.readouterr().err) == (kind[parent_git] != kind[change_git])

@@ -63,7 +63,7 @@ def test_tikhonov_unconverged_exit_2_writes_nothing(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == (
         "numerical failure: CG did not converge at alpha=0.01: 2 iterations, "
-        "normal residual 5.036e-01 > cg_tol * ||rhs|| = 1.858e-09\n")
+        "normal residual 5.036e-01 > tol * ||rhs|| = 1.858e-09\n")
     assert not rec.exists()
     assert not (tmp_path / "x.imgf.manifest").exists()
 
@@ -316,6 +316,15 @@ NN_SWEEP = SMALL_SWEEP + ["--method", "nn", "--nn-hidden", "4", "--nn-iterations
     (["sweep", *NN_SWEEP, "--nn-hidden", "0"], "hidden widths"),
     (["oracle-linear", "--delta-min", "-1"], "delta_min"),
     (["oracle-linear", "--delta-max", "nan"], "delta_max"),
+    (["sweep", *SMALL_SWEEP, "--cg-max-iter", "0"], "cg_max_iter"),
+    (["sweep", *SMALL_SWEEP, "--cg-max-iter", "-1"], "cg_max_iter"),
+    (["sweep", *SMALL_SWEEP, "--realizations", "0"], "realizations"),
+    (["tikhonov", *SMALL, "--max-iter", "0"], "max_iter"),
+    (["tikhonov", *SMALL, "--max-iter", "-5"], "max_iter"),
+    (["sinogram", "--n", "8", "--angles", "0"], "n_angles"),
+    (["sinogram", *SMALL, "--delta", "0.05", "--seed", "-1"], "seed"),
+    (["nn-reconstruct", *SMALL, "--hidden", "4", "--iterations", "2", "--seed", "-1"], "seed"),
+    (["oracle-linear", "--n-deltas", "1"], "n_deltas"),
 ])
 def test_out_of_range_setting_exits_1_before_writing(tmp_path, capsys, argv, setting):
     # each output goes to tmp_path/out, so an empty tmp_path means nothing was written

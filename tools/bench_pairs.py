@@ -13,6 +13,11 @@ speed does not favour one side. The two checkouts must hold the same
 ``perfbench/``, so that both sides are measured by identical benchmark code;
 the script compares the bytes of every file there (``__pycache__`` aside)
 and exits with status 1, before any run, naming the first file that differs.
+Each side's checkout kind is recorded: a git work tree when it holds a
+``.git`` (a directory, or the file of a linked work tree), a plain copy
+otherwise. Pairs of different kinds run, but with a warning on stderr: such a
+pair once showed a 7-11% gap on unchanged code, and the cause was never
+isolated.
 
 The output file keeps one entry per workload; running the script again for
 another workload adds that entry and leaves the others. An entry holds
@@ -64,6 +69,11 @@ def first_perfbench_difference(parent, change):
     a, b = perfbench_files(parent), perfbench_files(change)
     return next((name for name in sorted(a.keys() | b.keys()) if a.get(name) != b.get(name)),
                 None)
+
+
+def checkout_kind(checkout):
+    """A "git work tree" if ``checkout`` holds a ``.git`` file or directory, else a "plain copy"."""
+    return "git work tree" if os.path.exists(os.path.join(checkout, ".git")) else "plain copy"
 
 
 def run_once(checkout, workload, seconds):
@@ -140,9 +150,13 @@ def main(argv=None):
     if os.path.exists(args.out):
         with open(args.out) as f:
             bench = json.load(f)
-    entry = {"seconds": seconds, "runs": []}
-    bench["workloads"][args.workload] = entry
     checkouts = {"parent": args.parent, "change": args.change}
+    kinds = {side: checkout_kind(path) for side, path in checkouts.items()}
+    if kinds["parent"] != kinds["change"]:
+        print(f"warning: the parent is a {kinds['parent']} and the change a {kinds['change']}; "
+              "make both checkouts the same way", file=sys.stderr)
+    entry = {"seconds": seconds, "checkout_kinds": kinds, "runs": []}
+    bench["workloads"][args.workload] = entry
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
