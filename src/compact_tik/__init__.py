@@ -22,6 +22,7 @@ from .mlp import (
     AdamState,
     MlpArchitecture,
     MlpParams,
+    MlpWorkspace,
     adam_step,
     forward_trace,
     init_params,

@@ -324,8 +324,6 @@ def cmd_sweep(cfg, threads):
 def cmd_oracle_linear(cfg):
     for key in ("delta_min", "delta_max"):
         check_positive(key, cfg[key])
-    if cfg["n_deltas"] < 2:
-        raise ValueError(f"n_deltas must be at least 2, got {cfg['n_deltas']}")
     deltas = np.logspace(
         math.log10(cfg["delta_min"]), math.log10(cfg["delta_max"]), cfg["n_deltas"]
     )
@@ -465,11 +463,20 @@ def build_parser():
     return parser
 
 
+def _check_shared_settings(cfg):
+    """Range checks of the settings that several commands have, by their keys."""
+    if "n" in cfg:
+        check_positive("n", cfg["n"])
+    if "n_deltas" in cfg and cfg["n_deltas"] < 2:
+        raise ValueError(f"n_deltas must be at least 2, got {cfg['n_deltas']}")
+
+
 def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         cfg = resolve_config(args.subcommand, args)
+        _check_shared_settings(cfg)
         options = {"threads": args.threads} if "threads" in args else {}
         return COMMANDS[args.subcommand](cfg, **options)
     except ValueError as exc:

@@ -14,6 +14,12 @@ evaluating the network again. At an activation kink (input exactly 0)
 the derivative takes the negative-side slope: zero for the output ReLU,
 ``LEAK`` for hidden units.
 
+Given an :class:`MlpWorkspace`, both passes write every array they make
+into its buffers and allocate none of (points x width) size. The
+returned activations and gradient then live in the workspace and are
+overwritten by the next call; copy what must outlive it. Without a
+workspace every call returns fresh arrays, with the same bits.
+
 The hidden leaky ReLU is a = max(z, LEAK z) and its slope
 max(sign z, LEAK). Because 0 < LEAK < 1 these equal the branch forms
 "z if z > 0 else LEAK z" and "1 if z > 0 else LEAK" bit for bit, signed
@@ -127,69 +133,119 @@ def init_params(arch: MlpArchitecture, seed, weight_bound=None) -> MlpParams:
     return params
 
 
-def forward_trace(params: MlpParams, coords):
+class MlpWorkspace:
+    """Every per-iteration array of :func:`forward_trace` and :func:`mlp_backward`.
+
+    Built once for the layer shapes of ``params`` and ``n_points``
+    coordinate rows: one activation buffer per layer, two spare buffers
+    with room for ``n_points`` rows of the widest layer, and a gradient laid
+    out like ``params.flat``. The forward uses the first spare buffer for
+    ``LEAK * h``; the backward alternates its delta between the two and
+    writes each slope into the one whose delta it has just consumed. Views
+    of a spare buffer are contiguous (n, d) arrays at its start, laid out
+    as fresh arrays would be, so every operation keeps its bits.
+    """
+
+    def __init__(self, params: MlpParams, n_points):
+        self.shapes, self.n_points = params.shapes, n_points
+        self.activations = [np.empty((n_points, rows)) for rows, _ in self.shapes]
+        widest = max(rows for rows, _ in self.shapes)
+        self.spare = (np.empty(n_points * widest), np.empty(n_points * widest))
+        self.grad = np.empty_like(params.flat)
+
+    def view(self, k, cols):
+        """The spare buffer ``k`` as a contiguous (n_points, cols) array."""
+        return self.spare[k][:self.n_points * cols].reshape(self.n_points, cols)
+
+    def check(self, params: MlpParams, n_points):
+        """ValueError unless the workspace was built for these layer shapes and points."""
+        if params.shapes != self.shapes or n_points != self.n_points:
+            raise ValueError(f"workspace is for layers {self.shapes} at {self.n_points} "
+                             f"points, got {params.shapes} at {n_points}")
+
+
+def forward_trace(params: MlpParams, coords, workspace: MlpWorkspace | None = None):
     """Forward pass keeping what the backward sweep needs.
 
     Returns the list ``activations``: ``activations[0]`` is the coordinate
     array and ``activations[i + 1]`` the output of layer i. The network
-    output is ``activations[-1]``.
+    output is ``activations[-1]``. With a ``workspace`` the layer outputs
+    are its buffers, which the next call overwrites; without one they are
+    fresh arrays.
     """
     h = np.asarray(coords, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != params.weights[0].shape[1]:
         raise ValueError(
             f"coords must be (n, {params.weights[0].shape[1]}), got {h.shape}"
         )
+    if workspace is None:
+        workspace = MlpWorkspace(params, h.shape[0])
+    workspace.check(params, h.shape[0])
     n_layers = len(params.weights)
     activations = [h]
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w.T
+    for i, (w, b, out) in enumerate(zip(params.weights, params.biases, workspace.activations)):
+        h = np.matmul(h, w.T, out=out)
         h += b
         if i < n_layers - 1:
             # branch-free leaky ReLU, exact because 0 < LEAK < 1 (module docstring)
-            np.maximum(h, LEAK * h, out=h)
+            leak = np.multiply(h, LEAK, out=workspace.view(0, h.shape[1]))
+            np.maximum(h, leak, out=h)
         else:
             np.maximum(h, 0.0, out=h)
         activations.append(h)
     return activations
 
 
-def mlp_forward(params: MlpParams, coords):
+def mlp_forward(params: MlpParams, coords, workspace: MlpWorkspace | None = None):
     """Evaluate the network at each coordinate row.
 
-    Returns a length-n vector; nonnegative by the final ReLU.
+    Returns a length-n vector; nonnegative by the final ReLU. With a
+    ``workspace`` it is a view into the workspace's output buffer.
     """
-    return forward_trace(params, coords)[-1][:, 0]
+    return forward_trace(params, coords, workspace)[-1][:, 0]
 
 
-def mlp_backward(params: MlpParams, activations, output_cotangent):
+def mlp_backward(params: MlpParams, activations, output_cotangent,
+                 workspace: MlpWorkspace | None = None):
     """Gradient of sum_k cotangent_k * output_k with respect to the parameters.
 
     ``activations`` is the list that :func:`forward_trace` returned for
     these parameters; it is read, not modified. The gradient is laid out
-    like ``params.flat``.
+    like ``params.flat``. With a ``workspace`` (the one the forward used,
+    or another of the same shape) the gradient is its buffer, which the
+    next call overwrites; without one it is a fresh array.
     """
     cot = np.asarray(output_cotangent, dtype=np.float64).ravel()
-    if cot.size != activations[0].shape[0]:
+    n_points = activations[0].shape[0]
+    if cot.size != n_points:
         raise ValueError(
-            f"cotangent length {cot.size} != number of coordinates {activations[0].shape[0]}"
+            f"cotangent length {cot.size} != number of coordinates {n_points}"
         )
     n_layers = len(params.weights)
     if len(activations) != n_layers + 1:
         raise ValueError(f"trace has {len(activations) - 1} layers, parameters have {n_layers}")
-    grad = np.empty_like(params.flat)
+    if workspace is None:
+        workspace = MlpWorkspace(params, n_points)
+    workspace.check(params, n_points)
+    grad = workspace.grad
     gw, gb = params.split(grad)
     # output layer: derivative of ReLU at 0 taken as 0
-    delta = cot[:, None] * (activations[-1] > 0)
+    k = 0
+    delta = np.greater(activations[-1], 0.0, out=workspace.view(k, 1))
+    delta *= cot[:, None]
     for i in range(n_layers - 1, -1, -1):
         np.matmul(delta.T, activations[i], out=gw[i])
         delta.sum(axis=0, out=gb[i])
         if i > 0:
-            delta = delta @ params.weights[i]
+            w = params.weights[i]
+            delta = np.matmul(delta, w, out=workspace.view(1 - k, w.shape[1]))
             # slope 1 where the pre-activation is > 0, LEAK elsewhere, kink
-            # included; read from the activation (module docstring)
-            slope = np.sign(activations[i])
+            # included; read from the activation (module docstring), into
+            # the buffer of the delta just consumed
+            slope = np.sign(activations[i], out=workspace.view(k, w.shape[1]))
             np.maximum(slope, LEAK, out=slope)
             delta *= slope
+            k = 1 - k
     return grad
 
 

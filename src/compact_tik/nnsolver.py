@@ -17,8 +17,11 @@ network backward pass; by linearity of R this equals differentiating
 through the projector itself.
 
 Each iteration evaluates the network once: the image x is the output of
-one forward trace, and the backward pass reuses that trace. The trace is
-dropped before the next forward, so at most one is alive at a time.
+one forward trace, and the backward pass reuses that trace. Both run
+through one ``MlpWorkspace`` built per run, so the loop allocates no
+(pixels x width) array: the trace, the image x (a view of the output
+buffer) and the gradient live in the workspace and are overwritten by the
+next iteration, and the best image is copied out of it.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .grid import ImageGrid, pixel_centers
 from .mlp import (
     AdamState,
     MlpArchitecture,
+    MlpWorkspace,
     adam_step,
     forward_trace,
     init_params,
@@ -115,10 +119,11 @@ def reconstruct_nn(cfg: NnReconstructionConfig) -> NnReconstruction:
     coords = pixel_centers(cfg.nx, cfg.ny)
     op, data, alpha = cfg.operator, cfg.data, cfg.alpha
     params = init_params(cfg.architecture, cfg.seed, weight_bound=cfg.weight_bound)
-    if not mlp_forward(params, coords).any():
+    workspace = MlpWorkspace(params, coords.shape[0])
+    if not mlp_forward(params, coords, workspace).any():
         w_out = params.weights[-1]
         np.negative(w_out, out=w_out)
-        if not mlp_forward(params, coords).any():
+        if not mlp_forward(params, coords, workspace).any():
             raise NumericalFailureError("network output is zero at every pixel for both signs "
                                         "of the initial output layer")
     state = AdamState.for_params(params, learning_rate=cfg.learning_rate)
@@ -130,7 +135,7 @@ def reconstruct_nn(cfg: NnReconstructionConfig) -> NnReconstruction:
     best_iteration = 0
 
     for it in range(cfg.iterations + 1):
-        fwd = forward_trace(params, coords)
+        fwd = forward_trace(params, coords, workspace)
         x = fwd[-1][:, 0]
         objective, cotangent = _objective_and_cotangent(op, data, alpha, x)
         if not np.isfinite(objective):
@@ -139,12 +144,13 @@ def reconstruct_nn(cfg: NnReconstructionConfig) -> NnReconstruction:
         if objective < best_objective:
             best_objective = objective
             best_params = params.copy()
-            best_image = x
+            best_image = x.copy()  # x is overwritten by the next forward
             best_iteration = it
         if it == cfg.iterations:
             break
-        grad = mlp_backward(params, fwd, cotangent)
-        del fwd  # one trace alive at a time; only x outlives it
+        grad = mlp_backward(params, fwd, cotangent, workspace)
+        # the loop's memory peaks in the next objective's projector calls
+        del cotangent
         adam_step(params, grad, state)
         if cfg.weight_bound is not None:
             project_weights(params, cfg.weight_bound)

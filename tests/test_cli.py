@@ -325,12 +325,20 @@ NN_SWEEP = SMALL_SWEEP + ["--method", "nn", "--nn-hidden", "4", "--nn-iterations
     (["sinogram", *SMALL, "--delta", "0.05", "--seed", "-1"], "seed"),
     (["nn-reconstruct", *SMALL, "--hidden", "4", "--iterations", "2", "--seed", "-1"], "seed"),
     (["oracle-linear", "--n-deltas", "1"], "n_deltas"),
+    (["sweep", *SMALL_SWEEP, "--n-deltas", "1"], "n_deltas"),
 ])
 def test_out_of_range_setting_exits_1_before_writing(tmp_path, capsys, argv, setting):
     # each output goes to tmp_path/out, so an empty tmp_path means nothing was written
     assert run_cli(*argv, "--out", str(tmp_path / "out")) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and setting in err, err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", [c for c, schema in SCHEMAS.items() if "n" in schema])
+def test_grid_size_below_one_is_named_n(tmp_path, capsys, command):
+    assert run_cli(command, "--n", "0", "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == "error: n must be positive and finite, got 0\n"
     assert os.listdir(tmp_path) == []
 
 

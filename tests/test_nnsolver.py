@@ -217,13 +217,16 @@ def two_forward_reference(cfg):
     return np.array(trace), best[1], best[2]
 
 
-@pytest.mark.parametrize("make, overrides", [
-    (make_config, {"data": np.random.default_rng(4).standard_normal(GEOM.size)}),
+@pytest.mark.parametrize("make, overrides, early_best", [
+    (make_config, {"data": np.random.default_rng(4).standard_normal(GEOM.size)}, False),
     (make_config, {"data": np.random.default_rng(4).standard_normal(GEOM.size),
-                   "weight_bound": 0.2}),
-    (ct32_config, {}),  # a dead init, trained with its output layer negated
-], ids=["free", "bounded", "dead-init"])
-def test_matches_two_forward_reference_bit_for_bit(make, overrides):
+                   "weight_bound": 0.2}, False),
+    (ct32_config, {}, False),  # a dead init, trained with its output layer negated
+    # the best iterate is iteration 1, so its image must survive 29 later forwards
+    (make_config, {"data": np.random.default_rng(4).standard_normal(GEOM.size),
+                   "learning_rate": 3e-2}, True),
+], ids=["free", "bounded", "dead-init", "early-best"])
+def test_matches_two_forward_reference_bit_for_bit(make, overrides, early_best):
     cfg = make(iterations=30, **overrides)
     recon = reconstruct_nn(cfg)
     trace, image, params = two_forward_reference(cfg)
@@ -235,3 +238,5 @@ def test_matches_two_forward_reference_bit_for_bit(make, overrides):
     if cfg.weight_bound is not None:
         assert np.abs(recon.params.flat).max() == cfg.weight_bound  # the bound binds
     assert recon.best_iteration > 0  # every run trains, the dead init included
+    if early_best:
+        assert recon.best_iteration < cfg.iterations
