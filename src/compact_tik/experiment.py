@@ -146,6 +146,9 @@ def fit_rate(deltas, errors) -> RateFit:
     # the comparisons are False for NaN, so NaN is rejected too
     if not np.all((deltas > 0) & (deltas < np.inf) & (errors > 0) & (errors < np.inf)):
         raise ValueError("deltas and errors must be positive and finite")
+    # one distinct delta leaves the slope undetermined
+    if np.unique(deltas).size < 2:
+        raise ValueError(f"need at least two distinct deltas, got only {float(deltas[0])}")
     lx, ly = np.log(deltas), np.log(errors)
     slope, intercept = np.polyfit(lx, ly, 1)
     residual = float(np.linalg.norm(ly - (slope * lx + intercept)))
@@ -193,8 +196,8 @@ class SweepConfig:
     Every field but ``deltas`` is the ``[sweep]`` setting of the same name,
     with its default. The image is n x n. Each delta gets ``n_alphas``
     log-spaced alphas centered on alpha = delta and spanning
-    ``alpha_span_decades`` decades each side. Deltas must be strictly
-    decreasing.
+    ``alpha_span_decades`` decades each side; with one alpha, that alpha is
+    delta. Deltas must be strictly decreasing.
     """
 
     deltas: list
@@ -232,7 +235,9 @@ class SweepConfig:
         MlpArchitecture(self.nn_hidden)  # rejects a width below 1
 
     def alpha_grid(self, delta):
-        """Ascending alpha grid for one noise level."""
+        """Ascending alpha grid for one noise level; a one-alpha grid is [delta]."""
+        if self.n_alphas == 1:
+            return np.array([float(delta)])
         lo = np.log10(delta) - self.alpha_span_decades
         hi = np.log10(delta) + self.alpha_span_decades
         return np.logspace(lo, hi, self.n_alphas)
@@ -247,8 +252,8 @@ class SweepResult:
     fit: RateFit | None
 
 
-def _tikhonov_cell(op, y_noisy, alphas, truth, cfg):
-    """Errors over the alpha grid from one multi-shift CG sequence.
+def _tikhonov_images(op, y_noisy, alphas, cfg):
+    """Reconstructions over the alpha grid from one multi-shift CG sequence.
 
     Every alpha shares the right-hand side R^T y, so one Krylov sequence on
     the smallest alpha, the slowest system, yields every other alpha as a
@@ -266,52 +271,46 @@ def _tikhonov_cell(op, y_noisy, alphas, truth, cfg):
                                alphas - base, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter)
     for alpha, res in zip(alphas, shifted):
         check_converged(alpha, res, cfg.cg_tol, "cg_tol")
-    errors = np.empty(alphas.size)
-    for j, (alpha, res) in enumerate(zip(alphas, shifted)):
+    images = []
+    for alpha, res in zip(alphas, shifted):
         problem = TikhonovProblem(op=op, data=y_noisy, alpha=float(alpha))
         result = solve_tikhonov(problem, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter, x0=res.x)
         check_converged(alpha, result, cfg.cg_tol, "cg_tol")
-        errors[j] = np.linalg.norm(truth - result.x)
-    return errors
+        images.append(result.x)
+    return images
 
 
-def _nn_cell(op, y_noisy, alphas, truth, cfg, seed):
-    errors = np.empty(alphas.size)
+def _nn_images(op, y_noisy, alphas, cfg, seed):
+    """Best-objective network images over the alpha grid, one training run per alpha."""
     arch = MlpArchitecture(hidden_widths=cfg.nn_hidden)
-    for j, alpha in enumerate(alphas):
-        nn_cfg = NnReconstructionConfig(
-            architecture=arch,
-            alpha=float(alpha),
-            operator=op,
-            data=y_noisy,
-            nx=cfg.n,
-            ny=cfg.n,
-            iterations=cfg.nn_iterations,
-            learning_rate=cfg.nn_learning_rate,
-            seed=seed,
-            weight_bound=cfg.nn_weight_bound,
-        )
-        recon = reconstruct_nn(nn_cfg)
-        errors[j] = np.linalg.norm(truth - recon.image.values)
-    return errors
+    return [reconstruct_nn(NnReconstructionConfig(
+        architecture=arch, alpha=float(alpha), operator=op, data=y_noisy, nx=cfg.n, ny=cfg.n,
+        iterations=cfg.nn_iterations, learning_rate=cfg.nn_learning_rate, seed=seed,
+        weight_bound=cfg.nn_weight_bound,
+    )).image.values for alpha in alphas]
 
 
-def _sweep_cell(cfg, op, y_clean, truth, i, r):
+def _sweep_cell(cfg, i, r):
     """Cell (i, r) at ``cfg.deltas[i]``, with noise from substream (cfg.seed, i, r).
 
-    Returns an ExperimentRecord of the errors over the alpha grid, or a
-    CellFailure. When done, writes "cell k of n" (k counts in cell order),
-    the delta, the wall seconds and "failed" if it failed to stderr.
+    Builds its own scene and operator, so a call alone gives the bits of
+    ``run_sweep``'s record for (i, r). Returns an ExperimentRecord of the
+    errors ||phantom - x|| over the alpha grid, or a CellFailure. When
+    done, writes "cell k of n" (k counts in cell order), the delta, the
+    wall seconds and "failed" if it failed to stderr.
     """
     start = time.perf_counter()
     delta, seed = cfg.deltas[i], substream_seed(cfg.seed, i, r)
+    phantom, geom, y_clean = ct_scene(cfg.n, cfg.angles, cfg.det_halfwidth, cfg.n_bins)
+    op = radon_operator(geom, cfg.n, cfg.n)
     alphas = cfg.alpha_grid(delta)
     y_noisy = add_noise(y_clean, NoiseSpec(delta=delta, seed=seed))
     try:
         if cfg.method == "tikhonov":
-            errors = _tikhonov_cell(op, y_noisy, alphas, truth, cfg)
+            images = _tikhonov_images(op, y_noisy, alphas, cfg)
         else:
-            errors = _nn_cell(op, y_noisy, alphas, truth, cfg, seed)
+            images = _nn_images(op, y_noisy, alphas, cfg, seed)
+        errors = np.array([np.linalg.norm(phantom.values - x) for x in images])
         outcome = ExperimentRecord(delta=delta, seed=seed, alphas=alphas, errors=errors,
                                    snr_db=float(snr_db(y_clean, delta)))
     except NumericalFailureError as exc:
@@ -331,10 +330,9 @@ def run_sweep(cfg: SweepConfig, threads=1) -> SweepResult:
     that fail numerically are recorded and skipped; deltas with no
     surviving cell are excluded from the rate fit and flagged.
     """
-    phantom, geom, y_clean = ct_scene(cfg.n, cfg.angles, cfg.det_halfwidth, cfg.n_bins)
-    op = radon_operator(geom, cfg.n, cfg.n)
-    cell = functools.partial(_sweep_cell, cfg, op, y_clean, phantom.values)
+    cell = functools.partial(_sweep_cell, cfg)
     cells = list(itertools.product(range(len(cfg.deltas)), range(cfg.realizations)))
+    # serial runs need no pool: Executor.__exit__ would make Ctrl-C wait for the running cell
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(cell, *zip(*cells)))

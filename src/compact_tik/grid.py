@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_positive
+from .errors import check_length, check_positive
 
 #: Classical Shepp-Logan phantom, ten ellipses as
 #: (intensity, semi-axis a, semi-axis b, center x, center y, rotation in degrees).
@@ -132,11 +132,13 @@ def write_imgf(path, image: ImageGrid):
 def read_imgf(path):
     """Read an image written by :func:`write_imgf`."""
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != IMGF_MAGIC:
-            raise ValueError(f"bad magic {magic!r}, expected {IMGF_MAGIC!r}")
-        nx, ny, _reserved = struct.unpack("<III", f.read(12))
-        values = np.frombuffer(f.read(8 * nx * ny), dtype="<f8")
+        blob = f.read()
+    if blob[:4] != IMGF_MAGIC:
+        raise ValueError(f"bad magic {blob[:4]!r}, expected {IMGF_MAGIC!r}")
+    check_length(path, len(blob), 16, at_least=True)
+    nx, ny, _reserved = struct.unpack_from("<III", blob, 4)
+    check_length(path, len(blob), 16 + 8 * nx * ny)
+    values = np.frombuffer(blob, dtype="<f8", offset=16)
     return ImageGrid(nx=nx, ny=ny, values=values.copy())
 
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailureError, check_positive
+from .errors import NumericalFailureError, check_length, check_positive
 
 MLPW_MAGIC = b"MLPW"
 
@@ -309,13 +309,20 @@ def save_params(path, params: MlpParams):
 def load_params(path) -> MlpParams:
     """Read a checkpoint written by :func:`save_params`."""
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != MLPW_MAGIC:
-            raise ValueError(f"bad magic {magic!r}, expected {MLPW_MAGIC!r}")
-        (n_layers,) = struct.unpack("<I", f.read(4))
-        weights, biases = [], []
-        for _ in range(n_layers):
-            rows, cols = struct.unpack("<II", f.read(8))
-            weights.append(np.frombuffer(f.read(8 * rows * cols), dtype="<f8").reshape(rows, cols))
-            biases.append(np.frombuffer(f.read(8 * rows), dtype="<f8"))
+        blob = f.read()
+    if blob[:4] != MLPW_MAGIC:
+        raise ValueError(f"bad magic {blob[:4]!r}, expected {MLPW_MAGIC!r}")
+    check_length(path, len(blob), 8, at_least=True)
+    (n_layers,) = struct.unpack_from("<I", blob, 4)
+    weights, biases, pos = [], [], 8
+    for _ in range(n_layers):
+        check_length(path, len(blob), pos + 8, at_least=True)
+        rows, cols = struct.unpack_from("<II", blob, pos)
+        pos += 8
+        check_length(path, len(blob), pos + 8 * rows * (cols + 1), at_least=True)
+        weights.append(np.frombuffer(blob, "<f8", rows * cols, pos).reshape(rows, cols))
+        pos += 8 * rows * cols
+        biases.append(np.frombuffer(blob, "<f8", rows, pos))
+        pos += 8 * rows
+    check_length(path, len(blob), pos)
     return MlpParams(weights=weights, biases=biases)

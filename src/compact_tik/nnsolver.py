@@ -43,6 +43,7 @@ from .mlp import (
     mlp_forward,
     project_weights,
 )
+from .tikhonov import objective_and_cotangent
 
 
 @dataclass
@@ -93,13 +94,6 @@ class NnReconstruction:
     best_iteration: int
 
 
-def _objective_and_cotangent(op, data, alpha, x):
-    residual = op.apply(x) - data
-    objective = float(residual @ residual + alpha * (x @ x))
-    cotangent = 2.0 * op.apply_adjoint(residual) + 2.0 * alpha * x
-    return objective, cotangent
-
-
 def reconstruct_nn(cfg: NnReconstructionConfig) -> NnReconstruction:
     """Run the full-batch optimization loop and return the best iterate.
 
@@ -137,7 +131,7 @@ def reconstruct_nn(cfg: NnReconstructionConfig) -> NnReconstruction:
     for it in range(cfg.iterations + 1):
         fwd = forward_trace(params, coords, workspace)
         x = fwd[-1][:, 0]
-        objective, cotangent = _objective_and_cotangent(op, data, alpha, x)
+        objective, cotangent = objective_and_cotangent(op, data, alpha, x)
         if not np.isfinite(objective):
             raise NumericalFailureError(f"non-finite objective at iteration {it}")
         trace[it] = objective

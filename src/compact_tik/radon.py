@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_positive
+from .errors import check_length, check_positive
 from .grid import ImageGrid
 from .linop import LinearOperator
 
@@ -280,11 +280,13 @@ def read_sinf(path, step):
     geometry that wrote the file (2 / nx for :meth:`RadonGeometry.for_grid`).
     """
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != SINF_MAGIC:
-            raise ValueError(f"bad magic {magic!r}, expected {SINF_MAGIC!r}")
-        n_bins, n_angles, det_halfwidth = struct.unpack("<IId", f.read(16))
-        values = np.frombuffer(f.read(8 * n_bins * n_angles), dtype="<f8")
+        blob = f.read()
+    if blob[:4] != SINF_MAGIC:
+        raise ValueError(f"bad magic {blob[:4]!r}, expected {SINF_MAGIC!r}")
+    check_length(path, len(blob), 20, at_least=True)
+    n_bins, n_angles, det_halfwidth = struct.unpack_from("<IId", blob, 4)
+    check_length(path, len(blob), 20 + 8 * n_bins * n_angles)
+    values = np.frombuffer(blob, dtype="<f8", offset=20)
     geom = RadonGeometry(
         n_angles=n_angles, n_bins=n_bins, det_halfwidth=det_halfwidth, step=step
     )

@@ -33,10 +33,17 @@ class TikhonovProblem:
             )
 
 
+def objective_and_cotangent(op, data, alpha, x):
+    """||A x - data||^2 + alpha ||x||^2 and its gradient 2 A^T (A x - data) + 2 alpha x."""
+    residual = op.apply(x) - data
+    objective = float(residual @ residual + alpha * (x @ x))
+    cotangent = 2.0 * op.apply_adjoint(residual) + 2.0 * alpha * x
+    return objective, cotangent
+
+
 def tikhonov_objective(op, data, alpha, x):
     """||A x - data||^2 + alpha ||x||^2 for an arbitrary candidate x."""
-    r = op.apply(x) - data
-    return float(r @ r + alpha * (x @ x))
+    return objective_and_cotangent(op, data, alpha, x)[0]
 
 
 def normal_operator(op, alpha):

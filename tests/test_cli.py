@@ -122,6 +122,16 @@ def test_rate_fit_plain_error_column(tmp_path, capsys):
     assert "slope = 1.000000" in capsys.readouterr().out
 
 
+def test_rate_fit_single_distinct_delta_exit_1(tmp_path, capsys):
+    table = tmp_path / "errors.csv"
+    table.write_text("delta,error\n0.1,1\n0.1,2\n0.1,3\n")
+    assert run_cli("rate-fit", "--table", str(table), "--out", str(tmp_path / "out")) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: need at least two distinct deltas, got only 0.1\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["rate-fit", "plot"])
 @pytest.mark.parametrize("text, where", [
     ("", ":"),  # empty file

@@ -166,6 +166,8 @@ def test_fit_rate_validation():
         fit_rate([0.1, -0.2], [1.0, 1.0])
     with pytest.raises(ValueError):
         fit_rate([0.1, 0.2], [0.0, 1.0])
+    with pytest.raises(ValueError, match="need at least two distinct deltas, got only 0.1"):
+        fit_rate([0.1, 0.1, 0.1], [1.0, 2.0, 3.0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -216,6 +218,12 @@ def test_sweep_config_rejects_empty_or_descending_alpha_grid():
             SweepConfig(deltas=[0.1], realizations=1, alpha_span_decades=span)
     single = SweepConfig(deltas=[0.1], realizations=1, n_alphas=1, alpha_span_decades=0.0)
     assert single.alpha_grid(0.1) == pytest.approx([0.1])
+
+
+@pytest.mark.parametrize("delta, span", [(0.1, 1.5), (0.037, 2.0)])
+def test_alpha_grid_of_one_alpha_is_delta(delta, span):
+    cfg = SweepConfig(deltas=[delta], n_alphas=1, alpha_span_decades=span)
+    assert cfg.alpha_grid(delta).tolist() == [delta]
 
 
 def test_alpha_grid_centered_on_delta():
@@ -352,7 +360,26 @@ def test_run_sweep_nn_method_smoke():
     )
     result = run_sweep(cfg)
     assert len(result.records) == 1
+    assert result.records[0].alphas.tolist() == [0.3]
     assert result.records[0].best_error > 0
+
+
+@pytest.mark.parametrize("method, threads", [("tikhonov", 1), ("tikhonov", 2), ("nn", 1)])
+def test_sweep_cell_alone_gives_the_bits_of_run_sweeps_record(method, threads):
+    from compact_tik import experiment
+
+    cfg = SweepConfig(deltas=[0.2, 0.05], realizations=2, method=method, n=8, angles=5,
+                      n_alphas=3, alpha_span_decades=1.0, seed=9, nn_hidden=(6,),
+                      nn_iterations=15, nn_learning_rate=1e-2)
+    result = run_sweep(cfg, threads=threads)
+    assert result.failures == [] and len(result.records) == 4
+    cells = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    # in reverse order, so no cell can lean on state an earlier one left behind
+    for (i, r), rec in reversed(list(zip(cells, result.records))):
+        alone = experiment._sweep_cell(cfg, i, r)
+        assert (alone.delta, alone.seed, alone.snr_db) == (rec.delta, rec.seed, rec.snr_db)
+        assert alone.alphas.tobytes() == rec.alphas.tobytes()
+        assert alone.errors.tobytes() == rec.errors.tobytes()
 
 
 def test_alpha_holder_mu_one():
