@@ -334,6 +334,9 @@ def run_sweep(cfg: SweepConfig, threads=1) -> SweepResult:
     cells = list(itertools.product(range(len(cfg.deltas)), range(cfg.realizations)))
     # serial runs need no pool: Executor.__exit__ would make Ctrl-C wait for the running cell
     if threads > 1:
+        # lru_cache does not merge concurrent misses: build the shared projector table once
+        # here, or the first cells of the pool would each build it
+        ct_scene(cfg.n, cfg.angles, cfg.det_halfwidth, cfg.n_bins)
         with ThreadPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(cell, *zip(*cells)))
     else:

@@ -9,10 +9,10 @@ along the ray
 with equispaced samples in t (spacing ``step``) clipped to the bounding
 circle of the square, trapezoid end-weights, and the interpolant extended
 by zero outside [-1, 1]^2. The map is compiled once per (geometry, grid)
-into a cached sparse table: the coalesced nonzeros (row, col, val) of R,
-sorted by ray then pixel. The forward map sums each ray's entries; the
-adjoint scatters the same triples, so the pair is an exact transpose up
-to float64 summation order.
+into a cached sparse table: the coalesced nonzeros (col, val) of R in one
+run per ray, sorted by ray then pixel. The forward map sums each run; the
+adjoint spreads each ray value over its run and scatters it through the
+same entries, so the pair is an exact transpose up to float64 summation order.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ class SinogramGrid:
 
 @dataclass(frozen=True)
 class _Projector:
-    """Coalesced nonzeros (row, col, val) of R, sorted by ray then pixel.
+    """Coalesced nonzeros (col, val) of R, sorted by ray then pixel, plus ray runs.
 
     ``rays`` lists the rays that have entries and ``starts`` the offset of
     each one's first entry, so a segmented sum over ``starts`` gives R x on
@@ -120,18 +120,10 @@ class _Projector:
     intp, which numpy gathers and scatters without a conversion copy.
     """
 
-    row: np.ndarray
     col: np.ndarray
     val: np.ndarray
     rays: np.ndarray
     starts: np.ndarray
-
-
-def _run_starts(sorted_keys):
-    """Index of the first element of each run of equal values."""
-    change = np.ones(sorted_keys.size, dtype=bool)
-    change[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    return np.flatnonzero(change)
 
 
 @functools.lru_cache(maxsize=8)
@@ -168,8 +160,8 @@ def _projector(geom: RadonGeometry, nx: int, ny: int) -> _Projector:
     s_key = s_bin * n_pix
     corner = np.array([0, 1, nx, nx + 1])
 
-    row_parts, col_parts, val_parts = [], [], []
-    for q, theta in enumerate(geom.angles):
+    col_parts, val_parts, length_parts = [], [], []
+    for theta in geom.angles:
         normal = np.array([math.cos(theta), math.sin(theta)])
         tangent = np.array([-math.sin(theta), math.cos(theta)])
         px = s_off * normal[0] + s_t * tangent[0]
@@ -197,17 +189,18 @@ def _projector(geom: RadonGeometry, nx: int, ny: int) -> _Projector:
         key = key[keep]
         order = np.argsort(key, kind="stable")
         key = key[order]
-        runs = _run_starts(key)
+        runs = np.flatnonzero(np.diff(key, prepend=-1))  # keys are >= 0, so entry 0 starts a run
         val_parts.append(np.add.reduceat(w4[keep][order], runs))
         ray, col = np.divmod(key[runs], n_pix)
-        row_parts.append(q * geom.n_bins + ray)
+        length_parts.append(np.bincount(ray, minlength=geom.n_bins))
         col_parts.append(col)
 
-    row = np.concatenate(row_parts).astype(np.intp, copy=False)
     col = np.concatenate(col_parts).astype(np.intp, copy=False)
     val = np.concatenate(val_parts)
-    starts = _run_starts(row)
-    return _Projector(row=row, col=col, val=val, rays=row[starts], starts=starts)
+    lengths = np.concatenate(length_parts)  # entries of each ray, angle-major
+    rays = np.flatnonzero(lengths)
+    starts = np.cumsum(lengths[rays]) - lengths[rays]
+    return _Projector(col=col, val=val, rays=rays, starts=starts)
 
 
 def radon_forward(image: ImageGrid, geom: RadonGeometry) -> SinogramGrid:
@@ -225,13 +218,13 @@ def radon_forward(image: ImageGrid, geom: RadonGeometry) -> SinogramGrid:
 def radon_adjoint(sino: SinogramGrid, nx, ny) -> ImageGrid:
     """Apply the exact transpose of :func:`radon_forward`.
 
-    Scatters each ray value back through the same table entries;
-    satisfies <Rx, y> = <x, R^T y> to floating-point accuracy.
+    Spreads each ray value over its run of table entries and scatters it
+    back through them; satisfies <Rx, y> = <x, R^T y> to floating-point accuracy.
     """
     check_positive("nx", nx)
     check_positive("ny", ny)
     table = _projector(sino.geometry, nx, ny)
-    contrib = sino.values[table.row]
+    contrib = np.repeat(sino.values[table.rays], np.diff(table.starts, append=table.col.size))
     contrib *= table.val
     values = np.bincount(table.col, weights=contrib, minlength=nx * ny)
     return ImageGrid(nx=nx, ny=ny, values=values)
@@ -255,7 +248,7 @@ def dense_matrix(geom: RadonGeometry, nx, ny):
     """Materialize the transform as a dense (M, N) array. Test-scale only."""
     table = _projector(geom, nx, ny)
     mat = np.zeros((geom.size, nx * ny))
-    mat[table.row, table.col] = table.val
+    mat[np.repeat(table.rays, np.diff(table.starts, append=table.col.size)), table.col] = table.val
     return mat
 
 

@@ -39,6 +39,38 @@ def test_summarize_counts_ties_for_neither_side_and_ignores_incomplete_pairs():
     assert rate["change_over_parent"] == 1.0
 
 
+# per pair (parent, change) of one metric; the other metric holds 1.0 on both sides.
+# Both bounds are 0.25.
+@pytest.mark.parametrize("name, parent, change, verdict", [
+    # 10 of 10 pairs won, medians 0.2 apart against a parent IQR of 0.045
+    ("solves_per_s", [1.0 + 0.01 * k for k in range(10)],
+     [1.2 + 0.01 * k for k in range(10)], "gain"),
+    # the same with 5 pairs: too few to claim a gain
+    ("solves_per_s", [1.0 + 0.01 * k for k in range(5)],
+     [1.2 + 0.01 * k for k in range(5)], "within bound"),
+    # a +16% median (2.45 -> 2.85) that wins only 8 of 10 pairs is no gain, and no loss
+    ("solves_per_s", [2.0 + 0.1 * k for k in range(10)],
+     [2.6 + 0.1 * k for k in range(8)] + [1.9, 2.0], "within bound"),
+    ("solves_per_s", [1.0] * 10, [0.7] * 10, "worse"),
+    ("wall_s", [1.0] * 10, [1.3] * 10, "worse"),
+    # parent IQR 1.0 against a median of 1.0: a 0.25 bound cannot be resolved
+    ("solves_per_s", [0.5, 1.5] * 5, [1.0] * 10, "unresolved"),
+    # ... unless every change run beats every parent run
+    ("solves_per_s", [0.5, 1.5] * 5, [1.6] * 10, "within bound"),
+    ("wall_s", [0.95, 1.05] * 5, [1.0] * 10, "within bound"),
+])
+def test_summarize_gives_each_metric_a_verdict(name, parent, change, verdict):
+    def values(v):
+        return (v, 1.0) if name == "wall_s" else (1.0, v)
+
+    runs = [r for pair, (a, b) in enumerate(zip(parent, change))
+            for r in (run(pair, "parent", *values(a)), run(pair, "change", *values(b)))]
+    metrics = bench_pairs.summarize(runs, END_TO_END)["metrics"]
+    assert metrics[name]["verdict"] == verdict
+    other = "solves_per_s" if name == "wall_s" else "wall_s"
+    assert metrics[other]["verdict"] == "within bound"
+
+
 def make_checkout(root, run_py):
     (root / "perfbench" / "__pycache__").mkdir(parents=True)
     (root / "perfbench" / "run.py").write_text(run_py)

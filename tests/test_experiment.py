@@ -353,6 +353,18 @@ def test_run_sweep_gives_every_alpha_a_true_residual_verdict(monkeypatch):
         assert np.linalg.norm(normal) <= cfg.cg_tol * res.rhs_norm
 
 
+def test_threaded_sweep_builds_the_projector_table_once():
+    # lru_cache does not merge concurrent misses, so two cells starting on
+    # a cold cache would each build the table
+    from compact_tik import radon
+
+    radon._projector.cache_clear()
+    cfg = SweepConfig(deltas=[0.1], realizations=2, n=96, angles=40, n_alphas=1, seed=3)
+    result = run_sweep(cfg, threads=2)
+    assert result.failures == [] and len(result.records) == 2
+    assert radon._projector.cache_info().misses == 1
+
+
 def test_run_sweep_nn_method_smoke():
     cfg = SweepConfig(
         deltas=[0.3], realizations=1, method="nn", n=8, angles=4,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from compact_tik.linop import adjoint_defect
 from compact_tik.radon import (
     RadonGeometry,
     SinogramGrid,
+    _projector,
     dense_matrix,
     radon_adjoint,
     radon_forward,
@@ -241,6 +243,31 @@ def test_rays_without_entries_are_exactly_zero():
     sino = radon_forward(ImageGrid(nx, ny, np.ones(nx * ny)), geom).values
     assert np.all(sino[empty] == 0.0)
     assert np.all(sino[~empty] > 0.0)
+
+
+@pytest.mark.parametrize("geom, nx", [
+    (RadonGeometry.for_grid(32, 20), 32),
+    (RadonGeometry.for_grid(17, 7, n_bins=1), 17),
+    (RadonGeometry.for_grid(12, 5, det_halfwidth=2.0), 12),  # bins past sqrt(2) have no entries
+])
+def test_adjoint_is_bitwise_the_row_major_scatter_of_the_dense_nonzeros(geom, nx):
+    # each nonzero R[row, col] adds y[row] * R[row, col] to pixel col, in
+    # row-major (ray, then pixel) order: the order of the table's entries
+    mat = dense_matrix(geom, nx, nx)
+    rows, cols = np.nonzero(mat)
+    y = np.random.default_rng(5).standard_normal(geom.size)
+    want = np.bincount(cols, weights=y[rows] * mat[rows, cols], minlength=nx * nx)
+    got = radon_adjoint(SinogramGrid(geometry=geom, values=y), nx, nx).values
+    assert np.array_equal(got, want)
+    if geom.det_halfwidth > math.sqrt(2.0):
+        assert not mat.any(axis=1).all()
+
+
+def test_cached_table_holds_two_arrays_per_entry_and_two_per_ray():
+    # col and val per entry, rays and starts per ray: no per-entry row index
+    table = _projector(RadonGeometry.for_grid(64, 30), 64, 64)
+    nbytes = sum(getattr(table, f.name).nbytes for f in dataclasses.fields(table))
+    assert nbytes <= 16 * table.col.size + 16 * table.rays.size
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -23,9 +23,21 @@ The output file keeps one entry per workload; running the script again for
 another workload adds that entry and leaves the others. An entry holds
 every run's result object (the last line ``perfbench/run.py`` prints) and,
 per end-to-end metric of ``BENCHMARK.json``, each side's median and
-quartiles, the ratio of the medians and the number of pairs the change
-won. The file is rewritten after every pair, so an interrupted run keeps
-the pairs it finished.
+quartiles, the ratio of the medians, the number of pairs the change won and
+a verdict, the first of these that holds:
+
+- ``gain``: at least 10 pairs ran, the change won at least 9 in 10 of them,
+  ties counting for neither side, and its median is better than the parent's by more than the
+  parent's interquartile range;
+- ``worse``: the change's median is worse than the parent's by more than the
+  metric's ``bound``, a fraction of the parent's median;
+- ``unresolved``: the parent's interquartile range exceeds ``bound`` of its
+  median, so a difference within the bound cannot be told from noise, and
+  not every change run is better than every parent run;
+- ``within bound``: any other case.
+
+The file is rewritten after every pair, so an interrupted run keeps the
+pairs it finished.
 """
 
 from __future__ import annotations
@@ -124,6 +136,17 @@ def summarize(runs, end_to_end):
                    if sign * (p["change"]["metrics"][name]["value"]
                               - p["parent"]["metrics"][name]["value"]) > 0)
         parent, change = spread(side_values["parent"]), spread(side_values["change"])
+        gap = sign * (change["median"] - parent["median"])  # > 0: the change is better
+        iqr, bound = parent["q3"] - parent["q1"], metric["bound"]
+        if len(complete) >= 10 and 10 * wins >= 9 * len(complete) and gap > iqr:
+            verdict = "gain"
+        elif gap < -bound * parent["median"]:
+            verdict = "worse"
+        elif (iqr > bound * parent["median"] and min(sign * v for v in side_values["change"])
+              <= max(sign * v for v in side_values["parent"])):
+            verdict = "unresolved"
+        else:
+            verdict = "within bound"
         summary["metrics"][name] = {
             "unit": metric["unit"],
             "better": better,
@@ -132,6 +155,7 @@ def summarize(runs, end_to_end):
             "change": change,
             "change_over_parent": change["median"] / parent["median"],
             "change_better_pairs": wins,
+            "verdict": verdict,
         }
     return summary
 
@@ -179,7 +203,7 @@ def main(argv=None):
               f"{m['parent']['q3']:.4g}], change {m['change']['median']:.4g} "
               f"[{m['change']['q1']:.4g}, {m['change']['q3']:.4g}], ratio "
               f"{m['change_over_parent']:.3f}, change better in {m['change_better_pairs']}/"
-              f"{entry['summary']['pairs']} pairs")
+              f"{entry['summary']['pairs']} pairs: {m['verdict']}")
     return 0
 
 
