@@ -368,8 +368,12 @@ def _number(path, lineno, name, field, zero_ok=False):
 
 
 def _table_deltas_errors(path):
-    """Extract (delta, error, method) triples from a results-style table."""
+    """Extract (delta, error, method) triples from an aggregate or delta,error table."""
     header, rows = _read_csv(path)
+    if "alpha" in header:
+        # a sweep's results.csv: its errors are at every alpha, not the oracle alpha
+        raise ValueError(f"{path}: has an 'alpha' column, so its errors are not the oracle "
+                         "errors; fit the sweep's aggregate.csv")
     try:
         d_col = header.index("delta")
     except ValueError as exc:

@@ -71,8 +71,11 @@ def test_summarize_gives_each_metric_a_verdict(name, parent, change, verdict):
     assert metrics[other]["verdict"] == "within bound"
 
 
-def make_checkout(root, run_py):
+def make_checkout(root, run_py, source=None):
+    """A checkout with ``perfbench/`` and a one-file ``src/`` (by default naming the checkout)."""
     (root / "perfbench" / "__pycache__").mkdir(parents=True)
+    (root / "src" / "pkg").mkdir(parents=True)
+    (root / "src" / "pkg" / "__init__.py").write_text(source or f"# {root.name}\n")
     (root / "perfbench" / "run.py").write_text(run_py)
     (root / "perfbench" / "layers.py").write_text("SITES = {}\n")
     (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END,
@@ -140,3 +143,36 @@ def test_checkout_kinds_are_recorded_and_a_mismatch_warns(tmp_path, monkeypatch,
     assert json.loads(out.read_text())["workloads"]["w"]["checkout_kinds"] == {
         "parent": kind[parent_git], "change": kind[change_git]}
     assert ("warning:" in capsys.readouterr().err) == (kind[parent_git] != kind[change_git])
+
+
+def test_source_hash_covers_paths_and_bytes_but_not_pycache(tmp_path):
+    a = make_checkout(tmp_path / "a", "print('a')\n", source="x = 1\n")
+    b = make_checkout(tmp_path / "b", "print('a')\n", source="x = 1\n")
+    assert bench_pairs.source_hash(a) == bench_pairs.source_hash(b)
+    (b / "src" / "pkg" / "__pycache__").mkdir()
+    (b / "src" / "pkg" / "__pycache__" / "__init__.cpython.pyc").write_bytes(b"\0")
+    assert bench_pairs.source_hash(a) == bench_pairs.source_hash(b)
+    (b / "src" / "pkg" / "__init__.py").write_text("x = 2\n")
+    assert bench_pairs.source_hash(a) != bench_pairs.source_hash(b)
+    (b / "src" / "pkg" / "__init__.py").rename(b / "src" / "pkg" / "other.py")
+    (b / "src" / "pkg" / "other.py").write_text("x = 1\n")
+    assert bench_pairs.source_hash(a) != bench_pairs.source_hash(b)
+
+
+@pytest.mark.parametrize("same", [True, False])
+def test_sources_are_recorded_and_equal_sources_warn(tmp_path, monkeypatch, capsys, same):
+    # an uncommitted change records its parent's commit, so only the
+    # source hashes tell the two sides apart
+    monkeypatch.setattr(bench_pairs, "run_once",
+                        lambda *args: ({"commit": "abc"}, run(0, "parent", 1.0, 1.0)["result"]))
+    parent = make_checkout(tmp_path / "parent", "print('a')\n", source="x = 1\n")
+    change = make_checkout(tmp_path / "change", "print('a')\n",
+                           source="x = 1\n" if same else "x = 2\n")
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(bench_args(parent, change, out)) == 0
+    entry = json.loads(out.read_text())["workloads"]["w"]
+    assert entry["commits"] == {"parent": "abc", "change": "abc"}
+    assert entry["sources"] == {"parent": bench_pairs.source_hash(parent),
+                                "change": bench_pairs.source_hash(change)}
+    assert (entry["sources"]["parent"] == entry["sources"]["change"]) == same
+    assert ("same src/" in capsys.readouterr().err) == same

@@ -132,6 +132,18 @@ def test_rate_fit_single_distinct_delta_exit_1(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_rate_fit_refuses_a_per_alpha_results_table(tmp_path, capsys):
+    # fitting every alpha's error gives slope 0.240487 here; the sweep's
+    # oracle-error fit in fits.csv is 0.181085
+    table = REPO / "reference_runs" / "ct32" / "tikhonov" / "results.csv"
+    assert run_cli("rate-fit", "--table", str(table), "--out", str(tmp_path / "out")) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {table}: has an 'alpha' column")
+    assert "aggregate.csv" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["rate-fit", "plot"])
 @pytest.mark.parametrize("text, where", [
     ("", ":"),  # empty file

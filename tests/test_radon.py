@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -268,6 +269,20 @@ def test_cached_table_holds_two_arrays_per_entry_and_two_per_ray():
     table = _projector(RadonGeometry.for_grid(64, 30), 64, 64)
     nbytes = sum(getattr(table, f.name).nbytes for f in dataclasses.fields(table))
     assert nbytes <= 16 * table.col.size + 16 * table.rays.size
+
+
+def test_cold_build_holds_one_copy_of_the_table():
+    # each angle's entries go straight into the growing table, so the build
+    # peaks at the table plus one angle's working set, not at two tables
+    _projector.cache_clear()
+    tracemalloc.start()
+    try:
+        table = _projector(RadonGeometry.for_grid(64, 30), 64, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nbytes = sum(getattr(table, f.name).nbytes for f in dataclasses.fields(table))
+    assert peak <= 1.5 * nbytes
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

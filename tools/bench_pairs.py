@@ -13,6 +13,11 @@ speed does not favour one side. The two checkouts must hold the same
 ``perfbench/``, so that both sides are measured by identical benchmark code;
 the script compares the bytes of every file there (``__pycache__`` aside)
 and exits with status 1, before any run, naming the first file that differs.
+Each side's commit is recorded as ``perfbench/run.py`` reports it; an
+uncommitted change reports its parent's commit, so each side's ``src/`` is
+also recorded under ``sources``, as a SHA-256 over the sorted relative paths
+and bytes of its files (``__pycache__`` aside). Equal hashes print a warning
+on stderr: the pairs would measure one program twice.
 Each side's checkout kind is recorded: a git work tree when it holds a
 ``.git`` (a directory, or the file of a linked work tree), a plain copy
 otherwise. Pairs of different kinds run, but with a warning on stderr: such a
@@ -43,6 +48,7 @@ pairs it finished.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -63,9 +69,9 @@ def parse_args(argv):
     return args
 
 
-def perfbench_files(checkout):
-    """{path relative to perfbench/: bytes} for every file outside __pycache__."""
-    root = os.path.join(checkout, "perfbench")
+def tree_files(checkout, top):
+    """{path relative to ``top``: bytes} for every file under it outside __pycache__."""
+    root = os.path.join(checkout, top)
     files = {}
     for dirpath, dirnames, filenames in os.walk(root):
         dirnames[:] = [d for d in dirnames if d != "__pycache__"]
@@ -78,9 +84,18 @@ def perfbench_files(checkout):
 
 def first_perfbench_difference(parent, change):
     """The first file, in sorted order, whose bytes differ or that only one checkout has."""
-    a, b = perfbench_files(parent), perfbench_files(change)
+    a, b = tree_files(parent, "perfbench"), tree_files(change, "perfbench")
     return next((name for name in sorted(a.keys() | b.keys()) if a.get(name) != b.get(name)),
                 None)
+
+
+def source_hash(checkout):
+    """SHA-256 over the sorted relative paths and bytes of the files of ``src/``."""
+    digest = hashlib.sha256()
+    for name, data in sorted(tree_files(checkout, "src").items()):
+        digest.update(f"{name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def checkout_kind(checkout):
@@ -179,7 +194,11 @@ def main(argv=None):
     if kinds["parent"] != kinds["change"]:
         print(f"warning: the parent is a {kinds['parent']} and the change a {kinds['change']}; "
               "make both checkouts the same way", file=sys.stderr)
-    entry = {"seconds": seconds, "checkout_kinds": kinds, "runs": []}
+    sources = {side: source_hash(path) for side, path in checkouts.items()}
+    if sources["parent"] == sources["change"]:
+        print(f"warning: the parent and the change hold the same src/ (sha256 "
+              f"{sources['parent'][:12]}); the pairs measure one program twice", file=sys.stderr)
+    entry = {"seconds": seconds, "checkout_kinds": kinds, "sources": sources, "runs": []}
     bench["workloads"][args.workload] = entry
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
