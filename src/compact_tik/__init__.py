@@ -2,7 +2,7 @@
 
 Regularized solutions of ill-posed linear problems are computed two ways:
 the classical unconstrained Tikhonov minimizer (conjugate gradients on
-the normal equations), and a minimizer over compact sets of nonnegative
+the normal equations, preconditioned for a single alpha), and a minimizer over compact sets of nonnegative
 images generated by bounded-weight coordinate MLPs. The experiment layer
 measures how the reconstruction error decays with the noise level and
 compares the fitted rate to the predicted power laws.

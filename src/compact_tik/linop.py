@@ -24,6 +24,8 @@ class LinearOperator:
     range_dim: int
     apply: Callable[[np.ndarray], np.ndarray]
     apply_adjoint: Callable[[np.ndarray], np.ndarray]
+    #: optional (v, alpha) -> approximately (A^T A + alpha I)^{-1} v, SPD for alpha > 0
+    normal_preconditioner: Callable[[np.ndarray, float], np.ndarray] | None = None
 
 
 def matrix_operator(mat):
@@ -70,12 +72,19 @@ class CgResult:
     converged: bool
 
 
-def cg_solve(apply_spd, rhs, tol=1e-10, max_iter=2000, x0=None):
+def cg_solve(apply_spd, rhs, tol=1e-10, max_iter=2000, x0=None, precondition=None):
     """Conjugate gradients for M x = rhs with M symmetric positive definite.
 
     The single-shift case (shift 0) of :func:`cg_solve_shifted`. A warm
     start solves M d = rhs - M x0 to the threshold of the original ``rhs``
     and returns x0 + d, so a converged ``x0`` costs no iteration.
+
+    With ``precondition``, an SPD approximation of M^{-1}, the search
+    directions follow z = precondition(r) instead of r (preconditioned CG).
+    The stopping test is unchanged: it reads the unpreconditioned residual
+    ||r||, so ``residual_norm`` and ``converged`` keep their meaning. The
+    first z is formed after the first test, so a converged warm start never
+    calls ``precondition``. Without it, this is textbook CG bit for bit.
 
     Parameters
     ----------
@@ -89,6 +98,9 @@ def cg_solve(apply_spd, rhs, tol=1e-10, max_iter=2000, x0=None):
         Iteration cap; hitting it is reported, not raised.
     x0 : ndarray, optional
         Warm start; defaults to zero.
+    precondition : callable, optional
+        r -> z, an SPD approximation of M^{-1} r (behavioral assumption,
+        unchecked). A poor one costs iterations, never the verdict.
 
     Returns
     -------
@@ -102,7 +114,8 @@ def cg_solve(apply_spd, rhs, tol=1e-10, max_iter=2000, x0=None):
     check_positive("tol", tol)
     rhs = np.asarray(rhs, dtype=np.float64)
     r0 = rhs if x0 is None else rhs - apply_spd(np.asarray(x0, dtype=np.float64))
-    (res,) = _shifted_cg(apply_spd, r0, np.zeros(1), tol, float(np.linalg.norm(rhs)), max_iter)
+    (res,) = _shifted_cg(apply_spd, r0, np.zeros(1), tol, float(np.linalg.norm(rhs)), max_iter,
+                         precondition)
     return res if x0 is None else dataclasses.replace(res, x=x0 + res.x)
 
 
@@ -115,7 +128,9 @@ def cg_solve_shifted(apply_base, rhs, shifts, tol=1e-10, max_iter=2000):
     applications of M of the slowest system (Frommer & Maass, SIAM J. Sci.
     Comput. 20 (1999); Jegerlehner, hep-lat/9612014). Shifts are
     nonnegative, so the base system is the slowest and zeta_s shrinks as s
-    grows.
+    grows. There is no preconditioned variant: preconditioning breaks the
+    shift invariance K(M, r) = K(M + s I, r) that lets the shifts share
+    one sequence.
 
     A shift is frozen once |zeta_s| ||r|| <= tol * ||rhs|| and never updated
     again: past convergence its zeta keeps shrinking, underflows and would
@@ -160,15 +175,19 @@ def cg_solve_shifted(apply_base, rhs, shifts, tol=1e-10, max_iter=2000):
     return _shifted_cg(apply_base, rhs, shifts, tol, float(np.linalg.norm(rhs)), max_iter)
 
 
-def _shifted_cg(apply_base, rhs, shifts, tol, rhs_norm, max_iter):
+def _shifted_cg(apply_base, rhs, shifts, tol, rhs_norm, max_iter, precondition=None):
     """:func:`cg_solve_shifted` from x0 = 0, freezing each shift at the absolute
     threshold tol * ``rhs_norm``. With the single shift 0, zeta and the ratio
-    stay exactly 1, so this is textbook CG bit for bit."""
+    stay exactly 1, so this is textbook CG bit for bit; ``precondition`` is
+    for that case only, and turns it into preconditioned CG."""
     threshold = tol * rhs_norm
     r = np.array(rhs, dtype=np.float64)
     rs = r @ r
     if not np.isfinite(rs):
         raise NumericalFailureError("non-finite initial residual in CG")
+    # z is the preconditioned residual and rz = r^T z; without a preconditioner
+    # they are r and rs
+    z, rz = r, rs
     p = r.copy()
     xs = np.zeros((shifts.size, r.size))
     residuals = np.empty(shifts.size)
@@ -192,13 +211,18 @@ def _shifted_cg(apply_base, rhs, shifts, tol, rhs_norm, max_iter):
             )
         if active.size == 0 or iterations >= max_iter:
             break
+        if precondition is not None and iterations == 0:
+            z = precondition(r)
+            rz = r @ z
+            p = z
+            p_act = z[None, :].copy()
         mp = apply_base(p)
         denom = p @ mp
         if not np.isfinite(denom) or denom <= 0.0:
             raise NumericalFailureError(
                 f"CG breakdown at iteration {iterations}: p^T M p = {denom}"
             )
-        step = rs / denom
+        step = rz / denom
         zeta_next = zeta * zeta_prev * step_prev / (
             step * beta_prev * (zeta_prev - zeta) + zeta_prev * step_prev * (1.0 + sigma * step)
         )
@@ -208,12 +232,17 @@ def _shifted_cg(apply_base, rhs, shifts, tol, rhs_norm, max_iter):
         rs_next = r @ r
         if not np.isfinite(rs_next):
             raise NumericalFailureError(f"non-finite residual at iteration {iterations}")
-        beta = rs_next / rs
+        if precondition is None:
+            z, rz_next = r, rs_next
+        else:
+            z = precondition(r)
+            rz_next = r @ z
+        beta = rz_next / rz
         p_act *= (beta * ratio * ratio)[:, None]
-        p_act += zeta_next[:, None] * r
-        p = r + beta * p
+        p_act += zeta_next[:, None] * z
+        p = z + beta * p
         zeta_prev, zeta = zeta, zeta_next
-        step_prev, beta_prev, rs = step, beta, rs_next
+        step_prev, beta_prev, rs, rz = step, beta, rs_next, rz_next
         iterations += 1
     xs[active] = x_act
     residuals[active] = res

@@ -243,8 +243,40 @@ def radon_adjoint(sino: SinogramGrid, nx, ny) -> ImageGrid:
     return ImageGrid(nx=nx, ny=ny, values=values)
 
 
+@functools.lru_cache(maxsize=8)
+def _normal_symbol(geom: RadonGeometry, nx: int, ny: int) -> np.ndarray:
+    """FFT symbol of a circulant approximation of R^T R on the (2 ny, 2 nx) torus.
+
+    Parallel-beam R^T R is nearly shift-invariant (a 1/|omega| filter in
+    the continuous limit), so its response to the centre pixel, centred at
+    offset 0 on a zero-padded torus, stands for every pixel's (Chan & Ng,
+    SIAM Review 38 (1996); Fessler & Booth, IEEE TIP 8 (1999)). The real
+    part of its rfft2 is the symbol of the symmetrised kernel, so the
+    circulant is symmetric. The symbol is floored at 1e-2 of its maximum:
+    clamped only at 0, small alphas leave near-null frequencies with huge
+    gains, and CG at alpha = 1e-6 on noisy Shepp-Logan data then did not
+    converge in 5000 iterations at 32x32/20 angles, where plain CG takes
+    2785.
+    """
+    unit = np.zeros(nx * ny)
+    cy, cx = ny // 2, nx // 2
+    unit[cy * nx + cx] = 1.0
+    response = radon_adjoint(radon_forward(ImageGrid(nx=nx, ny=ny, values=unit), geom), nx, ny)
+    kernel = np.zeros((2 * ny, 2 * nx))
+    kernel[:ny, :nx] = response.as_array()
+    kernel = np.roll(kernel, (-cy, -cx), axis=(0, 1))
+    symbol = np.fft.rfft2(kernel).real
+    return np.maximum(symbol, 1e-2 * symbol.max())
+
+
 def radon_operator(geom: RadonGeometry, nx, ny) -> LinearOperator:
-    """Flat-vector LinearOperator view of the transform pair."""
+    """Flat-vector LinearOperator view of the transform pair.
+
+    Its ``normal_preconditioner`` divides by the cached symbol of
+    :func:`_normal_symbol` plus alpha, on the zero-padded image; the symbol
+    is built on the first call, so an operator that is never preconditioned
+    never pays for it.
+    """
 
     def apply(x):
         return radon_forward(ImageGrid(nx=nx, ny=ny, values=x), geom).values
@@ -252,8 +284,15 @@ def radon_operator(geom: RadonGeometry, nx, ny) -> LinearOperator:
     def apply_adjoint(y):
         return radon_adjoint(SinogramGrid(geometry=geom, values=y), nx, ny).values
 
+    def normal_preconditioner(v, alpha):
+        shape = (2 * ny, 2 * nx)
+        spectrum = np.fft.rfft2(v.reshape(ny, nx), s=shape)
+        spectrum /= _normal_symbol(geom, nx, ny) + alpha
+        return np.fft.irfft2(spectrum, s=shape)[:ny, :nx].ravel()
+
     return LinearOperator(
-        domain_dim=nx * ny, range_dim=geom.size, apply=apply, apply_adjoint=apply_adjoint
+        domain_dim=nx * ny, range_dim=geom.size, apply=apply, apply_adjoint=apply_adjoint,
+        normal_preconditioner=normal_preconditioner,
     )
 
 

@@ -3,7 +3,10 @@
 The regularized solution of A x = y^d with penalty weight alpha minimizes
 ||A z - y^d||^2 + alpha ||z||^2, i.e. solves the normal equations
 (A^T A + alpha I) x = A^T y^d. The system is SPD for alpha > 0, so
-conjugate gradients applies without preconditioning.
+conjugate gradients applies. A single-alpha solve is preconditioned when
+the operator supplies an approximate inverse of the normal operator (the
+Radon transform's FFT symbol of R^T R); a sweep's multi-shift sequence is
+not, since preconditioning breaks its shift invariance.
 """
 
 from __future__ import annotations
@@ -52,15 +55,18 @@ def normal_operator(op, alpha):
 
 
 def solve_tikhonov(problem: TikhonovProblem, tol=1e-10, max_iter=2000, x0=None) -> CgResult:
-    """Solve the normal equations by CG.
+    """Solve the normal equations by CG, preconditioned when the operator can.
 
     Returns the solution together with the final normal-equation residual
     and ||A^T y^d|| so callers can audit optimality. ``x0`` warm-starts the
-    iteration.
+    iteration. An operator with a ``normal_preconditioner`` gets
+    preconditioned CG; the stopping test is the same either way.
     """
-    op = problem.op
-    return cg_solve(normal_operator(op, problem.alpha), op.apply_adjoint(problem.data), tol=tol,
-                    max_iter=max_iter, x0=x0)
+    op, alpha = problem.op, problem.alpha
+    pre = op.normal_preconditioner
+    precondition = None if pre is None else (lambda r: pre(r, alpha))
+    return cg_solve(normal_operator(op, alpha), op.apply_adjoint(problem.data), tol=tol,
+                    max_iter=max_iter, x0=x0, precondition=precondition)
 
 
 def check_converged(alpha, result: CgResult, tol, tol_name):

@@ -63,7 +63,7 @@ def test_tikhonov_unconverged_exit_2_writes_nothing(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == (
         "numerical failure: CG did not converge at alpha=0.01: 2 iterations, "
-        "normal residual 5.036e-01 > tol * ||rhs|| = 1.858e-09\n")
+        "normal residual 1.420e+00 > tol * ||rhs|| = 1.858e-09\n")
     assert not rec.exists()
     assert not (tmp_path / "x.imgf.manifest").exists()
 

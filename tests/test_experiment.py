@@ -22,8 +22,13 @@ from compact_tik.experiment import (
     substream_seed,
     sweep_deltas,
 )
-from compact_tik.linop import matrix_operator
-from compact_tik.tikhonov import TikhonovProblem, dense_normal_solve, solve_tikhonov
+from compact_tik.linop import cg_solve_shifted, matrix_operator
+from compact_tik.tikhonov import (
+    TikhonovProblem,
+    dense_normal_solve,
+    normal_operator,
+    solve_tikhonov,
+)
 
 
 def test_substream_seed_stable_and_distinct():
@@ -255,11 +260,21 @@ def test_run_sweep_single_cell_matches_direct_solve():
     seed = substream_seed(3, 0, 0)
     y_noisy = add_noise(y, NoiseSpec(delta=0.05, seed=seed))
     op = radon_operator(geom, 12, 12)
-    x = solve_tikhonov(TikhonovProblem(op=op, data=y_noisy, alpha=alpha)).x
+    # the sweep's own path: the Krylov sequence at shift 0, then the polish
+    problem = TikhonovProblem(op=op, data=y_noisy, alpha=alpha)
+    (shifted,) = cg_solve_shifted(normal_operator(op, alpha), op.apply_adjoint(y_noisy), [0.0],
+                                  tol=cfg.cg_tol, max_iter=cfg.cg_max_iter)
+    x = solve_tikhonov(problem, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter, x0=shifted.x).x
     expected = np.linalg.norm(phantom.values - x)
     assert rec.best_error == pytest.approx(expected, rel=1e-12)
     assert rec.best_alpha == alpha
     assert rec.seed == seed
+    # a direct (preconditioned) solve stops on its own Krylov sequence; both
+    # normal residuals are <= cg_tol ||rhs|| and the normal operator's smallest
+    # eigenvalue is >= alpha, so the two solutions differ by <= 2 cg_tol ||rhs|| / alpha
+    direct = solve_tikhonov(problem, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter)
+    bound = 2.0 * cfg.cg_tol * direct.rhs_norm / alpha
+    assert abs(np.linalg.norm(phantom.values - direct.x) - rec.best_error) <= bound
 
 
 def test_run_sweep_aggregate_of_equal_errors():

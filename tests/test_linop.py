@@ -268,3 +268,36 @@ def test_cg_shifted_rejects_bad_arguments():
         cg_solve_shifted(lambda x: x, np.ones(2), [])
     with pytest.raises(ValueError):
         cg_solve_shifted(lambda x: x, np.ones(2), [0.0, -1.0])
+
+
+def test_preconditioned_cg_meets_tol_on_its_true_residual():
+    # badly scaled SPD system; Jacobi (inverse diagonal) is an SPD preconditioner
+    spd, rhs = random_spd(28, 40, 1.0)
+    scale = np.logspace(0, 2, 40)
+    spd = scale[:, None] * spd * scale[None, :]
+    inv_diag = 1.0 / np.diag(spd)
+    res = cg_solve(lambda x: spd @ x, rhs, tol=1e-8, precondition=lambda r: inv_diag * r)
+    assert res.converged
+    assert np.linalg.norm(spd @ res.x - rhs) <= 1e-8 * np.linalg.norm(rhs)
+    direct = np.linalg.solve(spd, rhs)
+    assert np.linalg.norm(res.x - direct) <= 1e-6 * np.linalg.norm(direct)
+
+
+def test_cg_preconditioned_by_the_exact_inverse_takes_one_iteration():
+    spd, rhs = random_spd(29, 30, 1.0)
+    inverse = np.linalg.inv(spd)
+    res = cg_solve(lambda x: spd @ x, rhs, precondition=lambda r: inverse @ r)
+    assert res.converged and res.iterations == 1
+
+
+def test_converged_warm_start_never_calls_the_preconditioner():
+    spd, rhs = random_spd(25, 30, 1.0)
+    calls = []
+
+    def precondition(r):
+        calls.append(1)
+        return r
+
+    res = cg_solve(lambda x: spd @ x, rhs, x0=np.linalg.solve(spd, rhs), precondition=precondition)
+    assert res.iterations == 0 and res.converged
+    assert not calls

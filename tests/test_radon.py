@@ -285,6 +285,26 @@ def test_cold_build_holds_one_copy_of_the_table():
     assert peak <= 1.5 * nbytes
 
 
+# geometries of the Tikhonov preconditioner tests: two for_grid ones (square
+# and not) and two degenerate ones, a single bin and bins past the image
+PRECONDITIONED_GEOMETRIES = [
+    (RadonGeometry.for_grid(32, 20), 32, 32),
+    (RadonGeometry.for_grid(24, 11), 24, 16),
+    (RadonGeometry.for_grid(32, 20, n_bins=1), 32, 32),
+    (RadonGeometry.for_grid(12, 5, det_halfwidth=2.0), 12, 12),
+]
+
+
+@pytest.mark.parametrize("geom, nx, ny", PRECONDITIONED_GEOMETRIES)
+def test_normal_preconditioner_is_symmetric_positive_definite(geom, nx, ny):
+    pre = radon_operator(geom, nx, ny).normal_preconditioner
+    for alpha in (1e-6, 1e-2, 1.0):
+        dense = np.column_stack([pre(e, alpha) for e in np.eye(nx * ny)])
+        # entry (i, j) is <e_i, P e_j>, so symmetry is <u, P v> = <P u, v>
+        assert np.abs(dense - dense.T).max() <= 1e-12 * np.abs(dense).max()
+        assert np.linalg.eigvalsh(dense).min() > 0.0
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     nx=st.integers(1, 7),

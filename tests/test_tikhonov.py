@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from compact_tik.experiment import NoiseSpec, add_noise, delta_for_snr
 from compact_tik.grid import shepp_logan
 from compact_tik.linop import cg_solve_shifted, matrix_operator
 from compact_tik.radon import RadonGeometry, dense_matrix, radon_forward, radon_operator
@@ -151,3 +152,32 @@ def test_objective_dominance():
     for _ in range(10):
         v = rng.standard_normal(144)
         assert j_star <= tikhonov_objective(op, data, alpha, v) + 10 * tol
+
+
+@pytest.mark.parametrize("geom, nx, ny", [
+    (RadonGeometry.for_grid(32, 20), 32, 32),
+    (RadonGeometry.for_grid(24, 11), 24, 16),
+    (RadonGeometry.for_grid(32, 20, n_bins=1), 32, 32),  # degenerate: more iterations than CG
+    (RadonGeometry.for_grid(12, 5, det_halfwidth=2.0), 12, 12),
+])
+def test_preconditioned_solve_matches_dense_oracle(geom, nx, ny):
+    op = radon_operator(geom, nx, ny)
+    assert op.normal_preconditioner is not None
+    mat = dense_matrix(geom, nx, ny)
+    data = np.random.default_rng(9).standard_normal(geom.size)
+    for alpha in (1e-3, 1e-1, 1.0):
+        res = solve_tikhonov(TikhonovProblem(op=op, data=data, alpha=alpha), max_iter=5000)
+        direct = dense_normal_solve(mat, data, alpha)
+        assert res.converged
+        assert np.linalg.norm(res.x - direct) <= 1e-6 * np.linalg.norm(direct)
+
+
+def test_single_alpha_solve_is_preconditioned():
+    # 64x64, 30 angles, 23 dB, alpha = delta: plain CG takes 26 iterations,
+    # preconditioned CG 14; more than 17 means the preconditioner was dropped
+    geom = RadonGeometry.for_grid(64, 30)
+    clean = radon_forward(shepp_logan(64, 64), geom).values
+    delta = delta_for_snr(clean, 23.0)
+    data = add_noise(clean, NoiseSpec(delta=delta, seed=1))
+    res = solve_tikhonov(TikhonovProblem(op=radon_operator(geom, 64, 64), data=data, alpha=delta))
+    assert res.converged and res.iterations <= 17
