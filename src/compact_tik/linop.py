@@ -72,6 +72,10 @@ class CgResult:
     converged: bool
 
 
+def _identity(v):
+    return v
+
+
 def cg_solve(apply_spd, rhs, tol=1e-10, max_iter=2000, x0=None, precondition=None):
     """Conjugate gradients for M x = rhs with M symmetric positive definite.
 
@@ -82,9 +86,10 @@ def cg_solve(apply_spd, rhs, tol=1e-10, max_iter=2000, x0=None, precondition=Non
     With ``precondition``, an SPD approximation of M^{-1}, the search
     directions follow z = precondition(r) instead of r (preconditioned CG).
     The stopping test is unchanged: it reads the unpreconditioned residual
-    ||r||, so ``residual_norm`` and ``converged`` keep their meaning. The
-    first z is formed after the first test, so a converged warm start never
-    calls ``precondition``. Without it, this is textbook CG bit for bit.
+    ||r||, so ``residual_norm`` and ``converged`` keep their meaning. Each
+    z is formed only after a convergence test that lets a step follow, so
+    ``precondition`` is applied once per iteration and never at a converged
+    start. Without it, z = r and this is textbook CG bit for bit.
 
     Parameters
     ----------
@@ -115,7 +120,7 @@ def cg_solve(apply_spd, rhs, tol=1e-10, max_iter=2000, x0=None, precondition=Non
     rhs = np.asarray(rhs, dtype=np.float64)
     r0 = rhs if x0 is None else rhs - apply_spd(np.asarray(x0, dtype=np.float64))
     (res,) = _shifted_cg(apply_spd, r0, np.zeros(1), tol, float(np.linalg.norm(rhs)), max_iter,
-                         precondition)
+                         _identity if precondition is None else precondition)
     return res if x0 is None else dataclasses.replace(res, x=x0 + res.x)
 
 
@@ -175,30 +180,32 @@ def cg_solve_shifted(apply_base, rhs, shifts, tol=1e-10, max_iter=2000):
     return _shifted_cg(apply_base, rhs, shifts, tol, float(np.linalg.norm(rhs)), max_iter)
 
 
-def _shifted_cg(apply_base, rhs, shifts, tol, rhs_norm, max_iter, precondition=None):
+def _shifted_cg(apply_base, rhs, shifts, tol, rhs_norm, max_iter, precondition=_identity):
     """:func:`cg_solve_shifted` from x0 = 0, freezing each shift at the absolute
     threshold tol * ``rhs_norm``. With the single shift 0, zeta and the ratio
     stay exactly 1, so this is textbook CG bit for bit; ``precondition`` is
-    for that case only, and turns it into preconditioned CG."""
+    for that case only, and turns it into preconditioned CG. Each step first
+    forms z = precondition(r) and the next direction, so z is formed only
+    when the convergence test lets a step follow."""
     threshold = tol * rhs_norm
     r = np.array(rhs, dtype=np.float64)
     rs = r @ r
     if not np.isfinite(rs):
         raise NumericalFailureError("non-finite initial residual in CG")
-    # z is the preconditioned residual and rz = r^T z; without a preconditioner
-    # they are r and rs
-    z, rz = r, rs
-    p = r.copy()
+    p = np.zeros_like(r)
     xs = np.zeros((shifts.size, r.size))
     residuals = np.empty(shifts.size)
     # state of the active shifts only; rows of a frozen shift are dropped
     active = np.arange(shifts.size)
     sigma = shifts
     x_act = np.zeros_like(xs)
-    p_act = np.tile(r, (shifts.size, 1))
+    p_act = np.zeros_like(xs)
     zeta = np.ones(shifts.size)
     zeta_prev = np.ones(shifts.size)
-    step_prev, beta_prev = 1.0, 0.0
+    ratio = np.ones(shifts.size)
+    # rz = r^T z; an infinite one before the first step makes the first beta
+    # 0, so the first directions are z and zeta z = z
+    step_prev, rz_prev = 1.0, np.inf
     iterations = 0
     while True:
         res = zeta * np.sqrt(rs)
@@ -206,16 +213,17 @@ def _shifted_cg(apply_base, rhs, shifts, tol, rhs_norm, max_iter, precondition=N
         if done.any():
             xs[active[done]] = x_act[done]
             residuals[active[done]] = res[done]
-            active, sigma, zeta, zeta_prev, x_act, p_act, res = (
-                a[~done] for a in (active, sigma, zeta, zeta_prev, x_act, p_act, res)
+            active, sigma, zeta, zeta_prev, ratio, x_act, p_act, res = (
+                a[~done] for a in (active, sigma, zeta, zeta_prev, ratio, x_act, p_act, res)
             )
         if active.size == 0 or iterations >= max_iter:
             break
-        if precondition is not None and iterations == 0:
-            z = precondition(r)
-            rz = r @ z
-            p = z
-            p_act = z[None, :].copy()
+        z = precondition(r)
+        rz = r @ z
+        beta = rz / rz_prev
+        p_act *= (beta * ratio * ratio)[:, None]
+        p_act += zeta[:, None] * z
+        p = z + beta * p
         mp = apply_base(p)
         denom = p @ mp
         if not np.isfinite(denom) or denom <= 0.0:
@@ -224,25 +232,16 @@ def _shifted_cg(apply_base, rhs, shifts, tol, rhs_norm, max_iter, precondition=N
             )
         step = rz / denom
         zeta_next = zeta * zeta_prev * step_prev / (
-            step * beta_prev * (zeta_prev - zeta) + zeta_prev * step_prev * (1.0 + sigma * step)
+            step * beta * (zeta_prev - zeta) + zeta_prev * step_prev * (1.0 + sigma * step)
         )
         ratio = zeta_next / zeta
         x_act += (step * ratio)[:, None] * p_act
         r = r - step * mp
-        rs_next = r @ r
-        if not np.isfinite(rs_next):
+        rs = r @ r
+        if not np.isfinite(rs):
             raise NumericalFailureError(f"non-finite residual at iteration {iterations}")
-        if precondition is None:
-            z, rz_next = r, rs_next
-        else:
-            z = precondition(r)
-            rz_next = r @ z
-        beta = rz_next / rz
-        p_act *= (beta * ratio * ratio)[:, None]
-        p_act += zeta_next[:, None] * z
-        p = z + beta * p
         zeta_prev, zeta = zeta, zeta_next
-        step_prev, beta_prev, rs, rz = step, beta, rs_next, rz_next
+        step_prev, rz_prev = step, rz
         iterations += 1
     xs[active] = x_act
     residuals[active] = res

@@ -114,16 +114,18 @@ class SinogramGrid:
 class _Projector:
     """Coalesced nonzeros (col, val) of R, sorted by ray then pixel, plus ray runs.
 
-    ``rays`` lists the rays that have entries and ``starts`` the offset of
-    each one's first entry, so a segmented sum over ``starts`` gives R x on
-    exactly those rays; every other ray is identically zero. Indices are
-    intp, which numpy gathers and scatters without a conversion copy.
+    ``rays`` lists the rays that have entries, ``starts`` the offset of each
+    one's first entry and ``run_lengths`` its number of entries, so a
+    segmented sum over ``starts`` gives R x on exactly those rays; every
+    other ray is identically zero. Indices are intp, which numpy gathers and
+    scatters without a conversion copy.
     """
 
     col: np.ndarray
     val: np.ndarray
     rays: np.ndarray
     starts: np.ndarray
+    run_lengths: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
@@ -168,8 +170,10 @@ def _projector(geom: RadonGeometry, nx: int, ny: int) -> _Projector:
 
     # the table grows in place, one angle's entries at a time. resize goes
     # through realloc, which moves a large mmapped block by remapping it, so
-    # the filled part is not copied; resize refuses while a view of col or
-    # val is alive, so none outlives its statement
+    # the filled part is not copied. A resize would leave a live view of col
+    # or val dangling, so none outlives its statement; refcheck=False skips
+    # numpy's reference count check of that, which fails whenever a tracer
+    # (sys.settrace, cProfile) holds this frame's locals
     col = np.empty(0, dtype=np.intp)
     val = np.empty(0)
     lengths = np.zeros((geom.n_angles, geom.n_bins), dtype=np.intp)  # entries of each ray
@@ -205,15 +209,15 @@ def _projector(geom: RadonGeometry, nx: int, ny: int) -> _Projector:
         ray, pix = np.divmod(key[runs], n_pix)
         lengths[q] = np.bincount(ray, minlength=geom.n_bins)
         n = col.size
-        col.resize(n + runs.size)
-        val.resize(n + runs.size)
+        col.resize(n + runs.size, refcheck=False)
+        val.resize(n + runs.size, refcheck=False)
         col[n:] = pix
         np.add.reduceat(w4[keep][order], runs, out=val[n:])
 
     rays = np.flatnonzero(lengths)
     run_lengths = lengths.ravel()[rays]
     starts = np.cumsum(run_lengths) - run_lengths
-    return _Projector(col=col, val=val, rays=rays, starts=starts)
+    return _Projector(col=col, val=val, rays=rays, starts=starts, run_lengths=run_lengths)
 
 
 def radon_forward(image: ImageGrid, geom: RadonGeometry) -> SinogramGrid:
@@ -237,7 +241,7 @@ def radon_adjoint(sino: SinogramGrid, nx, ny) -> ImageGrid:
     check_positive("nx", nx)
     check_positive("ny", ny)
     table = _projector(sino.geometry, nx, ny)
-    contrib = np.repeat(sino.values[table.rays], np.diff(table.starts, append=table.col.size))
+    contrib = np.repeat(sino.values[table.rays], table.run_lengths)
     contrib *= table.val
     values = np.bincount(table.col, weights=contrib, minlength=nx * ny)
     return ImageGrid(nx=nx, ny=ny, values=values)
@@ -300,7 +304,7 @@ def dense_matrix(geom: RadonGeometry, nx, ny):
     """Materialize the transform as a dense (M, N) array. Test-scale only."""
     table = _projector(geom, nx, ny)
     mat = np.zeros((geom.size, nx * ny))
-    mat[np.repeat(table.rays, np.diff(table.starts, append=table.col.size)), table.col] = table.val
+    mat[np.repeat(table.rays, table.run_lengths), table.col] = table.val
     return mat
 
 

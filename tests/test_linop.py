@@ -286,8 +286,16 @@ def test_preconditioned_cg_meets_tol_on_its_true_residual():
 def test_cg_preconditioned_by_the_exact_inverse_takes_one_iteration():
     spd, rhs = random_spd(29, 30, 1.0)
     inverse = np.linalg.inv(spd)
-    res = cg_solve(lambda x: spd @ x, rhs, precondition=lambda r: inverse @ r)
+    calls = []
+
+    def precondition(r):
+        calls.append(1)
+        return inverse @ r
+
+    res = cg_solve(lambda x: spd @ x, rhs, precondition=precondition)
     assert res.converged and res.iterations == 1
+    # z is formed only when a step follows: once per iteration
+    assert len(calls) == 1
 
 
 def test_converged_warm_start_never_calls_the_preconditioner():

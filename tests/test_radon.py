@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -264,11 +265,28 @@ def test_adjoint_is_bitwise_the_row_major_scatter_of_the_dense_nonzeros(geom, nx
         assert not mat.any(axis=1).all()
 
 
-def test_cached_table_holds_two_arrays_per_entry_and_two_per_ray():
-    # col and val per entry, rays and starts per ray: no per-entry row index
+def test_cached_table_holds_two_arrays_per_entry_and_three_per_ray():
+    # col and val per entry, rays, starts and run_lengths per ray: no
+    # per-entry row index
     table = _projector(RadonGeometry.for_grid(64, 30), 64, 64)
     nbytes = sum(getattr(table, f.name).nbytes for f in dataclasses.fields(table))
-    assert nbytes <= 16 * table.col.size + 16 * table.rays.size
+    assert nbytes <= 16 * table.col.size + 24 * table.rays.size
+    assert np.array_equal(table.run_lengths, np.diff(table.starts, append=table.col.size))
+
+
+def test_table_built_under_a_tracer_equals_a_plain_build():
+    # a tracer holds the build's locals, so numpy's reference check of
+    # ndarray.resize would refuse to grow col and val
+    geom, nx, ny = RadonGeometry.for_grid(20, 9), 20, 14
+    plain = _projector.__wrapped__(geom, nx, ny)
+    previous = sys.gettrace()
+    sys.settrace(lambda *args: None)
+    try:
+        traced = _projector.__wrapped__(geom, nx, ny)
+    finally:
+        sys.settrace(previous)
+    for field in dataclasses.fields(plain):
+        assert np.array_equal(getattr(traced, field.name), getattr(plain, field.name))
 
 
 def test_cold_build_holds_one_copy_of_the_table():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -181,3 +183,22 @@ def test_single_alpha_solve_is_preconditioned():
     data = add_noise(clean, NoiseSpec(delta=delta, seed=1))
     res = solve_tikhonov(TikhonovProblem(op=radon_operator(geom, 64, 64), data=data, alpha=delta))
     assert res.converged and res.iterations <= 17
+
+
+def test_preconditioned_solve_applies_the_preconditioner_once_per_iteration():
+    # 32x32, 20 angles, 23 dB, alpha = delta: 17 iterations
+    geom = RadonGeometry.for_grid(32, 20)
+    clean = radon_forward(shepp_logan(32, 32), geom).values
+    delta = delta_for_snr(clean, 23.0)
+    data = add_noise(clean, NoiseSpec(delta=delta, seed=1))
+    op = radon_operator(geom, 32, 32)
+    calls = []
+
+    def counted(v, alpha):
+        calls.append(1)
+        return op.normal_preconditioner(v, alpha)
+
+    counted_op = dataclasses.replace(op, normal_preconditioner=counted)
+    res = solve_tikhonov(TikhonovProblem(op=counted_op, data=data, alpha=delta))
+    assert res.converged and res.iterations > 1
+    assert len(calls) == res.iterations
