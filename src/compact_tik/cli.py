@@ -7,8 +7,8 @@ errors. Every run writes a manifest capturing the effective configuration
 (defaults materialized), and re-running a subcommand from its manifest
 reproduces the outputs.
 
-Exit codes: 0 success, 1 invalid configuration or arguments, 2 numerical
-failure.
+Exit codes: 0 success, 1 invalid configuration or arguments, or a file
+that cannot be read or written, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -216,6 +216,13 @@ def _write_manifest(subcommand, cfg, path):
         f.write(serialize_config(subcommand, cfg))
 
 
+def _write_tables(directory, tables):
+    """Write each {file name: CSV text} of ``tables`` into ``directory``."""
+    for name, text in tables.items():
+        with open(os.path.join(directory, name), "w") as f:
+            f.write(text)
+
+
 def _write_image(path, image: ImageGrid):
     if str(path).endswith(".pgm"):
         write_pgm16(path, image)
@@ -301,13 +308,10 @@ def cmd_sweep(cfg, threads):
     result = experiment.run_sweep(sweep_cfg, threads=threads)
 
     out = cfg["out"]
-    with open(os.path.join(out, "results.csv"), "w") as f:
-        f.write(experiment.results_csv(result.records, cfg["method"]))
-    with open(os.path.join(out, "aggregate.csv"), "w") as f:
-        f.write(experiment.aggregate_csv(result.aggregates, cfg["method"]))
     fits = [(cfg["method"], result.fit)] if result.fit else []
-    with open(os.path.join(out, "fits.csv"), "w") as f:
-        f.write(experiment.fits_csv(fits))
+    _write_tables(out, {"results.csv": experiment.results_csv(result.records, cfg["method"]),
+                        "aggregate.csv": experiment.aggregate_csv(result.aggregates, cfg["method"]),
+                        "fits.csv": experiment.fits_csv(fits)})
     _write_manifest("sweep", cfg, os.path.join(out, "manifest.ini"))
 
     for failure in result.failures:
@@ -331,12 +335,10 @@ def cmd_oracle_linear(cfg):
     print(f"mu={cfg['mu']}  slope={result.fit.slope:.6f}  intercept={result.fit.intercept:.6f}")
     if cfg["out"]:
         os.makedirs(cfg["out"], exist_ok=True)
-        with open(os.path.join(cfg["out"], "oracle.csv"), "w") as f:
-            f.write("delta,alpha,error\n")
-            for d, a, e in zip(result.deltas, result.alphas, result.errors):
-                f.write(f"{float(d)!r},{float(a)!r},{float(e)!r}\n")
-        with open(os.path.join(cfg["out"], "fits.csv"), "w") as f:
-            f.write(experiment.fits_csv([(f"oracle-mu-{cfg['mu']}", result.fit)]))
+        oracle = zip(result.deltas, result.alphas, result.errors)
+        _write_tables(cfg["out"], {
+            "oracle.csv": experiment.csv_text("delta,alpha,error", oracle),
+            "fits.csv": experiment.fits_csv([(f"oracle-mu-{cfg['mu']}", result.fit)])})
         _write_manifest("oracle-linear", cfg, os.path.join(cfg["out"], "manifest.ini"))
     return 0
 
@@ -370,10 +372,6 @@ def _number(path, lineno, name, field, zero_ok=False):
 def _table_deltas_errors(path):
     """Extract (delta, error, method) triples from an aggregate or delta,error table."""
     header, rows = _read_csv(path)
-    if "alpha" in header:
-        # a sweep's results.csv: its errors are at every alpha, not the oracle alpha
-        raise ValueError(f"{path}: has an 'alpha' column, so its errors are not the oracle "
-                         "errors; fit the sweep's aggregate.csv")
     try:
         d_col = header.index("delta")
     except ValueError as exc:
@@ -390,6 +388,11 @@ def _table_deltas_errors(path):
         method = row[m_col] if m_col is not None else "all"
         triples.append((_number(path, lineno, "delta", row[d_col]),
                         _number(path, lineno, header[e_col], row[e_col]), method))
+    # several alphas per (delta, method), as in a sweep's results.csv, are errors at every
+    # alpha, not at the oracle alpha; oracle-linear's oracle.csv has one a-priori alpha each
+    if "alpha" in header and len({(d, m) for d, _, m in triples}) < len(triples):
+        raise ValueError(f"{path}: has an 'alpha' column, so its errors are not the oracle "
+                         "errors; fit the sweep's aggregate.csv")
     return triples
 
 
@@ -409,8 +412,7 @@ def cmd_rate_fit(cfg):
         print(f"{prefix}slope = {fit.slope:.6f}")
     if cfg["out"]:
         os.makedirs(cfg["out"], exist_ok=True)
-        with open(os.path.join(cfg["out"], "fits.csv"), "w") as f:
-            f.write(experiment.fits_csv(fits))
+        _write_tables(cfg["out"], {"fits.csv": experiment.fits_csv(fits)})
         _write_manifest("rate-fit", cfg, os.path.join(cfg["out"], "manifest.ini"))
     return 0
 
@@ -483,15 +485,12 @@ def main(argv=None):
         _check_shared_settings(cfg)
         options = {"threads": args.threads} if "threads" in args else {}
         return COMMANDS[args.subcommand](cfg, **options)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -1,11 +1,15 @@
-"""Exception types and the checks shared across the package.
+"""Exception types, the checks shared across the package, and the float64 file container.
 
 Invalid arguments raise the builtin ``ValueError``; this module adds the
 failure mode that has no builtin counterpart, the one check every scalar
-setting goes through, and the one length check every binary reader does.
+setting goes through, the magic and length checks every binary reader
+does, and the one writer/reader pair of the ``.imgf`` and ``.sinf`` files.
 """
 
 import math
+import struct
+
+import numpy as np
 
 
 class NumericalFailureError(RuntimeError):
@@ -29,3 +33,31 @@ def check_length(path, actual, expected, at_least=False):
     if actual < expected or (actual > expected and not at_least):
         bound = "at least " if at_least else ""
         raise ValueError(f"{path}: expected {bound}{expected} bytes, got {actual}")
+
+
+def check_magic(path, blob, magic):
+    """ValueError naming ``path`` unless the file's bytes ``blob`` start with ``magic``."""
+    if blob[:len(magic)] != magic:
+        raise ValueError(f"{path}: bad magic {blob[:len(magic)]!r}, expected {magic!r}")
+
+
+def write_float64_file(path, magic, header_format, header, values):
+    """Write ``magic``, the ``struct`` header, then ``values`` as float64 little-endian.
+
+    The first two header fields multiply to the number of values.
+    """
+    with open(path, "wb") as f:
+        f.write(magic + struct.pack(header_format, *header))
+        f.write(np.asarray(values).astype("<f8").tobytes())
+
+
+def read_float64_file(path, magic, header_format):
+    """(header fields, float64 values) of a file written by :func:`write_float64_file`."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    check_magic(path, blob, magic)
+    start = len(magic) + struct.calcsize(header_format)
+    check_length(path, len(blob), start, at_least=True)
+    header = struct.unpack_from(header_format, blob, len(magic))
+    check_length(path, len(blob), start + 8 * header[0] * header[1])
+    return header, np.frombuffer(blob, dtype="<f8", offset=start).copy()

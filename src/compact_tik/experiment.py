@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import io
 import itertools
 import sys
 import time
@@ -431,31 +430,32 @@ def linear_oracle(mu, n_dim, deltas, seed=0) -> LinearOracleResult:
     return LinearOracleResult(fit=fit, deltas=deltas, errors=errors, alphas=alphas)
 
 
+def csv_text(header, rows):
+    """CSV text: the header line, then one line per row.
+
+    Floats are written as ``repr(float(v))``, which reads back to the same
+    float (numpy 2's repr of a float64 is ``np.float64(...)``); every other
+    field as ``str``.
+    """
+    lines = [header] + [",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row)
+                        for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def results_csv(records, method):
     """Per-(delta, realization, alpha) table: delta,seed,alpha,error,snr_db,method."""
-    out = io.StringIO()
-    out.write("delta,seed,alpha,error,snr_db,method\n")
-    for rec in records:
-        for alpha, err in zip(rec.alphas, rec.errors):
-            out.write(
-                f"{rec.delta!r},{rec.seed},{float(alpha)!r},{float(err)!r},{rec.snr_db!r},{method}\n"
-            )
-    return out.getvalue()
+    return csv_text("delta,seed,alpha,error,snr_db,method",
+                    ((rec.delta, rec.seed, alpha, err, rec.snr_db, method)
+                     for rec in records for alpha, err in zip(rec.alphas, rec.errors)))
 
 
 def aggregate_csv(aggregates, method):
     """Per-delta table: delta,mean_error,std_error,method."""
-    out = io.StringIO()
-    out.write("delta,mean_error,std_error,method\n")
-    for agg in aggregates:
-        out.write(f"{agg.delta!r},{agg.mean_error!r},{agg.std_error!r},{method}\n")
-    return out.getvalue()
+    return csv_text("delta,mean_error,std_error,method",
+                    ((a.delta, a.mean_error, a.std_error, method) for a in aggregates))
 
 
 def fits_csv(entries):
     """Fits table from (method, RateFit) pairs: method,slope,intercept,residual."""
-    out = io.StringIO()
-    out.write("method,slope,intercept,residual\n")
-    for method, fit in entries:
-        out.write(f"{method},{fit.slope!r},{fit.intercept!r},{fit.residual_norm!r}\n")
-    return out.getvalue()
+    return csv_text("method,slope,intercept,residual",
+                    ((m, f.slope, f.intercept, f.residual_norm) for m, f in entries))

@@ -12,12 +12,11 @@ no area averaging.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_length, check_positive
+from .errors import check_positive, read_float64_file, write_float64_file
 
 #: Classical Shepp-Logan phantom, ten ellipses as
 #: (intensity, semi-axis a, semi-axis b, center x, center y, rotation in degrees).
@@ -123,23 +122,13 @@ def write_imgf(path, image: ImageGrid):
     Layout: magic ``IMGF``, u32 nx, u32 ny, u32 reserved (0), then
     nx * ny float64 values row-major.
     """
-    with open(path, "wb") as f:
-        f.write(IMGF_MAGIC)
-        f.write(struct.pack("<III", image.nx, image.ny, 0))
-        f.write(image.values.astype("<f8").tobytes())
+    write_float64_file(path, IMGF_MAGIC, "<III", (image.nx, image.ny, 0), image.values)
 
 
 def read_imgf(path):
     """Read an image written by :func:`write_imgf`."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != IMGF_MAGIC:
-        raise ValueError(f"bad magic {blob[:4]!r}, expected {IMGF_MAGIC!r}")
-    check_length(path, len(blob), 16, at_least=True)
-    nx, ny, _reserved = struct.unpack_from("<III", blob, 4)
-    check_length(path, len(blob), 16 + 8 * nx * ny)
-    values = np.frombuffer(blob, dtype="<f8", offset=16)
-    return ImageGrid(nx=nx, ny=ny, values=values.copy())
+    (nx, ny, _reserved), values = read_float64_file(path, IMGF_MAGIC, "<III")
+    return ImageGrid(nx=nx, ny=ny, values=values)
 
 
 def write_pgm16(path, image: ImageGrid):

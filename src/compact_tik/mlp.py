@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailureError, check_length, check_positive
+from .errors import NumericalFailureError, check_length, check_magic, check_positive
 
 MLPW_MAGIC = b"MLPW"
 
@@ -310,8 +310,7 @@ def load_params(path) -> MlpParams:
     """Read a checkpoint written by :func:`save_params`."""
     with open(path, "rb") as f:
         blob = f.read()
-    if blob[:4] != MLPW_MAGIC:
-        raise ValueError(f"bad magic {blob[:4]!r}, expected {MLPW_MAGIC!r}")
+    check_magic(path, blob, MLPW_MAGIC)
     check_length(path, len(blob), 8, at_least=True)
     (n_layers,) = struct.unpack_from("<I", blob, 4)
     weights, biases, pos = [], [], 8

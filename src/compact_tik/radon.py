@@ -19,16 +19,16 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_length, check_positive
+from .errors import check_positive, read_float64_file, write_float64_file
 from .grid import ImageGrid
 from .linop import LinearOperator
 
-SINF_MAGIC = b"SINF"
+# not "SINF", the magic of the layout without a step, so such a file never loads
+SINF_MAGIC = b"SNF2"
 
 
 @dataclass(frozen=True)
@@ -309,34 +309,18 @@ def dense_matrix(geom: RadonGeometry, nx, ny):
 
 
 def write_sinf(path, sino: SinogramGrid):
-    """Write raw float64 little-endian sinogram.
+    """Write raw float64 little-endian sinogram with a 28-byte header.
 
-    Layout: magic ``SINF``, u32 n_bins, u32 n_angles, f64 det_halfwidth,
-    then n_bins * n_angles values angle-major (bin index fastest).
+    Layout: magic ``SNF2``, u32 n_bins, u32 n_angles, f64 det_halfwidth,
+    f64 step, then n_bins * n_angles values angle-major (bin index fastest).
     """
     geom = sino.geometry
-    with open(path, "wb") as f:
-        f.write(SINF_MAGIC)
-        f.write(struct.pack("<IId", geom.n_bins, geom.n_angles, geom.det_halfwidth))
-        f.write(sino.values.astype("<f8").tobytes())
+    header = (geom.n_bins, geom.n_angles, geom.det_halfwidth, geom.step)
+    write_float64_file(path, SINF_MAGIC, "<IIdd", header, sino.values)
 
 
-def read_sinf(path, step):
-    """Read a sinogram written by :func:`write_sinf`.
-
-    The header does not carry the ray sampling step, and a guessed step
-    rebuilds a different operator, so ``step`` must be the one of the
-    geometry that wrote the file (2 / nx for :meth:`RadonGeometry.for_grid`).
-    """
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != SINF_MAGIC:
-        raise ValueError(f"bad magic {blob[:4]!r}, expected {SINF_MAGIC!r}")
-    check_length(path, len(blob), 20, at_least=True)
-    n_bins, n_angles, det_halfwidth = struct.unpack_from("<IId", blob, 4)
-    check_length(path, len(blob), 20 + 8 * n_bins * n_angles)
-    values = np.frombuffer(blob, dtype="<f8", offset=20)
-    geom = RadonGeometry(
-        n_angles=n_angles, n_bins=n_bins, det_halfwidth=det_halfwidth, step=step
-    )
-    return SinogramGrid(geometry=geom, values=values.copy())
+def read_sinf(path):
+    """Read a sinogram written by :func:`write_sinf`, with the writer's geometry."""
+    (n_bins, n_angles, det_halfwidth, step), values = read_float64_file(path, SINF_MAGIC, "<IIdd")
+    geom = RadonGeometry(n_angles=n_angles, n_bins=n_bins, det_halfwidth=det_halfwidth, step=step)
+    return SinogramGrid(geometry=geom, values=values)

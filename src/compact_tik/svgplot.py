@@ -54,7 +54,7 @@ def render_plot(rows, reference_exponent):
         One point per (delta, method); all finite, deltas and means positive,
         stds nonnegative.
     reference_exponent : float
-        Slope of the dashed log-log reference line; its intercept is the
+        Finite slope of the dashed log-log reference line; its intercept is the
         least-squares fit over all plotted means at this fixed slope.
 
     Returns
@@ -62,6 +62,8 @@ def render_plot(rows, reference_exponent):
     str
         A standalone SVG document.
     """
+    if not math.isfinite(reference_exponent):
+        raise ValueError(f"reference_exponent must be finite, got {reference_exponent}")
     rows = list(rows)
     if not rows:
         raise ValueError("cannot plot an empty table")

@@ -123,14 +123,20 @@ def test_matching_perfbench_ignores_pycache(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["workloads"]["w"]["summary"]["pairs"] == 1
 
 
-# a clone holds a .git directory, a linked work tree a .git file
+# a clone holds a .git directory, a linked work tree a .git file. The name is kept from
+# when a mismatch ran with a warning; it is now refused before any run
 @pytest.mark.parametrize("parent_git, change_git", [
     (None, None), ("dir", None), (None, "file"), ("dir", "file"),
 ])
 def test_checkout_kinds_are_recorded_and_a_mismatch_warns(tmp_path, monkeypatch, capsys,
                                                           parent_git, change_git):
-    monkeypatch.setattr(bench_pairs, "run_once",
-                        lambda *args: ({}, run(0, "parent", 1.0, 1.0)["result"]))
+    calls = []
+
+    def fake_run(checkout, *args):
+        calls.append(checkout)
+        return {}, run(0, "parent", 1.0, 1.0)["result"]
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
     parent = make_checkout(tmp_path / "parent", "print('a')\n")
     change = make_checkout(tmp_path / "change", "print('a')\n")
     if parent_git:
@@ -138,11 +144,19 @@ def test_checkout_kinds_are_recorded_and_a_mismatch_warns(tmp_path, monkeypatch,
     if change_git:
         (change / ".git").write_text("gitdir: elsewhere\n")
     out = tmp_path / "BENCH.json"
-    assert bench_pairs.main(bench_args(parent, change, out)) == 0
     kind = {None: "plain copy", "dir": "git work tree", "file": "git work tree"}
+    if kind[parent_git] != kind[change_git]:
+        assert bench_pairs.main(bench_args(parent, change, out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: the parent is a {kind[parent_git]} and the change a {kind[change_git]}; "
+            "make both checkouts the same way\n")
+        assert calls == [] and not out.exists()
+        return
+    assert bench_pairs.main(bench_args(parent, change, out)) == 0
     assert json.loads(out.read_text())["workloads"]["w"]["checkout_kinds"] == {
         "parent": kind[parent_git], "change": kind[change_git]}
-    assert ("warning:" in capsys.readouterr().err) == (kind[parent_git] != kind[change_git])
+    assert "warning:" not in capsys.readouterr().err
+    assert calls == [str(parent), str(change)]
 
 
 def test_source_hash_covers_paths_and_bytes_but_not_pycache(tmp_path):

@@ -38,10 +38,10 @@ def test_phantom_imgf_reference_size(tmp_path):
 def test_sinogram_and_tikhonov(tmp_path):
     sino = tmp_path / "s.sinf"
     assert run_cli("sinogram", "--n", "16", "--angles", "8", "--out", str(sino)) == 0
-    from compact_tik.radon import read_sinf
+    from compact_tik.radon import RadonGeometry, read_sinf
 
-    back = read_sinf(sino, step=2.0 / 16)
-    assert back.geometry.n_angles == 8
+    back = read_sinf(sino)
+    assert back.geometry == RadonGeometry.for_grid(16, 8)
 
     rec = tmp_path / "x.imgf"
     code = run_cli(
@@ -228,6 +228,30 @@ def test_oracle_linear_cli(tmp_path, capsys):
     assert 0.567 <= slope <= 0.767
     assert (out / "oracle.csv").exists()
     assert (out / "manifest.ini").exists()
+
+
+def test_rate_fit_of_the_oracle_table_matches_the_oracle_fit(tmp_path, capsys):
+    out = tmp_path / "oracle"
+    assert run_cli("oracle-linear", "--mu", "0.5", "--out", str(out)) == 0
+    fits = tmp_path / "fits"
+    assert run_cli("rate-fit", "--table", str(out / "oracle.csv"), "--out", str(fits)) == 0
+
+    def slope(path):
+        header, row = path.read_text().splitlines()
+        return row.split(",")[header.split(",").index("slope")]
+
+    assert slope(fits / "fits.csv") == slope(out / "fits.csv")
+
+
+def test_plot_non_finite_reference_exponent_exit_1(tmp_path, capsys):
+    table = tmp_path / "agg.csv"
+    table.write_text("delta,mean_error,std_error,method\n0.1,1.0,0.05,t\n0.01,0.3,0.01,t\n")
+    for bad in ("nan", "inf"):
+        out = tmp_path / "fig.svg"
+        assert run_cli("plot", "--table", str(table), "--reference-exponent", bad,
+                       "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: reference_exponent must be finite, got {bad}\n"
+        assert os.listdir(tmp_path) == ["agg.csv"]
 
 
 def test_plot_from_aggregate(tmp_path):
@@ -474,6 +498,22 @@ def test_invalid_subcommand_exit_1():
 
 def test_missing_table_exit_1(tmp_path):
     assert run_cli("rate-fit", "--table", str(tmp_path / "missing.csv")) == 1
+
+
+@pytest.mark.parametrize("argv, out_is_a_directory", [
+    (["phantom", "--n", "4"], True),  # IsADirectoryError
+    (["sweep", "--n", "8", "--angles", "4", "--n-deltas", "2", "--realizations", "1",
+      "--n-alphas", "1"], False),  # FileExistsError
+])
+def test_os_error_exit_1(tmp_path, capsys, argv, out_is_a_directory):
+    out = tmp_path / "out"
+    if out_is_a_directory:
+        out.mkdir()
+    else:
+        out.write_text("")
+    assert run_cli(*argv, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and str(out) in err, err
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

@@ -214,14 +214,23 @@ def test_sinf_round_trip(tmp_path):
     sino = radon_forward(img, geom)
     path = tmp_path / "s.sinf"
     write_sinf(path, sino)
-    back = read_sinf(path, step=geom.step)
+    back = read_sinf(path)
     assert back.geometry == geom
-    with pytest.raises(TypeError):
-        read_sinf(path)  # the header has no step, and the reader does not guess one
     assert np.array_equal(back.values, sino.values)
     raw = path.read_bytes()
-    assert raw[:4] == b"SINF"
-    assert len(raw) == 4 + 4 + 4 + 8 + 8 * geom.size
+    assert raw[:4] == b"SNF2"
+    assert len(raw) == 4 + 4 + 4 + 8 + 8 + 8 * geom.size
+
+
+def test_sinf_keeps_a_step_that_is_not_the_pixel_width(tmp_path):
+    # read with 2 / nx in place of 0.17, this file would rebuild a different operator
+    geom = RadonGeometry(n_angles=7, n_bins=11, det_halfwidth=1.2, step=0.17)
+    sino = radon_forward(shepp_logan(9, 5), geom)
+    path = tmp_path / "s.sinf"
+    write_sinf(path, sino)
+    back = read_sinf(path)
+    assert back.geometry == geom
+    assert np.array_equal(radon_adjoint(back, 9, 5).values, radon_adjoint(sino, 9, 5).values)
 
 
 def test_dense_matrix_equals_unit_vector_applies():

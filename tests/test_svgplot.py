@@ -31,6 +31,12 @@ def test_non_finite_rejected(row):
         render_plot([row, (0.01, 0.5, 0.0, "m")], 0.5)
 
 
+@pytest.mark.parametrize("exponent", [np.nan, np.inf, -np.inf])
+def test_non_finite_reference_exponent_rejected(exponent):
+    with pytest.raises(ValueError, match="^reference_exponent must be finite"):
+        render_plot([(0.1, 1.0, 0.0, "m"), (0.01, 0.5, 0.0, "m")], exponent)
+
+
 def test_single_method_element_counts():
     deltas = np.logspace(-3, -1, 6)
     rows = [(d, d**0.5, 0.1 * d**0.5, "tikhonov") for d in deltas]

@@ -20,9 +20,10 @@ and bytes of its files (``__pycache__`` aside). Equal hashes print a warning
 on stderr: the pairs would measure one program twice.
 Each side's checkout kind is recorded: a git work tree when it holds a
 ``.git`` (a directory, or the file of a linked work tree), a plain copy
-otherwise. Pairs of different kinds run, but with a warning on stderr: such a
-pair once showed a 7-11% gap on unchanged code, and the cause was never
-isolated.
+otherwise. Checkouts of different kinds are refused like a ``perfbench/``
+mismatch, with status 1 before any run: such a pair once read ``nn_ct32``
+``wall_s`` 3.80 -> 4.07 s on unchanged code (a plain-copy change against a
+git-clone parent), where two clones of the same files read 3.82 -> 3.67 s.
 
 The output file keeps one entry per workload; running the script again for
 another workload adds that entry and leaves the others. An entry holds
@@ -182,6 +183,12 @@ def main(argv=None):
         print(f"error: perfbench/{differs} differs between {args.parent} and {args.change}",
               file=sys.stderr)
         return 1
+    checkouts = {"parent": args.parent, "change": args.change}
+    kinds = {side: checkout_kind(path) for side, path in checkouts.items()}
+    if kinds["parent"] != kinds["change"]:
+        print(f"error: the parent is a {kinds['parent']} and the change a {kinds['change']}; "
+              "make both checkouts the same way", file=sys.stderr)
+        return 1
     with open(os.path.join(args.change, "BENCHMARK.json")) as f:
         benchmark = json.load(f)
     end_to_end, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
@@ -189,11 +196,6 @@ def main(argv=None):
     if os.path.exists(args.out):
         with open(args.out) as f:
             bench = json.load(f)
-    checkouts = {"parent": args.parent, "change": args.change}
-    kinds = {side: checkout_kind(path) for side, path in checkouts.items()}
-    if kinds["parent"] != kinds["change"]:
-        print(f"warning: the parent is a {kinds['parent']} and the change a {kinds['change']}; "
-              "make both checkouts the same way", file=sys.stderr)
     sources = {side: source_hash(path) for side, path in checkouts.items()}
     if sources["parent"] == sources["change"]:
         print(f"warning: the parent and the change hold the same src/ (sha256 "
