@@ -27,7 +27,7 @@ from .grid import ImageGrid, shepp_logan, write_imgf, write_pgm16
 from .mlp import MlpArchitecture, save_params
 from .nnsolver import NnReconstructionConfig, reconstruct_nn
 # radon_forward is not called here: perfbench's tracer looks it up in this module
-from .radon import SinogramGrid, radon_forward, radon_operator, write_sinf  # noqa: F401
+from .radon import SinogramGrid, radon_forward, write_sinf  # noqa: F401
 from .tikhonov import TikhonovProblem, check_converged, solve_tikhonov
 
 def _parse_int_list(s):
@@ -62,6 +62,21 @@ def _serialize(value):
 _SWEEP = {f.name: f.default for f in dataclasses.fields(experiment.SweepConfig)
           if f.name != "deltas"}
 
+# the grid and geometry keys of tikhonov, nn-reconstruct and sweep
+_GEOMETRY = {
+    "n": (int, _SWEEP["n"], "grid size per axis"),
+    "angles": (int, _SWEEP["angles"], "number of projection angles"),
+    "det_halfwidth": (float, _SWEEP["det_halfwidth"], "detector half-extent"),
+}
+
+# the noisy-problem keys of tikhonov and nn-reconstruct
+_PROBLEM = {
+    **_GEOMETRY,
+    "alpha": (float, 1e-2, "regularization weight"),
+    "delta": (float, 0.0, "noise scale"),
+    "seed": (int, 0, "noise seed (nn-reconstruct: also the init seed)"),
+}
+
 # subcommand -> ordered {key: (parser, default, help)}
 SCHEMAS = {
     "phantom": {
@@ -71,42 +86,32 @@ SCHEMAS = {
     "sinogram": {
         "n": (int, 128, "grid size per axis"),
         "angles": (int, 50, "number of projection angles in [0, pi)"),
-        "det_halfwidth": (float, math.sqrt(2.0), "detector half-extent"),
+        "det_halfwidth": _GEOMETRY["det_halfwidth"],
         "delta": (float, 0.0, "noise scale (0 for clean data)"),
         "seed": (int, 0, "noise seed"),
         "out": (str, "sinogram.sinf", "output sinogram (.sinf)"),
     },
     "tikhonov": {
-        "n": (int, 64, "grid size per axis"),
-        "angles": (int, 30, "number of projection angles"),
-        "det_halfwidth": (float, math.sqrt(2.0), "detector half-extent"),
-        "alpha": (float, 1e-2, "regularization weight"),
-        "delta": (float, 0.0, "noise scale"),
-        "seed": (int, 0, "noise seed"),
-        "tol": (float, 1e-10, "CG relative tolerance"),
-        "max_iter": (int, 2000, "CG iteration cap"),
+        **_PROBLEM,
+        "tol": (float, _SWEEP["cg_tol"], "CG relative tolerance"),
+        "max_iter": (int, _SWEEP["cg_max_iter"], "CG iteration cap"),
         "out": (str, "reconstruction.imgf", "output image (.imgf or .pgm)"),
     },
     "nn-reconstruct": {
-        "n": (int, 64, "grid size per axis"),
-        "angles": (int, 30, "number of projection angles"),
-        "det_halfwidth": (float, math.sqrt(2.0), "detector half-extent"),
-        "alpha": (float, 1e-2, "regularization weight"),
-        "delta": (float, 0.0, "noise scale"),
-        "seed": (int, 0, "noise and init seed"),
-        "hidden": (_parse_int_list, (100, 100, 100, 100), "hidden layer widths"),
-        "iterations": (int, 5000, "optimizer steps"),
-        "learning_rate": (float, 1e-3, "Adam learning rate"),
-        "weight_bound": (_optional(float), None, "weight box half-width (none = unbounded)"),
+        **_PROBLEM,
+        "hidden": (_parse_int_list, _SWEEP["nn_hidden"], "hidden layer widths"),
+        "iterations": (int, _SWEEP["nn_iterations"], "optimizer steps"),
+        "learning_rate": (float, _SWEEP["nn_learning_rate"], "Adam learning rate"),
+        "weight_bound": (_optional(float), _SWEEP["nn_weight_bound"],
+                         "weight box half-width (none = unbounded)"),
         "out": (str, "nn_reconstruction.imgf", "output image (.imgf or .pgm)"),
         "trace": (_optional(str), None, "objective trace output path"),
         "checkpoint": (_optional(str), None, "parameter checkpoint output (.mlpw)"),
     },
     "sweep": {
-        "method": (str, _SWEEP["method"], "reconstruction method: tikhonov or nn"),
-        "n": (int, _SWEEP["n"], "grid size per axis"),
-        "angles": (int, _SWEEP["angles"], "number of projection angles"),
-        "det_halfwidth": (float, _SWEEP["det_halfwidth"], "detector half-extent"),
+        "method": (str, _SWEEP["method"],
+                   f"reconstruction method: {' or '.join(experiment.METHODS)}"),
+        **_GEOMETRY,
         "n_bins": (_optional(int), _SWEEP["n_bins"],
                    "detector bins (none = ceil(n * det_halfwidth))"),
         "snr_min_db": (float, 16.6, "noisiest SNR level, dB"),
@@ -216,11 +221,13 @@ def _write_manifest(subcommand, cfg, path):
         f.write(serialize_config(subcommand, cfg))
 
 
-def _write_tables(directory, tables):
-    """Write each {file name: CSV text} of ``tables`` into ``directory``."""
+def _write_tables(subcommand, cfg, tables):
+    """Write each {file name: CSV text} of ``tables``, then manifest.ini, into ``cfg["out"]``."""
+    os.makedirs(cfg["out"], exist_ok=True)
     for name, text in tables.items():
-        with open(os.path.join(directory, name), "w") as f:
+        with open(os.path.join(cfg["out"], name), "w") as f:
             f.write(text)
+    _write_manifest(subcommand, cfg, os.path.join(cfg["out"], "manifest.ini"))
 
 
 def _write_image(path, image: ImageGrid):
@@ -228,12 +235,6 @@ def _write_image(path, image: ImageGrid):
         write_pgm16(path, image)
     else:
         write_imgf(path, image)
-
-
-def _noisy_sinogram(cfg):
-    phantom, geom, clean = experiment.ct_scene(cfg["n"], cfg["angles"], cfg["det_halfwidth"])
-    noisy = experiment.add_noise(clean, experiment.NoiseSpec(delta=cfg["delta"], seed=cfg["seed"]))
-    return phantom, geom, noisy
 
 
 def cmd_phantom(cfg):
@@ -245,7 +246,8 @@ def cmd_phantom(cfg):
 
 
 def cmd_sinogram(cfg):
-    _, geom, noisy = _noisy_sinogram(cfg)
+    _, geom, _, _, noisy = experiment.noisy_scene(cfg["n"], cfg["angles"], cfg["det_halfwidth"],
+                                                  None, cfg["delta"], cfg["seed"])
     write_sinf(cfg["out"], SinogramGrid(geometry=geom, values=noisy))
     _write_manifest("sinogram", cfg, str(cfg["out"]) + ".manifest")
     print(f"wrote {cfg['out']} ({geom.n_bins}x{geom.n_angles} bins x angles)")
@@ -254,8 +256,8 @@ def cmd_sinogram(cfg):
 
 def cmd_tikhonov(cfg):
     check_positive("max_iter", cfg["max_iter"])
-    phantom, geom, noisy = _noisy_sinogram(cfg)
-    op = radon_operator(geom, cfg["n"], cfg["n"])
+    phantom, _, op, _, noisy = experiment.noisy_scene(
+        cfg["n"], cfg["angles"], cfg["det_halfwidth"], None, cfg["delta"], cfg["seed"])
     problem = TikhonovProblem(op=op, data=noisy, alpha=cfg["alpha"])
     result = solve_tikhonov(problem, tol=cfg["tol"], max_iter=cfg["max_iter"])
     check_converged(cfg["alpha"], result, cfg["tol"], "tol")
@@ -268,27 +270,18 @@ def cmd_tikhonov(cfg):
 
 
 def cmd_nn_reconstruct(cfg):
-    phantom, geom, noisy = _noisy_sinogram(cfg)
-    op = radon_operator(geom, cfg["n"], cfg["n"])
-    nn_cfg = NnReconstructionConfig(
-        architecture=MlpArchitecture(hidden_widths=cfg["hidden"]),
-        alpha=cfg["alpha"],
-        operator=op,
-        data=noisy,
-        nx=cfg["n"],
-        ny=cfg["n"],
-        iterations=cfg["iterations"],
-        learning_rate=cfg["learning_rate"],
-        seed=cfg["seed"],
-        weight_bound=cfg["weight_bound"],
-    )
-    recon = reconstruct_nn(nn_cfg)
+    phantom, _, op, _, noisy = experiment.noisy_scene(
+        cfg["n"], cfg["angles"], cfg["det_halfwidth"], None, cfg["delta"], cfg["seed"])
+    recon = reconstruct_nn(NnReconstructionConfig(
+        architecture=MlpArchitecture(hidden_widths=cfg["hidden"]), operator=op, data=noisy,
+        nx=cfg["n"], ny=cfg["n"],
+        **{k: cfg[k] for k in ("alpha", "iterations", "learning_rate", "seed", "weight_bound")}))
     if cfg["trace"] is not None:
         with open(cfg["trace"], "w") as f:
             f.write("# iteration objective\n")
             f.writelines(f"{it} {v!r}\n" for it, v in enumerate(recon.objective_trace.tolist()))
     _write_image(cfg["out"], recon.image)
-    if cfg["checkpoint"]:
+    if cfg["checkpoint"] is not None:
         save_params(cfg["checkpoint"], recon.params)
     _write_manifest("nn-reconstruct", cfg, str(cfg["out"]) + ".manifest")
     err = np.linalg.norm(phantom.values - recon.image.values)
@@ -304,15 +297,15 @@ def cmd_sweep(cfg, threads):
     deltas = experiment.sweep_deltas(cfg["n"], cfg["angles"], cfg["snr_min_db"], cfg["snr_max_db"],
                                      cfg["n_deltas"], cfg["det_halfwidth"], cfg["n_bins"])
     sweep_cfg = experiment.SweepConfig(deltas=deltas, **{key: cfg[key] for key in _SWEEP})
-    os.makedirs(cfg["out"], exist_ok=True)
+    os.makedirs(cfg["out"], exist_ok=True)  # so an unusable out fails before the first cell
     result = experiment.run_sweep(sweep_cfg, threads=threads)
 
     out = cfg["out"]
     fits = [(cfg["method"], result.fit)] if result.fit else []
-    _write_tables(out, {"results.csv": experiment.results_csv(result.records, cfg["method"]),
-                        "aggregate.csv": experiment.aggregate_csv(result.aggregates, cfg["method"]),
-                        "fits.csv": experiment.fits_csv(fits)})
-    _write_manifest("sweep", cfg, os.path.join(out, "manifest.ini"))
+    _write_tables("sweep", cfg, {
+        "results.csv": experiment.results_csv(result.records, cfg["method"]),
+        "aggregate.csv": experiment.aggregate_csv(result.aggregates, cfg["method"]),
+        "fits.csv": experiment.fits_csv(fits)})
 
     for failure in result.failures:
         print(f"cell failed: delta={failure.delta:.6g} seed={failure.seed}: {failure.message}",
@@ -333,98 +326,29 @@ def cmd_oracle_linear(cfg):
     )
     result = experiment.linear_oracle(cfg["mu"], cfg["n_dim"], deltas, seed=cfg["seed"])
     print(f"mu={cfg['mu']}  slope={result.fit.slope:.6f}  intercept={result.fit.intercept:.6f}")
-    if cfg["out"]:
-        os.makedirs(cfg["out"], exist_ok=True)
+    if cfg["out"] is not None:
         oracle = zip(result.deltas, result.alphas, result.errors)
-        _write_tables(cfg["out"], {
+        _write_tables("oracle-linear", cfg, {
             "oracle.csv": experiment.csv_text("delta,alpha,error", oracle),
             "fits.csv": experiment.fits_csv([(f"oracle-mu-{cfg['mu']}", result.fit)])})
-        _write_manifest("oracle-linear", cfg, os.path.join(cfg["out"], "manifest.ini"))
     return 0
 
 
-def _read_csv(path):
-    """Header fields and ``(line number, fields)`` per nonblank row."""
-    with open(path) as f:
-        lines = [(lineno, ln.strip().split(",")) for lineno, ln in enumerate(f, 1) if ln.strip()]
-    if len(lines) < 2:
-        raise ValueError(f"{path}: expected a header line and at least one row")
-    (_, header), *rows = lines
-    for lineno, row in rows:
-        if len(row) != len(header):
-            raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-    return header, rows
-
-
-def _number(path, lineno, name, field, zero_ok=False):
-    """``field`` of column ``name`` as a finite float, positive or (if ``zero_ok``) zero."""
-    try:
-        value = float(field)
-    except ValueError:
-        raise ValueError(f"{path}:{lineno}: not a number: {field!r}") from None
-    # the comparisons are False for NaN, so NaN is out of range too
-    if not (0 < value < math.inf or (zero_ok and value == 0)):
-        sign = "nonnegative" if zero_ok else "positive"
-        raise ValueError(f"{path}:{lineno}: {name} must be {sign} and finite, got {field!r}")
-    return value
-
-
-def _table_deltas_errors(path):
-    """Extract (delta, error, method) triples from an aggregate or delta,error table."""
-    header, rows = _read_csv(path)
-    try:
-        d_col = header.index("delta")
-    except ValueError as exc:
-        raise ValueError(f"{path}: no 'delta' column") from exc
-    if "mean_error" in header:
-        e_col = header.index("mean_error")
-    elif "error" in header:
-        e_col = header.index("error")
-    else:
-        raise ValueError(f"{path}: no 'error' or 'mean_error' column")
-    m_col = header.index("method") if "method" in header else None
-    triples = []
-    for lineno, row in rows:
-        method = row[m_col] if m_col is not None else "all"
-        triples.append((_number(path, lineno, "delta", row[d_col]),
-                        _number(path, lineno, header[e_col], row[e_col]), method))
-    # several alphas per (delta, method), as in a sweep's results.csv, are errors at every
-    # alpha, not at the oracle alpha; oracle-linear's oracle.csv has one a-priori alpha each
-    if "alpha" in header and len({(d, m) for d, _, m in triples}) < len(triples):
-        raise ValueError(f"{path}: has an 'alpha' column, so its errors are not the oracle "
-                         "errors; fit the sweep's aggregate.csv")
-    return triples
-
-
 def cmd_rate_fit(cfg):
-    triples = _table_deltas_errors(cfg["table"])
-    methods = []
-    for _, _, m in triples:
-        if m not in methods:
-            methods.append(m)
+    series = experiment.table_deltas_errors(cfg["table"])
     fits = []
-    for method in methods:
-        ds = [d for d, _, m in triples if m == method]
-        es = [e for _, e, m in triples if m == method]
-        fit = experiment.fit_rate(ds, es)
+    for method, (deltas, errors) in series.items():
+        fit = experiment.fit_rate(deltas, errors)
         fits.append((method, fit))
-        prefix = f"{method}: " if len(methods) > 1 else ""
+        prefix = f"{method}: " if len(series) > 1 else ""
         print(f"{prefix}slope = {fit.slope:.6f}")
-    if cfg["out"]:
-        os.makedirs(cfg["out"], exist_ok=True)
-        _write_tables(cfg["out"], {"fits.csv": experiment.fits_csv(fits)})
-        _write_manifest("rate-fit", cfg, os.path.join(cfg["out"], "manifest.ini"))
+    if cfg["out"] is not None:
+        _write_tables("rate-fit", cfg, {"fits.csv": experiment.fits_csv(fits)})
     return 0
 
 
 def cmd_plot(cfg):
-    path = cfg["table"]
-    header, rows = _read_csv(path)
-    required = ["delta", "mean_error", "std_error", "method"]
-    if header[: len(required)] != required:
-        raise ValueError(f"{path}: expected header {','.join(required)}")
-    points = [(_number(path, lineno, "delta", r[0]), _number(path, lineno, "mean_error", r[1]),
-               _number(path, lineno, "std_error", r[2], zero_ok=True), r[3]) for lineno, r in rows]
+    points = experiment.aggregate_points(cfg["table"])
     svgplot.emit_plot(cfg["out"], points, cfg["reference_exponent"])
     _write_manifest("plot", cfg, str(cfg["out"]) + ".manifest")
     print(f"wrote {cfg['out']}")
@@ -475,6 +399,9 @@ def _check_shared_settings(cfg):
         check_positive("n", cfg["n"])
     if "n_deltas" in cfg and cfg["n_deltas"] < 2:
         raise ValueError(f"n_deltas must be at least 2, got {cfg['n_deltas']}")
+    for key in ("out", "trace", "checkpoint", "table"):
+        if cfg.get(key) == "":
+            raise ValueError(f"{key} must not be empty")
 
 
 def main(argv=None):

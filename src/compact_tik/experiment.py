@@ -1,4 +1,4 @@
-"""Noise generation, SNR accounting, delta sweeps and rate fitting.
+"""Noisy CT problems, SNR accounting, delta sweeps, rate fitting and their CSV tables.
 
 All randomness flows through explicit seeds. Independent cells of an
 experiment draw from substreams whose seeds are derived by hashing
@@ -120,6 +120,16 @@ def ct_scene(nx, n_angles, det_halfwidth=float(np.sqrt(2.0)), n_bins=None):
     return phantom, geom, radon_forward(phantom, geom).values
 
 
+def noisy_scene(n, angles, det_halfwidth, n_bins, delta, seed):
+    """(phantom, geometry, operator, clean data, noisy data) of a CT problem.
+
+    :func:`ct_scene`'s scene, with noise of scale ``delta`` from the stream of ``seed``.
+    """
+    phantom, geom, clean = ct_scene(n, angles, det_halfwidth, n_bins)
+    noisy = add_noise(clean, NoiseSpec(delta=delta, seed=seed))
+    return phantom, geom, radon_operator(geom, n, n), clean, noisy
+
+
 def sweep_deltas(nx, n_angles, snr_min_db, snr_max_db, count,
                  det_halfwidth=float(np.sqrt(2.0)), n_bins=None):
     """Noise levels for a phantom sweep, derived from the clean sinogram."""
@@ -223,8 +233,9 @@ class SweepConfig:
             raise ValueError(f"deltas must be nonempty, positive and finite, got {self.deltas}")
         if any(b >= a for a, b in zip(self.deltas, self.deltas[1:])):
             raise ValueError("deltas must be strictly decreasing")
-        if self.method not in ("tikhonov", "nn"):
-            raise ValueError(f"method must be 'tikhonov' or 'nn', got {self.method!r}")
+        if self.method not in METHODS:
+            raise ValueError(f"method must be {' or '.join(map(repr, METHODS))}, "
+                             f"got {self.method!r}")
         for name in ("realizations", "n_alphas", "cg_tol", "cg_max_iter", "nn_iterations",
                      "nn_learning_rate"):
             check_positive(name, getattr(self, name))
@@ -251,7 +262,7 @@ class SweepResult:
     fit: RateFit | None
 
 
-def _tikhonov_images(op, y_noisy, alphas, cfg):
+def _tikhonov_images(op, y_noisy, alphas, cfg, seed):
     """Reconstructions over the alpha grid from one multi-shift CG sequence.
 
     Every alpha shares the right-hand side R^T y, so one Krylov sequence on
@@ -264,6 +275,7 @@ def _tikhonov_images(op, y_noisy, alphas, cfg):
     A shift still active after ``cg_max_iter`` Krylov iterations, or a
     polish that stops at ``cg_max_iter``, raises NumericalFailureError, so
     the error of an unconverged iterate never enters the oracle minimum.
+    The noise seed is unused.
     """
     base = float(alphas.min())
     shifted = cg_solve_shifted(normal_operator(op, base), op.apply_adjoint(y_noisy),
@@ -289,6 +301,10 @@ def _nn_images(op, y_noisy, alphas, cfg, seed):
     )).image.values for alpha in alphas]
 
 
+# method name -> images function(op, y_noisy, alphas, cfg, seed): one image per alpha
+METHODS = {"tikhonov": _tikhonov_images, "nn": _nn_images}
+
+
 def _sweep_cell(cfg, i, r):
     """Cell (i, r) at ``cfg.deltas[i]``, with noise from substream (cfg.seed, i, r).
 
@@ -300,15 +316,11 @@ def _sweep_cell(cfg, i, r):
     """
     start = time.perf_counter()
     delta, seed = cfg.deltas[i], substream_seed(cfg.seed, i, r)
-    phantom, geom, y_clean = ct_scene(cfg.n, cfg.angles, cfg.det_halfwidth, cfg.n_bins)
-    op = radon_operator(geom, cfg.n, cfg.n)
+    phantom, _, op, y_clean, y_noisy = noisy_scene(cfg.n, cfg.angles, cfg.det_halfwidth,
+                                                   cfg.n_bins, delta, seed)
     alphas = cfg.alpha_grid(delta)
-    y_noisy = add_noise(y_clean, NoiseSpec(delta=delta, seed=seed))
     try:
-        if cfg.method == "tikhonov":
-            images = _tikhonov_images(op, y_noisy, alphas, cfg)
-        else:
-            images = _nn_images(op, y_noisy, alphas, cfg, seed)
+        images = METHODS[cfg.method](op, y_noisy, alphas, cfg, seed)
         errors = np.array([np.linalg.norm(phantom.values - x) for x in images])
         outcome = ExperimentRecord(delta=delta, seed=seed, alphas=alphas, errors=errors,
                                    snr_db=float(snr_db(y_clean, delta)))
@@ -459,3 +471,62 @@ def fits_csv(entries):
     """Fits table from (method, RateFit) pairs: method,slope,intercept,residual."""
     return csv_text("method,slope,intercept,residual",
                     ((m, f.slope, f.intercept, f.residual_norm) for m, f in entries))
+
+
+def read_csv(path):
+    """Header fields and ``(line number, fields)`` per nonblank row of a CSV table."""
+    with open(path) as f:
+        lines = [(lineno, ln.strip().split(",")) for lineno, ln in enumerate(f, 1) if ln.strip()]
+    if len(lines) < 2:
+        raise ValueError(f"{path}: expected a header line and at least one row")
+    (_, header), *rows = lines
+    for lineno, row in rows:
+        if len(row) != len(header):
+            raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+    return header, rows
+
+
+def _number(path, lineno, name, field, zero_ok=False):
+    """``field`` of column ``name`` as a finite float, positive or (if ``zero_ok``) zero."""
+    try:
+        value = float(field)
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: not a number: {field!r}") from None
+    check_positive(f"{path}:{lineno}: {name}", value, zero_ok)
+    return value
+
+
+def table_deltas_errors(path):
+    """{method: (deltas, errors)} of an aggregate or delta,error table, in row order.
+
+    A table without a ``method`` column is one method, ``all``.
+    """
+    header, rows = read_csv(path)
+    if "delta" not in header:
+        raise ValueError(f"{path}: no 'delta' column")
+    error = "mean_error" if "mean_error" in header else "error"
+    if error not in header:
+        raise ValueError(f"{path}: no 'error' or 'mean_error' column")
+    d_col, e_col = header.index("delta"), header.index(error)
+    m_col = header.index("method") if "method" in header else None
+    series = {}
+    for lineno, row in rows:
+        deltas, errors = series.setdefault(row[m_col] if m_col is not None else "all", ([], []))
+        deltas.append(_number(path, lineno, "delta", row[d_col]))
+        errors.append(_number(path, lineno, error, row[e_col]))
+    # several alphas per (delta, method), as in a sweep's results.csv, are errors at every
+    # alpha, not at the oracle alpha; oracle-linear's oracle.csv has one a-priori alpha each
+    if "alpha" in header and any(len(set(ds)) < len(ds) for ds, _ in series.values()):
+        raise ValueError(f"{path}: has an 'alpha' column, so its errors are not the oracle "
+                         "errors; fit the sweep's aggregate.csv")
+    return series
+
+
+def aggregate_points(path):
+    """(delta, mean_error, std_error, method) rows of an :func:`aggregate_csv` table."""
+    header, rows = read_csv(path)
+    required = ["delta", "mean_error", "std_error", "method"]
+    if header[: len(required)] != required:
+        raise ValueError(f"{path}: expected header {','.join(required)}")
+    return [(_number(path, lineno, "delta", r[0]), _number(path, lineno, "mean_error", r[1]),
+             _number(path, lineno, "std_error", r[2], zero_ok=True), r[3]) for lineno, r in rows]

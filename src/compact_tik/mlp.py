@@ -84,9 +84,12 @@ class MlpParams:
         biases = [np.asarray(b, dtype=np.float64) for b in biases]
         if not weights or len(weights) != len(biases):
             raise ValueError("weights and biases must pair up layer by layer")
-        for w, b in zip(weights, biases):
+        for k, (w, b) in enumerate(zip(weights, biases)):
             if w.ndim != 2 or b.shape != (w.shape[0],):
                 raise ValueError(f"layer shape mismatch: W {w.shape}, b {b.shape}")
+            if k and w.shape[1] != weights[k - 1].shape[0]:
+                raise ValueError(f"layer {k}: W has {w.shape[1]} columns, but layer {k - 1} "
+                                 f"has {weights[k - 1].shape[0]} rows")
         self.shapes = tuple(w.shape for w in weights)
         self._bind(np.concatenate([a.ravel() for layer in zip(weights, biases) for a in layer]))
 
@@ -307,7 +310,7 @@ def save_params(path, params: MlpParams):
 
 
 def load_params(path) -> MlpParams:
-    """Read a checkpoint written by :func:`save_params`."""
+    """Read a checkpoint written by :func:`save_params`: a network from 2 inputs to 1 output."""
     with open(path, "rb") as f:
         blob = f.read()
     check_magic(path, blob, MLPW_MAGIC)
@@ -324,4 +327,9 @@ def load_params(path) -> MlpParams:
         biases.append(np.frombuffer(blob, "<f8", rows, pos))
         pos += 8 * rows
     check_length(path, len(blob), pos)
-    return MlpParams(weights=weights, biases=biases)
+    params = MlpParams(weights=weights, biases=biases)
+    (_, inputs), (outputs, _) = params.shapes[0], params.shapes[-1]
+    if (inputs, outputs) != (2, 1):
+        raise ValueError(f"{path}: expected a network from 2 inputs to 1 output, "
+                         f"got {inputs} inputs and {outputs} outputs")
+    return params

@@ -9,6 +9,7 @@ least-squares intercept of the plotted means at a fixed exponent.
 
 from __future__ import annotations
 
+import html
 import math
 
 WIDTH, HEIGHT = 640, 480
@@ -146,6 +147,7 @@ def render_plot(rows, reference_exponent):
     # one polyline + error bars per method
     for idx, (method, pts) in enumerate(series.items()):
         color = _PALETTE[idx % len(_PALETTE)]
+        method = html.escape(str(method), quote=True)
         for d, m, s in pts:
             hi = m + s
             lo = m - s

@@ -182,11 +182,11 @@ def test_non_numeric_table_field_exit_1_names_path_and_line(tmp_path, capsys, co
 
 
 @pytest.mark.parametrize("text, message", [
-    ("delta,error\n0.1,1.0\n-0.01,0.3\n", ":3: delta must be positive and finite, got '-0.01'"),
-    ("delta,error\n0.1,1.0\nnan,0.3\n", ":3: delta must be positive and finite, got 'nan'"),
-    ("delta,error\n0.1,0.0\n0.01,0.3\n", ":2: error must be positive and finite, got '0.0'"),
+    ("delta,error\n0.1,1.0\n-0.01,0.3\n", ":3: delta must be positive and finite, got -0.01"),
+    ("delta,error\n0.1,1.0\nnan,0.3\n", ":3: delta must be positive and finite, got nan"),
+    ("delta,error\n0.1,0.0\n0.01,0.3\n", ":2: error must be positive and finite, got 0.0"),
     ("delta,mean_error,std_error,method\n0.1,-1.0,0.0,t\n0.01,0.3,0.0,t\n",
-     ":2: mean_error must be positive and finite, got '-1.0'"),
+     ":2: mean_error must be positive and finite, got -1.0"),
 ])
 def test_rate_fit_out_of_range_value_names_path_and_line(tmp_path, capsys, text, message):
     table = tmp_path / "agg.csv"
@@ -197,11 +197,11 @@ def test_rate_fit_out_of_range_value_names_path_and_line(tmp_path, capsys, text,
 
 
 @pytest.mark.parametrize("row, message", [
-    ("0.1,1.0,-5.0,t", "std_error must be nonnegative and finite, got '-5.0'"),
-    ("0.1,1.0,nan,t", "std_error must be nonnegative and finite, got 'nan'"),
-    ("0.0,1.0,0.0,t", "delta must be positive and finite, got '0.0'"),
-    ("nan,1.0,0.0,t", "delta must be positive and finite, got 'nan'"),
-    ("0.1,-1.0,0.0,t", "mean_error must be positive and finite, got '-1.0'"),
+    ("0.1,1.0,-5.0,t", "std_error must be nonnegative and finite, got -5.0"),
+    ("0.1,1.0,nan,t", "std_error must be nonnegative and finite, got nan"),
+    ("0.0,1.0,0.0,t", "delta must be positive and finite, got 0.0"),
+    ("nan,1.0,0.0,t", "delta must be positive and finite, got nan"),
+    ("0.1,-1.0,0.0,t", "mean_error must be positive and finite, got -1.0"),
 ])
 def test_plot_out_of_range_value_names_path_and_line(tmp_path, capsys, row, message):
     table = tmp_path / "agg.csv"
@@ -379,6 +379,36 @@ def test_out_of_range_setting_exits_1_before_writing(tmp_path, capsys, argv, set
     err = capsys.readouterr().err
     assert err.startswith("error: ") and setting in err, err
     assert os.listdir(tmp_path) == []
+
+
+NN_SHORT = SMALL + ["--hidden", "4", "--iterations", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["phantom", "--n", "8", "--out", ""],
+    ["sinogram", *SMALL, "--out", ""],
+    ["tikhonov", *SMALL, "--out", ""],
+    ["nn-reconstruct", *NN_SHORT, "--out", ""],
+    ["nn-reconstruct", *NN_SHORT, "--trace", ""],
+    ["nn-reconstruct", *NN_SHORT, "--checkpoint", ""],
+    ["sweep", *SMALL_SWEEP, "--out", ""],
+    ["oracle-linear", "--out", ""],
+    ["rate-fit", "--table", "TABLE", "--out", ""],
+    ["rate-fit", "--table", ""],
+    ["plot", "--table", "TABLE", "--out", ""],
+    ["plot", "--table", ""],
+])
+def test_empty_path_setting_exits_1_before_any_work(tmp_path, monkeypatch, capsys, argv):
+    table = tmp_path / "aggregate.csv"
+    table.write_text("delta,mean_error,std_error,method\n0.1,1.0,0.0,t\n0.01,0.5,0.0,t\n")
+    # default outputs land in the working directory, so an empty one means nothing was written
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    key = argv[argv.index("") - 1].removeprefix("--")
+    assert run_cli(*(str(table) if a == "TABLE" else a for a in argv)) == 1
+    assert capsys.readouterr() == ("", f"error: {key} must not be empty\n")
+    assert os.listdir(work) == []
 
 
 @pytest.mark.parametrize("command", [c for c, schema in SCHEMAS.items() if "n" in schema])

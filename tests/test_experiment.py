@@ -199,7 +199,7 @@ def test_sweep_config_validation():
         SweepConfig(deltas=[0.1, 0.2], realizations=1)  # increasing
     with pytest.raises(ValueError):
         SweepConfig(deltas=[0.1], realizations=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^method must be 'tikhonov' or 'nn', got 'other'$"):
         SweepConfig(deltas=[0.1], realizations=1, method="other")
 
 

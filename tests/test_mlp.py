@@ -416,64 +416,6 @@ def test_backward_rejects_trace_of_other_depth():
         mlp_backward(params, forward_trace(shallow, coords), np.ones(3))
 
 
-# uneven widths: the spare buffers hold 7 columns, so the views of width 3,
-# 5 and 1 are smaller than the buffers and than what they held before
-UNEVEN = (7, 3, 5)
-
-
-def test_workspace_reuse_matches_calls_without_one_byte_for_byte():
-    rng = np.random.default_rng(7)
-    first, second = random_params(rng, UNEVEN), random_params(rng, UNEVEN)
-    coords = rng.uniform(-1, 1, size=(11, 2))
-    cot = rng.standard_normal(11)
-    workspace = MlpWorkspace(first, len(coords))
-    for params in (first, second, first):
-        want_trace = forward_trace(params, coords)
-        want_grad = mlp_backward(params, want_trace, cot)
-        got_trace = forward_trace(params, coords, workspace)
-        assert len(got_trace) == len(want_trace)
-        for got, want in zip(got_trace, want_trace):
-            assert got.tobytes() == want.tobytes()
-        got_grad = mlp_backward(params, got_trace, cot, workspace)
-        assert got_grad is workspace.grad
-        assert got_grad.tobytes() == want_grad.tobytes()
-        ref_gw, ref_gb = reference_backward(params, coords, cot)
-        assert got_grad.tobytes() == np.concatenate(
-            [a.ravel() for layer in zip(ref_gw, ref_gb) for a in layer]).tobytes()
-        got_x = mlp_forward(params, coords, workspace)
-        assert got_x.tobytes() == want_trace[-1][:, 0].tobytes()
-        assert np.shares_memory(got_x, workspace.activations[-1])
-
-
-def test_calls_without_workspace_return_independent_arrays():
-    rng = np.random.default_rng(8)
-    params = random_params(rng, UNEVEN)
-    coords = rng.uniform(-1, 1, size=(11, 2))
-    cot = rng.standard_normal(11)
-    one, two = forward_trace(params, coords), forward_trace(params, coords)
-    kept = [a.copy() for a in one]
-    grad_one = mlp_backward(params, one, cot)
-    grad_two = mlp_backward(params, two, cot)
-    assert not np.shares_memory(grad_one, grad_two)
-    fresh = [*one[1:], *two[1:], grad_one, grad_two]
-    for i, a in enumerate(fresh):
-        assert not any(np.shares_memory(a, b) for b in fresh[i + 1:])
-    for got, want in zip(one, kept):
-        assert got.tobytes() == want.tobytes()
-
-
-def test_workspace_rejects_other_shapes():
-    params = random_params(np.random.default_rng(9), UNEVEN)
-    workspace = MlpWorkspace(params, 11)
-    with pytest.raises(ValueError, match="workspace"):
-        forward_trace(params, np.zeros((12, 2)), workspace)
-    with pytest.raises(ValueError, match="workspace"):
-        forward_trace(random_params(np.random.default_rng(9), (7, 3)), np.zeros((11, 2)),
-                      workspace)
-    with pytest.raises(ValueError, match="workspace"):
-        mlp_backward(params, forward_trace(params, np.zeros((12, 2))), np.ones(12), workspace)
-
-
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     hidden=st.lists(st.integers(1, 6), min_size=1, max_size=3),
@@ -749,3 +691,18 @@ def test_params_reject_mismatched_layers():
         MlpParams(weights=[np.ones((2, 2))], biases=[np.ones(3)])
     with pytest.raises(ValueError):
         MlpParams(weights=[np.ones(2)], biases=[np.ones(2)])
+
+
+def test_params_reject_layers_that_do_not_chain():
+    with pytest.raises(ValueError, match="layer 1: W has 5 columns, but layer 0 has 4 rows"):
+        MlpParams(weights=[np.ones((4, 2)), np.ones((1, 5))], biases=[np.ones(4), np.ones(1)])
+
+
+@pytest.mark.parametrize("widths", [(3, 4, 1), (2, 4, 3)])
+def test_load_params_rejects_other_input_or_output_width(tmp_path, widths):
+    weights = [np.ones((rows, cols)) for cols, rows in zip(widths, widths[1:])]
+    params = MlpParams(weights=weights, biases=[np.zeros(w.shape[0]) for w in weights])
+    path = tmp_path / "net.mlpw"
+    save_params(path, params)
+    with pytest.raises(ValueError, match=f"{path}: expected a network from 2 inputs to 1 output"):
+        load_params(path)

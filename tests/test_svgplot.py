@@ -106,3 +106,10 @@ def test_emit_plot_writes_file(tmp_path):
     text = path.read_text()
     assert text.startswith("<svg")
     ET.fromstring(text)  # well-formed
+
+
+def test_method_names_with_markup_characters_stay_well_formed():
+    method = 'a"b<&c'
+    svg = render_plot([(0.1, 1.0, 0.1, method), (0.01, 0.5, 0.0, method)], 0.5)
+    assert [el.get("class") for el in class_elements(svg, "series")] == [f"series method-{method}"]
+    assert len(class_elements(svg, "errorbar")) == 2
