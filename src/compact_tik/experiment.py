@@ -156,7 +156,7 @@ def fit_rate(deltas, errors) -> RateFit:
     if not np.all((deltas > 0) & (deltas < np.inf) & (errors > 0) & (errors < np.inf)):
         raise ValueError("deltas and errors must be positive and finite")
     # one distinct delta leaves the slope undetermined
-    if np.unique(deltas).size < 2:
+    if deltas.min() == deltas.max():
         raise ValueError(f"need at least two distinct deltas, got only {float(deltas[0])}")
     lx, ly = np.log(deltas), np.log(errors)
     slope, intercept = np.polyfit(lx, ly, 1)

@@ -13,6 +13,9 @@ into a cached sparse table: the coalesced nonzeros (col, val) of R in one
 run per ray, sorted by ray then pixel. The forward map sums each run; the
 adjoint spreads each ray value over its run and scatters it through the
 same entries, so the pair is an exact transpose up to float64 summation order.
+Both walk the table in blocks of whole rays of at most ``BLOCK_ENTRIES``
+entries, so each call's temporary is one block of float64, not one float64
+per table entry.
 """
 
 from __future__ import annotations
@@ -29,6 +32,10 @@ from .linop import LinearOperator
 
 # not "SINF", the magic of the layout without a step, so such a file never loads
 SINF_MAGIC = b"SNF2"
+
+# entries per block of R and R^T (2 MiB of float64); a ray longer than this
+# is a block of its own
+BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -117,8 +124,10 @@ class _Projector:
     ``rays`` lists the rays that have entries, ``starts`` the offset of each
     one's first entry and ``run_lengths`` its number of entries, so a
     segmented sum over ``starts`` gives R x on exactly those rays; every
-    other ray is identically zero. Indices are intp, which numpy gathers and
-    scatters without a conversion copy.
+    other ray is identically zero. ``blocks`` holds the index into ``rays``
+    of each block's first ray, then ``rays.size``; a block is a run of whole
+    rays with at most ``BLOCK_ENTRIES`` entries, or one longer ray. Indices
+    are intp, which numpy gathers and scatters without a conversion copy.
     """
 
     col: np.ndarray
@@ -126,6 +135,7 @@ class _Projector:
     rays: np.ndarray
     starts: np.ndarray
     run_lengths: np.ndarray
+    blocks: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
@@ -216,19 +226,43 @@ def _projector(geom: RadonGeometry, nx: int, ny: int) -> _Projector:
 
     rays = np.flatnonzero(lengths)
     run_lengths = lengths.ravel()[rays]
-    starts = np.cumsum(run_lengths) - run_lengths
-    return _Projector(col=col, val=val, rays=rays, starts=starts, run_lengths=run_lengths)
+    ends = np.cumsum(run_lengths)
+    starts = ends - run_lengths
+    # greedy blocks of whole rays: each takes every following ray that ends
+    # within BLOCK_ENTRIES of its first entry, and at least one ray
+    blocks = [0]
+    while blocks[-1] < rays.size:
+        a = blocks[-1]
+        b = int(np.searchsorted(ends, starts[a] + BLOCK_ENTRIES, side="right"))
+        blocks.append(max(b, a + 1))
+    return _Projector(col=col, val=val, rays=rays, starts=starts, run_lengths=run_lengths,
+                      blocks=np.array(blocks, dtype=np.intp))
+
+
+def _ray_blocks(table: _Projector):
+    """Yield (a, b, e0, e1) per block: rays[a:b] own exactly the entries e0:e1."""
+    bounds = table.blocks.tolist()
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        yield a, b, int(table.starts[a]), int(table.starts[b - 1] + table.run_lengths[b - 1])
 
 
 def radon_forward(image: ImageGrid, geom: RadonGeometry) -> SinogramGrid:
-    """Apply the discrete Radon transform to an image."""
+    """Apply the discrete Radon transform to an image.
+
+    Each ray's run is summed by one ``np.add.reduceat`` segment, whichever
+    block holds it, so the result does not depend on ``BLOCK_ENTRIES``.
+    """
     table = _projector(geom, image.nx, image.ny)
-    contrib = image.values[table.col]
-    contrib *= table.val
+    sums = np.empty(table.rays.size)
+    for a, b, e0, e1 in _ray_blocks(table):
+        contrib = image.values[table.col[e0:e1]]
+        contrib *= table.val[e0:e1]
+        np.add.reduceat(contrib, table.starts[a:b] - e0, out=sums[a:b])
+        del contrib  # one block temporary alive at a time
     values = np.zeros(geom.size)
     # reduceat over an empty segment would return the next entry instead
     # of 0, so only the rays that have entries are summed
-    values[table.rays] = np.add.reduceat(contrib, table.starts)
+    values[table.rays] = sums
     return SinogramGrid(geometry=geom, values=values)
 
 
@@ -237,13 +271,27 @@ def radon_adjoint(sino: SinogramGrid, nx, ny) -> ImageGrid:
 
     Spreads each ray value over its run of table entries and scatters it
     back through them; satisfies <Rx, y> = <x, R^T y> to floating-point accuracy.
+    The first block goes through ``np.bincount``, which starts from zeros,
+    and every later one through ``np.add.at`` into the same array, so each
+    pixel receives its additions in table order whatever ``BLOCK_ENTRIES``
+    is. A ``bincount`` per block followed by ``+=`` would regroup them and
+    move low bits.
     """
     check_positive("nx", nx)
     check_positive("ny", ny)
     table = _projector(sino.geometry, nx, ny)
-    contrib = np.repeat(sino.values[table.rays], table.run_lengths)
-    contrib *= table.val
-    values = np.bincount(table.col, weights=contrib, minlength=nx * ny)
+    ray_values = sino.values[table.rays]
+    values = None
+    for a, b, e0, e1 in _ray_blocks(table):
+        contrib = np.repeat(ray_values[a:b], table.run_lengths[a:b])
+        contrib *= table.val[e0:e1]
+        if values is None:
+            values = np.bincount(table.col[e0:e1], weights=contrib, minlength=nx * ny)
+        else:
+            np.add.at(values, table.col[e0:e1], contrib)
+        del contrib  # one block temporary alive at a time
+    if values is None:  # a table without entries
+        values = np.zeros(nx * ny)
     return ImageGrid(nx=nx, ny=ny, values=values)
 
 

@@ -295,6 +295,25 @@ def test_sweep_rerun_from_manifest_is_identical(tmp_path):
     assert (out1 / "fits.csv").read_bytes() == (out2 / "fits.csv").read_bytes()
 
 
+def test_sweep_and_nn_reconstruct_leave_numpy_ma_unimported(tmp_path):
+    # numpy.ma costs about 1.5 MB of RSS, and np.unique imports it; a fresh
+    # interpreter, since any test in this process may have imported it
+    script = (
+        "import sys\n"
+        "from compact_tik import cli\n"
+        f"assert cli.main(['sweep', '--n', '12', '--angles', '6', '--n-deltas', '3',"
+        f" '--realizations', '2', '--n-alphas', '3', '--out', {str(tmp_path / 'sweep')!r}]) == 0\n"
+        f"assert cli.main(['nn-reconstruct', '--n', '8', '--angles', '4', '--hidden', '6',"
+        f" '--iterations', '10', '--out', {str(tmp_path / 'nn.imgf')!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_sweep_reports_unconverged_cells_on_stderr(tmp_path, capsys):
     out = tmp_path / "sweep"
     code = run_cli(

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from compact_tik.grid import ImageGrid, pixel_centers, shepp_logan
 from compact_tik.linop import adjoint_defect
 from compact_tik.radon import (
+    BLOCK_ENTRIES,
     RadonGeometry,
     SinogramGrid,
     _projector,
@@ -275,11 +276,11 @@ def test_adjoint_is_bitwise_the_row_major_scatter_of_the_dense_nonzeros(geom, nx
 
 
 def test_cached_table_holds_two_arrays_per_entry_and_three_per_ray():
-    # col and val per entry, rays, starts and run_lengths per ray: no
-    # per-entry row index
+    # col and val per entry, rays, starts and run_lengths per ray, and the
+    # block boundaries: no per-entry row index
     table = _projector(RadonGeometry.for_grid(64, 30), 64, 64)
     nbytes = sum(getattr(table, f.name).nbytes for f in dataclasses.fields(table))
-    assert nbytes <= 16 * table.col.size + 24 * table.rays.size
+    assert nbytes <= 16 * table.col.size + 24 * table.rays.size + table.blocks.nbytes
     assert np.array_equal(table.run_lengths, np.diff(table.starts, append=table.col.size))
 
 
@@ -310,6 +311,72 @@ def test_cold_build_holds_one_copy_of_the_table():
         tracemalloc.stop()
     nbytes = sum(getattr(table, f.name).nbytes for f in dataclasses.fields(table))
     assert peak <= 1.5 * nbytes
+
+
+# 64x64/30 angles streams in 2 blocks and 128x128/50 in 7
+@pytest.mark.parametrize("n, n_angles", [(64, 30), (128, 50)])
+def test_blocked_transforms_equal_the_one_shot_formulas_bit_for_bit(n, n_angles):
+    geom = RadonGeometry.for_grid(n, n_angles)
+    table = _projector(geom, n, n)
+    assert table.blocks.size - 1 > 1
+    rng = np.random.default_rng(n)
+    x, y = rng.standard_normal(n * n), rng.standard_normal(geom.size)
+    one_shot_forward = np.zeros(geom.size)
+    one_shot_forward[table.rays] = np.add.reduceat(x[table.col] * table.val, table.starts)
+    one_shot_adjoint = np.bincount(
+        table.col, weights=np.repeat(y[table.rays], table.run_lengths) * table.val)
+    forward = radon_forward(ImageGrid(nx=n, ny=n, values=x), geom).values
+    adjoint = radon_adjoint(SinogramGrid(geometry=geom, values=y), n, n).values
+    assert np.array_equal(forward, one_shot_forward)
+    assert np.array_equal(adjoint, one_shot_adjoint)
+
+
+@pytest.mark.parametrize("geom, nx, ny", [
+    (RadonGeometry.for_grid(32, 20), 32, 32),
+    (RadonGeometry.for_grid(64, 30), 64, 64),
+    (RadonGeometry.for_grid(128, 50), 128, 128),
+])
+def test_blocks_cover_the_rays_in_order_without_splitting_one(geom, nx, ny):
+    table = _projector(geom, nx, ny)
+    blocks = table.blocks
+    assert blocks[0] == 0 and blocks[-1] == table.rays.size
+    assert np.all(np.diff(blocks) >= 1)
+    # block boundaries are ray indices, so no ray is split; each block's
+    # entries are the runs of its rays
+    ends = np.append(table.starts, table.col.size)
+    entries = np.diff(ends[blocks])
+    assert entries.sum() == table.col.size
+    single_ray = np.diff(blocks) == 1
+    assert np.all((entries <= BLOCK_ENTRIES) | single_ray)
+
+
+def test_table_without_entries_transforms_to_exact_zeros():
+    # every ray of this geometry misses a 4x4 image
+    geom = RadonGeometry(n_angles=2, n_bins=2, det_halfwidth=2.0, step=0.3)
+    table = _projector(geom, 4, 4)
+    assert table.col.size == 0 and table.rays.size == 0
+    assert np.array_equal(table.blocks, [0])
+    sino = radon_forward(ImageGrid(nx=4, ny=4, values=np.ones(16)), geom)
+    image = radon_adjoint(SinogramGrid(geometry=geom, values=np.ones(geom.size)), 4, 4)
+    assert np.array_equal(sino.values, np.zeros(geom.size))
+    assert np.array_equal(image.values, np.zeros(16))
+
+
+def test_transforms_hold_one_block_of_float64_not_one_per_entry():
+    # one float64 per entry would be 14.6 MB at 128x128/50
+    geom, n = RadonGeometry.for_grid(128, 50), 128
+    _projector(geom, n, n)
+    x = ImageGrid(nx=n, ny=n, values=np.ones(n * n))
+    y = SinogramGrid(geometry=geom, values=np.ones(geom.size))
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        radon_forward(x, geom)
+        radon_adjoint(y, n, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - baseline <= 3 * 2**20
 
 
 # geometries of the Tikhonov preconditioner tests: two for_grid ones (square
