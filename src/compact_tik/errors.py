@@ -2,10 +2,12 @@
 
 Invalid arguments raise the builtin ``ValueError``; this module adds the
 failure mode that has no builtin counterpart, the one check every scalar
-setting goes through, the magic and length checks every binary reader
-does, and the one writer/reader pair of the ``.imgf`` and ``.sinf`` files.
+setting goes through, the magic and length checks and path-named header
+errors of every binary reader, and the one writer/reader pair of the
+``.imgf`` and ``.sinf`` files.
 """
 
+import contextlib
 import math
 import struct
 
@@ -39,6 +41,15 @@ def check_magic(path, blob, magic):
     """ValueError naming ``path`` unless the file's bytes ``blob`` start with ``magic``."""
     if blob[:len(magic)] != magic:
         raise ValueError(f"{path}: bad magic {blob[:len(magic)]!r}, expected {magic!r}")
+
+
+@contextlib.contextmanager
+def naming_path(path):
+    """Prefix ``path`` to a ValueError raised in the block, such as a header field out of range."""
+    try:
+        yield
+    except ValueError as error:
+        raise ValueError(f"{path}: {error}") from None
 
 
 def write_float64_file(path, magic, header_format, header, values):

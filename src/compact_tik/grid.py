@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_positive, read_float64_file, write_float64_file
+from .errors import check_positive, naming_path, read_float64_file, write_float64_file
 
 #: Classical Shepp-Logan phantom, ten ellipses as
 #: (intensity, semi-axis a, semi-axis b, center x, center y, rotation in degrees).
@@ -128,7 +128,8 @@ def write_imgf(path, image: ImageGrid):
 def read_imgf(path):
     """Read an image written by :func:`write_imgf`."""
     (nx, ny, _reserved), values = read_float64_file(path, IMGF_MAGIC, "<III")
-    return ImageGrid(nx=nx, ny=ny, values=values)
+    with naming_path(path):
+        return ImageGrid(nx=nx, ny=ny, values=values)
 
 
 def write_pgm16(path, image: ImageGrid):

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailureError, check_length, check_magic, check_positive
+from .errors import NumericalFailureError, check_length, check_magic, check_positive, naming_path
 
 MLPW_MAGIC = b"MLPW"
 
@@ -327,7 +327,8 @@ def load_params(path) -> MlpParams:
         biases.append(np.frombuffer(blob, "<f8", rows, pos))
         pos += 8 * rows
     check_length(path, len(blob), pos)
-    params = MlpParams(weights=weights, biases=biases)
+    with naming_path(path):
+        params = MlpParams(weights=weights, biases=biases)
     (_, inputs), (outputs, _) = params.shapes[0], params.shapes[-1]
     if (inputs, outputs) != (2, 1):
         raise ValueError(f"{path}: expected a network from 2 inputs to 1 output, "

@@ -13,9 +13,9 @@ into a cached sparse table: the coalesced nonzeros (col, val) of R in one
 run per ray, sorted by ray then pixel. The forward map sums each run; the
 adjoint spreads each ray value over its run and scatters it through the
 same entries, so the pair is an exact transpose up to float64 summation order.
-Both walk the table in blocks of whole rays of at most ``BLOCK_ENTRIES``
-entries, so each call's temporary is one block of float64, not one float64
-per table entry.
+The table is stored as its blocks of whole rays of at most ``BLOCK_ENTRIES``
+entries, which both maps loop over, so each call's temporary is one block of
+float64, not one float64 per table entry.
 """
 
 from __future__ import annotations
@@ -23,10 +23,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import check_positive, read_float64_file, write_float64_file
+from .errors import check_positive, naming_path, read_float64_file, write_float64_file
 from .grid import ImageGrid
 from .linop import LinearOperator
 
@@ -117,30 +118,27 @@ class SinogramGrid:
         return self.values.reshape(self.geometry.n_angles, self.geometry.n_bins)
 
 
-@dataclass(frozen=True)
-class _Projector:
-    """Coalesced nonzeros (col, val) of R, sorted by ray then pixel, plus ray runs.
+class _Block(NamedTuple):
+    """Whole rays of the table and their entries (col, val), sorted by ray then pixel.
 
-    ``rays`` lists the rays that have entries, ``starts`` the offset of each
-    one's first entry and ``run_lengths`` its number of entries, so a
-    segmented sum over ``starts`` gives R x on exactly those rays; every
-    other ray is identically zero. ``blocks`` holds the index into ``rays``
-    of each block's first ray, then ``rays.size``; a block is a run of whole
-    rays with at most ``BLOCK_ENTRIES`` entries, or one longer ray. Indices
-    are intp, which numpy gathers and scatters without a conversion copy.
+    ``offsets`` holds each ray's first entry, relative to the block, so a
+    segmented sum over it gives R x on ``rays``. Indices are intp, which
+    numpy gathers and scatters without a conversion copy.
     """
 
+    rays: np.ndarray
+    run_lengths: np.ndarray
+    offsets: np.ndarray
     col: np.ndarray
     val: np.ndarray
-    rays: np.ndarray
-    starts: np.ndarray
-    run_lengths: np.ndarray
-    blocks: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
-def _projector(geom: RadonGeometry, nx: int, ny: int) -> _Projector:
+def _projector(geom: RadonGeometry, nx: int, ny: int) -> tuple[_Block, ...]:
     """Compile the discretized transform into its coalesced sparse table.
+
+    The table is its blocks in ray order, each whole rays with at most
+    ``BLOCK_ENTRIES`` entries or one longer ray, and ``()`` without entries.
 
     Each ray sample contributes a 4-point bilinear stencil scaled by its
     trapezoid weight. Stencil points outside the image and zero weights are
@@ -230,20 +228,14 @@ def _projector(geom: RadonGeometry, nx: int, ny: int) -> _Projector:
     starts = ends - run_lengths
     # greedy blocks of whole rays: each takes every following ray that ends
     # within BLOCK_ENTRIES of its first entry, and at least one ray
-    blocks = [0]
-    while blocks[-1] < rays.size:
-        a = blocks[-1]
-        b = int(np.searchsorted(ends, starts[a] + BLOCK_ENTRIES, side="right"))
-        blocks.append(max(b, a + 1))
-    return _Projector(col=col, val=val, rays=rays, starts=starts, run_lengths=run_lengths,
-                      blocks=np.array(blocks, dtype=np.intp))
-
-
-def _ray_blocks(table: _Projector):
-    """Yield (a, b, e0, e1) per block: rays[a:b] own exactly the entries e0:e1."""
-    bounds = table.blocks.tolist()
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        yield a, b, int(table.starts[a]), int(table.starts[b - 1] + table.run_lengths[b - 1])
+    blocks, a = [], 0
+    while a < rays.size:
+        b = max(int(np.searchsorted(ends, starts[a] + BLOCK_ENTRIES, side="right")), a + 1)
+        e0, e1 = starts[a], ends[b - 1]
+        blocks.append(_Block(rays=rays[a:b], run_lengths=run_lengths[a:b],
+                             offsets=starts[a:b] - e0, col=col[e0:e1], val=val[e0:e1]))
+        a = b
+    return tuple(blocks)
 
 
 def radon_forward(image: ImageGrid, geom: RadonGeometry) -> SinogramGrid:
@@ -252,17 +244,14 @@ def radon_forward(image: ImageGrid, geom: RadonGeometry) -> SinogramGrid:
     Each ray's run is summed by one ``np.add.reduceat`` segment, whichever
     block holds it, so the result does not depend on ``BLOCK_ENTRIES``.
     """
-    table = _projector(geom, image.nx, image.ny)
-    sums = np.empty(table.rays.size)
-    for a, b, e0, e1 in _ray_blocks(table):
-        contrib = image.values[table.col[e0:e1]]
-        contrib *= table.val[e0:e1]
-        np.add.reduceat(contrib, table.starts[a:b] - e0, out=sums[a:b])
-        del contrib  # one block temporary alive at a time
     values = np.zeros(geom.size)
     # reduceat over an empty segment would return the next entry instead
     # of 0, so only the rays that have entries are summed
-    values[table.rays] = sums
+    for block in _projector(geom, image.nx, image.ny):
+        contrib = image.values[block.col]
+        contrib *= block.val
+        values[block.rays] = np.add.reduceat(contrib, block.offsets)
+        del contrib  # one block temporary alive at a time
     return SinogramGrid(geometry=geom, values=values)
 
 
@@ -279,16 +268,14 @@ def radon_adjoint(sino: SinogramGrid, nx, ny) -> ImageGrid:
     """
     check_positive("nx", nx)
     check_positive("ny", ny)
-    table = _projector(sino.geometry, nx, ny)
-    ray_values = sino.values[table.rays]
     values = None
-    for a, b, e0, e1 in _ray_blocks(table):
-        contrib = np.repeat(ray_values[a:b], table.run_lengths[a:b])
-        contrib *= table.val[e0:e1]
+    for block in _projector(sino.geometry, nx, ny):
+        contrib = np.repeat(sino.values[block.rays], block.run_lengths)
+        contrib *= block.val
         if values is None:
-            values = np.bincount(table.col[e0:e1], weights=contrib, minlength=nx * ny)
+            values = np.bincount(block.col, weights=contrib, minlength=nx * ny)
         else:
-            np.add.at(values, table.col[e0:e1], contrib)
+            np.add.at(values, block.col, contrib)
         del contrib  # one block temporary alive at a time
     if values is None:  # a table without entries
         values = np.zeros(nx * ny)
@@ -350,9 +337,9 @@ def radon_operator(geom: RadonGeometry, nx, ny) -> LinearOperator:
 
 def dense_matrix(geom: RadonGeometry, nx, ny):
     """Materialize the transform as a dense (M, N) array. Test-scale only."""
-    table = _projector(geom, nx, ny)
     mat = np.zeros((geom.size, nx * ny))
-    mat[np.repeat(table.rays, table.run_lengths), table.col] = table.val
+    for block in _projector(geom, nx, ny):
+        mat[np.repeat(block.rays, block.run_lengths), block.col] = block.val
     return mat
 
 
@@ -370,5 +357,5 @@ def write_sinf(path, sino: SinogramGrid):
 def read_sinf(path):
     """Read a sinogram written by :func:`write_sinf`, with the writer's geometry."""
     (n_bins, n_angles, det_halfwidth, step), values = read_float64_file(path, SINF_MAGIC, "<IIdd")
-    geom = RadonGeometry(n_angles=n_angles, n_bins=n_bins, det_halfwidth=det_halfwidth, step=step)
-    return SinogramGrid(geometry=geom, values=values)
+    with naming_path(path):
+        return SinogramGrid(RadonGeometry(n_angles, n_bins, det_halfwidth, step), values)

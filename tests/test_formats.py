@@ -85,3 +85,26 @@ def test_writer_and_reader_match_hand_built_bytes(tmp_path, fmt):
     back = read(path)
     for field in dataclasses.fields(obj):
         assert np.array_equal(getattr(back, field.name), getattr(obj, field.name)), field.name
+
+
+# format -> (file bytes built by hand whose header is out of range, reader, message)
+BAD_HEADERS = {
+    # nx 0, ny 1: no values
+    "imgf": (b"IMGF" + bytes.fromhex("00000000" "01000000" "00000000"), read_imgf,
+             "nx must be positive and finite, got 0"),
+    # n_bins 2, n_angles 1, det_halfwidth NaN, step 0.25
+    "sinf": (b"SNF2" + bytes.fromhex("02000000" "01000000" "000000000000f87f" "000000000000d03f")
+             + PAYLOAD, read_sinf, "det_halfwidth must be positive and finite, got nan"),
+    # no layers
+    "mlpw": (b"MLPW" + bytes.fromhex("00000000"), load_params,
+             "weights and biases must pair up layer by layer"),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(BAD_HEADERS))
+def test_reader_rejects_an_out_of_range_header_naming_the_path(tmp_path, fmt):
+    blob, read, message = BAD_HEADERS[fmt]
+    path = tmp_path / f"file.{fmt}"
+    path.write_bytes(blob)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        read(path)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import sys
 import tracemalloc
@@ -275,13 +274,20 @@ def test_adjoint_is_bitwise_the_row_major_scatter_of_the_dense_nonzeros(geom, nx
         assert not mat.any(axis=1).all()
 
 
+def table_nbytes(table):
+    """Bytes of the table's arrays; the blocks' views cover each array once."""
+    return sum(field.nbytes for block in table for field in block)
+
+
 def test_cached_table_holds_two_arrays_per_entry_and_three_per_ray():
-    # col and val per entry, rays, starts and run_lengths per ray, and the
-    # block boundaries: no per-entry row index
+    # col and val per entry, rays, run_lengths and offsets per ray: no
+    # per-entry row index
     table = _projector(RadonGeometry.for_grid(64, 30), 64, 64)
-    nbytes = sum(getattr(table, f.name).nbytes for f in dataclasses.fields(table))
-    assert nbytes <= 16 * table.col.size + 24 * table.rays.size + table.blocks.nbytes
-    assert np.array_equal(table.run_lengths, np.diff(table.starts, append=table.col.size))
+    entries = sum(block.col.size for block in table)
+    rays = sum(block.rays.size for block in table)
+    assert table_nbytes(table) <= 16 * entries + 24 * rays
+    for block in table:
+        assert np.array_equal(block.run_lengths, np.diff(block.offsets, append=block.col.size))
 
 
 def test_table_built_under_a_tracer_equals_a_plain_build():
@@ -295,8 +301,10 @@ def test_table_built_under_a_tracer_equals_a_plain_build():
         traced = _projector.__wrapped__(geom, nx, ny)
     finally:
         sys.settrace(previous)
-    for field in dataclasses.fields(plain):
-        assert np.array_equal(getattr(traced, field.name), getattr(plain, field.name))
+    assert len(traced) == len(plain)
+    for traced_block, plain_block in zip(traced, plain):
+        for traced_field, plain_field in zip(traced_block, plain_block):
+            assert np.array_equal(traced_field, plain_field)
 
 
 def test_cold_build_holds_one_copy_of_the_table():
@@ -309,22 +317,24 @@ def test_cold_build_holds_one_copy_of_the_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    nbytes = sum(getattr(table, f.name).nbytes for f in dataclasses.fields(table))
-    assert peak <= 1.5 * nbytes
+    assert peak <= 1.5 * table_nbytes(table)
 
 
+# 32x32/20 angles is one block, the shape of every committed table;
 # 64x64/30 angles streams in 2 blocks and 128x128/50 in 7
-@pytest.mark.parametrize("n, n_angles", [(64, 30), (128, 50)])
+@pytest.mark.parametrize("n, n_angles", [(32, 20), (64, 30), (128, 50)])
 def test_blocked_transforms_equal_the_one_shot_formulas_bit_for_bit(n, n_angles):
     geom = RadonGeometry.for_grid(n, n_angles)
     table = _projector(geom, n, n)
-    assert table.blocks.size - 1 > 1
+    rays, run_lengths, col, val = (
+        np.concatenate([getattr(block, field) for block in table])
+        for field in ("rays", "run_lengths", "col", "val"))
+    starts = np.cumsum(run_lengths) - run_lengths
     rng = np.random.default_rng(n)
     x, y = rng.standard_normal(n * n), rng.standard_normal(geom.size)
     one_shot_forward = np.zeros(geom.size)
-    one_shot_forward[table.rays] = np.add.reduceat(x[table.col] * table.val, table.starts)
-    one_shot_adjoint = np.bincount(
-        table.col, weights=np.repeat(y[table.rays], table.run_lengths) * table.val)
+    one_shot_forward[rays] = np.add.reduceat(x[col] * val, starts)
+    one_shot_adjoint = np.bincount(col, weights=np.repeat(y[rays], run_lengths) * val)
     forward = radon_forward(ImageGrid(nx=n, ny=n, values=x), geom).values
     adjoint = radon_adjoint(SinogramGrid(geometry=geom, values=y), n, n).values
     assert np.array_equal(forward, one_shot_forward)
@@ -338,24 +348,23 @@ def test_blocked_transforms_equal_the_one_shot_formulas_bit_for_bit(n, n_angles)
 ])
 def test_blocks_cover_the_rays_in_order_without_splitting_one(geom, nx, ny):
     table = _projector(geom, nx, ny)
-    blocks = table.blocks
-    assert blocks[0] == 0 and blocks[-1] == table.rays.size
-    assert np.all(np.diff(blocks) >= 1)
-    # block boundaries are ray indices, so no ray is split; each block's
-    # entries are the runs of its rays
-    ends = np.append(table.starts, table.col.size)
-    entries = np.diff(ends[blocks])
-    assert entries.sum() == table.col.size
-    single_ray = np.diff(blocks) == 1
-    assert np.all((entries <= BLOCK_ENTRIES) | single_ray)
+    assert len(table) == {32: 1, 64: 2, 128: 7}[nx]
+    # each ray lies in one block, and the blocks hold the rays in order
+    rays = np.concatenate([block.rays for block in table])
+    assert np.all(np.diff(rays) >= 1)
+    # the blocks' entries are views that cover the whole entry array
+    assert sum(block.col.size for block in table) == table[0].col.base.size
+    for block in table:
+        entries = block.col.size
+        assert block.rays.size >= 1 and block.offsets[0] == 0
+        assert block.val.size == entries == block.run_lengths.sum()
+        assert entries <= BLOCK_ENTRIES or block.rays.size == 1
 
 
 def test_table_without_entries_transforms_to_exact_zeros():
     # every ray of this geometry misses a 4x4 image
     geom = RadonGeometry(n_angles=2, n_bins=2, det_halfwidth=2.0, step=0.3)
-    table = _projector(geom, 4, 4)
-    assert table.col.size == 0 and table.rays.size == 0
-    assert np.array_equal(table.blocks, [0])
+    assert _projector(geom, 4, 4) == ()
     sino = radon_forward(ImageGrid(nx=4, ny=4, values=np.ones(16)), geom)
     image = radon_adjoint(SinogramGrid(geometry=geom, values=np.ones(geom.size)), 4, 4)
     assert np.array_equal(sino.values, np.zeros(geom.size))

@@ -12,6 +12,7 @@ from compact_tik.radon import RadonGeometry, dense_matrix, radon_forward, radon_
 from compact_tik.tikhonov import (
     TikhonovProblem,
     dense_normal_solve,
+    objective_and_cotangent,
     solve_tikhonov,
     tikhonov_objective,
 )
@@ -24,6 +25,21 @@ def test_identity_closed_form():
     alpha = 0.25
     res = solve_tikhonov(TikhonovProblem(op=ident, data=np.full(n, c), alpha=alpha))
     assert np.allclose(res.x, np.full(n, c / (1 + alpha)), atol=1e-10)
+
+
+def test_objective_alone_equals_the_objective_with_its_cotangent_bit_for_bit():
+    geom, n = RadonGeometry.for_grid(16, 9), 16
+    op = radon_operator(geom, n, n)
+    rng = np.random.default_rng(3)
+    x, data = rng.standard_normal(n * n), rng.standard_normal(geom.size)
+
+    def no_adjoint(y):
+        raise AssertionError("the objective alone applies A^T")
+
+    alone = dataclasses.replace(op, apply_adjoint=no_adjoint)
+    for alpha in (1e-6, 0.1, 3.0):
+        want = objective_and_cotangent(op, data, alpha, x)[0]
+        assert tikhonov_objective(alone, data, alpha, x) == want
 
 
 def test_alpha_validation():
