@@ -206,7 +206,8 @@ class SweepConfig:
     with its default. The image is n x n. Each delta gets ``n_alphas``
     log-spaced alphas centered on alpha = delta and spanning
     ``alpha_span_decades`` decades each side; with one alpha, that alpha is
-    delta. Deltas must be strictly decreasing.
+    delta. Every alpha must be positive and finite in float64. Deltas must be
+    strictly decreasing.
     """
 
     deltas: list
@@ -240,6 +241,11 @@ class SweepConfig:
                      "nn_learning_rate"):
             check_positive(name, getattr(self, name))
         check_positive("alpha_span_decades", self.alpha_span_decades, zero_ok=True)
+        with np.errstate(over="ignore"):  # an overflow is reported below, not as a warning
+            grids = [self.alpha_grid(d) for d in self.deltas]
+        if not all(np.all((g > 0) & (g < np.inf)) for g in grids):
+            raise ValueError(f"alpha_span_decades {self.alpha_span_decades} puts an alpha "
+                             f"outside (0, inf) for these deltas")
         if self.nn_weight_bound is not None:
             check_positive("nn_weight_bound", self.nn_weight_bound)
         MlpArchitecture(self.nn_hidden)  # rejects a width below 1

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines. Criteria 6 and 7 run desk-scale experiments and take about 20 s and
-40 s on a 2-vCPU host; everything else is seconds. Every running maximum
+lines. Criteria 6 and 7 run desk-scale experiments and take about 17 s and
+30-33 s on a 2-vCPU host; everything else is seconds. Every running maximum
 uses ``np.maximum``, which propagates NaN, so a NaN never passes a bound.
 """
 

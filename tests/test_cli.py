@@ -391,6 +391,9 @@ NN_SWEEP = SMALL_SWEEP + ["--method", "nn", "--nn-hidden", "4", "--nn-iterations
     (["nn-reconstruct", *SMALL, "--hidden", "4", "--iterations", "2", "--seed", "-1"], "seed"),
     (["oracle-linear", "--n-deltas", "1"], "n_deltas"),
     (["sweep", *SMALL_SWEEP, "--n-deltas", "1"], "n_deltas"),
+    # alpha = 10^(log10(delta) -/+ span): 0 at the low end for 400, inf at the high end for 320
+    (["sweep", *SMALL_SWEEP, "--alpha-span-decades", "400"], "alpha_span_decades"),
+    (["sweep", *SMALL_SWEEP, "--alpha-span-decades", "320"], "alpha_span_decades"),
 ])
 def test_out_of_range_setting_exits_1_before_writing(tmp_path, capsys, argv, setting):
     # each output goes to tmp_path/out, so an empty tmp_path means nothing was written

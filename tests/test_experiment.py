@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -218,14 +220,16 @@ def test_sweep_config_rejects_cg_tol_not_positive_and_finite(tol):
 def test_sweep_config_rejects_empty_or_descending_alpha_grid():
     with pytest.raises(ValueError, match="n_alphas"):
         SweepConfig(deltas=[0.1], realizations=1, n_alphas=0)
-    for span in (-1.0, float("nan")):
-        with pytest.raises(ValueError, match="alpha_span_decades"):
+    for span in (-1.0, float("nan"), 400.0):
+        # a numpy overflow warning would be raised here as an error, not a ValueError
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="alpha_span_decades"):
+            warnings.simplefilter("error")
             SweepConfig(deltas=[0.1], realizations=1, alpha_span_decades=span)
     single = SweepConfig(deltas=[0.1], realizations=1, n_alphas=1, alpha_span_decades=0.0)
     assert single.alpha_grid(0.1) == pytest.approx([0.1])
 
 
-@pytest.mark.parametrize("delta, span", [(0.1, 1.5), (0.037, 2.0)])
+@pytest.mark.parametrize("delta, span", [(0.1, 1.5), (0.037, 2.0), (0.1, 400.0)])
 def test_alpha_grid_of_one_alpha_is_delta(delta, span):
     cfg = SweepConfig(deltas=[delta], n_alphas=1, alpha_span_decades=span)
     assert cfg.alpha_grid(delta).tolist() == [delta]

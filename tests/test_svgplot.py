@@ -113,3 +113,23 @@ def test_method_names_with_markup_characters_stay_well_formed():
     svg = render_plot([(0.1, 1.0, 0.1, method), (0.01, 0.5, 0.0, method)], 0.5)
     assert [el.get("class") for el in class_elements(svg, "series")] == [f"series method-{method}"]
     assert len(class_elements(svg, "errorbar")) == 2
+
+
+def test_single_point_widens_both_axes_by_half_a_decade():
+    svg = render_plot([(0.1, 1.0, 0.0, "m")], 0.5)
+    assert class_elements(svg, "series")[0].get("points") == "348.00,224.00"
+    assert [el.text for el in class_elements(svg, "xticklabel")] == ["1e-1"]
+    assert [el.text for el in class_elements(svg, "yticklabel")] == ["1e0"]
+
+
+def test_bar_reaching_zero_ends_at_a_thousandth_of_its_mean():
+    # the lower end 1.0 * 1e-3 sets the bottom of the axes box, the upper end 2.0 its top
+    svg = render_plot([(0.1, 1.0, 1.0, "m"), (0.01, 0.5, 0.0, "m")], 0.5)
+    bar = class_elements(svg, "errorbar")[1]
+    assert (bar.get("y1"), bar.get("y2")) == ("424.00", "24.00")
+
+
+def test_x_ticks_mark_every_decade_in_range():
+    rows = [(d, d**0.5, 0.0, "m") for d in np.logspace(-3, -1, 5)]
+    svg = render_plot(rows, 0.5)
+    assert [el.text for el in class_elements(svg, "xticklabel")] == ["1e-3", "1e-2", "1e-1"]
