@@ -246,35 +246,31 @@ def cmd_phantom(cfg):
 
 
 def cmd_sinogram(cfg):
-    _, geom, _, _, noisy = experiment.noisy_scene(cfg["n"], cfg["angles"], cfg["det_halfwidth"],
-                                                  None, cfg["delta"], cfg["seed"])
-    write_sinf(cfg["out"], SinogramGrid(geometry=geom, values=noisy))
+    sc = experiment.scene(cfg["n"], cfg["angles"], cfg["det_halfwidth"])
+    write_sinf(cfg["out"], SinogramGrid(sc.geometry, sc.noisy(cfg["delta"], cfg["seed"])))
     _write_manifest("sinogram", cfg, str(cfg["out"]) + ".manifest")
-    print(f"wrote {cfg['out']} ({geom.n_bins}x{geom.n_angles} bins x angles)")
+    print(f"wrote {cfg['out']} ({sc.geometry.n_bins}x{sc.geometry.n_angles} bins x angles)")
     return 0
 
 
 def cmd_tikhonov(cfg):
     check_positive("max_iter", cfg["max_iter"])
-    phantom, _, op, _, noisy = experiment.noisy_scene(
-        cfg["n"], cfg["angles"], cfg["det_halfwidth"], None, cfg["delta"], cfg["seed"])
-    problem = TikhonovProblem(op=op, data=noisy, alpha=cfg["alpha"])
+    sc = experiment.scene(cfg["n"], cfg["angles"], cfg["det_halfwidth"])
+    problem = TikhonovProblem(sc.operator, sc.noisy(cfg["delta"], cfg["seed"]), cfg["alpha"])
     result = solve_tikhonov(problem, tol=cfg["tol"], max_iter=cfg["max_iter"])
     check_converged(cfg["alpha"], result, cfg["tol"], "tol")
-    image = ImageGrid(nx=cfg["n"], ny=cfg["n"], values=result.x)
-    _write_image(cfg["out"], image)
+    _write_image(cfg["out"], ImageGrid(nx=cfg["n"], ny=cfg["n"], values=result.x))
     _write_manifest("tikhonov", cfg, str(cfg["out"]) + ".manifest")
-    err = np.linalg.norm(phantom.values - result.x)
+    err = np.linalg.norm(sc.truth - result.x)
     print(f"wrote {cfg['out']}  cg_iterations={result.iterations}  error={err:.6g}")
     return 0
 
 
 def cmd_nn_reconstruct(cfg):
-    phantom, _, op, _, noisy = experiment.noisy_scene(
-        cfg["n"], cfg["angles"], cfg["det_halfwidth"], None, cfg["delta"], cfg["seed"])
+    sc = experiment.scene(cfg["n"], cfg["angles"], cfg["det_halfwidth"])
     recon = reconstruct_nn(NnReconstructionConfig(
-        architecture=MlpArchitecture(hidden_widths=cfg["hidden"]), operator=op, data=noisy,
-        nx=cfg["n"], ny=cfg["n"],
+        architecture=MlpArchitecture(hidden_widths=cfg["hidden"]), operator=sc.operator,
+        data=sc.noisy(cfg["delta"], cfg["seed"]), nx=cfg["n"], ny=cfg["n"],
         **{k: cfg[k] for k in ("alpha", "iterations", "learning_rate", "seed", "weight_bound")}))
     if cfg["trace"] is not None:
         with open(cfg["trace"], "w") as f:
@@ -284,11 +280,9 @@ def cmd_nn_reconstruct(cfg):
     if cfg["checkpoint"] is not None:
         save_params(cfg["checkpoint"], recon.params)
     _write_manifest("nn-reconstruct", cfg, str(cfg["out"]) + ".manifest")
-    err = np.linalg.norm(phantom.values - recon.image.values)
-    print(
-        f"wrote {cfg['out']}  objective={recon.final_objective:.6g} "
-        f"(iteration {recon.best_iteration})  error={err:.6g}"
-    )
+    err = np.linalg.norm(sc.truth - recon.image.values)
+    print(f"wrote {cfg['out']}  objective={recon.final_objective:.6g} "
+          f"(iteration {recon.best_iteration})  error={err:.6g}")
     return 0
 
 

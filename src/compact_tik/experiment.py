@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NumericalFailureError, check_positive
 from .grid import shepp_logan
-from .linop import cg_solve_shifted
+from .linop import LinearOperator, cg_solve_shifted
 from .mlp import MlpArchitecture
 from .nnsolver import NnReconstructionConfig, reconstruct_nn
 from .radon import RadonGeometry, radon_forward, radon_operator
@@ -109,32 +109,40 @@ def deltas_for_snr_range(y, snr_min_db, snr_max_db, count):
     return [delta_for_snr(y, t) for t in targets]
 
 
-def ct_scene(nx, n_angles, det_halfwidth=float(np.sqrt(2.0)), n_bins=None):
-    """The CT test scene: (Shepp-Logan phantom, geometry, clean sinogram values).
+@dataclass(frozen=True)
+class Scene:
+    """A CT problem before noise: the phantom's pixel values, geometry, operator, clean data."""
 
-    The phantom lives on an nx x nx grid and the geometry is
-    ``RadonGeometry.for_grid`` of that grid.
+    truth: np.ndarray
+    geometry: RadonGeometry
+    operator: LinearOperator
+    clean: np.ndarray
+
+    def noisy(self, delta, seed):
+        """A new array: the clean data plus noise of scale ``delta`` from the stream of ``seed``."""
+        return add_noise(self.clean, NoiseSpec(delta, seed))
+
+
+@functools.lru_cache(maxsize=8)
+def scene(n, angles, det_halfwidth=float(np.sqrt(2.0)), n_bins=None) -> Scene:
+    """The Shepp-Logan scene on an n x n grid, seen through ``RadonGeometry.for_grid``.
+
+    Cached, so a sweep builds it once; the sweep passes all four arguments
+    positionally, as ``lru_cache`` keys a keyword call apart. Cells and
+    threads share the scene, so its truth and clean data are read-only.
     """
-    phantom = shepp_logan(nx, nx)
-    geom = RadonGeometry.for_grid(nx, n_angles, det_halfwidth=det_halfwidth, n_bins=n_bins)
-    return phantom, geom, radon_forward(phantom, geom).values
-
-
-def noisy_scene(n, angles, det_halfwidth, n_bins, delta, seed):
-    """(phantom, geometry, operator, clean data, noisy data) of a CT problem.
-
-    :func:`ct_scene`'s scene, with noise of scale ``delta`` from the stream of ``seed``.
-    """
-    phantom, geom, clean = ct_scene(n, angles, det_halfwidth, n_bins)
-    noisy = add_noise(clean, NoiseSpec(delta=delta, seed=seed))
-    return phantom, geom, radon_operator(geom, n, n), clean, noisy
+    phantom = shepp_logan(n, n)
+    geom = RadonGeometry.for_grid(n, angles, det_halfwidth=det_halfwidth, n_bins=n_bins)
+    clean = radon_forward(phantom, geom).values
+    phantom.values.flags.writeable = clean.flags.writeable = False
+    return Scene(phantom.values, geom, radon_operator(geom, n, n), clean)
 
 
 def sweep_deltas(nx, n_angles, snr_min_db, snr_max_db, count,
                  det_halfwidth=float(np.sqrt(2.0)), n_bins=None):
     """Noise levels for a phantom sweep, derived from the clean sinogram."""
-    _, _, y = ct_scene(nx, n_angles, det_halfwidth, n_bins)
-    return deltas_for_snr_range(y, snr_min_db, snr_max_db, count)
+    clean = scene(nx, n_angles, det_halfwidth, n_bins).clean
+    return deltas_for_snr_range(clean, snr_min_db, snr_max_db, count)
 
 
 @dataclass(frozen=True)
@@ -314,22 +322,21 @@ METHODS = {"tikhonov": _tikhonov_images, "nn": _nn_images}
 def _sweep_cell(cfg, i, r):
     """Cell (i, r) at ``cfg.deltas[i]``, with noise from substream (cfg.seed, i, r).
 
-    Builds its own scene and operator, so a call alone gives the bits of
-    ``run_sweep``'s record for (i, r). Returns an ExperimentRecord of the
-    errors ||phantom - x|| over the alpha grid, or a CellFailure. When
+    Reads the cached :func:`scene` of the config, so a call alone still gives
+    the bits of ``run_sweep``'s record for (i, r). Returns an ExperimentRecord
+    of the errors ||phantom - x|| over the alpha grid, or a CellFailure. When
     done, writes "cell k of n" (k counts in cell order), the delta, the
     wall seconds and "failed" if it failed to stderr.
     """
     start = time.perf_counter()
     delta, seed = cfg.deltas[i], substream_seed(cfg.seed, i, r)
-    phantom, _, op, y_clean, y_noisy = noisy_scene(cfg.n, cfg.angles, cfg.det_halfwidth,
-                                                   cfg.n_bins, delta, seed)
+    sc = scene(cfg.n, cfg.angles, cfg.det_halfwidth, cfg.n_bins)
     alphas = cfg.alpha_grid(delta)
     try:
-        images = METHODS[cfg.method](op, y_noisy, alphas, cfg, seed)
-        errors = np.array([np.linalg.norm(phantom.values - x) for x in images])
+        images = METHODS[cfg.method](sc.operator, sc.noisy(delta, seed), alphas, cfg, seed)
+        errors = np.array([np.linalg.norm(sc.truth - x) for x in images])
         outcome = ExperimentRecord(delta=delta, seed=seed, alphas=alphas, errors=errors,
-                                   snr_db=float(snr_db(y_clean, delta)))
+                                   snr_db=float(snr_db(sc.clean, delta)))
     except NumericalFailureError as exc:
         outcome = CellFailure(delta=delta, seed=seed, message=str(exc))
     k, n = i * cfg.realizations + r + 1, len(cfg.deltas) * cfg.realizations
@@ -351,9 +358,9 @@ def run_sweep(cfg: SweepConfig, threads=1) -> SweepResult:
     cells = list(itertools.product(range(len(cfg.deltas)), range(cfg.realizations)))
     # serial runs need no pool: Executor.__exit__ would make Ctrl-C wait for the running cell
     if threads > 1:
-        # lru_cache does not merge concurrent misses: build the shared projector table once
-        # here, or the first cells of the pool would each build it
-        ct_scene(cfg.n, cfg.angles, cfg.det_halfwidth, cfg.n_bins)
+        # lru_cache does not merge concurrent misses: build the shared scene and its projector
+        # table once here, or the first cells of the pool would each build them
+        scene(cfg.n, cfg.angles, cfg.det_halfwidth, cfg.n_bins)
         with ThreadPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(cell, *zip(*cells)))
     else:

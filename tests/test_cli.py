@@ -281,6 +281,18 @@ def test_sweep_writes_tables_and_manifest(tmp_path):
     assert (out / "manifest.ini").exists()
 
 
+def test_sweep_builds_its_scene_once(tmp_path, monkeypatch):
+    # sweep_deltas and every cell read one cached scene; from a cold cache
+    # the phantom is built once, not once per cell
+    calls = []
+    phantom = experiment.shepp_logan
+    monkeypatch.setattr(experiment, "shepp_logan",
+                        lambda nx, ny: calls.append((nx, ny)) or phantom(nx, ny))
+    experiment.scene.cache_clear()
+    assert run_cli("sweep", *SMALL_SWEEP, "--out", str(tmp_path / "sweep")) == 0
+    assert calls == [(8, 8)]
+
+
 def test_sweep_rerun_from_manifest_is_identical(tmp_path):
     out1 = tmp_path / "run1"
     out2 = tmp_path / "run2"

@@ -11,7 +11,6 @@ from compact_tik.experiment import (
     add_noise,
     aggregate_csv,
     alpha_of_delta,
-    ct_scene,
     delta_for_snr,
     deltas_for_snr_range,
     fit_rate,
@@ -19,6 +18,7 @@ from compact_tik.experiment import (
     linear_oracle,
     results_csv,
     run_sweep,
+    scene,
     snr_db,
     standard_normal,
     substream_seed,
@@ -281,9 +281,16 @@ def test_run_sweep_single_cell_matches_direct_solve():
     assert abs(np.linalg.norm(phantom.values - direct.x) - rec.best_error) <= bound
 
 
-def test_run_sweep_aggregate_of_equal_errors():
-    agg = DeltaAggregate(delta=0.1, mean_error=2.0, std_error=0.0)
-    assert agg.std_error == 0.0
+def test_run_sweep_aggregates_are_mean_and_population_std_of_best_errors():
+    cfg = SweepConfig(deltas=[0.2, 0.05], realizations=3, n=8, angles=5, n_alphas=3,
+                      alpha_span_decades=1.0, seed=9)
+    result = run_sweep(cfg)
+    assert [a.delta for a in result.aggregates] == cfg.deltas
+    for agg in result.aggregates:
+        best = [rec.best_error for rec in result.records if rec.delta == agg.delta]
+        assert len(best) == 3
+        assert agg.mean_error == np.mean(best)
+        assert agg.std_error == np.std(best) != np.std(best, ddof=1)
 
 
 def test_run_sweep_oracle_minimum_and_determinism():
@@ -296,7 +303,6 @@ def test_run_sweep_oracle_minimum_and_determinism():
     assert len(r1.records) == 4
     for a, b in zip(r1.records, r2.records):
         assert np.array_equal(a.errors, b.errors)
-        assert a.best_error <= a.errors.min() + 0.0
     assert results_csv(r1.records, "tikhonov") == results_csv(r2.records, "tikhonov")
 
 
@@ -405,8 +411,10 @@ def test_sweep_cell_alone_gives_the_bits_of_run_sweeps_record(method, threads):
     result = run_sweep(cfg, threads=threads)
     assert result.failures == [] and len(result.records) == 4
     cells = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    # in reverse order, so no cell can lean on state an earlier one left behind
+    # in reverse order and each from a cold scene cache, so no cell can lean on
+    # state that the sweep or an earlier cell left behind
     for (i, r), rec in reversed(list(zip(cells, result.records))):
+        experiment.scene.cache_clear()
         alone = experiment._sweep_cell(cfg, i, r)
         assert (alone.delta, alone.seed, alone.snr_db) == (rec.delta, rec.seed, rec.snr_db)
         assert alone.alphas.tobytes() == rec.alphas.tobytes()
@@ -527,17 +535,33 @@ def test_sweep_deltas_helper():
     assert all(b < a for a, b in zip(deltas, deltas[1:]))
 
 
-def test_explicit_bins_reach_both_geometry_users():
+def test_explicit_bins_reach_both_geometry_users(monkeypatch):
+    from compact_tik import experiment
     from compact_tik.grid import shepp_logan
     from compact_tik.radon import RadonGeometry, radon_forward
 
     want = RadonGeometry(n_angles=8, n_bins=13, det_halfwidth=1.1, step=2.0 / 16)
-    phantom, geom, y = ct_scene(16, 8, det_halfwidth=1.1, n_bins=13)
-    assert geom == want
+    sc = scene(16, 8, 1.1, 13)
+    y = sc.clean
+    assert sc.geometry == want
     assert np.array_equal(y, radon_forward(shepp_logan(16, 16), want).values)
+    seen = []
+    monkeypatch.setattr(experiment, "scene", lambda *args: seen.append(scene(*args)) or seen[-1])
     assert sweep_deltas(16, 8, 16.6, 42.6, 4, det_halfwidth=1.1, n_bins=13) == \
         deltas_for_snr_range(y, 16.6, 42.6, 4)
     # run_sweep reads the same geometry: its SNR is that of the 13-bin sinogram
     cfg = SweepConfig(deltas=[0.1], realizations=1, n=16, angles=8,
                       det_halfwidth=1.1, n_bins=13, n_alphas=1)
     assert run_sweep(cfg).records[0].snr_db == float(snr_db(y, 0.1))
+    # and both read the one Scene object built above
+    assert len(seen) == 2 and all(s is sc for s in seen)
+
+
+def test_shared_scene_arrays_are_read_only():
+    sc = scene(8, 4)
+    for shared in (sc.truth, sc.clean):
+        with pytest.raises(ValueError):
+            shared[0] = 1.0
+    noisy = sc.noisy(0.0, 3)
+    assert noisy.flags.writeable and not np.shares_memory(noisy, sc.clean)
+    assert np.array_equal(noisy, sc.clean)

@@ -1,18 +1,20 @@
-"""Checks of the test modules themselves."""
+"""Checks of the program, tool and test modules themselves."""
 
 import ast
 import collections
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-TEST_MODULES = sorted((ROOT / "tests").glob("*.py")) + [ROOT / "perfbench" / "test_perfbench.py"]
+MODULES = [*(ROOT / "tests").glob("*.py"), ROOT / "perfbench" / "test_perfbench.py",
+           *(ROOT / "src" / "compact_tik").glob("*.py"), *(ROOT / "tools").glob("*.py")]
 
 
 def test_no_test_module_defines_a_name_twice():
     # Python keeps only the last module-level definition of a name, so a test
-    # that an earlier definition of the same name holds never runs
+    # that an earlier definition of the same name holds never runs, and a
+    # function that an earlier definition of the same name holds is dead code
     repeated = []
-    for path in TEST_MODULES:
+    for path in MODULES:
         tree = ast.parse(path.read_text(), filename=str(path))
         names = collections.Counter(
             node.name for node in tree.body
