@@ -16,12 +16,21 @@ same entries, so the pair is an exact transpose up to float64 summation order.
 The table is stored as its blocks of whole rays of at most ``BLOCK_ENTRIES``
 entries, which both maps loop over, so each call's temporary is one block of
 float64, not one float64 per table entry.
+
+Each compiled table is also cached in ``$XDG_CACHE_HOME/compact-tik/`` (see
+:func:`_cached_table`), so a new process loads it instead of compiling it again.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
+import os
+import platform
+import shutil
+import tempfile
+import zlib
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -37,6 +46,15 @@ SINF_MAGIC = b"SNF2"
 # entries per block of R and R^T (2 MiB of float64); a ray longer than this
 # is a block of its own
 BLOCK_ENTRIES = 1 << 18
+
+# the flat table's arrays and their dtypes, as the cache stores them
+TABLE_DTYPES = {"rays": np.intp, "run_lengths": np.intp, "col": np.intp, "val": np.float64}
+
+# part of every cache key: the code that compiles this process's tables. It is
+# read at import, so an edit of the file while a process runs cannot file that
+# process's tables under the edited code's key
+with open(__file__, "rb") as _source:
+    _SOURCE_SHA256 = hashlib.sha256(_source.read()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -133,12 +151,11 @@ class _Block(NamedTuple):
     val: np.ndarray
 
 
-@functools.lru_cache(maxsize=8)
-def _projector(geom: RadonGeometry, nx: int, ny: int) -> tuple[_Block, ...]:
-    """Compile the discretized transform into its coalesced sparse table.
+def _compile(geom: RadonGeometry, nx: int, ny: int):
+    """Compile the discretized transform into its flat coalesced sparse table.
 
-    The table is its blocks in ray order, each whole rays with at most
-    ``BLOCK_ENTRIES`` entries or one longer ray, and ``()`` without entries.
+    Returns ``(rays, run_lengths, col, val)``: the rays with entries in
+    order, each one's entry count, and the entries sorted by ray then pixel.
 
     Each ray sample contributes a 4-point bilinear stencil scaled by its
     trapezoid weight. Stencil points outside the image and zero weights are
@@ -223,7 +240,75 @@ def _projector(geom: RadonGeometry, nx: int, ny: int) -> tuple[_Block, ...]:
         np.add.reduceat(w4[keep][order], runs, out=val[n:])
 
     rays = np.flatnonzero(lengths)
-    run_lengths = lengths.ravel()[rays]
+    return rays, lengths.ravel()[rays], col, val
+
+
+def _cache_entry(geom, nx, ny):
+    """The cache root, and the entry named by a SHA-256 over all that the table's bits depend on."""
+    base = os.environ.get("XDG_CACHE_HOME", "")  # XDG says to ignore a relative path
+    root = os.path.join(base if os.path.isabs(base) else os.path.expanduser("~/.cache"),
+                        "compact-tik")
+    # math.cos and math.sin come from the C library
+    key = repr((_check_record(geom, nx, ny, ()).tolist(), _SOURCE_SHA256, np.__version__,
+                platform.python_version(), platform.machine(), platform.libc_ver()))
+    return root, os.path.join(root, hashlib.sha256(key.encode()).hexdigest())
+
+
+def _check_record(geom, nx, ny, table):
+    """The geometry and grid, then each array's length and CRC-32, as float64."""
+    sums = [x for a in table for x in (a.size, zlib.crc32(a))]
+    return np.array([geom.n_angles, geom.n_bins, geom.det_halfwidth, geom.step, nx, ny, *sums])
+
+
+def _load(entry, geom, nx, ny):
+    """The entry's table if its record, dtypes and ranges all check, else None."""
+    *table, record = [np.load(os.path.join(entry, f"{name}.npy"), allow_pickle=False)
+                      for name in [*TABLE_DTYPES, "check"]]
+    rays, run_lengths, col, val = table
+    ok = ([(a.dtype, a.ndim) for a in table] == [(np.dtype(t), 1) for t in TABLE_DTYPES.values()]
+          and np.array_equal(record, _check_record(geom, nx, ny, table))
+          and rays.size == run_lengths.size and np.all(np.diff(rays) > 0)
+          and (rays.size == 0 or 0 <= rays[0] and rays[-1] < geom.size)
+          and np.all(run_lengths >= 1) and run_lengths.sum() == col.size == val.size
+          and (col.size == 0 or 0 <= col.min() and col.max() < nx * ny) and np.isfinite(val).all())
+    return tuple(table) if ok else None
+
+
+def _cached_table(geom, nx, ny):
+    """The table of :func:`_compile`, loaded from its cache entry or published there."""
+    root, entry = _cache_entry(geom, nx, ny)
+    # read into memory: a memory map would turn a file truncated under the
+    # process into a SIGBUS
+    try:
+        table = _load(entry, geom, nx, ny)
+    except (OSError, ValueError, EOFError):  # a missing or damaged entry
+        table = None
+    if table is None:
+        shutil.rmtree(entry, ignore_errors=True)  # a damaged entry would block the rename below
+        table = _compile(geom, nx, ny)
+        # publish: np.save writes each array through ndarray.tofile, without a
+        # copy, into a temporary directory that is then renamed onto the entry;
+        # a process that loses the race to rename discards its copy
+        try:
+            os.makedirs(root, exist_ok=True)
+            with tempfile.TemporaryDirectory(dir=root) as tmp:
+                record = _check_record(geom, nx, ny, table)
+                for name, a in zip([*TABLE_DTYPES, "check"], [*table, record]):
+                    np.save(os.path.join(tmp, f"{name}.npy"), a)
+                os.replace(tmp, entry)
+        except OSError:  # an unusable root or a full disk: the next process compiles again
+            pass
+    # np.bincount and np.repeat copy a read-only index or count array on
+    # every call, so R^T keeps col and run_lengths writable
+    rays, _, _, val = table
+    rays.flags.writeable = val.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=8)
+def _projector(geom: RadonGeometry, nx: int, ny: int) -> tuple[_Block, ...]:
+    """The table as its blocks in ray order, ``()`` without entries."""
+    rays, run_lengths, col, val = _cached_table(geom, nx, ny)
     ends = np.cumsum(run_lengths)
     starts = ends - run_lengths
     # greedy blocks of whole rays: each takes every following ray that ends

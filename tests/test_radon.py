@@ -1,12 +1,15 @@
 import math
+import shutil
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from compact_tik import radon
 from compact_tik.grid import ImageGrid, pixel_centers, shepp_logan
 from compact_tik.linop import adjoint_defect
 from compact_tik.radon import (
@@ -294,30 +297,211 @@ def test_table_built_under_a_tracer_equals_a_plain_build():
     # a tracer holds the build's locals, so numpy's reference check of
     # ndarray.resize would refuse to grow col and val
     geom, nx, ny = RadonGeometry.for_grid(20, 9), 20, 14
-    plain = _projector.__wrapped__(geom, nx, ny)
+    plain = radon._compile(geom, nx, ny)
     previous = sys.gettrace()
     sys.settrace(lambda *args: None)
     try:
-        traced = _projector.__wrapped__(geom, nx, ny)
+        traced = radon._compile(geom, nx, ny)
     finally:
         sys.settrace(previous)
-    assert len(traced) == len(plain)
-    for traced_block, plain_block in zip(traced, plain):
-        for traced_field, plain_field in zip(traced_block, plain_block):
-            assert np.array_equal(traced_field, plain_field)
+    assert len(traced) == len(plain) == 4
+    for traced_field, plain_field in zip(traced, plain):
+        assert np.array_equal(traced_field, plain_field)
 
 
-def test_cold_build_holds_one_copy_of_the_table():
+def test_cold_build_holds_one_copy_of_the_table(tmp_path, monkeypatch):
     # each angle's entries go straight into the growing table, so the build
-    # peaks at the table plus one angle's working set, not at two tables
+    # peaks at the table plus one angle's working set, not at two tables;
+    # the publish that follows writes the arrays without copying them
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     _projector.cache_clear()
+    compiles = count_compiles(monkeypatch)
     tracemalloc.start()
     try:
         table = _projector(RadonGeometry.for_grid(64, 30), 64, 64)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert compiles == [1]
     assert peak <= 1.5 * table_nbytes(table)
+
+
+def count_compiles(monkeypatch):
+    """Count the calls of the compile step from now on, in a list holding one count."""
+    compiles = [0]
+    compile_table = radon._compile
+
+    def counted(*args):
+        compiles[0] += 1
+        return compile_table(*args)
+
+    monkeypatch.setattr(radon, "_compile", counted)
+    return compiles
+
+
+def assert_same_table(blocks, expected):
+    assert len(blocks) == len(expected)
+    for block, expected_block in zip(blocks, expected):
+        for field, expected_field in zip(block, expected_block):
+            assert field.dtype == expected_field.dtype
+            assert np.array_equal(field, expected_field)
+
+
+# 32x32/20 is one block and 64x64/30 two; then a single bin, a grid with
+# nx != ny, and the geometry whose table has no entries
+CACHED_GEOMETRIES = [
+    (RadonGeometry.for_grid(32, 20), 32, 32),
+    (RadonGeometry.for_grid(64, 30), 64, 64),
+    (RadonGeometry.for_grid(32, 20, n_bins=1), 32, 32),
+    (RadonGeometry.for_grid(24, 11), 24, 16),
+    (RadonGeometry(n_angles=2, n_bins=2, det_halfwidth=2.0, step=0.3), 4, 4),
+]
+
+
+@pytest.mark.parametrize("geom, nx, ny", CACHED_GEOMETRIES)
+def test_cached_table_loads_with_the_bits_of_a_compile(geom, nx, ny, tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    compiles = count_compiles(monkeypatch)
+    _projector.cache_clear()
+    compiled = _projector(geom, nx, ny)
+    assert compiles == [1]
+    entry = Path(radon._cache_entry(geom, nx, ny)[1])
+    assert [p for p in (tmp_path / "compact-tik").iterdir()] == [entry]  # no copy left behind
+    _projector.cache_clear()
+    loaded = _projector(geom, nx, ny)
+    assert compiles == [1]
+    assert_same_table(loaded, compiled)
+
+
+def damage_truncate_val(entry, other_entry, geom):
+    path = entry / "val.npy"
+    with open(path, "r+b") as f:
+        f.truncate(path.stat().st_size - 8)
+
+
+def damage_flip_a_col_byte(entry, other_entry, geom):
+    path = entry / "col.npy"
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+def rewrite_with_a_matching_record(entry, geom, **fields):
+    """Replace some arrays of the entry and write the record that matches them."""
+    table = [fields.get(name, np.load(entry / f"{name}.npy")) for name in radon.TABLE_DTYPES]
+    for name, array in fields.items():
+        np.save(entry / f"{name}.npy", array)
+    np.save(entry / "check.npy", radon._check_record(geom, 32, 32, table))
+
+
+def damage_col_dtype(entry, other_entry, geom):
+    rewrite_with_a_matching_record(entry, geom, col=np.load(entry / "col.npy").astype(np.int32))
+
+
+def damage_col_out_of_range(entry, other_entry, geom):
+    col = np.load(entry / "col.npy")
+    col[-1] = 32 * 32
+    rewrite_with_a_matching_record(entry, geom, col=col)
+
+
+def damage_val_not_finite(entry, other_entry, geom):
+    val = np.load(entry / "val.npy")
+    val[0] = np.nan
+    rewrite_with_a_matching_record(entry, geom, val=val)
+
+
+def damage_copy_other_geometry(entry, other_entry, geom):
+    shutil.rmtree(entry)
+    shutil.copytree(other_entry, entry)
+
+
+# the first two fail the record's CRC-32 or the load itself; the others
+# come with a record that matches their arrays, so only the dtype, range
+# and geometry checks refuse them
+@pytest.mark.parametrize("damage", [
+    damage_truncate_val, damage_flip_a_col_byte, damage_col_dtype,
+    damage_col_out_of_range, damage_val_not_finite, damage_copy_other_geometry,
+])
+def test_damaged_entry_is_compiled_and_published_again(damage, tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    # the other table's rays and pixels are all in range for this geometry
+    geom, other = RadonGeometry.for_grid(32, 20), RadonGeometry.for_grid(32, 19)
+    _projector.cache_clear()
+    expected = _projector(geom, 32, 32)
+    _projector(other, 32, 32)
+    entry, other_entry = (Path(radon._cache_entry(g, 32, 32)[1]) for g in (geom, other))
+    damage(entry, other_entry, geom)
+    compiles = count_compiles(monkeypatch)
+    _projector.cache_clear()
+    assert_same_table(_projector(geom, 32, 32), expected)
+    assert compiles == [1]
+    _projector.cache_clear()
+    assert_same_table(_projector(geom, 32, 32), expected)  # the new entry loads
+    assert compiles == [1]
+
+
+def test_a_process_that_loses_the_race_to_publish_discards_its_copy(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    geom = RadonGeometry.for_grid(32, 20)
+    _projector.cache_clear()
+    expected = _projector(geom, 32, 32)
+    entry = Path(radon._cache_entry(geom, 32, 32)[1])
+    winner = tmp_path / "winner"
+    entry.rename(winner)
+    compile_table = radon._compile
+
+    def compile_while_another_process_publishes(*args):
+        table = compile_table(*args)
+        winner.rename(entry)
+        return table
+
+    monkeypatch.setattr(radon, "_compile", compile_while_another_process_publishes)
+    (winner / "published-first").write_bytes(b"")
+    _projector.cache_clear()
+    assert_same_table(_projector(geom, 32, 32), expected)
+    assert (entry / "published-first").exists()
+    assert [p.name for p in entry.parent.iterdir()] == [entry.name]  # no copy left behind
+
+
+def test_unusable_cache_root_compiles_silently_and_writes_nothing(tmp_path, monkeypatch):
+    root = tmp_path / "not-a-directory"
+    root.write_bytes(b"x")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(root))
+    compiles = count_compiles(monkeypatch)
+    geom = RadonGeometry.for_grid(32, 20)
+    _projector.cache_clear()
+    first = _projector(geom, 32, 32)
+    _projector.cache_clear()
+    assert_same_table(_projector(geom, 32, 32), first)
+    assert compiles == [2]
+    assert [p.name for p in tmp_path.iterdir()] == ["not-a-directory"]
+    assert root.read_bytes() == b"x"
+
+
+def test_relative_cache_home_is_ignored_for_the_default(tmp_path, monkeypatch):
+    monkeypatch.setenv("HOME", str(tmp_path))
+    geom = RadonGeometry.for_grid(8, 4)
+    for value in ("relative/cache", ""):
+        monkeypatch.setenv("XDG_CACHE_HOME", value)
+        root, entry = radon._cache_entry(geom, 8, 8)
+        assert root == str(tmp_path / ".cache" / "compact-tik")
+        assert entry.startswith(root + "/")
+
+
+def test_compiled_and_loaded_rays_and_weights_are_read_only(tmp_path, monkeypatch):
+    # col and run_lengths stay writable: np.bincount and np.repeat in R^T
+    # would copy a read-only one on every call
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    geom = RadonGeometry.for_grid(32, 20)
+    compiles = count_compiles(monkeypatch)
+    for expected_compiles in (1, 1):  # compiled, then loaded
+        _projector.cache_clear()
+        block = _projector(geom, 32, 32)[0]
+        assert compiles == [expected_compiles]
+        with pytest.raises(ValueError):
+            block.rays[0] = 0
+        with pytest.raises(ValueError):
+            block.val[0] = 1.0
 
 
 # 32x32/20 angles is one block, the shape of every committed table;
