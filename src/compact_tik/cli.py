@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from . import experiment, svgplot
+from . import experiment
 from .errors import NumericalFailureError, check_positive
 from .grid import ImageGrid, shepp_logan, write_imgf, write_pgm16
 from .mlp import MlpArchitecture, save_params
@@ -342,6 +342,8 @@ def cmd_rate_fit(cfg):
 
 
 def cmd_plot(cfg):
+    from . import svgplot  # imported here: no other command writes SVG
+
     points = experiment.aggregate_points(cfg["table"])
     svgplot.emit_plot(cfg["out"], points, cfg["reference_exponent"])
     _write_manifest("plot", cfg, str(cfg["out"]) + ".manifest")

@@ -14,7 +14,6 @@ import hashlib
 import itertools
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -361,6 +360,9 @@ def run_sweep(cfg: SweepConfig, threads=1) -> SweepResult:
         # lru_cache does not merge concurrent misses: build the shared scene and its projector
         # table once here, or the first cells of the pool would each build them
         scene(cfg.n, cfg.angles, cfg.det_halfwidth, cfg.n_bins)
+        # imported here, so a serial sweep never loads the thread pool's modules
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(cell, *zip(*cells)))
     else:

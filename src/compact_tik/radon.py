@@ -18,7 +18,8 @@ entries, which both maps loop over, so each call's temporary is one block of
 float64, not one float64 per table entry.
 
 Each compiled table is also cached in ``$XDG_CACHE_HOME/compact-tik/`` (see
-:func:`_cached_table`), so a new process loads it instead of compiling it again.
+:func:`_cached_table`), so a new process loads it instead of compiling it again;
+the cache keeps the ``CACHE_ENTRIES`` most recently used tables.
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ SINF_MAGIC = b"SNF2"
 # entries per block of R and R^T (2 MiB of float64); a ray longer than this
 # is a block of its own
 BLOCK_ENTRIES = 1 << 18
+
+# tables held in memory by _projector, and entries kept on disk by the cache
+CACHE_ENTRIES = 8
 
 # the flat table's arrays and their dtypes, as the cache stores them
 TABLE_DTYPES = {"rays": np.intp, "run_lengths": np.intp, "col": np.intp, "val": np.float64}
@@ -274,6 +278,17 @@ def _load(entry, geom, nx, ny):
     return tuple(table) if ok else None
 
 
+def _evict(root):
+    """Delete all but the ``CACHE_ENTRIES`` entries of the root with the newest mtimes."""
+    # an entry's name is 64 hex digits; a temporary directory that another
+    # process is filling is not an entry
+    with os.scandir(root) as it:
+        entries = [e for e in it if len(e.name) == 64 and e.is_dir()]
+    entries.sort(key=lambda e: e.stat().st_mtime_ns, reverse=True)
+    for e in entries[CACHE_ENTRIES:]:
+        shutil.rmtree(e.path, ignore_errors=True)
+
+
 def _cached_table(geom, nx, ny):
     """The table of :func:`_compile`, loaded from its cache entry or published there."""
     root, entry = _cache_entry(geom, nx, ny)
@@ -283,7 +298,12 @@ def _cached_table(geom, nx, ny):
         table = _load(entry, geom, nx, ny)
     except (OSError, ValueError, EOFError):  # a missing or damaged entry
         table = None
-    if table is None:
+    if table is not None:
+        try:
+            os.utime(entry)  # a load makes the entry the most recently used
+        except OSError:
+            pass
+    else:
         shutil.rmtree(entry, ignore_errors=True)  # a damaged entry would block the rename below
         table = _compile(geom, nx, ny)
         # publish: np.save writes each array through ndarray.tofile, without a
@@ -296,6 +316,7 @@ def _cached_table(geom, nx, ny):
                 for name, a in zip([*TABLE_DTYPES, "check"], [*table, record]):
                     np.save(os.path.join(tmp, f"{name}.npy"), a)
                 os.replace(tmp, entry)
+            _evict(root)
         except OSError:  # an unusable root or a full disk: the next process compiles again
             pass
     # np.bincount and np.repeat copy a read-only index or count array on
@@ -305,7 +326,7 @@ def _cached_table(geom, nx, ny):
     return table
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=CACHE_ENTRIES)
 def _projector(geom: RadonGeometry, nx: int, ny: int) -> tuple[_Block, ...]:
     """The table as its blocks in ray order, ``()`` without entries."""
     rays, run_lengths, col, val = _cached_table(geom, nx, ny)

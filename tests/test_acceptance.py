@@ -12,9 +12,29 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import compact_tik as ct
 from compact_tik.cli import main as cli_main
-from compact_tik.mlp import forward_trace
+from compact_tik.experiment import (
+    NoiseSpec,
+    SweepConfig,
+    add_noise,
+    delta_for_snr,
+    fit_rate,
+    linear_oracle,
+    run_sweep,
+    snr_db,
+    sweep_deltas,
+)
+from compact_tik.grid import shepp_logan
+from compact_tik.linop import adjoint_defect
+from compact_tik.mlp import MlpArchitecture, forward_trace, init_params, mlp_backward, mlp_forward
+from compact_tik.nnsolver import NnReconstructionConfig, reconstruct_nn
+from compact_tik.radon import RadonGeometry, dense_matrix, radon_forward, radon_operator
+from compact_tik.tikhonov import (
+    TikhonovProblem,
+    dense_normal_solve,
+    solve_tikhonov,
+    tikhonov_objective,
+)
 
 REFERENCE_DIR = Path(__file__).resolve().parent.parent / "reference_runs" / "ct32"
 
@@ -27,10 +47,10 @@ def report(criterion, ok, detail):
 
 def test_criterion_01_adjoint_exactness():
     start = time.time()
-    geom = ct.RadonGeometry.for_grid(64, 30)
-    op = ct.radon_operator(geom, 64, 64)
+    geom = RadonGeometry.for_grid(64, 30)
+    op = radon_operator(geom, 64, 64)
     # max over 20 probes of |<Rx, y> - <x, R^T y>| / (||Rx|| ||y||); NaN on any probe is NaN
-    worst = ct.adjoint_defect(op, n_probes=20, seed=101)
+    worst = adjoint_defect(op, n_probes=20, seed=101)
     elapsed = time.time() - start
     report(
         "1",
@@ -40,9 +60,9 @@ def test_criterion_01_adjoint_exactness():
 
 
 def test_criterion_02_dense_equivalence():
-    geom = ct.RadonGeometry.for_grid(8, 10)
-    mat = ct.dense_matrix(geom, 8, 8)
-    op = ct.radon_operator(geom, 8, 8)
+    geom = RadonGeometry.for_grid(8, 10)
+    mat = dense_matrix(geom, 8, 8)
+    op = radon_operator(geom, 8, 8)
     rng = np.random.default_rng(102)
     worst = 0.0
     for _ in range(20):
@@ -54,26 +74,26 @@ def test_criterion_02_dense_equivalence():
 
 
 def test_criterion_03_tikhonov_correctness():
-    geom = ct.RadonGeometry.for_grid(16, 10)
-    op = ct.radon_operator(geom, 16, 16)
-    mat = ct.dense_matrix(geom, 16, 16)
+    geom = RadonGeometry.for_grid(16, 10)
+    op = radon_operator(geom, 16, 16)
+    mat = dense_matrix(geom, 16, 16)
     rng = np.random.default_rng(103)
-    data = ct.radon_forward(ct.shepp_logan(16, 16), geom).values
+    data = radon_forward(shepp_logan(16, 16), geom).values
     data = data + 0.05 * rng.standard_normal(geom.size)
     worst_rel = 0.0
     for alpha in (1e-3, 1e-1, 10.0):
-        res = ct.solve_tikhonov(
-            ct.TikhonovProblem(op=op, data=data, alpha=alpha), max_iter=5000
+        res = solve_tikhonov(
+            TikhonovProblem(op=op, data=data, alpha=alpha), max_iter=5000
         )
-        direct = ct.dense_normal_solve(mat, data, alpha)
+        direct = dense_normal_solve(mat, data, alpha)
         worst_rel = np.maximum(worst_rel, np.linalg.norm(res.x - direct) / np.linalg.norm(direct))
     stable = True
     for i in range(20):
         alpha = (1e-3, 1e-1, 10.0)[i % 3]
         y1 = rng.standard_normal(geom.size)
         y2 = rng.standard_normal(geom.size)
-        x1 = ct.solve_tikhonov(ct.TikhonovProblem(op=op, data=y1, alpha=alpha)).x
-        x2 = ct.solve_tikhonov(ct.TikhonovProblem(op=op, data=y2, alpha=alpha)).x
+        x1 = solve_tikhonov(TikhonovProblem(op=op, data=y1, alpha=alpha)).x
+        x2 = solve_tikhonov(TikhonovProblem(op=op, data=y2, alpha=alpha)).x
         bound = np.linalg.norm(y1 - y2) / (2 * np.sqrt(alpha))
         stable = stable and np.linalg.norm(x1 - x2) <= bound * (1 + 1e-8)
     report(
@@ -85,7 +105,7 @@ def test_criterion_03_tikhonov_correctness():
 
 def test_criterion_04_gradient_check():
     start = time.time()
-    arch = ct.MlpArchitecture(hidden_widths=(16, 16))
+    arch = MlpArchitecture(hidden_widths=(16, 16))
     rng = np.random.default_rng(104)
     h = 1e-5
     checked = 0
@@ -93,22 +113,22 @@ def test_criterion_04_gradient_check():
     worst = 0.0
     while checked < 20:
         seed += 1
-        params = ct.init_params(arch, seed=seed)
+        params = init_params(arch, seed=seed)
         coords = rng.uniform(-1, 1, size=(4, 2))
         trace = forward_trace(params, coords)
         pre = (a @ w.T + b for a, w, b in zip(trace, params.weights, params.biases))
         if min(np.abs(z).min() for z in pre) <= 1e-3:
             continue
         cot = rng.standard_normal(4)
-        ad = ct.mlp_backward(params, trace, cot)
+        ad = mlp_backward(params, trace, cot)
         theta = params.flat
         fd = np.empty(theta.size)
         for j in range(theta.size):
             orig = theta[j]
             theta[j] = orig + h
-            up = float(ct.mlp_forward(params, coords) @ cot)
+            up = float(mlp_forward(params, coords) @ cot)
             theta[j] = orig - h
-            down = float(ct.mlp_forward(params, coords) @ cot)
+            down = float(mlp_forward(params, coords) @ cot)
             theta[j] = orig
             fd[j] = (up - down) / (2 * h)
         rel = np.abs(ad - fd).max() / np.maximum(np.abs(fd).max(), 1e-12)
@@ -125,8 +145,8 @@ def test_criterion_04_gradient_check():
 def test_criterion_05_linear_oracle_rates():
     start = time.time()
     deltas = np.logspace(-6, -2, 9)
-    slope_half = ct.linear_oracle(0.5, 200, deltas, seed=0).fit.slope
-    slope_one = ct.linear_oracle(1.0, 200, deltas, seed=0).fit.slope
+    slope_half = linear_oracle(0.5, 200, deltas, seed=0).fit.slope
+    slope_one = linear_oracle(1.0, 200, deltas, seed=0).fit.slope
     elapsed = time.time() - start
     ok_half = abs(slope_half - 0.50) <= 0.10
     ok_one = abs(slope_one - 0.667) <= 0.10
@@ -158,12 +178,12 @@ def tikhonov_error_envelope(nx, n_angles, deltas, alpha_grids):
     gives the envelope of the SVD of A to 1.8e-14 relative and its slope to
     1e-14, in a quarter of the time.
     """
-    geom = ct.RadonGeometry.for_grid(nx, n_angles)
-    mat = ct.dense_matrix(geom, nx, nx)
+    geom = RadonGeometry.for_grid(nx, n_angles)
+    mat = dense_matrix(geom, nx, nx)
     s2, u = np.linalg.eigh(mat @ mat.T)
     keep = s2 > 1e-13 * s2[-1]
     s2, u = s2[keep], u[:, keep]
-    x = ct.shepp_logan(nx, nx).values
+    x = shepp_logan(nx, nx).values
     c = (u.T @ (mat @ x)) / np.sqrt(s2)
     null_sq = x @ x - c @ c
     envelope = []
@@ -178,13 +198,12 @@ def tikhonov_error_envelope(nx, n_angles, deltas, alpha_grids):
 def test_criterion_06_ct_rate_study():
     # CPU time, so that other load on the host does not count against the budget
     wall_start, cpu_start = time.time(), time.process_time()
-    deltas = ct.experiment.sweep_deltas(nx=64, n_angles=30, snr_min_db=16.6,
-                                        snr_max_db=42.6, count=6)
-    cfg = ct.SweepConfig(
+    deltas = sweep_deltas(nx=64, n_angles=30, snr_min_db=16.6, snr_max_db=42.6, count=6)
+    cfg = SweepConfig(
         deltas=deltas, realizations=3, method="tikhonov", n=64,
         angles=30, seed=0, n_alphas=10, alpha_span_decades=1.5,
     )
-    result = ct.run_sweep(cfg)
+    result = run_sweep(cfg)
     cpu = time.process_time() - cpu_start
     wall = time.time() - wall_start
     means = [a.mean_error for a in result.aggregates]
@@ -211,7 +230,7 @@ def test_criterion_06_ct_rate_study():
     env_deltas = [a.delta for a in result.aggregates]
     envelope = tikhonov_error_envelope(64, 30, env_deltas,
                                        [cfg.alpha_grid(d) for d in env_deltas])
-    env_slope = ct.fit_rate(env_deltas, envelope).slope
+    env_slope = fit_rate(env_deltas, envelope).slope
     worst = float(np.max(np.abs(np.array(means) / envelope - 1.0)))
     report(
         "6b",
@@ -224,28 +243,28 @@ def test_criterion_06_ct_rate_study():
 
 def test_criterion_07_nn_reconstruction_properties():
     nx, n_angles = 64, 30
-    geom = ct.RadonGeometry.for_grid(nx, n_angles)
-    op = ct.radon_operator(geom, nx, nx)
-    phantom = ct.shepp_logan(nx, nx)
+    geom = RadonGeometry.for_grid(nx, n_angles)
+    op = radon_operator(geom, nx, nx)
+    phantom = shepp_logan(nx, nx)
     y = op.apply(phantom.values)
-    delta = ct.delta_for_snr(y, 23.0)
-    y_noisy = ct.add_noise(y, ct.NoiseSpec(delta=delta, seed=1007))
+    delta = delta_for_snr(y, 23.0)
+    y_noisy = add_noise(y, NoiseSpec(delta=delta, seed=1007))
     alpha = delta
 
-    cfg = ct.NnReconstructionConfig(
-        architecture=ct.MlpArchitecture(hidden_widths=(64, 64, 64, 64)),
+    cfg = NnReconstructionConfig(
+        architecture=MlpArchitecture(hidden_widths=(64, 64, 64, 64)),
         alpha=alpha, operator=op, data=y_noisy, nx=nx, ny=nx,
         iterations=2000, learning_rate=1e-3, seed=0,
     )
     wall_start, cpu_start = time.time(), time.process_time()
-    recon = ct.reconstruct_nn(cfg)
+    recon = reconstruct_nn(cfg)
     cpu = time.process_time() - cpu_start
     wall = time.time() - wall_start
     nonneg = bool(np.all(recon.image.values >= 0.0))
     not_worse = recon.final_objective <= recon.objective_trace[0]
 
-    tik = ct.solve_tikhonov(ct.TikhonovProblem(op=op, data=y_noisy, alpha=alpha))
-    j_tik = ct.tikhonov_objective(op, y_noisy, alpha, tik.x)
+    tik = solve_tikhonov(TikhonovProblem(op=op, data=y_noisy, alpha=alpha))
+    j_tik = tikhonov_objective(op, y_noisy, alpha, tik.x)
     sandwich = recon.final_objective >= j_tik - 1e-6 * j_tik
     report(
         "7",
@@ -281,16 +300,16 @@ def test_criterion_07_reference_run_observation():
 
 
 def test_criterion_08_snr_bookkeeping():
-    phantom = ct.shepp_logan(128, 128)
-    geom = ct.RadonGeometry.for_grid(128, 50)
-    y = ct.radon_forward(phantom, geom).values
+    phantom = shepp_logan(128, 128)
+    geom = RadonGeometry.for_grid(128, 50)
+    y = radon_forward(phantom, geom).values
     assert y.size == 9100
     worst = 0.0
     deltas = {}
     for target in (42.60, 23.10, 16.58):
-        delta = ct.delta_for_snr(y, target)
+        delta = delta_for_snr(y, target)
         deltas[target] = delta
-        worst = np.maximum(worst, abs(ct.snr_db(y, delta) - target))
+        worst = np.maximum(worst, abs(snr_db(y, delta) - target))
     ok = worst <= 1e-12 and all(d > 0 and np.isfinite(d) for d in deltas.values())
     report(
         "8",
@@ -306,7 +325,7 @@ def test_criterion_09_noise_statistics():
     n_seeds = 10**4
     stats = np.empty(n_seeds)
     for seed in range(n_seeds):
-        yd = ct.add_noise(y, ct.NoiseSpec(delta=delta, seed=seed))
+        yd = add_noise(y, NoiseSpec(delta=delta, seed=seed))
         diff = yd - y
         stats[seed] = (diff @ diff) / y.size
     se = stats.std(ddof=1) / np.sqrt(n_seeds)

@@ -308,22 +308,31 @@ def test_sweep_rerun_from_manifest_is_identical(tmp_path):
 
 
 def test_sweep_and_nn_reconstruct_leave_numpy_ma_unimported(tmp_path):
-    # numpy.ma costs about 1.5 MB of RSS, and np.unique imports it; a fresh
-    # interpreter, since any test in this process may have imported it
+    # numpy.ma costs about 1.5 MB of RSS, and np.unique imports it; the thread
+    # pool (concurrent.futures) and the SVG writer (svgplot, html) together
+    # about 1.2 MiB of peak RSS, and only `sweep --threads N` with N > 1 and
+    # `plot` use them. A fresh interpreter, since any test in this process
+    # may have imported them
     script = (
         "import sys\n"
+        "import compact_tik\n"
+        "print(sorted(m for m in sys.modules if m.startswith('compact_tik.')))\n"
         "from compact_tik import cli\n"
         f"assert cli.main(['sweep', '--n', '12', '--angles', '6', '--n-deltas', '3',"
-        f" '--realizations', '2', '--n-alphas', '3', '--out', {str(tmp_path / 'sweep')!r}]) == 0\n"
+        f" '--realizations', '2', '--n-alphas', '3', '--threads', '1',"
+        f" '--out', {str(tmp_path / 'sweep')!r}]) == 0\n"
         f"assert cli.main(['nn-reconstruct', '--n', '8', '--angles', '4', '--hidden', '6',"
         f" '--iterations', '10', '--out', {str(tmp_path / 'nn.imgf')!r}]) == 0\n"
-        "print('numpy.ma' in sys.modules)\n"
+        "print([m for m in ['numpy.ma', 'concurrent.futures', 'html', 'compact_tik.svgplot']"
+        " if m in sys.modules])\n"
     )
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[]"  # the package root imports no submodule
+    assert lines[-1] == "[]"
 
 
 def test_sweep_reports_unconverged_cells_on_stderr(tmp_path, capsys):

@@ -21,3 +21,76 @@ def test_no_test_module_defines_a_name_twice():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
         repeated += [f"{path.relative_to(ROOT)}: {name}" for name, k in names.items() if k > 1]
     assert repeated == []
+
+
+# function scopes: an import inside one binds its name for that function only
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def scope_nodes(scope):
+    """The nodes of a scope, nested function scopes included but not their contents."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unused_imports(tree, lines):
+    """(line, name) of each import whose name no code in its scope reads.
+
+    A name is read where it resolves to that import: in the importing scope or
+    a nested one that does not import the name again. Lines marked
+    ``# noqa: F401`` are exempt.
+    """
+    unused = set()
+
+    def visit(scope, visible):
+        nodes = list(scope_nodes(scope))
+        visible = dict(visible)
+        for node in nodes:
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                for alias in node.names:
+                    binding = (alias.lineno, (alias.asname or alias.name).split(".")[0])
+                    visible[binding[1]] = binding
+                    if "# noqa: F401" not in lines[alias.lineno - 1]:
+                        unused.add(binding)
+        for node in nodes:
+            if isinstance(node, ast.Name) and node.id in visible:
+                unused.discard(visible[node.id])
+            elif isinstance(node, SCOPES):
+                visit(node, visible)
+
+    visit(tree, {})
+    return sorted(unused)
+
+
+def test_no_package_module_imports_a_name_it_never_uses():
+    # a module-level import of a name that only one command uses loads its
+    # module into every process; such an import belongs in that command
+    found = []
+    for path in sorted((ROOT / "src" / "compact_tik").glob("*.py")):
+        text = path.read_text()
+        tree = ast.parse(text, filename=str(path))
+        found += [f"{path.relative_to(ROOT)}:{line}: {name}"
+                  for line, name in unused_imports(tree, text.splitlines())]
+    assert found == []
+
+
+def test_an_import_shadowed_in_its_only_user_counts_as_unused():
+    text = (
+        "import os\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "from . import svgplot\n"
+        "from . import radon  # noqa: F401\n"
+        "def plot():\n"
+        "    from . import svgplot\n"
+        "    return svgplot, os.sep\n"
+        "def sweep():\n"
+        "    def cell():\n"
+        "        return ThreadPoolExecutor\n"
+        "    return cell\n"
+    )
+    assert unused_imports(ast.parse(text), text.splitlines()) == [(3, "svgplot")]

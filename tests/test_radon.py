@@ -1,4 +1,5 @@
 import math
+import os
 import shutil
 import sys
 import tracemalloc
@@ -486,6 +487,27 @@ def test_relative_cache_home_is_ignored_for_the_default(tmp_path, monkeypatch):
         root, entry = radon._cache_entry(geom, 8, 8)
         assert root == str(tmp_path / ".cache" / "compact-tik")
         assert entry.startswith(root + "/")
+
+
+# with no load, the first of the eight published entries is the least recently
+# used; a load of it makes the second one that
+@pytest.mark.parametrize("loaded, evicted", [(None, 0), (0, 1)])
+def test_a_ninth_entry_evicts_the_least_recently_used(loaded, evicted, tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    geoms = [RadonGeometry.for_grid(8, k) for k in range(1, radon.CACHE_ENTRIES + 2)]
+    entries = [Path(radon._cache_entry(g, 8, 8)[1]) for g in geoms]
+    for k, (geom, entry) in enumerate(zip(geoms[:-1], entries)):
+        radon._cached_table(geom, 8, 8)
+        os.utime(entry, ns=(k * 10**9, k * 10**9))  # published in the order of the list
+    compiles = count_compiles(monkeypatch)
+    if loaded is not None:
+        radon._cached_table(geoms[loaded], 8, 8)
+        assert compiles == [0]
+    radon._cached_table(geoms[-1], 8, 8)
+    assert compiles == [1]
+    kept = set(entries) - {entries[evicted]}
+    assert set((tmp_path / "compact-tik").iterdir()) == kept
+    assert len(kept) == radon.CACHE_ENTRIES
 
 
 def test_compiled_and_loaded_rays_and_weights_are_read_only(tmp_path, monkeypatch):
