@@ -121,14 +121,17 @@ class Scene:
         """A new array: the clean data plus noise of scale ``delta`` from the stream of ``seed``."""
         return add_noise(self.clean, NoiseSpec(delta, seed))
 
+    def error(self, x):
+        """The reported error ||truth - x|| of a reconstruction ``x``."""
+        return float(np.linalg.norm(self.truth - x))
+
 
 @functools.lru_cache(maxsize=8)
-def scene(n, angles, det_halfwidth=float(np.sqrt(2.0)), n_bins=None) -> Scene:
+def scene(n, angles, det_halfwidth, n_bins) -> Scene:
     """The Shepp-Logan scene on an n x n grid, seen through ``RadonGeometry.for_grid``.
 
-    Cached, so a sweep builds it once; the sweep passes all four arguments
-    positionally, as ``lru_cache`` keys a keyword call apart. Cells and
-    threads share the scene, so its truth and clean data are read-only.
+    Cached, so one CT setting builds it once per process. Cells and threads
+    share the scene, so its truth and clean data are read-only.
     """
     phantom = shepp_logan(n, n)
     geom = RadonGeometry.for_grid(n, angles, det_halfwidth=det_halfwidth, n_bins=n_bins)
@@ -323,8 +326,8 @@ def _sweep_cell(cfg, i, r):
 
     Reads the cached :func:`scene` of the config, so a call alone still gives
     the bits of ``run_sweep``'s record for (i, r). Returns an ExperimentRecord
-    of the errors ||phantom - x|| over the alpha grid, or a CellFailure. When
-    done, writes "cell k of n" (k counts in cell order), the delta, the
+    of the errors (:meth:`Scene.error`) over the alpha grid, or a CellFailure.
+    When done, writes "cell k of n" (k counts in cell order), the delta, the
     wall seconds and "failed" if it failed to stderr.
     """
     start = time.perf_counter()
@@ -333,7 +336,7 @@ def _sweep_cell(cfg, i, r):
     alphas = cfg.alpha_grid(delta)
     try:
         images = METHODS[cfg.method](sc.operator, sc.noisy(delta, seed), alphas, cfg, seed)
-        errors = np.array([np.linalg.norm(sc.truth - x) for x in images])
+        errors = np.array([sc.error(x) for x in images])
         outcome = ExperimentRecord(delta=delta, seed=seed, alphas=alphas, errors=errors,
                                    snr_db=float(snr_db(sc.clean, delta)))
     except NumericalFailureError as exc:

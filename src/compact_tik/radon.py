@@ -319,10 +319,11 @@ def _cached_table(geom, nx, ny):
             _evict(root)
         except OSError:  # an unusable root or a full disk: the next process compiles again
             pass
-    # np.bincount and np.repeat copy a read-only index or count array on
-    # every call, so R^T keeps col and run_lengths writable
-    rays, _, _, val = table
-    rays.flags.writeable = val.flags.writeable = False
+    # np.bincount copies a read-only index array on every call, one intp per
+    # entry, so R^T keeps col writable; np.repeat copies a read-only
+    # run_lengths too, but that is one intp per ray
+    rays, run_lengths, _, val = table
+    rays.flags.writeable = run_lengths.flags.writeable = val.flags.writeable = False
     return table
 
 

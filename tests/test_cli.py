@@ -293,6 +293,20 @@ def test_sweep_builds_its_scene_once(tmp_path, monkeypatch):
     assert calls == [(8, 8)]
 
 
+def test_sinogram_and_sweep_at_one_setting_share_one_scene(tmp_path, monkeypatch):
+    # every caller passes all four scene settings, so a command's call and
+    # the sweep's call at one CT setting are one cache entry
+    calls = []
+    phantom = experiment.shepp_logan
+    monkeypatch.setattr(experiment, "shepp_logan",
+                        lambda nx, ny: calls.append((nx, ny)) or phantom(nx, ny))
+    experiment.scene.cache_clear()
+    assert run_cli("sinogram", *SMALL, "--out", str(tmp_path / "y.sinf")) == 0
+    assert run_cli("sweep", *SMALL_SWEEP, "--out", str(tmp_path / "sweep")) == 0
+    assert calls == [(8, 8)]
+    assert experiment.scene.cache_info().misses == 1
+
+
 def test_sweep_rerun_from_manifest_is_identical(tmp_path):
     out1 = tmp_path / "run1"
     out2 = tmp_path / "run2"
@@ -415,6 +429,11 @@ NN_SWEEP = SMALL_SWEEP + ["--method", "nn", "--nn-hidden", "4", "--nn-iterations
     # alpha = 10^(log10(delta) -/+ span): 0 at the low end for 400, inf at the high end for 320
     (["sweep", *SMALL_SWEEP, "--alpha-span-decades", "400"], "alpha_span_decades"),
     (["sweep", *SMALL_SWEEP, "--alpha-span-decades", "320"], "alpha_span_decades"),
+    # a value that does not parse names its setting too, and an empty width
+    # field is refused rather than dropped
+    (["sweep", *SMALL_SWEEP, "--angles", "abc"], "angles"),
+    (["nn-reconstruct", *SMALL, "--iterations", "2", "--hidden", "6,,6"], "hidden"),
+    (["sweep", *NN_SWEEP, "--nn-hidden", "4,"], "nn_hidden"),
 ])
 def test_out_of_range_setting_exits_1_before_writing(tmp_path, capsys, argv, setting):
     # each output goes to tmp_path/out, so an empty tmp_path means nothing was written
@@ -536,6 +555,15 @@ def test_repeated_key_is_hard_error(tmp_path, capsys):
     out = tmp_path / "p.pgm"
     assert run_cli("phantom", "--config", str(path), "--out", str(out)) == 1
     assert f"{path}:7: key 'n' repeats line 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_empty_width_field_in_config_names_path_line_and_key(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text("[nn-reconstruct]\nn = 8\nangles = 4\niterations = 2\nhidden = 6,,6\n")
+    out = tmp_path / "x.imgf"
+    assert run_cli("nn-reconstruct", "--config", str(path), "--out", str(out)) == 1
+    assert f"{path}:5: bad value for 'hidden': invalid literal" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -421,6 +422,39 @@ def test_sweep_cell_alone_gives_the_bits_of_run_sweeps_record(method, threads):
         assert alone.errors.tobytes() == rec.errors.tobytes()
 
 
+def test_sweep_polish_repairs_shifted_iterates_that_missed_the_tolerance(monkeypatch):
+    # the multi-shift iterates of a real sweep already meet cg_tol, so the
+    # polish stops at 0 iterations; scaled by 1 + 1e-6 with their recursive
+    # verdict kept, they pass the first check and only the polish repairs them
+    from compact_tik import experiment
+
+    cfg = SweepConfig(deltas=[0.2, 0.05], realizations=2, n=8, angles=5, n_alphas=3,
+                      alpha_span_decades=1.0, seed=9)
+    unwrapped = run_sweep(cfg)
+    shifted = experiment.cg_solve_shifted
+    monkeypatch.setattr(experiment, "cg_solve_shifted", lambda *args, **kwargs: [
+        dataclasses.replace(res, x=res.x * (1.0 + 1e-6)) for res in shifted(*args, **kwargs)])
+    polishes = []
+    polish = experiment.solve_tikhonov
+    monkeypatch.setattr(experiment, "solve_tikhonov", lambda problem, **kwargs: polishes.append(
+        (problem, polish(problem, **kwargs))) or polishes[-1][1])
+    result = run_sweep(cfg)
+    assert result.failures == [] and len(result.records) == len(unwrapped.records) == 4
+    assert len(polishes) == 4 * cfg.n_alphas
+    assert any(res.iterations > 0 for _, res in polishes)
+    for k, (problem, res) in enumerate(polishes):
+        op, alpha = problem.op, problem.alpha
+        rhs = op.apply_adjoint(problem.data)
+        true_residual = np.linalg.norm(normal_operator(op, alpha)(res.x) - rhs)
+        assert true_residual <= cfg.cg_tol * np.linalg.norm(rhs)
+        # both solutions meet the tolerance, so they differ by <= 2 cg_tol ||rhs|| / alpha,
+        # as in test_run_sweep_single_cell_matches_direct_solve
+        rec, j = result.records[k // cfg.n_alphas], k % cfg.n_alphas
+        assert rec.alphas[j] == alpha
+        bound = 2.0 * cfg.cg_tol * res.rhs_norm / alpha
+        assert abs(rec.errors[j] - unwrapped.records[k // cfg.n_alphas].errors[j]) <= bound
+
+
 def test_alpha_holder_mu_one():
     # delta^(2/3) at delta = 1e-3
     assert alpha_of_delta(1e-3, 1.0) == pytest.approx(1e-2)
@@ -558,7 +592,7 @@ def test_explicit_bins_reach_both_geometry_users(monkeypatch):
 
 
 def test_shared_scene_arrays_are_read_only():
-    sc = scene(8, 4)
+    sc = scene(8, 4, float(np.sqrt(2.0)), None)
     for shared in (sc.truth, sc.clean):
         with pytest.raises(ValueError):
             shared[0] = 1.0

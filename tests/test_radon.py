@@ -511,8 +511,8 @@ def test_a_ninth_entry_evicts_the_least_recently_used(loaded, evicted, tmp_path,
 
 
 def test_compiled_and_loaded_rays_and_weights_are_read_only(tmp_path, monkeypatch):
-    # col and run_lengths stay writable: np.bincount and np.repeat in R^T
-    # would copy a read-only one on every call
+    # col stays writable: np.bincount in R^T would copy a read-only one,
+    # one intp per entry, on every call
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     geom = RadonGeometry.for_grid(32, 20)
     compiles = count_compiles(monkeypatch)
@@ -524,6 +524,8 @@ def test_compiled_and_loaded_rays_and_weights_are_read_only(tmp_path, monkeypatc
             block.rays[0] = 0
         with pytest.raises(ValueError):
             block.val[0] = 1.0
+        with pytest.raises(ValueError):
+            block.run_lengths[0] = 0
 
 
 # 32x32/20 angles is one block, the shape of every committed table;
