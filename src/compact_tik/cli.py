@@ -110,8 +110,6 @@ SCHEMAS = {
         "method": (str, _SWEEP["method"],
                    f"reconstruction method: {' or '.join(experiment.METHODS)}"),
         **_GEOMETRY,
-        "n_bins": (_optional(int), _SWEEP["n_bins"],
-                   "detector bins (none = ceil(n * det_halfwidth))"),
         "snr_min_db": (float, 16.6, "noisiest SNR level, dB"),
         "snr_max_db": (float, 42.6, "cleanest SNR level, dB"),
         "n_deltas": (int, 6, "number of noise levels"),
@@ -242,7 +240,7 @@ def cmd_phantom(cfg):
 
 
 def cmd_sinogram(cfg):
-    sc = experiment.scene(cfg["n"], cfg["angles"], cfg["det_halfwidth"], None)
+    sc = experiment.scene(cfg["n"], cfg["angles"], cfg["det_halfwidth"])
     write_sinf(cfg["out"], SinogramGrid(sc.geometry, sc.noisy(cfg["delta"], cfg["seed"])))
     _write_manifest("sinogram", cfg, str(cfg["out"]) + ".manifest")
     print(f"wrote {cfg['out']} ({sc.geometry.n_bins}x{sc.geometry.n_angles} bins x angles)")
@@ -251,7 +249,7 @@ def cmd_sinogram(cfg):
 
 def cmd_tikhonov(cfg):
     check_positive("max_iter", cfg["max_iter"])
-    sc = experiment.scene(cfg["n"], cfg["angles"], cfg["det_halfwidth"], None)
+    sc = experiment.scene(cfg["n"], cfg["angles"], cfg["det_halfwidth"])
     problem = TikhonovProblem(sc.operator, sc.noisy(cfg["delta"], cfg["seed"]), cfg["alpha"])
     result = solve_tikhonov(problem, tol=cfg["tol"], max_iter=cfg["max_iter"])
     check_converged(cfg["alpha"], result, cfg["tol"], "tol")
@@ -262,7 +260,7 @@ def cmd_tikhonov(cfg):
 
 
 def cmd_nn_reconstruct(cfg):
-    sc = experiment.scene(cfg["n"], cfg["angles"], cfg["det_halfwidth"], None)
+    sc = experiment.scene(cfg["n"], cfg["angles"], cfg["det_halfwidth"])
     recon = reconstruct_nn(NnReconstructionConfig(
         architecture=MlpArchitecture(hidden_widths=cfg["hidden"]), operator=sc.operator,
         data=sc.noisy(cfg["delta"], cfg["seed"]), nx=cfg["n"], ny=cfg["n"],
@@ -283,7 +281,7 @@ def cmd_nn_reconstruct(cfg):
 def cmd_sweep(cfg, threads):
     check_positive("--threads", threads)
     deltas = experiment.sweep_deltas(cfg["n"], cfg["angles"], cfg["snr_min_db"], cfg["snr_max_db"],
-                                     cfg["n_deltas"], cfg["det_halfwidth"], cfg["n_bins"])
+                                     cfg["n_deltas"], cfg["det_halfwidth"])
     sweep_cfg = experiment.SweepConfig(deltas=deltas, **{key: cfg[key] for key in _SWEEP})
     os.makedirs(cfg["out"], exist_ok=True)  # so an unusable out fails before the first cell
     result = experiment.run_sweep(sweep_cfg, threads=threads)

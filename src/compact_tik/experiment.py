@@ -127,23 +127,22 @@ class Scene:
 
 
 @functools.lru_cache(maxsize=8)
-def scene(n, angles, det_halfwidth, n_bins) -> Scene:
+def scene(n, angles, det_halfwidth) -> Scene:
     """The Shepp-Logan scene on an n x n grid, seen through ``RadonGeometry.for_grid``.
 
     Cached, so one CT setting builds it once per process. Cells and threads
     share the scene, so its truth and clean data are read-only.
     """
     phantom = shepp_logan(n, n)
-    geom = RadonGeometry.for_grid(n, angles, det_halfwidth=det_halfwidth, n_bins=n_bins)
+    geom = RadonGeometry.for_grid(n, angles, det_halfwidth)
     clean = radon_forward(phantom, geom).values
     phantom.values.flags.writeable = clean.flags.writeable = False
     return Scene(phantom.values, geom, radon_operator(geom, n, n), clean)
 
 
-def sweep_deltas(nx, n_angles, snr_min_db, snr_max_db, count,
-                 det_halfwidth=float(np.sqrt(2.0)), n_bins=None):
+def sweep_deltas(nx, n_angles, snr_min_db, snr_max_db, count, det_halfwidth):
     """Noise levels for a phantom sweep, derived from the clean sinogram."""
-    clean = scene(nx, n_angles, det_halfwidth, n_bins).clean
+    clean = scene(nx, n_angles, det_halfwidth).clean
     return deltas_for_snr_range(clean, snr_min_db, snr_max_db, count)
 
 
@@ -225,7 +224,6 @@ class SweepConfig:
     n: int = 64
     angles: int = 30
     det_halfwidth: float = float(np.sqrt(2.0))
-    n_bins: int | None = None
     realizations: int = 3
     n_alphas: int = 20
     alpha_span_decades: float = 1.5
@@ -332,7 +330,7 @@ def _sweep_cell(cfg, i, r):
     """
     start = time.perf_counter()
     delta, seed = cfg.deltas[i], substream_seed(cfg.seed, i, r)
-    sc = scene(cfg.n, cfg.angles, cfg.det_halfwidth, cfg.n_bins)
+    sc = scene(cfg.n, cfg.angles, cfg.det_halfwidth)
     alphas = cfg.alpha_grid(delta)
     try:
         images = METHODS[cfg.method](sc.operator, sc.noisy(delta, seed), alphas, cfg, seed)
@@ -362,7 +360,7 @@ def run_sweep(cfg: SweepConfig, threads=1) -> SweepResult:
     if threads > 1:
         # lru_cache does not merge concurrent misses: build the shared scene and its projector
         # table once here, or the first cells of the pool would each build them
-        scene(cfg.n, cfg.angles, cfg.det_halfwidth, cfg.n_bins)
+        scene(cfg.n, cfg.angles, cfg.det_halfwidth)
         # imported here, so a serial sweep never loads the thread pool's modules
         from concurrent.futures import ThreadPoolExecutor
 

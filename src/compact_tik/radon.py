@@ -87,18 +87,17 @@ class RadonGeometry:
             check_positive(name, getattr(self, name))
 
     @classmethod
-    def for_grid(cls, nx, n_angles, det_halfwidth=math.sqrt(2.0), n_bins=None):
+    def for_grid(cls, nx, n_angles, det_halfwidth=math.sqrt(2.0)):
         """Default geometry for an nx-wide grid.
 
-        Unless ``n_bins`` is given, bin spacing matches the pixel width, so
-        n_bins = ceil(nx * det_halfwidth); with the default detector
-        covering the image diagonal this gives 182 bins at nx = 128.
-        step = one pixel width.
+        Bin spacing matches the pixel width, so n_bins = ceil(nx *
+        det_halfwidth); with the default detector covering the image
+        diagonal this gives 182 bins at nx = 128. step = one pixel width.
         """
         check_positive("det_halfwidth", det_halfwidth)
         return cls(
             n_angles=n_angles,
-            n_bins=math.ceil(nx * det_halfwidth) if n_bins is None else n_bins,
+            n_bins=math.ceil(nx * det_halfwidth),
             det_halfwidth=det_halfwidth,
             step=2.0 / nx,
         )

@@ -44,12 +44,6 @@ def objective_and_cotangent(op, data, alpha, x):
     return objective, cotangent
 
 
-def tikhonov_objective(op, data, alpha, x):
-    """The objective of :func:`objective_and_cotangent`, bit for bit, without applying A^T."""
-    residual = op.apply(x) - data
-    return float(residual @ residual + alpha * (x @ x))
-
-
 def normal_operator(op, alpha):
     """The map v -> (A^T A + alpha I) v of the normal equations."""
     return lambda v: op.apply_adjoint(op.apply(v)) + alpha * v

@@ -58,6 +58,8 @@ def test_summarize_counts_ties_for_neither_side_and_ignores_incomplete_pairs():
     # ... unless every change run beats every parent run
     ("solves_per_s", [0.5, 1.5] * 5, [1.6] * 10, "within bound"),
     ("wall_s", [0.95, 1.05] * 5, [1.0] * 10, "within bound"),
+    # tight parent runs; the change's quartiles span 0.4 around a median of 1.0
+    ("solves_per_s", [1.0] * 10, [0.6, 0.8, 1.0, 1.2, 1.4] * 2, "unresolved"),
 ])
 def test_summarize_gives_each_metric_a_verdict(name, parent, change, verdict):
     def values(v):

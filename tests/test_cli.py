@@ -294,7 +294,7 @@ def test_sweep_builds_its_scene_once(tmp_path, monkeypatch):
 
 
 def test_sinogram_and_sweep_at_one_setting_share_one_scene(tmp_path, monkeypatch):
-    # every caller passes all four scene settings, so a command's call and
+    # every caller passes all three scene settings, so a command's call and
     # the sweep's call at one CT setting are one cache entry
     calls = []
     phantom = experiment.shepp_logan
@@ -488,15 +488,21 @@ def test_reference_tikhonov_tables_rerun_byte_for_byte(tmp_path):
         assert (out / table).read_bytes() == (reference / table).read_bytes(), table
 
 
-@pytest.mark.parametrize("variant", ["free", "box"])
-def test_reference_nn_short_tables_rerun_byte_for_byte(tmp_path, variant):
+# at one BLAS thread the network tables do not depend on the sweep's thread count
+@pytest.mark.parametrize("variant, threads", [
+    pytest.param("free", 1, id="free"),
+    pytest.param("box", 1, id="box"),
+    pytest.param("free", 2, id="free-threads-2"),
+])
+def test_reference_nn_short_tables_rerun_byte_for_byte(tmp_path, variant, threads):
     # BLAS threading must be fixed before numpy loads, hence a fresh interpreter
     reference = REFERENCE_DIR / "nn_short" / variant
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")]))
     out = tmp_path / variant
     proc = subprocess.run([sys.executable, "-m", "compact_tik.cli", "sweep", "--config",
-                           str(reference / "manifest.ini"), "--out", str(out)],
+                           str(reference / "manifest.ini"), "--out", str(out),
+                           "--threads", str(threads)],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     for table in ("results.csv", "aggregate.csv", "fits.csv"):
@@ -533,13 +539,13 @@ def test_committed_manifests_reserialize_byte_for_byte(method):
 def test_optional_values_parse_none_in_any_case(tmp_path):
     path = tmp_path / "opt.ini"
     path.write_text("[nn-reconstruct]\nweight_bound = None\ntrace = NONE\n"
-                    "[sweep]\nn_bins = none\n")
+                    "[sweep]\nnn_weight_bound = none\n")
     assert parse_config_file(path, "nn-reconstruct") == {"weight_bound": None, "trace": None}
-    assert parse_config_file(path, "sweep") == {"n_bins": None}
+    assert parse_config_file(path, "sweep") == {"nn_weight_bound": None}
     path.write_text("[nn-reconstruct]\nweight_bound = 0.25\ntrace = t.txt\n"
-                    "[sweep]\nn_bins = 7\n")
+                    "[sweep]\nnn_weight_bound = 0.5\n")
     assert parse_config_file(path, "nn-reconstruct") == {"weight_bound": 0.25, "trace": "t.txt"}
-    assert parse_config_file(path, "sweep") == {"n_bins": 7}
+    assert parse_config_file(path, "sweep") == {"nn_weight_bound": 0.5}
 
 
 def test_unknown_key_is_hard_error(tmp_path, capsys):
@@ -547,6 +553,19 @@ def test_unknown_key_is_hard_error(tmp_path, capsys):
     path.write_text("[phantom]\nn = 16\nmystery = 3\n")
     assert run_cli("phantom", "--config", str(path)) == 1
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_sweep_manifest_with_an_n_bins_line_exits_1_naming_the_key(tmp_path, capsys):
+    # the bin count is ceil(n * det_halfwidth), not a setting
+    manifest = (REFERENCE_DIR / "tikhonov" / "manifest.ini").read_text()
+    path = tmp_path / "manifest.ini"
+    path.write_text(manifest.replace("snr_min_db", "n_bins = none\nsnr_min_db"))
+    out = tmp_path / "out"
+    assert run_cli("sweep", "--config", str(path), "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {path}:6: unknown key 'n_bins' in [sweep]\n"
+    assert run_cli("sweep", "--n-bins", "7", "--out", str(out)) == 1
+    assert "--n-bins" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_repeated_key_is_hard_error(tmp_path, capsys):

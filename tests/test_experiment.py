@@ -564,35 +564,36 @@ def test_csv_formats():
 
 
 def test_sweep_deltas_helper():
-    deltas = sweep_deltas(nx=16, n_angles=8, snr_min_db=16.6, snr_max_db=42.6, count=4)
+    deltas = sweep_deltas(nx=16, n_angles=8, snr_min_db=16.6, snr_max_db=42.6, count=4,
+                          det_halfwidth=float(np.sqrt(2.0)))
     assert len(deltas) == 4
     assert all(b < a for a, b in zip(deltas, deltas[1:]))
 
 
-def test_explicit_bins_reach_both_geometry_users(monkeypatch):
+def test_one_det_halfwidth_reaches_both_geometry_users(monkeypatch):
     from compact_tik import experiment
     from compact_tik.grid import shepp_logan
     from compact_tik.radon import RadonGeometry, radon_forward
 
-    want = RadonGeometry(n_angles=8, n_bins=13, det_halfwidth=1.1, step=2.0 / 16)
-    sc = scene(16, 8, 1.1, 13)
+    want = RadonGeometry(n_angles=8, n_bins=18, det_halfwidth=1.1, step=2.0 / 16)
+    sc = scene(16, 8, 1.1)
     y = sc.clean
     assert sc.geometry == want
     assert np.array_equal(y, radon_forward(shepp_logan(16, 16), want).values)
     seen = []
     monkeypatch.setattr(experiment, "scene", lambda *args: seen.append(scene(*args)) or seen[-1])
-    assert sweep_deltas(16, 8, 16.6, 42.6, 4, det_halfwidth=1.1, n_bins=13) == \
+    assert sweep_deltas(16, 8, 16.6, 42.6, 4, det_halfwidth=1.1) == \
         deltas_for_snr_range(y, 16.6, 42.6, 4)
-    # run_sweep reads the same geometry: its SNR is that of the 13-bin sinogram
+    # run_sweep reads the same geometry: its SNR is that of the 18-bin sinogram
     cfg = SweepConfig(deltas=[0.1], realizations=1, n=16, angles=8,
-                      det_halfwidth=1.1, n_bins=13, n_alphas=1)
+                      det_halfwidth=1.1, n_alphas=1)
     assert run_sweep(cfg).records[0].snr_db == float(snr_db(y, 0.1))
     # and both read the one Scene object built above
     assert len(seen) == 2 and all(s is sc for s in seen)
 
 
 def test_shared_scene_arrays_are_read_only():
-    sc = scene(8, 4, float(np.sqrt(2.0)), None)
+    sc = scene(8, 4, float(np.sqrt(2.0)))
     for shared in (sc.truth, sc.clean):
         with pytest.raises(ValueError):
             shared[0] = 1.0

@@ -97,10 +97,11 @@ def test_default_bins_match_reference_shape():
     assert geom.step == 2.0 / 128
 
 
-def test_for_grid_explicit_bins():
-    geom = RadonGeometry.for_grid(16, 6, det_halfwidth=1.2, n_bins=7)
-    assert geom == RadonGeometry(n_angles=6, n_bins=7, det_halfwidth=1.2, step=2.0 / 16)
-    assert RadonGeometry.for_grid(16, 6, n_bins=None).n_bins == math.ceil(16 * math.sqrt(2.0))
+def test_for_grid_bins_follow_the_detector_halfwidth():
+    # one bin per pixel width: ceil(16 * 1.2) = 20
+    geom = RadonGeometry.for_grid(16, 6, det_halfwidth=1.2)
+    assert geom == RadonGeometry(n_angles=6, n_bins=20, det_halfwidth=1.2, step=2.0 / 16)
+    assert RadonGeometry.for_grid(16, 6).n_bins == math.ceil(16 * math.sqrt(2.0))
 
 
 def test_forward_of_zero_is_zero():
@@ -262,7 +263,7 @@ def test_rays_without_entries_are_exactly_zero():
 
 @pytest.mark.parametrize("geom, nx", [
     (RadonGeometry.for_grid(32, 20), 32),
-    (RadonGeometry.for_grid(17, 7, n_bins=1), 17),
+    (RadonGeometry(n_angles=7, n_bins=1, det_halfwidth=math.sqrt(2.0), step=2.0 / 17), 17),
     (RadonGeometry.for_grid(12, 5, det_halfwidth=2.0), 12),  # bins past sqrt(2) have no entries
 ])
 def test_adjoint_is_bitwise_the_row_major_scatter_of_the_dense_nonzeros(geom, nx):
@@ -353,7 +354,7 @@ def assert_same_table(blocks, expected):
 CACHED_GEOMETRIES = [
     (RadonGeometry.for_grid(32, 20), 32, 32),
     (RadonGeometry.for_grid(64, 30), 64, 64),
-    (RadonGeometry.for_grid(32, 20, n_bins=1), 32, 32),
+    (RadonGeometry(n_angles=20, n_bins=1, det_halfwidth=math.sqrt(2.0), step=2.0 / 32), 32, 32),
     (RadonGeometry.for_grid(24, 11), 24, 16),
     (RadonGeometry(n_angles=2, n_bins=2, det_halfwidth=2.0, step=0.3), 4, 4),
 ]
@@ -601,7 +602,7 @@ def test_transforms_hold_one_block_of_float64_not_one_per_entry():
 PRECONDITIONED_GEOMETRIES = [
     (RadonGeometry.for_grid(32, 20), 32, 32),
     (RadonGeometry.for_grid(24, 11), 24, 16),
-    (RadonGeometry.for_grid(32, 20, n_bins=1), 32, 32),
+    (RadonGeometry(n_angles=20, n_bins=1, det_halfwidth=math.sqrt(2.0), step=2.0 / 32), 32, 32),
     (RadonGeometry.for_grid(12, 5, det_halfwidth=2.0), 12, 12),
 ]
 

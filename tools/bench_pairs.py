@@ -37,9 +37,9 @@ a verdict, the first of these that holds:
   parent's interquartile range;
 - ``worse``: the change's median is worse than the parent's by more than the
   metric's ``bound``, a fraction of the parent's median;
-- ``unresolved``: the parent's interquartile range exceeds ``bound`` of its
-  median, so a difference within the bound cannot be told from noise, and
-  not every change run is better than every parent run;
+- ``unresolved``: either side's interquartile range exceeds ``bound`` of
+  that side's median, so a difference within the bound cannot be told from
+  noise, and not every change run is better than every parent run;
 - ``within bound``: any other case.
 
 The file is rewritten after every pair, so an interrupted run keeps the
@@ -154,12 +154,13 @@ def summarize(runs, end_to_end):
         parent, change = spread(side_values["parent"]), spread(side_values["change"])
         gap = sign * (change["median"] - parent["median"])  # > 0: the change is better
         iqr, bound = parent["q3"] - parent["q1"], metric["bound"]
+        noisy = any(s["q3"] - s["q1"] > bound * s["median"] for s in (parent, change))
         if len(complete) >= 10 and 10 * wins >= 9 * len(complete) and gap > iqr:
             verdict = "gain"
         elif gap < -bound * parent["median"]:
             verdict = "worse"
-        elif (iqr > bound * parent["median"] and min(sign * v for v in side_values["change"])
-              <= max(sign * v for v in side_values["parent"])):
+        elif noisy and (min(sign * v for v in side_values["change"])
+                        <= max(sign * v for v in side_values["parent"])):
             verdict = "unresolved"
         else:
             verdict = "within bound"
