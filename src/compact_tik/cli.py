@@ -60,33 +60,32 @@ def _serialize(value):
 _SWEEP = {f.name: f.default for f in dataclasses.fields(experiment.SweepConfig)
           if f.name != "deltas"}
 
-# the grid and geometry keys of tikhonov, nn-reconstruct and sweep
+# the grid and geometry keys of every scene command: sinogram, tikhonov,
+# nn-reconstruct and sweep (phantom takes n alone)
 _GEOMETRY = {
     "n": (int, _SWEEP["n"], "grid size per axis"),
-    "angles": (int, _SWEEP["angles"], "number of projection angles"),
+    "angles": (int, _SWEEP["angles"], "number of projection angles in [0, pi)"),
     "det_halfwidth": (float, _SWEEP["det_halfwidth"], "detector half-extent"),
 }
 
-# the noisy-problem keys of tikhonov and nn-reconstruct
-_PROBLEM = {
-    **_GEOMETRY,
-    "alpha": (float, 1e-2, "regularization weight"),
-    "delta": (float, 0.0, "noise scale"),
+# the noise keys of sinogram, tikhonov and nn-reconstruct
+_NOISE = {
+    "delta": (float, 0.0, "noise scale (0 for clean data)"),
     "seed": (int, 0, "noise seed (nn-reconstruct: also the init seed)"),
 }
+
+# the noisy-problem keys of tikhonov and nn-reconstruct
+_PROBLEM = {**_GEOMETRY, "alpha": (float, 1e-2, "regularization weight"), **_NOISE}
 
 # subcommand -> ordered {key: (parser, default, help)}
 SCHEMAS = {
     "phantom": {
-        "n": (int, 128, "grid size per axis"),
+        "n": _GEOMETRY["n"],
         "out": (str, "phantom.pgm", "output image (.pgm or .imgf)"),
     },
     "sinogram": {
-        "n": (int, 128, "grid size per axis"),
-        "angles": (int, 50, "number of projection angles in [0, pi)"),
-        "det_halfwidth": _GEOMETRY["det_halfwidth"],
-        "delta": (float, 0.0, "noise scale (0 for clean data)"),
-        "seed": (int, 0, "noise seed"),
+        **_GEOMETRY,
+        **_NOISE,
         "out": (str, "sinogram.sinf", "output sinogram (.sinf)"),
     },
     "tikhonov": {
@@ -210,17 +209,20 @@ def resolve_config(subcommand, args):
     return cfg
 
 
-def _write_manifest(subcommand, cfg, path):
+def _write_text(path, text):
     with open(path, "w") as f:
-        f.write(serialize_config(subcommand, cfg))
+        f.write(text)
+
+
+def _write_manifest(subcommand, cfg, path):
+    _write_text(path, serialize_config(subcommand, cfg))
 
 
 def _write_tables(subcommand, cfg, tables):
     """Write each {file name: CSV text} of ``tables``, then manifest.ini, into ``cfg["out"]``."""
     os.makedirs(cfg["out"], exist_ok=True)
     for name, text in tables.items():
-        with open(os.path.join(cfg["out"], name), "w") as f:
-            f.write(text)
+        _write_text(os.path.join(cfg["out"], name), text)
     _write_manifest(subcommand, cfg, os.path.join(cfg["out"], "manifest.ini"))
 
 
@@ -248,7 +250,6 @@ def cmd_sinogram(cfg):
 
 
 def cmd_tikhonov(cfg):
-    check_positive("max_iter", cfg["max_iter"])
     sc = experiment.scene(cfg["n"], cfg["angles"], cfg["det_halfwidth"])
     problem = TikhonovProblem(sc.operator, sc.noisy(cfg["delta"], cfg["seed"]), cfg["alpha"])
     result = solve_tikhonov(problem, tol=cfg["tol"], max_iter=cfg["max_iter"])
@@ -266,9 +267,8 @@ def cmd_nn_reconstruct(cfg):
         data=sc.noisy(cfg["delta"], cfg["seed"]), nx=cfg["n"], ny=cfg["n"],
         **{k: cfg[k] for k in ("alpha", "iterations", "learning_rate", "seed", "weight_bound")}))
     if cfg["trace"] is not None:
-        with open(cfg["trace"], "w") as f:
-            f.write("# iteration objective\n")
-            f.writelines(f"{it} {v!r}\n" for it, v in enumerate(recon.objective_trace.tolist()))
+        _write_text(cfg["trace"], "# iteration objective\n" + "".join(
+            f"{it} {v!r}\n" for it, v in enumerate(recon.objective_trace.tolist())))
     _write_image(cfg["out"], recon.image)
     if cfg["checkpoint"] is not None:
         save_params(cfg["checkpoint"], recon.params)
@@ -334,10 +334,10 @@ def cmd_rate_fit(cfg):
 
 
 def cmd_plot(cfg):
-    from . import svgplot  # imported here: no other command writes SVG
+    from .svgplot import render_plot  # imported here: no other command renders SVG
 
     points = experiment.aggregate_points(cfg["table"])
-    svgplot.emit_plot(cfg["out"], points, cfg["reference_exponent"])
+    _write_text(cfg["out"], render_plot(points, cfg["reference_exponent"]))
     _write_manifest("plot", cfg, str(cfg["out"]) + ".manifest")
     print(f"wrote {cfg['out']}")
     return 0

@@ -100,7 +100,7 @@ def cg_solve(apply_spd, rhs, tol=1e-10, max_iter=2000, x0=None, precondition=Non
     tol : float
         Stop when ||M x - rhs|| <= tol * ||rhs||. Must be positive and finite.
     max_iter : int
-        Iteration cap; hitting it is reported, not raised.
+        Iteration cap; positive and finite. Hitting it is reported, not raised.
     x0 : ndarray, optional
         Warm start; defaults to zero.
     precondition : callable, optional
@@ -116,7 +116,6 @@ def cg_solve(apply_spd, rhs, tol=1e-10, max_iter=2000, x0=None, precondition=Non
     NumericalFailureError
         If non-finite values appear during the iteration.
     """
-    check_positive("tol", tol)
     rhs = np.asarray(rhs, dtype=np.float64)
     r0 = rhs if x0 is None else rhs - apply_spd(np.asarray(x0, dtype=np.float64))
     (res,) = _shifted_cg(apply_spd, r0, np.zeros(1), tol, float(np.linalg.norm(rhs)), max_iter,
@@ -154,8 +153,8 @@ def cg_solve_shifted(apply_base, rhs, shifts, tol=1e-10, max_iter=2000):
     tol : float
         Per-shift stopping tolerance relative to ||rhs||; positive, finite.
     max_iter : int
-        Cap on applications of M; shifts still active when it is hit are
-        reported unconverged, not raised.
+        Cap on applications of M; positive and finite. Shifts still active
+        when it is hit are reported unconverged, not raised.
 
     Returns
     -------
@@ -170,7 +169,6 @@ def cg_solve_shifted(apply_base, rhs, shifts, tol=1e-10, max_iter=2000):
     NumericalFailureError
         If non-finite values or a CG breakdown appear during the iteration.
     """
-    check_positive("tol", tol)
     shifts = np.asarray(shifts, dtype=np.float64)
     if shifts.ndim != 1 or shifts.size == 0:
         raise ValueError("shifts must be a nonempty 1-D array")
@@ -186,7 +184,10 @@ def _shifted_cg(apply_base, rhs, shifts, tol, rhs_norm, max_iter, precondition=_
     stay exactly 1, so this is textbook CG bit for bit; ``precondition`` is
     for that case only, and turns it into preconditioned CG. Each step first
     forms z = precondition(r) and the next direction, so z is formed only
-    when the convergence test lets a step follow."""
+    when the convergence test lets a step follow. Both entry points' ``tol``
+    and ``max_iter`` are range-checked here, before the first step."""
+    check_positive("tol", tol)
+    check_positive("max_iter", max_iter)
     threshold = tol * rhs_norm
     r = np.array(rhs, dtype=np.float64)
     rs = r @ r

@@ -1,4 +1,4 @@
-"""Standalone SVG emission for error-versus-noise charts.
+"""Standalone SVG rendering of error-versus-noise charts; the caller writes the text.
 
 Hand-rolled SVG keeps the output deterministic and assertable: tests can
 parse coordinates back out of the text. Axes are log-log (base 10); each
@@ -150,11 +150,3 @@ def render_plot(rows, reference_exponent):
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"
-
-
-def emit_plot(path, rows, reference_exponent):
-    """Write :func:`render_plot` output to a file."""
-    svg = render_plot(rows, reference_exponent)
-    with open(path, "w") as f:
-        f.write(svg)
-    return svg

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from compact_tik import cli, experiment
 from compact_tik.cli import SCHEMAS, main, parse_config_file, serialize_config
+from compact_tik.svgplot import render_plot
 
 REPO = Path(__file__).resolve().parent.parent
 REFERENCE_DIR = REPO / "reference_runs" / "ct32"
@@ -262,7 +264,9 @@ def test_plot_from_aggregate(tmp_path):
     )
     out = tmp_path / "fig.svg"
     assert run_cli("plot", "--table", str(table), "--out", str(out)) == 0
-    assert out.read_text().startswith("<svg")
+    rows = [(0.1, 1.0, 0.05, "tikhonov"), (0.01, 0.3, 0.01, "tikhonov")]
+    assert out.read_text() == render_plot(rows, 2.0 / 3.0)
+    ET.fromstring(out.read_text())  # well-formed
     assert (tmp_path / "fig.svg.manifest").exists()
 
 
@@ -304,6 +308,12 @@ def test_sinogram_and_sweep_at_one_setting_share_one_scene(tmp_path, monkeypatch
     assert run_cli("sinogram", *SMALL, "--out", str(tmp_path / "y.sinf")) == 0
     assert run_cli("sweep", *SMALL_SWEEP, "--out", str(tmp_path / "sweep")) == 0
     assert calls == [(8, 8)]
+    assert experiment.scene.cache_info().misses == 1
+    # with no grid flags, sinogram and tikhonov default to one CT setting
+    experiment.scene.cache_clear()
+    assert run_cli("sinogram", "--out", str(tmp_path / "s.sinf")) == 0
+    assert run_cli("tikhonov", "--out", str(tmp_path / "t.imgf")) == 0
+    assert calls[1:] == [(64, 64)]
     assert experiment.scene.cache_info().misses == 1
 
 

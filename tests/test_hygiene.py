@@ -2,7 +2,9 @@
 
 import ast
 import collections
+import importlib.util
 import pathlib
+import subprocess
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODULES = [*(ROOT / "tests").glob("*.py"), ROOT / "perfbench" / "test_perfbench.py",
@@ -94,3 +96,38 @@ def test_an_import_shadowed_in_its_only_user_counts_as_unused():
         "    return cell\n"
     )
     assert unused_imports(ast.parse(text), text.splitlines()) == [(3, "svgplot")]
+
+
+def load_code_size():
+    spec = importlib.util.spec_from_file_location("code_size", ROOT / "tools" / "code_size.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_code_size_counts_lines_by_the_grep_rule():
+    paths = sorted((ROOT / "src" / "compact_tik").glob("*.py"))
+    grep = subprocess.run(["grep", "-hcvE", r"^\s*(#|$)", *map(str, paths)],
+                          capture_output=True, text=True, check=True)
+    assert load_code_size().code_lines(paths) == sum(map(int, grep.stdout.split()))
+
+
+def test_code_size_counts_dataclass_fields_and_defaulted_parameters(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "from typing import NamedTuple\n"
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    x: int\n"
+        "    y: int = 2\n"
+        "    def f(self, k=1, *, m=2, n): return lambda v=3: v\n"
+        "@dataclasses.dataclass\n"
+        "class B:\n"
+        "    z: float = 0.0\n"
+        "class C(NamedTuple):\n"
+        "    w: int\n"
+        "def g(a, b=None): pass\n"
+    )
+    assert load_code_size().settable_values([path]) == (3, 4)

@@ -136,6 +136,15 @@ def test_cg_rejects_non_finite_tol(tol):
         cg_solve_shifted(lambda x: x, np.ones(2), [0.0, 1.0], tol=tol)
 
 
+@pytest.mark.parametrize("max_iter", [0, -3, np.nan, np.inf])
+def test_cg_rejects_an_out_of_range_iteration_cap(max_iter):
+    # a NaN or infinite cap never stops the loop, and one below 1 allows no step
+    with pytest.raises(ValueError, match="max_iter"):
+        cg_solve(lambda x: x, np.ones(2), max_iter=max_iter)
+    with pytest.raises(ValueError, match="max_iter"):
+        cg_solve_shifted(lambda x: x, np.ones(2), [0.0, 1.0], max_iter=max_iter)
+
+
 def test_cg_raises_on_nonfinite():
     def bad(x):
         out = x.copy()
@@ -219,7 +228,7 @@ def random_spd(seed, n, ridge):
     (21, 40, 0.1, 1e-8, 2000),
     (22, 60, 1e-3, 1e-12, 2000),
     (23, 30, 1e-6, 1e-14, 3),  # capped before convergence
-    (24, 25, 1.0, 1e-10, 0),
+    (24, 25, 1.0, 1e-10, 1),  # the smallest cap: one step
 ])
 def test_cg_is_reference_cg_bit_for_bit(seed, n, ridge, tol, max_iter):
     spd, rhs = random_spd(seed, n, ridge)

@@ -597,11 +597,13 @@ def test_transforms_hold_one_block_of_float64_not_one_per_entry():
     assert peak - baseline <= 3 * 2**20
 
 
-# geometries of the Tikhonov preconditioner tests: two for_grid ones (square
-# and not) and two degenerate ones, a single bin and bins past the image
+# (geometry, nx, ny) of the preconditioner tests here and in test_tikhonov,
+# which imports this list: two for_grid ones (square and not) and two
+# degenerate ones, a single bin and bins past the image
 PRECONDITIONED_GEOMETRIES = [
     (RadonGeometry.for_grid(32, 20), 32, 32),
     (RadonGeometry.for_grid(24, 11), 24, 16),
+    # degenerate: more iterations than CG
     (RadonGeometry(n_angles=20, n_bins=1, det_halfwidth=math.sqrt(2.0), step=2.0 / 32), 32, 32),
     (RadonGeometry.for_grid(12, 5, det_halfwidth=2.0), 12, 12),
 ]

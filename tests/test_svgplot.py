@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from compact_tik.svgplot import emit_plot, render_plot
+from compact_tik.svgplot import render_plot
 
 
 def class_elements(svg, cls):
@@ -97,15 +97,6 @@ def test_zero_std_bars_are_points():
     svg = render_plot(rows, 0.5)
     for bar in class_elements(svg, "errorbar"):
         assert bar.get("y1") == bar.get("y2")
-
-
-def test_emit_plot_writes_file(tmp_path):
-    rows = [(0.1, 1.0, 0.1, "m"), (0.01, 0.3, 0.05, "m")]
-    path = tmp_path / "chart.svg"
-    emit_plot(path, rows, 0.5)
-    text = path.read_text()
-    assert text.startswith("<svg")
-    ET.fromstring(text)  # well-formed
 
 
 def test_method_names_with_markup_characters_stay_well_formed():

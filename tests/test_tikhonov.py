@@ -1,5 +1,4 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from compact_tik.tikhonov import (
     objective_and_cotangent,
     solve_tikhonov,
 )
+from test_radon import PRECONDITIONED_GEOMETRIES
 
 
 def test_identity_closed_form():
@@ -157,13 +157,7 @@ def test_objective_dominance():
         assert j_star <= objective_and_cotangent(op, data, alpha, v)[0] + 10 * tol
 
 
-@pytest.mark.parametrize("geom, nx, ny", [
-    (RadonGeometry.for_grid(32, 20), 32, 32),
-    (RadonGeometry.for_grid(24, 11), 24, 16),
-    # degenerate: more iterations than CG
-    (RadonGeometry(n_angles=20, n_bins=1, det_halfwidth=math.sqrt(2.0), step=2.0 / 32), 32, 32),
-    (RadonGeometry.for_grid(12, 5, det_halfwidth=2.0), 12, 12),
-])
+@pytest.mark.parametrize("geom, nx, ny", PRECONDITIONED_GEOMETRIES)
 def test_preconditioned_solve_matches_dense_oracle(geom, nx, ny):
     op = radon_operator(geom, nx, ny)
     assert op.normal_preconditioner is not None
