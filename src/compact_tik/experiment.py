@@ -346,7 +346,7 @@ def _sweep_cell(cfg, i, r):
     return outcome
 
 
-def run_sweep(cfg: SweepConfig, threads=1) -> SweepResult:
+def run_sweep(cfg: SweepConfig, threads) -> SweepResult:
     """Run every (delta, realization) cell and aggregate the oracle-selected errors.
 
     A record's oracle error is its minimum over alpha. Aggregates are mean
@@ -413,7 +413,7 @@ def alpha_of_delta(delta, mu):
     return delta ** (2.0 / (2.0 * mu + 1.0))
 
 
-def linear_oracle(mu, n_dim, deltas, seed=0) -> LinearOracleResult:
+def linear_oracle(mu, n_dim, deltas, seed) -> LinearOracleResult:
     """Measure the convergence rate on a diagonal operator with known source element.
 
     The operator has singular values s_k = 1/k. The exact solution is

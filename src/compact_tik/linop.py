@@ -8,6 +8,7 @@ satisfy <Ax, y> = <x, A^T y> up to floating-point roundoff.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -76,7 +77,7 @@ def _identity(v):
     return v
 
 
-def cg_solve(apply_spd, rhs, tol=1e-10, max_iter=2000, x0=None, precondition=None):
+def cg_solve(apply_spd, rhs, tol, max_iter, x0=None, precondition=None):
     """Conjugate gradients for M x = rhs with M symmetric positive definite.
 
     The single-shift case (shift 0) of :func:`cg_solve_shifted`. A warm
@@ -100,7 +101,7 @@ def cg_solve(apply_spd, rhs, tol=1e-10, max_iter=2000, x0=None, precondition=Non
     tol : float
         Stop when ||M x - rhs|| <= tol * ||rhs||. Must be positive and finite.
     max_iter : int
-        Iteration cap; positive and finite. Hitting it is reported, not raised.
+        Iteration cap; a positive integer. Hitting it is reported, not raised.
     x0 : ndarray, optional
         Warm start; defaults to zero.
     precondition : callable, optional
@@ -123,7 +124,7 @@ def cg_solve(apply_spd, rhs, tol=1e-10, max_iter=2000, x0=None, precondition=Non
     return res if x0 is None else dataclasses.replace(res, x=x0 + res.x)
 
 
-def cg_solve_shifted(apply_base, rhs, shifts, tol=1e-10, max_iter=2000):
+def cg_solve_shifted(apply_base, rhs, shifts, tol, max_iter):
     """Multi-shift CG for (M + s I) x_s = rhs, every shift s from one Krylov sequence.
 
     CG runs on the base system M x = rhs from x0 = 0. The residual of each
@@ -153,7 +154,7 @@ def cg_solve_shifted(apply_base, rhs, shifts, tol=1e-10, max_iter=2000):
     tol : float
         Per-shift stopping tolerance relative to ||rhs||; positive, finite.
     max_iter : int
-        Cap on applications of M; positive and finite. Shifts still active
+        Cap on applications of M; a positive integer. Shifts still active
         when it is hit are reported unconverged, not raised.
 
     Returns
@@ -175,19 +176,22 @@ def cg_solve_shifted(apply_base, rhs, shifts, tol=1e-10, max_iter=2000):
     if not np.all(shifts >= 0.0):  # also rejects NaN
         raise ValueError("shifts must be nonnegative")
     rhs = np.asarray(rhs, dtype=np.float64)
-    return _shifted_cg(apply_base, rhs, shifts, tol, float(np.linalg.norm(rhs)), max_iter)
+    return _shifted_cg(apply_base, rhs, shifts, tol, float(np.linalg.norm(rhs)), max_iter,
+                       _identity)
 
 
-def _shifted_cg(apply_base, rhs, shifts, tol, rhs_norm, max_iter, precondition=_identity):
+def _shifted_cg(apply_base, rhs, shifts, tol, rhs_norm, max_iter, precondition):
     """:func:`cg_solve_shifted` from x0 = 0, freezing each shift at the absolute
     threshold tol * ``rhs_norm``. With the single shift 0, zeta and the ratio
     stay exactly 1, so this is textbook CG bit for bit; ``precondition`` is
     for that case only, and turns it into preconditioned CG. Each step first
     forms z = precondition(r) and the next direction, so z is formed only
     when the convergence test lets a step follow. Both entry points' ``tol``
-    and ``max_iter`` are range-checked here, before the first step."""
+    and ``max_iter`` are checked here, before the first step."""
     check_positive("tol", tol)
     check_positive("max_iter", max_iter)
+    if not isinstance(max_iter, numbers.Integral):  # a cap of 2.5 would run 3 steps
+        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
     threshold = tol * rhs_norm
     r = np.array(rhs, dtype=np.float64)
     rs = r @ r

@@ -264,11 +264,11 @@ class AdamState:
 
     m: np.ndarray
     v: np.ndarray
+    learning_rate: float
     t: int = 0
-    learning_rate: float = 1e-3
 
     @classmethod
-    def for_params(cls, params: MlpParams, learning_rate=1e-3):
+    def for_params(cls, params: MlpParams, learning_rate):
         return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat),
                    learning_rate=learning_rate)
 

@@ -61,9 +61,9 @@ class NnReconstructionConfig:
     data: np.ndarray
     nx: int
     ny: int
-    iterations: int = 5000
+    iterations: int
+    seed: int
     learning_rate: float = 1e-3
-    seed: int = 0
     weight_bound: float | None = None
 
     def __post_init__(self):

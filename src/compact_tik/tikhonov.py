@@ -49,7 +49,7 @@ def normal_operator(op, alpha):
     return lambda v: op.apply_adjoint(op.apply(v)) + alpha * v
 
 
-def solve_tikhonov(problem: TikhonovProblem, tol=1e-10, max_iter=2000, x0=None) -> CgResult:
+def solve_tikhonov(problem: TikhonovProblem, tol, max_iter, x0=None) -> CgResult:
     """Solve the normal equations by CG, preconditioned when the operator can.
 
     Returns the solution together with the final normal-equation residual

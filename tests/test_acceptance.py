@@ -83,7 +83,7 @@ def test_criterion_03_tikhonov_correctness():
     worst_rel = 0.0
     for alpha in (1e-3, 1e-1, 10.0):
         res = solve_tikhonov(
-            TikhonovProblem(op=op, data=data, alpha=alpha), max_iter=5000
+            TikhonovProblem(op=op, data=data, alpha=alpha), tol=1e-10, max_iter=5000
         )
         direct = dense_normal_solve(mat, data, alpha)
         worst_rel = np.maximum(worst_rel, np.linalg.norm(res.x - direct) / np.linalg.norm(direct))
@@ -92,8 +92,10 @@ def test_criterion_03_tikhonov_correctness():
         alpha = (1e-3, 1e-1, 10.0)[i % 3]
         y1 = rng.standard_normal(geom.size)
         y2 = rng.standard_normal(geom.size)
-        x1 = solve_tikhonov(TikhonovProblem(op=op, data=y1, alpha=alpha)).x
-        x2 = solve_tikhonov(TikhonovProblem(op=op, data=y2, alpha=alpha)).x
+        x1 = solve_tikhonov(TikhonovProblem(op=op, data=y1, alpha=alpha),
+                            tol=1e-10, max_iter=2000).x
+        x2 = solve_tikhonov(TikhonovProblem(op=op, data=y2, alpha=alpha),
+                            tol=1e-10, max_iter=2000).x
         bound = np.linalg.norm(y1 - y2) / (2 * np.sqrt(alpha))
         stable = stable and np.linalg.norm(x1 - x2) <= bound * (1 + 1e-8)
     report(
@@ -204,7 +206,7 @@ def test_criterion_06_ct_rate_study():
         deltas=deltas, realizations=3, method="tikhonov", n=64,
         angles=30, seed=0, n_alphas=10, alpha_span_decades=1.5,
     )
-    result = run_sweep(cfg)
+    result = run_sweep(cfg, threads=1)
     cpu = time.process_time() - cpu_start
     wall = time.time() - wall_start
     means = [a.mean_error for a in result.aggregates]
@@ -264,7 +266,8 @@ def test_criterion_07_nn_reconstruction_properties():
     nonneg = bool(np.all(recon.image.values >= 0.0))
     not_worse = recon.final_objective <= recon.objective_trace[0]
 
-    tik = solve_tikhonov(TikhonovProblem(op=op, data=y_noisy, alpha=alpha))
+    tik = solve_tikhonov(TikhonovProblem(op=op, data=y_noisy, alpha=alpha),
+                         tol=1e-10, max_iter=2000)
     j_tik = objective_and_cotangent(op, y_noisy, alpha, tik.x)[0]
     sandwich = recon.final_objective >= j_tik - 1e-6 * j_tik
     report(

@@ -252,7 +252,7 @@ def test_run_sweep_single_cell_matches_direct_solve():
         n_alphas=1, seed=3,
     )
     (alpha,) = cfg.alpha_grid(0.05)
-    result = run_sweep(cfg)
+    result = run_sweep(cfg, threads=1)
     assert len(result.records) == 1
     rec = result.records[0]
     # recompute the same cell by hand
@@ -285,7 +285,7 @@ def test_run_sweep_single_cell_matches_direct_solve():
 def test_run_sweep_aggregates_are_mean_and_population_std_of_best_errors():
     cfg = SweepConfig(deltas=[0.2, 0.05], realizations=3, n=8, angles=5, n_alphas=3,
                       alpha_span_decades=1.0, seed=9)
-    result = run_sweep(cfg)
+    result = run_sweep(cfg, threads=1)
     assert [a.delta for a in result.aggregates] == cfg.deltas
     for agg in result.aggregates:
         best = [rec.best_error for rec in result.records if rec.delta == agg.delta]
@@ -299,7 +299,7 @@ def test_run_sweep_oracle_minimum_and_determinism():
         deltas=[0.2, 0.05], realizations=2, n=12, angles=6,
         n_alphas=4, alpha_span_decades=1.0, seed=9,
     )
-    r1 = run_sweep(cfg)
+    r1 = run_sweep(cfg, threads=1)
     r2 = run_sweep(cfg, threads=2)
     assert len(r1.records) == 4
     for a, b in zip(r1.records, r2.records):
@@ -312,7 +312,7 @@ def test_run_sweep_unconverged_solve_fails_its_cell():
         deltas=[0.2, 0.05], realizations=2, n=12, angles=6,
         n_alphas=3, alpha_span_decades=1.0, seed=9,
     )
-    capped = run_sweep(SweepConfig(**base, cg_max_iter=2))
+    capped = run_sweep(SweepConfig(**base, cg_max_iter=2), threads=1)
     assert capped.records == [] and capped.aggregates == [] and capped.fit is None
     assert capped.failed_deltas == base["deltas"]
     # each cell reports the first unconverged shift of its Krylov sequence, before any polish
@@ -325,8 +325,8 @@ def test_run_sweep_unconverged_solve_fails_its_cell():
                                            ("0.005", "2.931e-01", "1.227e-09")]]
 
     # at the default cap every solve converges, and the cap changes nothing
-    default = run_sweep(SweepConfig(**base))
-    roomy = run_sweep(SweepConfig(**base, cg_max_iter=10**6))
+    default = run_sweep(SweepConfig(**base), threads=1)
+    roomy = run_sweep(SweepConfig(**base, cg_max_iter=10**6), threads=1)
     assert default.failures == [] and len(default.records) == 4
     assert results_csv(default.records, "tikhonov") == results_csv(roomy.records, "tikhonov")
 
@@ -336,7 +336,7 @@ def test_run_sweep_mixed_outcome_summarizes_only_the_surviving_levels(capsys):
     # 75, 74 at 0.01. A cap of 65 fails both cells of the smallest delta only.
     base = dict(realizations=2, n=12, angles=6, n_alphas=3, alpha_span_decades=1.0, seed=9)
     cfg = SweepConfig(deltas=[0.2, 0.05, 0.01], cg_max_iter=65, **base)
-    serial = run_sweep(cfg)
+    serial = run_sweep(cfg, threads=1)
     progress = capsys.readouterr().err.splitlines()
     threaded = run_sweep(cfg, threads=2)
 
@@ -345,7 +345,7 @@ def test_run_sweep_mixed_outcome_summarizes_only_the_surviving_levels(capsys):
         (0.01, substream_seed(9, 2, 0)), (0.01, substream_seed(9, 2, 1))]
     assert [line.endswith(" failed") for line in progress] == [False] * 4 + [True] * 2
     # the surviving levels keep their substreams, so they match a sweep of those levels alone
-    survivors = run_sweep(SweepConfig(deltas=[0.2, 0.05], **base))
+    survivors = run_sweep(SweepConfig(deltas=[0.2, 0.05], **base), threads=1)
     assert survivors.failures == [] and survivors.fit is not None
     for result in (serial, threaded):
         assert results_csv(result.records, "t") == results_csv(survivors.records, "t")
@@ -370,7 +370,7 @@ def test_run_sweep_gives_every_alpha_a_true_residual_verdict(monkeypatch):
     monkeypatch.setattr(experiment, "solve_tikhonov", recording_solve)
     cfg = SweepConfig(deltas=[0.2, 0.05], realizations=2, n=12, angles=6,
                       n_alphas=4, alpha_span_decades=3.0, seed=9)
-    result = run_sweep(cfg)
+    result = run_sweep(cfg, threads=1)
     assert result.failures == [] and len(calls) == 16
     for problem, tol, res in calls:
         op, alpha = problem.op, problem.alpha
@@ -396,7 +396,7 @@ def test_run_sweep_nn_method_smoke():
         deltas=[0.3], realizations=1, method="nn", n=8, angles=4,
         n_alphas=1, seed=1, nn_hidden=(6,), nn_iterations=15, nn_learning_rate=1e-2,
     )
-    result = run_sweep(cfg)
+    result = run_sweep(cfg, threads=1)
     assert len(result.records) == 1
     assert result.records[0].alphas.tolist() == [0.3]
     assert result.records[0].best_error > 0
@@ -430,7 +430,7 @@ def test_sweep_polish_repairs_shifted_iterates_that_missed_the_tolerance(monkeyp
 
     cfg = SweepConfig(deltas=[0.2, 0.05], realizations=2, n=8, angles=5, n_alphas=3,
                       alpha_span_decades=1.0, seed=9)
-    unwrapped = run_sweep(cfg)
+    unwrapped = run_sweep(cfg, threads=1)
     shifted = experiment.cg_solve_shifted
     monkeypatch.setattr(experiment, "cg_solve_shifted", lambda *args, **kwargs: [
         dataclasses.replace(res, x=res.x * (1.0 + 1e-6)) for res in shifted(*args, **kwargs)])
@@ -438,7 +438,7 @@ def test_sweep_polish_repairs_shifted_iterates_that_missed_the_tolerance(monkeyp
     polish = experiment.solve_tikhonov
     monkeypatch.setattr(experiment, "solve_tikhonov", lambda problem, **kwargs: polishes.append(
         (problem, polish(problem, **kwargs))) or polishes[-1][1])
-    result = run_sweep(cfg)
+    result = run_sweep(cfg, threads=1)
     assert result.failures == [] and len(result.records) == len(unwrapped.records) == 4
     assert len(polishes) == 4 * cfg.n_alphas
     assert any(res.iterations > 0 for _, res in polishes)
@@ -513,7 +513,8 @@ def test_linear_oracle_stability_bound():
     x_dagger = s**2.0 * v
     y = op.apply(x_dagger)
     for delta, alpha, err in zip(res.deltas, res.alphas, res.errors):
-        clean = solve_tikhonov(TikhonovProblem(op=op, data=y, alpha=alpha), tol=1e-12).x
+        clean = solve_tikhonov(TikhonovProblem(op=op, data=y, alpha=alpha),
+                               tol=1e-12, max_iter=2000).x
         bias = np.linalg.norm(clean - x_dagger)
         assert err <= bias + delta / (2 * np.sqrt(alpha)) + 1e-12
 
@@ -539,11 +540,11 @@ def test_linear_oracle_errors_are_exact_to_rounding():
 
 def test_linear_oracle_validation():
     with pytest.raises(ValueError):
-        linear_oracle(0.3, 200, np.logspace(-6, -2, 9))
+        linear_oracle(0.3, 200, np.logspace(-6, -2, 9), seed=0)
     with pytest.raises(ValueError):
-        linear_oracle(1.0, 5, np.logspace(-6, -2, 9))
+        linear_oracle(1.0, 5, np.logspace(-6, -2, 9), seed=0)
     with pytest.raises(ValueError):
-        linear_oracle(1.0, 200, [1e-3, 1e-2])  # narrow span
+        linear_oracle(1.0, 200, [1e-3, 1e-2], seed=0)  # narrow span
 
 
 def test_csv_formats():
@@ -587,7 +588,7 @@ def test_one_det_halfwidth_reaches_both_geometry_users(monkeypatch):
     # run_sweep reads the same geometry: its SNR is that of the 18-bin sinogram
     cfg = SweepConfig(deltas=[0.1], realizations=1, n=16, angles=8,
                       det_halfwidth=1.1, n_alphas=1)
-    assert run_sweep(cfg).records[0].snr_db == float(snr_db(y, 0.1))
+    assert run_sweep(cfg, threads=1).records[0].snr_db == float(snr_db(y, 0.1))
     # and both read the one Scene object built above
     assert len(seen) == 2 and all(s is sc for s in seen)
 

@@ -2,9 +2,13 @@
 
 import ast
 import collections
+import dataclasses
 import importlib.util
+import inspect
 import pathlib
 import subprocess
+
+from compact_tik import experiment, linop, mlp, nnsolver, tikhonov
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODULES = [*(ROOT / "tests").glob("*.py"), ROOT / "perfbench" / "test_perfbench.py",
@@ -131,3 +135,23 @@ def test_code_size_counts_dataclass_fields_and_defaulted_parameters(tmp_path):
         "def g(a, b=None): pass\n"
     )
     assert load_code_size().settable_values([path]) == (3, 4)
+
+
+def test_library_solvers_and_loops_take_their_settings_from_the_caller():
+    # SweepConfig and the command schemas hold each setting's default; a
+    # second default in a library signature would run a value no manifest names
+    required = {
+        linop.cg_solve: ("tol", "max_iter"),
+        linop.cg_solve_shifted: ("tol", "max_iter"),
+        tikhonov.solve_tikhonov: ("tol", "max_iter"),
+        mlp.AdamState.for_params: ("learning_rate",),
+        experiment.run_sweep: ("threads",),
+        experiment.linear_oracle: ("seed",),
+    }
+    defaulted = [f"{fn.__qualname__}({name})" for fn, names in required.items()
+                 for name in names
+                 if inspect.signature(fn).parameters[name].default is not inspect.Parameter.empty]
+    fields = {f.name: f for f in dataclasses.fields(nnsolver.NnReconstructionConfig)}
+    defaulted += [f"NnReconstructionConfig.{name}" for name in ("iterations", "seed")
+                  if fields[name].default is not dataclasses.MISSING]
+    assert defaulted == []

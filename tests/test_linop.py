@@ -54,7 +54,7 @@ def test_adjoint_defect_needs_a_probe():
 
 def test_cg_identity_single_iteration():
     rhs = np.array([1.0, -2.0, 3.0])
-    res = cg_solve(lambda x: x, rhs)
+    res = cg_solve(lambda x: x, rhs, tol=1e-10, max_iter=2000)
     assert res.iterations == 1
     assert np.allclose(res.x, rhs)
     assert res.converged
@@ -62,18 +62,18 @@ def test_cg_identity_single_iteration():
 
 def test_cg_diagonal_closed_form():
     d = np.array([1.0, 2.0, 3.0])
-    res = cg_solve(lambda x: d * x, np.ones(3))
+    res = cg_solve(lambda x: d * x, np.ones(3), tol=1e-10, max_iter=2000)
     assert np.allclose(res.x, [1.0, 0.5, 1.0 / 3.0], atol=1e-10)
     assert res.converged
 
 
 def test_cg_zero_rhs():
-    res = cg_solve(lambda x: 2.0 * x, np.zeros(4))
+    res = cg_solve(lambda x: 2.0 * x, np.zeros(4), tol=1e-10, max_iter=2000)
     assert res.iterations == 0
     assert np.array_equal(res.x, np.zeros(4))
     assert res.converged
     want = reference_cg(lambda x: 2.0 * x, np.zeros(4))
-    shifted = cg_solve_shifted(lambda x: 2.0 * x, np.zeros(4), [0.0])
+    shifted = cg_solve_shifted(lambda x: 2.0 * x, np.zeros(4), [0.0], tol=1e-10, max_iter=2000)
     assert np.array_equal(shifted[0].x, want.x) and shifted[0].iterations == want.iterations == 0
     assert res.residual_norm == shifted[0].residual_norm == want.residual_norm == 0.0
     assert shifted[0].converged and want.converged
@@ -86,7 +86,7 @@ def test_cg_converges_within_dimension():
         b_mat = rng.standard_normal((n, n))
         spd = b_mat @ b_mat.T + n * np.eye(n)
         rhs = rng.standard_normal(n)
-        res = cg_solve(lambda x, m=spd: m @ x, rhs, tol=1e-10)
+        res = cg_solve(lambda x, m=spd: m @ x, rhs, tol=1e-10, max_iter=2000)
         assert res.converged
         assert res.iterations <= n
         assert np.linalg.norm(spd @ res.x - rhs) <= 1e-10 * np.linalg.norm(rhs)
@@ -97,7 +97,7 @@ def test_cg_residual_contract():
     b_mat = rng.standard_normal((40, 40))
     spd = b_mat @ b_mat.T + 0.1 * np.eye(40)
     rhs = rng.standard_normal(40)
-    res = cg_solve(lambda x: spd @ x, rhs, tol=1e-8)
+    res = cg_solve(lambda x: spd @ x, rhs, tol=1e-8, max_iter=2000)
     assert np.linalg.norm(spd @ res.x - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
 
@@ -106,8 +106,8 @@ def test_cg_deterministic():
     b_mat = rng.standard_normal((20, 20))
     spd = b_mat @ b_mat.T + np.eye(20)
     rhs = rng.standard_normal(20)
-    r1 = cg_solve(lambda x: spd @ x, rhs)
-    r2 = cg_solve(lambda x: spd @ x, rhs)
+    r1 = cg_solve(lambda x: spd @ x, rhs, tol=1e-10, max_iter=2000)
+    r2 = cg_solve(lambda x: spd @ x, rhs, tol=1e-10, max_iter=2000)
     assert np.array_equal(r1.x, r2.x)
     assert r1.iterations == r2.iterations
 
@@ -124,25 +124,32 @@ def test_cg_max_iter_reported():
 
 def test_cg_rejects_bad_tol():
     with pytest.raises(ValueError):
-        cg_solve(lambda x: x, np.ones(2), tol=0.0)
+        cg_solve(lambda x: x, np.ones(2), tol=0.0, max_iter=2000)
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf])
 def test_cg_rejects_non_finite_tol(tol):
     # a NaN tol fails `tol <= 0` too, and an infinite one stops at once as "converged"
     with pytest.raises(ValueError, match="finite"):
-        cg_solve(lambda x: x, np.ones(2), tol=tol)
+        cg_solve(lambda x: x, np.ones(2), tol=tol, max_iter=2000)
     with pytest.raises(ValueError, match="finite"):
-        cg_solve_shifted(lambda x: x, np.ones(2), [0.0, 1.0], tol=tol)
+        cg_solve_shifted(lambda x: x, np.ones(2), [0.0, 1.0], tol=tol, max_iter=2000)
 
 
-@pytest.mark.parametrize("max_iter", [0, -3, np.nan, np.inf])
+@pytest.mark.parametrize("max_iter", [0, -3, np.nan, np.inf, 2.5])
 def test_cg_rejects_an_out_of_range_iteration_cap(max_iter):
-    # a NaN or infinite cap never stops the loop, and one below 1 allows no step
+    # a NaN or infinite cap never stops the loop, one below 1 allows no step,
+    # and a fractional one would run to the next integer
     with pytest.raises(ValueError, match="max_iter"):
-        cg_solve(lambda x: x, np.ones(2), max_iter=max_iter)
+        cg_solve(lambda x: x, np.ones(2), tol=1e-10, max_iter=max_iter)
     with pytest.raises(ValueError, match="max_iter"):
-        cg_solve_shifted(lambda x: x, np.ones(2), [0.0, 1.0], max_iter=max_iter)
+        cg_solve_shifted(lambda x: x, np.ones(2), [0.0, 1.0], tol=1e-10, max_iter=max_iter)
+
+
+def test_cg_takes_a_numpy_integer_cap():
+    res = cg_solve(lambda x: np.arange(1.0, 51.0) * x, np.ones(50), tol=1e-14,
+                   max_iter=np.int64(3))
+    assert res.iterations == 3 and not res.converged
 
 
 def test_cg_raises_on_nonfinite():
@@ -152,7 +159,7 @@ def test_cg_raises_on_nonfinite():
         return out
 
     with pytest.raises(NumericalFailureError):
-        cg_solve(bad, np.ones(3))
+        cg_solve(bad, np.ones(3), tol=1e-10, max_iter=2000)
 
 
 def test_cg_shifted_freezes_converged_shifts():
@@ -168,8 +175,8 @@ def test_cg_shifted_freezes_converged_shifts():
         return (eig + base) * v
 
     with np.errstate(all="raise"):
-        capped = cg_solve_shifted(apply_base, rhs, alphas - base, max_iter=5)
-        res = cg_solve_shifted(apply_base, rhs, alphas - base)
+        capped = cg_solve_shifted(apply_base, rhs, alphas - base, tol=1e-10, max_iter=5)
+        res = cg_solve_shifted(apply_base, rhs, alphas - base, tol=1e-10, max_iter=2000)
     assert all(c.iterations == 5 for c in capped)
     assert all(c.converged for c in capped[-3:]) and not capped[0].converged
     assert all(r.converged and r.iterations > 20 for r in res)
@@ -245,7 +252,7 @@ def test_cg_is_reference_cg_bit_for_bit(seed, n, ridge, tol, max_iter):
 
 def test_cg_shifted_base_shift_is_plain_cg():
     spd, rhs = random_spd(12, 25, 1.0)
-    res = cg_solve_shifted(lambda x: spd @ x, rhs, [0.0, 0.5, 3.0])
+    res = cg_solve_shifted(lambda x: spd @ x, rhs, [0.0, 0.5, 3.0], tol=1e-10, max_iter=2000)
     plain = reference_cg(lambda x: spd @ x, rhs)
     assert np.array_equal(res[0].x, plain.x)
     assert res[0].iterations == plain.iterations
@@ -255,7 +262,7 @@ def test_cg_warm_start_from_solution_does_not_iterate():
     spd, rhs = random_spd(25, 30, 1.0)
     x0 = np.linalg.solve(spd, rhs)
     assert np.linalg.norm(spd @ x0 - rhs) <= 1e-10 * np.linalg.norm(rhs)
-    res = cg_solve(lambda x: spd @ x, rhs, x0=x0)
+    res = cg_solve(lambda x: spd @ x, rhs, tol=1e-10, max_iter=2000, x0=x0)
     assert res.iterations == 0 and res.converged
     assert np.array_equal(res.x, x0)
     assert res.residual_norm == np.linalg.norm(rhs - spd @ x0)
@@ -265,18 +272,18 @@ def test_cg_warm_start_from_solution_does_not_iterate():
 def test_cg_warm_start_from_random_point_converges():
     spd, rhs = random_spd(26, 40, 1.0)
     x0 = 100.0 * np.random.default_rng(27).standard_normal(40)
-    res = cg_solve(lambda x: spd @ x, rhs, tol=1e-8, x0=x0)
+    res = cg_solve(lambda x: spd @ x, rhs, tol=1e-8, max_iter=2000, x0=x0)
     assert res.converged and res.iterations > 0
     assert np.linalg.norm(spd @ res.x - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
 
 def test_cg_shifted_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        cg_solve_shifted(lambda x: x, np.ones(2), [0.0], tol=0.0)
+        cg_solve_shifted(lambda x: x, np.ones(2), [0.0], tol=0.0, max_iter=2000)
     with pytest.raises(ValueError):
-        cg_solve_shifted(lambda x: x, np.ones(2), [])
+        cg_solve_shifted(lambda x: x, np.ones(2), [], tol=1e-10, max_iter=2000)
     with pytest.raises(ValueError):
-        cg_solve_shifted(lambda x: x, np.ones(2), [0.0, -1.0])
+        cg_solve_shifted(lambda x: x, np.ones(2), [0.0, -1.0], tol=1e-10, max_iter=2000)
 
 
 def test_preconditioned_cg_meets_tol_on_its_true_residual():
@@ -285,7 +292,8 @@ def test_preconditioned_cg_meets_tol_on_its_true_residual():
     scale = np.logspace(0, 2, 40)
     spd = scale[:, None] * spd * scale[None, :]
     inv_diag = 1.0 / np.diag(spd)
-    res = cg_solve(lambda x: spd @ x, rhs, tol=1e-8, precondition=lambda r: inv_diag * r)
+    res = cg_solve(lambda x: spd @ x, rhs, tol=1e-8, max_iter=2000,
+                   precondition=lambda r: inv_diag * r)
     assert res.converged
     assert np.linalg.norm(spd @ res.x - rhs) <= 1e-8 * np.linalg.norm(rhs)
     direct = np.linalg.solve(spd, rhs)
@@ -301,7 +309,7 @@ def test_cg_preconditioned_by_the_exact_inverse_takes_one_iteration():
         calls.append(1)
         return inverse @ r
 
-    res = cg_solve(lambda x: spd @ x, rhs, precondition=precondition)
+    res = cg_solve(lambda x: spd @ x, rhs, tol=1e-10, max_iter=2000, precondition=precondition)
     assert res.converged and res.iterations == 1
     # z is formed only when a step follows: once per iteration
     assert len(calls) == 1
@@ -315,6 +323,7 @@ def test_converged_warm_start_never_calls_the_preconditioner():
         calls.append(1)
         return r
 
-    res = cg_solve(lambda x: spd @ x, rhs, x0=np.linalg.solve(spd, rhs), precondition=precondition)
+    res = cg_solve(lambda x: spd @ x, rhs, tol=1e-10, max_iter=2000, x0=np.linalg.solve(spd, rhs),
+                   precondition=precondition)
     assert res.iterations == 0 and res.converged
     assert not calls

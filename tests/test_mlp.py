@@ -457,7 +457,7 @@ def test_adam_first_step_is_signed_learning_rate():
 def test_adam_zero_gradient_keeps_params():
     params = init_params(MlpArchitecture(hidden_widths=(4,)), seed=8)
     before = params.flat.copy()
-    adam_step(params, np.zeros_like(params.flat), AdamState.for_params(params))
+    adam_step(params, np.zeros_like(params.flat), AdamState.for_params(params, learning_rate=1e-3))
     assert np.array_equal(params.flat, before)
 
 
@@ -465,15 +465,15 @@ def test_adam_deterministic():
     params = init_params(MlpArchitecture(hidden_widths=(4,)), seed=9)
     grad = np.random.default_rng(9).standard_normal(params.flat.size)
     out1, out2 = params.copy(), params.copy()
-    adam_step(out1, grad, AdamState.for_params(out1))
-    adam_step(out2, grad, AdamState.for_params(out2))
+    adam_step(out1, grad, AdamState.for_params(out1, learning_rate=1e-3))
+    adam_step(out2, grad, AdamState.for_params(out2, learning_rate=1e-3))
     assert np.array_equal(out1.flat, out2.flat)
     assert not np.array_equal(out1.flat, params.flat)
 
 
 def test_adam_rejects_nonfinite_gradient():
     params = init_params(MlpArchitecture(hidden_widths=(4,)), seed=10)
-    state = AdamState.for_params(params)
+    state = AdamState.for_params(params, learning_rate=1e-3)
     before = params.flat.copy()
     grad = np.zeros_like(params.flat)
     params.split(grad)[0][0][:] = np.nan

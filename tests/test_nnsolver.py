@@ -103,7 +103,7 @@ def test_unconstrained_minimum_dominates():
     alpha = 0.05
     cfg = make_config(data=data, alpha=alpha, iterations=150)
     recon = reconstruct_nn(cfg)
-    tik = solve_tikhonov(TikhonovProblem(op=OP, data=data, alpha=alpha))
+    tik = solve_tikhonov(TikhonovProblem(op=OP, data=data, alpha=alpha), tol=1e-10, max_iter=2000)
     j_tik = objective_and_cotangent(OP, data, alpha, tik.x)[0]
     assert j_tik <= recon.final_objective + 1e-6 * j_tik
 

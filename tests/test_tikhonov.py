@@ -23,7 +23,8 @@ def test_identity_closed_form():
     ident = matrix_operator(np.eye(n))
     c = 3.0
     alpha = 0.25
-    res = solve_tikhonov(TikhonovProblem(op=ident, data=np.full(n, c), alpha=alpha))
+    res = solve_tikhonov(TikhonovProblem(op=ident, data=np.full(n, c), alpha=alpha),
+                         tol=1e-10, max_iter=2000)
     assert np.allclose(res.x, np.full(n, c / (1 + alpha)), atol=1e-10)
 
 
@@ -42,7 +43,7 @@ def test_radon_normal_equation_residual():
     geom = RadonGeometry.for_grid(32, 12)
     op = radon_operator(geom, 32, 32)
     data = radon_forward(img, geom).values
-    res = solve_tikhonov(TikhonovProblem(op=op, data=data, alpha=0.1), tol=1e-8)
+    res = solve_tikhonov(TikhonovProblem(op=op, data=data, alpha=0.1), tol=1e-8, max_iter=2000)
     rhs_norm = np.linalg.norm(op.apply_adjoint(data))
     assert res.rhs_norm == rhs_norm
     assert res.residual_norm <= 1e-8 * rhs_norm
@@ -56,7 +57,8 @@ def test_cg_matches_dense_oracle_16():
     rng = np.random.default_rng(4)
     data = radon_forward(img, geom).values + 0.01 * rng.standard_normal(geom.size)
     for alpha in (1e-3, 1e-1, 10.0):
-        res = solve_tikhonov(TikhonovProblem(op=op, data=data, alpha=alpha), max_iter=5000)
+        res = solve_tikhonov(TikhonovProblem(op=op, data=data, alpha=alpha),
+                             tol=1e-10, max_iter=5000)
         direct = dense_normal_solve(mat, data, alpha)
         rel = np.linalg.norm(res.x - direct) / np.linalg.norm(direct)
         assert rel <= 1e-6
@@ -76,7 +78,7 @@ def test_cg_matches_dense_solve_property(n, n_angles, det_halfwidth, log10_alpha
     data = rng.standard_normal(geom.size)
     alpha = 10.0**log10_alpha
     problem = TikhonovProblem(op=radon_operator(geom, n, n), data=data, alpha=alpha)
-    res = solve_tikhonov(problem, max_iter=5000)
+    res = solve_tikhonov(problem, tol=1e-10, max_iter=5000)
     direct = dense_normal_solve(dense_matrix(geom, n, n), data, alpha)
     assert res.converged
     assert np.linalg.norm(res.x - direct) <= 1e-6 * np.linalg.norm(direct)
@@ -121,8 +123,10 @@ def test_stability_bound_random_pairs():
     for _ in range(20):
         y1 = rng.standard_normal(geom.size)
         y2 = rng.standard_normal(geom.size)
-        x1 = solve_tikhonov(TikhonovProblem(op=op, data=y1, alpha=alpha)).x
-        x2 = solve_tikhonov(TikhonovProblem(op=op, data=y2, alpha=alpha)).x
+        x1 = solve_tikhonov(TikhonovProblem(op=op, data=y1, alpha=alpha),
+                            tol=1e-10, max_iter=2000).x
+        x2 = solve_tikhonov(TikhonovProblem(op=op, data=y2, alpha=alpha),
+                            tol=1e-10, max_iter=2000).x
         lhs = np.linalg.norm(x1 - x2)
         rhs = np.linalg.norm(y1 - y2) / (2 * np.sqrt(alpha))
         assert lhs <= rhs * (1 + 1e-8)
@@ -137,7 +141,7 @@ def test_distance_to_prior_monotone_in_alpha():
     norms = []
     for alpha in alphas:
         res = solve_tikhonov(TikhonovProblem(op=op, data=data, alpha=float(alpha)),
-                             max_iter=5000)
+                             tol=1e-10, max_iter=5000)
         norms.append(np.linalg.norm(res.x))
     for a, b in zip(norms, norms[1:]):
         assert b <= a * (1 + 1e-8)
@@ -150,7 +154,7 @@ def test_objective_dominance():
     data = rng.standard_normal(geom.size)
     alpha = 0.3
     tol = 1e-10
-    res = solve_tikhonov(TikhonovProblem(op=op, data=data, alpha=alpha), tol=tol)
+    res = solve_tikhonov(TikhonovProblem(op=op, data=data, alpha=alpha), tol=tol, max_iter=2000)
     j_star = objective_and_cotangent(op, data, alpha, res.x)[0]
     for _ in range(10):
         v = rng.standard_normal(144)
@@ -164,7 +168,8 @@ def test_preconditioned_solve_matches_dense_oracle(geom, nx, ny):
     mat = dense_matrix(geom, nx, ny)
     data = np.random.default_rng(9).standard_normal(geom.size)
     for alpha in (1e-3, 1e-1, 1.0):
-        res = solve_tikhonov(TikhonovProblem(op=op, data=data, alpha=alpha), max_iter=5000)
+        res = solve_tikhonov(TikhonovProblem(op=op, data=data, alpha=alpha),
+                             tol=1e-10, max_iter=5000)
         direct = dense_normal_solve(mat, data, alpha)
         assert res.converged
         assert np.linalg.norm(res.x - direct) <= 1e-6 * np.linalg.norm(direct)
@@ -177,7 +182,8 @@ def test_single_alpha_solve_is_preconditioned():
     clean = radon_forward(shepp_logan(64, 64), geom).values
     delta = delta_for_snr(clean, 23.0)
     data = add_noise(clean, NoiseSpec(delta=delta, seed=1))
-    res = solve_tikhonov(TikhonovProblem(op=radon_operator(geom, 64, 64), data=data, alpha=delta))
+    res = solve_tikhonov(TikhonovProblem(op=radon_operator(geom, 64, 64), data=data, alpha=delta),
+                         tol=1e-10, max_iter=2000)
     assert res.converged and res.iterations <= 17
 
 
@@ -195,6 +201,7 @@ def test_preconditioned_solve_applies_the_preconditioner_once_per_iteration():
         return op.normal_preconditioner(v, alpha)
 
     counted_op = dataclasses.replace(op, normal_preconditioner=counted)
-    res = solve_tikhonov(TikhonovProblem(op=counted_op, data=data, alpha=delta))
+    res = solve_tikhonov(TikhonovProblem(op=counted_op, data=data, alpha=delta),
+                         tol=1e-10, max_iter=2000)
     assert res.converged and res.iterations > 1
     assert len(calls) == res.iterations
