@@ -370,7 +370,7 @@ def build_parser():
         p.add_argument("--config", help="INI config file; flags override its values")
         if name == "sweep":
             p.add_argument("--threads", type=int, default=1,
-                           help="worker threads (default: 1)")
+                           help="worker processes (default: 1)")
         for key, (_, default, help_text) in schema.items():
             p.add_argument(
                 f"--{key.replace('_', '-')}",

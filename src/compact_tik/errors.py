@@ -2,13 +2,14 @@
 
 Invalid arguments raise the builtin ``ValueError``; this module adds the
 failure mode that has no builtin counterpart, the one check every scalar
-setting goes through, the magic and length checks and path-named header
-errors of every binary reader, and the one writer/reader pair of the
-``.imgf`` and ``.sinf`` files.
+setting goes through and the integer check of every count, the magic and
+length checks and path-named header errors of every binary reader, and
+the one writer/reader pair of the ``.imgf`` and ``.sinf`` files.
 """
 
 import contextlib
 import math
+import numbers
 import struct
 
 import numpy as np
@@ -24,6 +25,13 @@ def check_positive(name, value, zero_ok=False):
     if not (0 < value < math.inf or (zero_ok and value == 0)):
         sign = "nonnegative" if zero_ok else "positive"
         raise ValueError(f"{name} must be {sign} and finite, got {value}")
+
+
+def check_count(name, value):
+    """:func:`check_positive`, then a ValueError naming ``name`` unless ``value`` is an integer."""
+    check_positive(name, value)
+    if not isinstance(value, numbers.Integral):  # numpy integers pass; a cap of 2.5 runs 3 steps
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def check_length(path, actual, expected, at_least=False):

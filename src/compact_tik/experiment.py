@@ -12,13 +12,14 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import os
 import sys
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailureError, check_positive
+from .errors import NumericalFailureError, check_count, check_positive
 from .grid import shepp_logan
 from .linop import LinearOperator, cg_solve_shifted
 from .mlp import MlpArchitecture
@@ -130,8 +131,8 @@ class Scene:
 def scene(n, angles, det_halfwidth) -> Scene:
     """The Shepp-Logan scene on an n x n grid, seen through ``RadonGeometry.for_grid``.
 
-    Cached, so one CT setting builds it once per process. Cells and threads
-    share the scene, so its truth and clean data are read-only.
+    Cached, so one CT setting builds it once per process. The cells of a
+    process share the scene, so its truth and clean data are read-only.
     """
     phantom = shepp_logan(n, n)
     geom = RadonGeometry.for_grid(n, angles, det_halfwidth)
@@ -245,8 +246,9 @@ class SweepConfig:
         if self.method not in METHODS:
             raise ValueError(f"method must be {' or '.join(map(repr, METHODS))}, "
                              f"got {self.method!r}")
-        for name in ("realizations", "n_alphas", "cg_tol", "cg_max_iter", "nn_iterations",
-                     "nn_learning_rate"):
+        for name in ("realizations", "n_alphas", "cg_max_iter", "nn_iterations"):
+            check_count(name, getattr(self, name))
+        for name in ("cg_tol", "nn_learning_rate"):
             check_positive(name, getattr(self, name))
         check_positive("alpha_span_decades", self.alpha_span_decades, zero_ok=True)
         with np.errstate(over="ignore"):  # an overflow is reported below, not as a warning
@@ -346,28 +348,50 @@ def _sweep_cell(cfg, i, r):
     return outcome
 
 
+# the thread counts of OpenBLAS, OpenMP and MKL builds, which they read when numpy loads
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def run_sweep(cfg: SweepConfig, threads) -> SweepResult:
     """Run every (delta, realization) cell and aggregate the oracle-selected errors.
 
-    A record's oracle error is its minimum over alpha. Aggregates are mean
-    and population standard deviation of those across realizations. Cells
-    that fail numerically are recorded and skipped; deltas with no
-    surviving cell are excluded from the rate fit and flagged.
+    A Tikhonov sweep at one thread runs here; any other runs in ``threads`` spawn
+    workers of one BLAS thread each. A record's oracle error is its minimum over
+    alpha. Aggregates are mean and population standard deviation of those across
+    realizations. Cells that fail numerically are recorded and skipped; deltas
+    with no surviving cell are excluded from the rate fit and flagged.
     """
     cell = functools.partial(_sweep_cell, cfg)
     cells = list(itertools.product(range(len(cfg.deltas)), range(cfg.realizations)))
-    # serial runs need no pool: Executor.__exit__ would make Ctrl-C wait for the running cell
-    if threads > 1:
-        # lru_cache does not merge concurrent misses: build the shared scene and its projector
-        # table once here, or the first cells of the pool would each build them
-        scene(cfg.n, cfg.angles, cfg.det_halfwidth)
-        # imported here, so a serial sweep never loads the thread pool's modules
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(cell, *zip(*cells)))
-    else:
+    # a spawn worker costs about 0.2 s against about 1 s for the ct32 reference, so a serial
+    # Tikhonov sweep runs here
+    if threads == 1 and cfg.method == "tikhonov":
         outcomes = list(itertools.starmap(cell, cells))
+    else:
+        # imported here, so a serial sweep never loads the pool's modules
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from signal import SIG_DFL, SIG_IGN, SIGINT, getsignal, signal
+
+        # every worker runs one BLAS thread, so network runs, which always come here, give the
+        # same bits whatever the host's BLAS default and ``threads``. A spawn worker loads numpy
+        # (through the parent's __main__) before any initializer could run, so the variables
+        # are set in os.environ while the workers start, and the parent's are restored after.
+        # Each worker builds its scene once, through the cache of ``scene``
+        saved = {name: os.environ[name] for name in BLAS_THREAD_VARIABLES if name in os.environ}
+        os.environ.update(dict.fromkeys(BLAS_THREAD_VARIABLES, "1"))
+        try:
+            # the initializer gives SIGINT its default action in each worker, so Ctrl-C ends the
+            # workers at once and the pool does not go on to the cell queued next; a sweep that
+            # ignores SIGINT (a background job of a script) has its workers ignore it too
+            action = SIG_IGN if getsignal(SIGINT) == SIG_IGN else SIG_DFL
+            with ProcessPoolExecutor(threads, multiprocessing.get_context("spawn"),
+                                     signal, (SIGINT, action)) as pool:
+                outcomes = list(pool.map(cell, *zip(*cells)))
+        finally:
+            for name in BLAS_THREAD_VARIABLES:
+                del os.environ[name]
+            os.environ.update(saved)
 
     records = [o for o in outcomes if isinstance(o, ExperimentRecord)]
     failures = [o for o in outcomes if isinstance(o, CellFailure)]

@@ -8,13 +8,12 @@ satisfy <Ax, y> = <x, A^T y> up to floating-point roundoff.
 from __future__ import annotations
 
 import dataclasses
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalFailureError, check_positive
+from .errors import NumericalFailureError, check_count, check_positive
 
 
 @dataclass(frozen=True)
@@ -189,9 +188,7 @@ def _shifted_cg(apply_base, rhs, shifts, tol, rhs_norm, max_iter, precondition):
     when the convergence test lets a step follow. Both entry points' ``tol``
     and ``max_iter`` are checked here, before the first step."""
     check_positive("tol", tol)
-    check_positive("max_iter", max_iter)
-    if not isinstance(max_iter, numbers.Integral):  # a cap of 2.5 would run 3 steps
-        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
+    check_count("max_iter", max_iter)
     threshold = tol * rhs_norm
     r = np.array(rhs, dtype=np.float64)
     rs = r @ r

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailureError, check_positive
+from .errors import NumericalFailureError, check_count, check_positive
 from .grid import ImageGrid, pixel_centers
 from .mlp import (
     AdamState,
@@ -67,8 +67,9 @@ class NnReconstructionConfig:
     weight_bound: float | None = None
 
     def __post_init__(self):
-        for name in ("alpha", "learning_rate", "iterations"):
+        for name in ("alpha", "learning_rate"):
             check_positive(name, getattr(self, name))
+        check_count("iterations", self.iterations)
         check_positive("seed", self.seed, zero_ok=True)
         if self.weight_bound is not None:
             check_positive("weight_bound", self.weight_bound)

@@ -332,11 +332,11 @@ def test_sweep_rerun_from_manifest_is_identical(tmp_path):
 
 
 def test_sweep_and_nn_reconstruct_leave_numpy_ma_unimported(tmp_path):
-    # numpy.ma costs about 1.5 MB of RSS, and np.unique imports it; the thread
-    # pool (concurrent.futures) and the SVG writer (svgplot, html) together
-    # about 1.2 MiB of peak RSS, and only `sweep --threads N` with N > 1 and
-    # `plot` use them. A fresh interpreter, since any test in this process
-    # may have imported them
+    # numpy.ma costs about 1.5 MB of RSS, and np.unique imports it; the worker
+    # pool's modules (concurrent.futures, multiprocessing) about 1.2 MiB and
+    # the SVG writer (svgplot, html) about 0.3 MiB, and only a sweep that runs
+    # workers (--threads N with N > 1, or --method nn) and `plot` use them. A
+    # fresh interpreter, since any test in this process may have imported them
     script = (
         "import sys\n"
         "import compact_tik\n"
@@ -347,8 +347,8 @@ def test_sweep_and_nn_reconstruct_leave_numpy_ma_unimported(tmp_path):
         f" '--out', {str(tmp_path / 'sweep')!r}]) == 0\n"
         f"assert cli.main(['nn-reconstruct', '--n', '8', '--angles', '4', '--hidden', '6',"
         f" '--iterations', '10', '--out', {str(tmp_path / 'nn.imgf')!r}]) == 0\n"
-        "print([m for m in ['numpy.ma', 'concurrent.futures', 'html', 'compact_tik.svgplot']"
-        " if m in sys.modules])\n"
+        "print([m for m in ['numpy.ma', 'concurrent.futures', 'multiprocessing', 'html',"
+        " 'compact_tik.svgplot'] if m in sys.modules])\n"
     )
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")]))
@@ -491,30 +491,39 @@ def test_grid_size_below_one_is_named_n(tmp_path, capsys, command):
 
 
 def test_reference_tikhonov_tables_rerun_byte_for_byte(tmp_path):
+    # at one thread in this process, at two in spawn workers of one BLAS thread each
     reference = REFERENCE_DIR / "tikhonov"
-    out = tmp_path / "tik"
-    assert run_cli("sweep", "--config", str(reference / "manifest.ini"), "--out", str(out)) == 0
-    for table in ("results.csv", "aggregate.csv", "fits.csv"):
-        assert (out / table).read_bytes() == (reference / table).read_bytes(), table
+    for threads in ("1", "2"):
+        out = tmp_path / f"tik-{threads}"
+        assert run_cli("sweep", "--config", str(reference / "manifest.ini"), "--out", str(out),
+                       "--threads", threads) == 0
+        for table in ("results.csv", "aggregate.csv", "fits.csv"):
+            assert (out / table).read_bytes() == (reference / table).read_bytes(), (threads, table)
 
 
-# at one BLAS thread the network tables do not depend on the sweep's thread count
-@pytest.mark.parametrize("variant, threads", [
-    pytest.param("free", 1, id="free"),
-    pytest.param("box", 1, id="box"),
-    pytest.param("free", 2, id="free-threads-2"),
+# network cells always run in spawn workers of one BLAS thread each, so the tables
+# depend neither on the thread count nor on the BLAS variables of this process
+@pytest.mark.parametrize("variant, threads, blas", [
+    pytest.param("free", 1, None, id="free"),
+    pytest.param("box", 1, None, id="box"),
+    pytest.param("free", 2, None, id="free-threads-2"),
+    pytest.param("box", 2, None, id="box-threads-2"),
+    pytest.param("free", 1, "1", id="free-blas-1"),
+    pytest.param("box", 1, "1", id="box-blas-1"),
+    pytest.param("free", 2, "1", id="free-threads-2-blas-1"),
+    pytest.param("box", 2, "1", id="box-threads-2-blas-1"),
 ])
-def test_reference_nn_short_tables_rerun_byte_for_byte(tmp_path, variant, threads):
-    # BLAS threading must be fixed before numpy loads, hence a fresh interpreter
+def test_reference_nn_short_tables_rerun_byte_for_byte(tmp_path, monkeypatch, variant, threads,
+                                                       blas):
+    for name in experiment.BLAS_THREAD_VARIABLES:
+        if blas is None:
+            monkeypatch.delenv(name, raising=False)
+        else:
+            monkeypatch.setenv(name, blas)
     reference = REFERENCE_DIR / "nn_short" / variant
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")]))
     out = tmp_path / variant
-    proc = subprocess.run([sys.executable, "-m", "compact_tik.cli", "sweep", "--config",
-                           str(reference / "manifest.ini"), "--out", str(out),
-                           "--threads", str(threads)],
-                          env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    assert run_cli("sweep", "--config", str(reference / "manifest.ini"), "--out", str(out),
+                   "--threads", str(threads)) == 0
     for table in ("results.csv", "aggregate.csv", "fits.csv"):
         assert (out / table).read_bytes() == (reference / table).read_bytes(), table
 

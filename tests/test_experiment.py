@@ -1,10 +1,14 @@
 import dataclasses
+import json
+import os
 import warnings
 
 import numpy as np
 import pytest
 
 from compact_tik.experiment import (
+    BLAS_THREAD_VARIABLES,
+    CellFailure,
     DeltaAggregate,
     ExperimentRecord,
     NoiseSpec,
@@ -218,6 +222,17 @@ def test_sweep_config_rejects_cg_tol_not_positive_and_finite(tol):
         SweepConfig(deltas=[0.1], realizations=1, cg_tol=tol)
 
 
+@pytest.mark.parametrize("setting", ["realizations", "n_alphas", "cg_max_iter", "nn_iterations"])
+def test_sweep_config_refuses_a_fractional_count_naming_it(setting):
+    # 2.5 used to pass the range check and fail inside the first cell, for
+    # nn_iterations with a TypeError from numpy that named no setting
+    with pytest.raises(ValueError, match=f"^{setting} must be an integer, got 2.5$"):
+        SweepConfig(deltas=[0.1], method="nn", **{setting: 2.5})
+    with pytest.raises(ValueError, match=f"^{setting} must be positive and finite, got nan$"):
+        SweepConfig(deltas=[0.1], **{setting: float("nan")})
+    assert getattr(SweepConfig(deltas=[0.1], **{setting: np.int64(3)}), setting) == 3
+
+
 def test_sweep_config_rejects_empty_or_descending_alpha_grid():
     with pytest.raises(ValueError, match="n_alphas"):
         SweepConfig(deltas=[0.1], realizations=1, n_alphas=0)
@@ -379,16 +394,59 @@ def test_run_sweep_gives_every_alpha_a_true_residual_verdict(monkeypatch):
         assert np.linalg.norm(normal) <= cfg.cg_tol * res.rhs_norm
 
 
-def test_threaded_sweep_builds_the_projector_table_once():
-    # lru_cache does not merge concurrent misses, so two cells starting on
-    # a cold cache would each build the table
-    from compact_tik import radon
+def _environment_cell(cfg, i, r):
+    """A stand-in for ``_sweep_cell``: a failure naming its process and its BLAS settings."""
+    blas = {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES}
+    return CellFailure(delta=cfg.deltas[i], seed=r, message=json.dumps([os.getpid(), blas]))
 
-    radon._projector.cache_clear()
-    cfg = SweepConfig(deltas=[0.1], realizations=2, n=96, angles=40, n_alphas=1, seed=3)
-    result = run_sweep(cfg, threads=2)
-    assert result.failures == [] and len(result.records) == 2
-    assert radon._projector.cache_info().misses == 1
+
+def _raising_cell(cfg, i, r):
+    raise RuntimeError(f"cell ({i}, {r}) raised")
+
+
+@pytest.mark.parametrize("parent", [{}, {"OPENBLAS_NUM_THREADS": "4", "MKL_NUM_THREADS": "1"}],
+                         ids=["unset", "set"])
+@pytest.mark.parametrize("method, threads", [("tikhonov", 2), ("nn", 1), ("nn", 2)])
+def test_sweep_workers_start_with_one_blas_thread_and_the_environment_is_restored(
+        monkeypatch, parent, method, threads):
+    # the stand-in cells are module functions, so the spawn workers unpickle them by name
+    from compact_tik import experiment
+
+    for name in BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in parent.items():
+        monkeypatch.setenv(name, value)
+    before = dict(os.environ)
+    cfg = SweepConfig(deltas=[0.2, 0.05], realizations=2, method=method, n=8, angles=5,
+                      n_alphas=2, seed=9)
+    monkeypatch.setattr(experiment, "_sweep_cell", _environment_cell)
+    result = run_sweep(cfg, threads=threads)
+    reports = [json.loads(f.message) for f in result.failures]
+    # in cell order, as the serial sweep gives them
+    assert [(f.delta, f.seed) for f in result.failures] == [(0.2, 0), (0.2, 1), (0.05, 0),
+                                                             (0.05, 1)]
+    assert all(blas == dict.fromkeys(BLAS_THREAD_VARIABLES, "1") for _, blas in reports)
+    workers = {pid for pid, _ in reports}
+    assert os.getpid() not in workers and 1 <= len(workers) <= threads
+    assert dict(os.environ) == before
+
+    monkeypatch.setattr(experiment, "_sweep_cell", _raising_cell)
+    with pytest.raises(RuntimeError, match=r"^cell \(0, 0\) raised$"):
+        run_sweep(cfg, threads=threads)
+    assert dict(os.environ) == before
+
+
+def test_serial_tikhonov_sweep_runs_its_cells_in_this_process(monkeypatch):
+    from compact_tik import experiment
+
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.setattr(experiment, "_sweep_cell", _environment_cell)
+    cfg = SweepConfig(deltas=[0.2, 0.05], realizations=1, n=8, angles=5, n_alphas=2, seed=9)
+    reports = [json.loads(f.message) for f in run_sweep(cfg, threads=1).failures]
+    # this process, whose BLAS variable run_sweep leaves unset
+    expected = [(os.getpid(), None)] * 2
+    assert [(pid, blas["OPENBLAS_NUM_THREADS"]) for pid, blas in reports] == expected
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
 
 
 def test_run_sweep_nn_method_smoke():

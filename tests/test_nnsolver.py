@@ -42,6 +42,10 @@ def test_config_validation():
         make_config(alpha=0.0)
     with pytest.raises(ValueError):
         make_config(iterations=0)
+    # a fractional count is refused up front, naming the setting, not by numpy inside the run
+    with pytest.raises(ValueError, match="^iterations must be an integer, got 2.5$"):
+        make_config(iterations=2.5)
+    assert make_config(iterations=np.int64(3)).iterations == 3
     with pytest.raises(ValueError):
         make_config(nx=8)  # operator domain mismatch
     with pytest.raises(ValueError):
