@@ -325,10 +325,12 @@ def _sweep_cell(cfg, i, r):
     """Cell (i, r) at ``cfg.deltas[i]``, with noise from substream (cfg.seed, i, r).
 
     Reads the cached :func:`scene` of the config, so a call alone still gives
-    the bits of ``run_sweep``'s record for (i, r). Returns an ExperimentRecord
-    of the errors (:meth:`Scene.error`) over the alpha grid, or a CellFailure.
-    When done, writes "cell k of n" (k counts in cell order), the delta, the
-    wall seconds and "failed" if it failed to stderr.
+    the bits of ``run_sweep``'s record for (i, r). Returns the outcome, an
+    ExperimentRecord of the errors (:meth:`Scene.error`) over the alpha grid or
+    a CellFailure, and its progress line: "cell k of n" (k counts in cell
+    order), the delta, the wall seconds and "failed" if it failed. The caller
+    writes the line, so a spawn worker's cell reports through the parent's
+    ``sys.stderr``.
     """
     start = time.perf_counter()
     delta, seed = cfg.deltas[i], substream_seed(cfg.seed, i, r)
@@ -344,8 +346,16 @@ def _sweep_cell(cfg, i, r):
     k, n = i * cfg.realizations + r + 1, len(cfg.deltas) * cfg.realizations
     failed = " failed" if isinstance(outcome, CellFailure) else ""
     seconds = time.perf_counter() - start
-    sys.stderr.write(f"cell {k} of {n}: delta={delta:.6g} {seconds:.2f} s{failed}\n")
-    return outcome
+    return outcome, f"cell {k} of {n}: delta={delta:.6g} {seconds:.2f} s{failed}\n"
+
+
+def _report(results):
+    """The outcomes of (outcome, progress line) pairs, writing each line to stderr as it arrives."""
+    outcomes = []
+    for outcome, line in results:
+        sys.stderr.write(line)
+        outcomes.append(outcome)
+    return outcomes
 
 
 # the thread counts of OpenBLAS, OpenMP and MKL builds, which they read when numpy loads
@@ -366,7 +376,7 @@ def run_sweep(cfg: SweepConfig, threads) -> SweepResult:
     # a spawn worker costs about 0.2 s against about 1 s for the ct32 reference, so a serial
     # Tikhonov sweep runs here
     if threads == 1 and cfg.method == "tikhonov":
-        outcomes = list(itertools.starmap(cell, cells))
+        outcomes = _report(itertools.starmap(cell, cells))
     else:
         # imported here, so a serial sweep never loads the pool's modules
         import multiprocessing
@@ -387,7 +397,7 @@ def run_sweep(cfg: SweepConfig, threads) -> SweepResult:
             action = SIG_IGN if getsignal(SIGINT) == SIG_IGN else SIG_DFL
             with ProcessPoolExecutor(threads, multiprocessing.get_context("spawn"),
                                      signal, (SIGINT, action)) as pool:
-                outcomes = list(pool.map(cell, *zip(*cells)))
+                outcomes = _report(pool.map(cell, *zip(*cells)))
         finally:
             for name in BLAS_THREAD_VARIABLES:
                 del os.environ[name]

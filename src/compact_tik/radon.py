@@ -17,6 +17,15 @@ The table is stored as its blocks of whole rays of at most ``BLOCK_ENTRIES``
 entries, which both maps loop over, so each call's temporary is one block of
 float64, not one float64 per table entry.
 
+Only the angles q <= Q/2 are compiled. The angle set {q pi / Q} is closed
+under theta -> pi - theta, and the ray (s, pi - theta) is the ray (s, theta)
+mirrored by x -> -x with t reversed; the samples in t and their trapezoid
+weights are symmetric about t = 0, and the pixel centres about x = 0. So
+angle Q - q has the entries of angle q with each pixel column i taken to
+nx - 1 - i, and the table applies the angles 0 < q < Q/2 a second time, to
+the image mirrored in its columns, for the angles Q - q. That halves the
+table; the mirrored rays match a direct compile to rounding.
+
 Each compiled table is also cached in ``$XDG_CACHE_HOME/compact-tik/`` (see
 :func:`_cached_table`), so a new process loads it instead of compiling it again;
 the cache keeps the ``CACHE_ENTRIES`` most recently used tables.
@@ -154,22 +163,61 @@ class _Block(NamedTuple):
     val: np.ndarray
 
 
+class _Table(NamedTuple):
+    """The table's blocks: ``stored`` apply to the image, ``mirrored`` to the mirrored image.
+
+    A mirrored block holds the entries of stored angles 0 < q < Q/2, as views,
+    and the rays (Q - q) * n_bins + p they stand for.
+    """
+
+    stored: tuple[_Block, ...]
+    mirrored: tuple[_Block, ...]
+
+
 def _compile(geom: RadonGeometry, nx: int, ny: int):
-    """Compile the discretized transform into its flat coalesced sparse table.
+    """Compile the angles q <= Q/2 of the transform into its flat coalesced sparse table.
 
     Returns ``(rays, run_lengths, col, val)``: the rays with entries in
     order, each one's entry count, and the entries sorted by ray then pixel.
+    The angles q > Q/2 are the mirrors of stored ones (see the module
+    docstring), so every ray index is below (Q // 2 + 1) * n_bins.
+
+    Each angle's merged entries are written straight into the growing
+    ``col`` and ``val``, so the build holds one copy of the table plus one
+    angle's working set: a tracemalloc peak of 20 MiB for the 14.5 MiB table
+    at 128x128/50 angles.
+    """
+    stored = geom.n_angles // 2 + 1
+    # the table grows in place, one angle's entries at a time. resize goes
+    # through realloc, which moves a large mmapped block by remapping it, so
+    # the filled part is not copied. A resize would leave a live view of col
+    # or val dangling, so none outlives its statement; refcheck=False skips
+    # numpy's reference count check of that, which fails whenever a tracer
+    # (sys.settrace, cProfile) holds this frame's locals
+    col = np.empty(0, dtype=np.intp)
+    val = np.empty(0)
+    lengths = np.zeros((stored, geom.n_bins), dtype=np.intp)  # entries of each ray
+    for q, (ray_lengths, pix, weights) in enumerate(
+            _angle_entries(geom, nx, ny, geom.angles[:stored])):
+        lengths[q] = ray_lengths
+        n = col.size
+        col.resize(n + pix.size, refcheck=False)
+        val.resize(n + pix.size, refcheck=False)
+        col[n:] = pix
+        val[n:] = weights
+
+    rays = np.flatnonzero(lengths)
+    return rays, lengths.ravel()[rays], col, val
+
+
+def _angle_entries(geom: RadonGeometry, nx: int, ny: int, thetas):
+    """Yield, for each angle of ``thetas``, its rays' entry counts and its entries (pix, val).
 
     Each ray sample contributes a 4-point bilinear stencil scaled by its
     trapezoid weight. Stencil points outside the image and zero weights are
     dropped, and the repeated (ray, pixel) pairs of one angle are merged in
-    sample order after a stable sort, so the table is deterministic.
-
-    Each angle's merged entries are written straight into the growing
-    ``col`` and ``val``, so the build holds one copy of the table plus one
-    angle's working set: a tracemalloc peak of 34 MiB for the 28 MiB table
-    at 128x128/50 angles, and a fresh process's peak RSS of 287 MB for the
-    223 MiB table at 256x256/100 angles.
+    sample order after a stable sort, so the table is deterministic. An
+    angle's entries are sorted by bin, then pixel.
     """
     offsets = geom.offsets
     radius = math.sqrt(2.0)  # bounding circle of [-1, 1]^2
@@ -196,16 +244,7 @@ def _compile(geom: RadonGeometry, nx: int, ny: int):
     s_key = s_bin * n_pix
     corner = np.array([0, 1, nx, nx + 1])
 
-    # the table grows in place, one angle's entries at a time. resize goes
-    # through realloc, which moves a large mmapped block by remapping it, so
-    # the filled part is not copied. A resize would leave a live view of col
-    # or val dangling, so none outlives its statement; refcheck=False skips
-    # numpy's reference count check of that, which fails whenever a tracer
-    # (sys.settrace, cProfile) holds this frame's locals
-    col = np.empty(0, dtype=np.intp)
-    val = np.empty(0)
-    lengths = np.zeros((geom.n_angles, geom.n_bins), dtype=np.intp)  # entries of each ray
-    for q, theta in enumerate(geom.angles):
+    for theta in thetas:
         normal = np.array([math.cos(theta), math.sin(theta)])
         tangent = np.array([-math.sin(theta), math.cos(theta)])
         px = s_off * normal[0] + s_t * tangent[0]
@@ -235,15 +274,8 @@ def _compile(geom: RadonGeometry, nx: int, ny: int):
         key = key[order]
         runs = np.flatnonzero(np.diff(key, prepend=-1))  # keys are >= 0, so entry 0 starts a run
         ray, pix = np.divmod(key[runs], n_pix)
-        lengths[q] = np.bincount(ray, minlength=geom.n_bins)
-        n = col.size
-        col.resize(n + runs.size, refcheck=False)
-        val.resize(n + runs.size, refcheck=False)
-        col[n:] = pix
-        np.add.reduceat(w4[keep][order], runs, out=val[n:])
-
-    rays = np.flatnonzero(lengths)
-    return rays, lengths.ravel()[rays], col, val
+        yield (np.bincount(ray, minlength=geom.n_bins), pix,
+               np.add.reduceat(w4[keep][order], runs))
 
 
 def _cache_entry(geom, nx, ny):
@@ -271,7 +303,8 @@ def _load(entry, geom, nx, ny):
     ok = ([(a.dtype, a.ndim) for a in table] == [(np.dtype(t), 1) for t in TABLE_DTYPES.values()]
           and np.array_equal(record, _check_record(geom, nx, ny, table))
           and rays.size == run_lengths.size and np.all(np.diff(rays) > 0)
-          and (rays.size == 0 or 0 <= rays[0] and rays[-1] < geom.size)
+          and (rays.size == 0 or 0 <= rays[0]
+               and rays[-1] < (geom.n_angles // 2 + 1) * geom.n_bins)
           and np.all(run_lengths >= 1) and run_lengths.sum() == col.size == val.size
           and (col.size == 0 or 0 <= col.min() and col.max() < nx * ny) and np.isfinite(val).all())
     return tuple(table) if ok else None
@@ -326,14 +359,11 @@ def _cached_table(geom, nx, ny):
     return table
 
 
-@functools.lru_cache(maxsize=CACHE_ENTRIES)
-def _projector(geom: RadonGeometry, nx: int, ny: int) -> tuple[_Block, ...]:
-    """The table as its blocks in ray order, ``()`` without entries."""
-    rays, run_lengths, col, val = _cached_table(geom, nx, ny)
+def _blocks(rays, run_lengths, col, val):
+    """Greedy blocks of whole rays, in order: each takes every following ray that
+    ends within BLOCK_ENTRIES of its first entry, and at least one ray."""
     ends = np.cumsum(run_lengths)
     starts = ends - run_lengths
-    # greedy blocks of whole rays: each takes every following ray that ends
-    # within BLOCK_ENTRIES of its first entry, and at least one ray
     blocks, a = [], 0
     while a < rays.size:
         b = max(int(np.searchsorted(ends, starts[a] + BLOCK_ENTRIES, side="right")), a + 1)
@@ -344,21 +374,66 @@ def _projector(geom: RadonGeometry, nx: int, ny: int) -> tuple[_Block, ...]:
     return tuple(blocks)
 
 
+@functools.lru_cache(maxsize=CACHE_ENTRIES)
+def _projector(geom: RadonGeometry, nx: int, ny: int) -> _Table:
+    """The table as its stored and mirrored blocks, each in ray order."""
+    rays, run_lengths, col, val = _cached_table(geom, nx, ny)
+    # the rays of the mirrored angles 0 < q < Q/2 are rays[m0:m1], their entries col[e0:e1]
+    n_bins = geom.n_bins
+    m0, m1 = np.searchsorted(rays, [n_bins, (geom.n_angles + 1) // 2 * n_bins])
+    e0, e1 = run_lengths[:m0].sum(), run_lengths[:m1].sum()
+    angle, bin_ = np.divmod(rays[m0:m1], n_bins)
+    mirror_rays = (geom.n_angles - angle) * n_bins + bin_
+    mirror_rays.flags.writeable = False  # as the stored rays are
+    return _Table(stored=_blocks(rays, run_lengths, col, val),
+                  mirrored=_blocks(mirror_rays, run_lengths[m0:m1], col[e0:e1], val[e0:e1]))
+
+
+def _mirrored(values, nx, ny):
+    """The image's pixel values mirrored in its columns, x -> -x, as a view."""
+    return values.reshape(ny, nx)[:, ::-1]
+
+
 def radon_forward(image: ImageGrid, geom: RadonGeometry) -> SinogramGrid:
     """Apply the discrete Radon transform to an image.
 
     Each ray's run is summed by one ``np.add.reduceat`` segment, whichever
-    block holds it, so the result does not depend on ``BLOCK_ENTRIES``.
+    block holds it, so the result does not depend on ``BLOCK_ENTRIES``. The
+    mirrored blocks sum over the mirrored image.
     """
     values = np.zeros(geom.size)
+    table = _projector(geom, image.nx, image.ny)
+    mirrored = _mirrored(image.values, image.nx, image.ny).ravel()  # a copy
     # reduceat over an empty segment would return the next entry instead
     # of 0, so only the rays that have entries are summed
-    for block in _projector(geom, image.nx, image.ny):
-        contrib = image.values[block.col]
-        contrib *= block.val
-        values[block.rays] = np.add.reduceat(contrib, block.offsets)
-        del contrib  # one block temporary alive at a time
+    for pixels, blocks in ((image.values, table.stored), (mirrored, table.mirrored)):
+        for block in blocks:
+            contrib = pixels[block.col]
+            contrib *= block.val
+            values[block.rays] = np.add.reduceat(contrib, block.offsets)
+            del contrib  # one block temporary alive at a time
     return SinogramGrid(geometry=geom, values=values)
+
+
+def _scatter(blocks, y, n_pix):
+    """The blocks' entries, weighted by their rays' values in ``y``, added into zeros in order.
+
+    The first block goes through ``np.bincount``, which starts from zeros,
+    and every later one through ``np.add.at`` into the same array, so each
+    pixel receives its additions in table order whatever ``BLOCK_ENTRIES``
+    is. A ``bincount`` per block followed by ``+=`` would regroup them and
+    move low bits.
+    """
+    image = np.zeros(n_pix) if not blocks else None
+    for block in blocks:
+        contrib = np.repeat(y[block.rays], block.run_lengths)
+        contrib *= block.val
+        if image is None:
+            image = np.bincount(block.col, weights=contrib, minlength=n_pix)
+        else:
+            np.add.at(image, block.col, contrib)
+        del contrib  # one block temporary alive at a time
+    return image
 
 
 def radon_adjoint(sino: SinogramGrid, nx, ny) -> ImageGrid:
@@ -366,25 +441,15 @@ def radon_adjoint(sino: SinogramGrid, nx, ny) -> ImageGrid:
 
     Spreads each ray value over its run of table entries and scatters it
     back through them; satisfies <Rx, y> = <x, R^T y> to floating-point accuracy.
-    The first block goes through ``np.bincount``, which starts from zeros,
-    and every later one through ``np.add.at`` into the same array, so each
-    pixel receives its additions in table order whatever ``BLOCK_ENTRIES``
-    is. A ``bincount`` per block followed by ``+=`` would regroup them and
-    move low bits.
+    The stored blocks scatter into the image, and the mirrored blocks into a
+    second image, which is added mirrored once at the end.
     """
     check_positive("nx", nx)
     check_positive("ny", ny)
-    values = None
-    for block in _projector(sino.geometry, nx, ny):
-        contrib = np.repeat(sino.values[block.rays], block.run_lengths)
-        contrib *= block.val
-        if values is None:
-            values = np.bincount(block.col, weights=contrib, minlength=nx * ny)
-        else:
-            np.add.at(values, block.col, contrib)
-        del contrib  # one block temporary alive at a time
-    if values is None:  # a table without entries
-        values = np.zeros(nx * ny)
+    table = _projector(sino.geometry, nx, ny)
+    values = _scatter(table.stored, sino.values, nx * ny)
+    if table.mirrored:
+        values += _mirrored(_scatter(table.mirrored, sino.values, nx * ny), nx, ny).ravel()
     return ImageGrid(nx=nx, ny=ny, values=values)
 
 
@@ -444,8 +509,11 @@ def radon_operator(geom: RadonGeometry, nx, ny) -> LinearOperator:
 def dense_matrix(geom: RadonGeometry, nx, ny):
     """Materialize the transform as a dense (M, N) array. Test-scale only."""
     mat = np.zeros((geom.size, nx * ny))
-    for block in _projector(geom, nx, ny):
-        mat[np.repeat(block.rays, block.run_lengths), block.col] = block.val
+    table = _projector(geom, nx, ny)
+    pixels = np.arange(nx * ny)
+    for cols, blocks in ((pixels, table.stored), (_mirrored(pixels, nx, ny).ravel(), table.mirrored)):
+        for block in blocks:
+            mat[np.repeat(block.rays, block.run_lengths), cols[block.col]] = block.val
     return mat
 
 

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import warnings
@@ -397,7 +399,8 @@ def test_run_sweep_gives_every_alpha_a_true_residual_verdict(monkeypatch):
 def _environment_cell(cfg, i, r):
     """A stand-in for ``_sweep_cell``: a failure naming its process and its BLAS settings."""
     blas = {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES}
-    return CellFailure(delta=cfg.deltas[i], seed=r, message=json.dumps([os.getpid(), blas]))
+    failure = CellFailure(delta=cfg.deltas[i], seed=r, message=json.dumps([os.getpid(), blas]))
+    return failure, f"cell ({i}, {r})\n"
 
 
 def _raising_cell(cfg, i, r):
@@ -434,6 +437,21 @@ def test_sweep_workers_start_with_one_blas_thread_and_the_environment_is_restore
     with pytest.raises(RuntimeError, match=r"^cell \(0, 0\) raised$"):
         run_sweep(cfg, threads=threads)
     assert dict(os.environ) == before
+
+
+@pytest.mark.parametrize("method, threads", [("nn", 1), ("tikhonov", 2)])
+def test_spawn_worker_cells_report_through_this_process_stderr(capfd, method, threads):
+    # a worker's own stderr is the inherited file descriptor 2, which a
+    # redirected sys.stderr does not see; capfd reads what reaches it
+    cfg = SweepConfig(deltas=[0.3, 0.1], realizations=2, method=method, n=8, angles=4,
+                      n_alphas=1, seed=1, nn_hidden=(6,), nn_iterations=5)
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        result = run_sweep(cfg, threads=threads)
+    assert result.failures == [] and len(result.records) == 4
+    lines = err.getvalue().splitlines()
+    assert [line.split(" s")[0].rsplit(" ", 1)[0] for line in lines] == [
+        f"cell {k} of 4: delta={delta:.6g}" for k, delta in zip(range(1, 5), [0.3, 0.3, 0.1, 0.1])]
+    assert capfd.readouterr().err == ""
 
 
 def test_serial_tikhonov_sweep_runs_its_cells_in_this_process(monkeypatch):
@@ -474,7 +492,7 @@ def test_sweep_cell_alone_gives_the_bits_of_run_sweeps_record(method, threads):
     # state that the sweep or an earlier cell left behind
     for (i, r), rec in reversed(list(zip(cells, result.records))):
         experiment.scene.cache_clear()
-        alone = experiment._sweep_cell(cfg, i, r)
+        alone, _ = experiment._sweep_cell(cfg, i, r)
         assert (alone.delta, alone.seed, alone.snr_db) == (rec.delta, rec.seed, rec.snr_db)
         assert alone.alphas.tobytes() == rec.alphas.tobytes()
         assert alone.errors.tobytes() == rec.errors.tobytes()

@@ -67,6 +67,20 @@ def reference_matrix(geom, nx, ny):
     return mat
 
 
+def direct_matrix(geom, nx, ny):
+    """R from the compile's per-angle loop run over every angle, so with no mirrored angle."""
+    mat = np.zeros((geom.size, nx * ny))
+    bins = np.arange(geom.n_bins)
+    for q, (lengths, pix, val) in enumerate(radon._angle_entries(geom, nx, ny, geom.angles)):
+        mat[q * geom.n_bins + np.repeat(bins, lengths), pix] = val
+    return mat
+
+
+def mirrored_angle(q, n_angles):
+    """Whether the table's angle q also stands for the angle n_angles - q."""
+    return (0 < q) & (2 * q < n_angles)
+
+
 def disk_image(nx, radius=0.5):
     centers = pixel_centers(nx, nx)
     inside = centers[:, 0] ** 2 + centers[:, 1] ** 2 < radius**2
@@ -248,6 +262,35 @@ def test_dense_matrix_equals_unit_vector_applies():
         assert np.array_equal(dense_matrix(geom, nx, ny), columns)
 
 
+# even and odd Q, down to Q = 1, 2 and 3; nx != ny; one bin; bins past the image
+@pytest.mark.parametrize("geom, nx, ny", [
+    (RadonGeometry.for_grid(16, 20), 16, 16),
+    (RadonGeometry.for_grid(16, 7), 16, 16),
+    (RadonGeometry.for_grid(12, 1), 12, 12),
+    (RadonGeometry.for_grid(12, 2), 12, 12),
+    (RadonGeometry.for_grid(12, 3), 12, 12),
+    (RadonGeometry.for_grid(24, 11), 24, 16),
+    (RadonGeometry.for_grid(10, 6), 10, 14),
+    (RadonGeometry(n_angles=7, n_bins=1, det_halfwidth=math.sqrt(2.0), step=2.0 / 17), 17, 17),
+    (RadonGeometry(n_angles=8, n_bins=1, det_halfwidth=math.sqrt(2.0), step=2.0 / 17), 17, 17),
+    (RadonGeometry.for_grid(12, 5, det_halfwidth=2.0), 12, 12),
+    (RadonGeometry.for_grid(12, 6, det_halfwidth=2.0), 12, 12),
+])
+def test_mirrored_operator_matches_a_direct_compile_of_every_angle(geom, nx, ny):
+    stored = (geom.n_angles // 2 + 1) * geom.n_bins
+    rays = radon._compile(geom, nx, ny)[0]
+    assert rays.size and rays[-1] < stored  # only the angles q <= Q/2 are compiled
+    direct, mat = direct_matrix(geom, nx, ny), dense_matrix(geom, nx, ny)
+    assert np.array_equal(mat[:stored], direct[:stored])
+    assert np.abs(mat - direct).max() <= 1e-14 * np.abs(direct).max()
+    op = radon_operator(geom, nx, ny)
+    x = np.random.default_rng(nx).standard_normal(nx * ny)
+    y = np.random.default_rng(ny).standard_normal(geom.size)
+    want_fwd, want_adj = direct @ x, direct.T @ y
+    assert np.abs(op.apply(x) - want_fwd).max() <= 1e-14 * np.abs(want_fwd).max()
+    assert np.abs(op.apply_adjoint(y) - want_adj).max() <= 1e-14 * np.abs(want_adj).max()
+
+
 def test_rays_without_entries_are_exactly_zero():
     # bins with |s| > sqrt(2) miss the bounding circle; at s = +-1.25 the
     # rays of angle 0 miss the image. Empty rays sit next to full ones, in
@@ -267,12 +310,23 @@ def test_rays_without_entries_are_exactly_zero():
     (RadonGeometry.for_grid(12, 5, det_halfwidth=2.0), 12),  # bins past sqrt(2) have no entries
 ])
 def test_adjoint_is_bitwise_the_row_major_scatter_of_the_dense_nonzeros(geom, nx):
-    # each nonzero R[row, col] adds y[row] * R[row, col] to pixel col, in
-    # row-major (ray, then pixel) order: the order of the table's entries
+    # each nonzero R[row, col] of a stored angle adds y[row] * R[row, col] to
+    # pixel col, in row-major (ray, then pixel) order: the order of the table's
+    # entries. Through the same entries, in the same order, a mirrored angle q
+    # adds y[ray (Q - q, p)] * R[row, col] to pixel col of a second image,
+    # which is added once, mirrored in its columns
     mat = dense_matrix(geom, nx, nx)
-    rows, cols = np.nonzero(mat)
+    n_bins, n_angles = geom.n_bins, geom.n_angles
+    stored = mat[:(n_angles // 2 + 1) * n_bins]
+    rows, cols = np.nonzero(stored)
     y = np.random.default_rng(5).standard_normal(geom.size)
-    want = np.bincount(cols, weights=y[rows] * mat[rows, cols], minlength=nx * nx)
+    want = np.bincount(cols, weights=y[rows] * stored[rows, cols], minlength=nx * nx)
+    q, p = np.divmod(rows, n_bins)
+    m = mirrored_angle(q, n_angles)
+    mirror_rows = (n_angles - q[m]) * n_bins + p[m]
+    mirrored = np.bincount(cols[m], weights=y[mirror_rows] * stored[rows[m], cols[m]],
+                           minlength=nx * nx)
+    want += mirrored.reshape(nx, nx)[:, ::-1].ravel()
     got = radon_adjoint(SinogramGrid(geometry=geom, values=y), nx, nx).values
     assert np.array_equal(got, want)
     if geom.det_halfwidth > math.sqrt(2.0):
@@ -280,19 +334,29 @@ def test_adjoint_is_bitwise_the_row_major_scatter_of_the_dense_nonzeros(geom, nx
 
 
 def table_nbytes(table):
-    """Bytes of the table's arrays; the blocks' views cover each array once."""
-    return sum(field.nbytes for block in table for field in block)
+    """Bytes of the table's arrays: the stored blocks' views cover each array once, and
+    a mirrored block adds only its rays and offsets, its entries being views of them."""
+    return (sum(field.nbytes for block in table.stored for field in block)
+            + sum(block.rays.nbytes + block.offsets.nbytes for block in table.mirrored))
 
 
 def test_cached_table_holds_two_arrays_per_entry_and_three_per_ray():
-    # col and val per entry, rays, run_lengths and offsets per ray: no
-    # per-entry row index
+    # col and val per entry, rays, run_lengths and offsets per ray, and the
+    # output ray and offset of each mirrored ray: no per-entry row index
     table = _projector(RadonGeometry.for_grid(64, 30), 64, 64)
-    entries = sum(block.col.size for block in table)
-    rays = sum(block.rays.size for block in table)
-    assert table_nbytes(table) <= 16 * entries + 24 * rays
-    for block in table:
+    entries = sum(block.col.size for block in table.stored)
+    rays = sum(block.rays.size for block in table.stored)
+    mirrored = sum(block.rays.size for block in table.mirrored)
+    assert table_nbytes(table) <= 16 * entries + 24 * rays + 16 * mirrored
+    for block in table.stored + table.mirrored:
         assert np.array_equal(block.run_lengths, np.diff(block.offsets, append=block.col.size))
+
+
+def test_table_at_128x128_50_angles_is_at_most_15_mib():
+    # it holds the angles q <= 25 of 50; all 50 took 28 MiB
+    table = _projector(RadonGeometry.for_grid(128, 50), 128, 128)
+    assert table.stored[-1].rays[-1] < 26 * 182
+    assert table_nbytes(table) <= 15 * 2**20
 
 
 def test_table_built_under_a_tracer_equals_a_plain_build():
@@ -314,13 +378,15 @@ def test_table_built_under_a_tracer_equals_a_plain_build():
 def test_cold_build_holds_one_copy_of_the_table(tmp_path, monkeypatch):
     # each angle's entries go straight into the growing table, so the build
     # peaks at the table plus one angle's working set, not at two tables;
-    # the publish that follows writes the arrays without copying them
+    # the publish that follows writes the arrays without copying them. At
+    # 128x128/50 the 14.5 MiB table peaks at 20.4 MiB; at 64x64/30 one angle's
+    # working set is too large a share of the 2.2 MiB table for this bound
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     _projector.cache_clear()
     compiles = count_compiles(monkeypatch)
     tracemalloc.start()
     try:
-        table = _projector(RadonGeometry.for_grid(64, 30), 64, 64)
+        table = _projector(RadonGeometry.for_grid(128, 50), 128, 128)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -341,16 +407,17 @@ def count_compiles(monkeypatch):
     return compiles
 
 
-def assert_same_table(blocks, expected):
-    assert len(blocks) == len(expected)
-    for block, expected_block in zip(blocks, expected):
+def assert_same_table(table, expected):
+    assert [len(blocks) for blocks in table] == [len(blocks) for blocks in expected]
+    for block, expected_block in zip(table.stored + table.mirrored,
+                                     expected.stored + expected.mirrored):
         for field, expected_field in zip(block, expected_block):
             assert field.dtype == expected_field.dtype
             assert np.array_equal(field, expected_field)
 
 
-# 32x32/20 is one block and 64x64/30 two; then a single bin, a grid with
-# nx != ny, and the geometry whose table has no entries
+# 32x32/20 and 64x64/30 angles; then a single bin, a grid with nx != ny,
+# and the geometry whose table has no entries
 CACHED_GEOMETRIES = [
     (RadonGeometry.for_grid(32, 20), 32, 32),
     (RadonGeometry.for_grid(64, 30), 64, 64),
@@ -412,6 +479,12 @@ def damage_val_not_finite(entry, other_entry, geom):
     rewrite_with_a_matching_record(entry, geom, val=val)
 
 
+def damage_ray_past_the_stored_angles(entry, other_entry, geom):
+    rays = np.load(entry / "rays.npy")
+    rays[-1] = (geom.n_angles // 2 + 1) * geom.n_bins
+    rewrite_with_a_matching_record(entry, geom, rays=rays)
+
+
 def damage_copy_other_geometry(entry, other_entry, geom):
     shutil.rmtree(entry)
     shutil.copytree(other_entry, entry)
@@ -422,7 +495,8 @@ def damage_copy_other_geometry(entry, other_entry, geom):
 # and geometry checks refuse them
 @pytest.mark.parametrize("damage", [
     damage_truncate_val, damage_flip_a_col_byte, damage_col_dtype,
-    damage_col_out_of_range, damage_val_not_finite, damage_copy_other_geometry,
+    damage_col_out_of_range, damage_val_not_finite, damage_ray_past_the_stored_angles,
+    damage_copy_other_geometry,
 ])
 def test_damaged_entry_is_compiled_and_published_again(damage, tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
@@ -519,31 +593,44 @@ def test_compiled_and_loaded_rays_and_weights_are_read_only(tmp_path, monkeypatc
     compiles = count_compiles(monkeypatch)
     for expected_compiles in (1, 1):  # compiled, then loaded
         _projector.cache_clear()
-        block = _projector(geom, 32, 32)[0]
+        table = _projector(geom, 32, 32)
         assert compiles == [expected_compiles]
-        with pytest.raises(ValueError):
-            block.rays[0] = 0
-        with pytest.raises(ValueError):
-            block.val[0] = 1.0
-        with pytest.raises(ValueError):
-            block.run_lengths[0] = 0
+        for block in (table.stored[0], table.mirrored[0]):
+            with pytest.raises(ValueError):
+                block.rays[0] = 0
+            with pytest.raises(ValueError):
+                block.val[0] = 1.0
+            with pytest.raises(ValueError):
+                block.run_lengths[0] = 0
 
 
-# 32x32/20 angles is one block, the shape of every committed table;
-# 64x64/30 angles streams in 2 blocks and 128x128/50 in 7
+def one_shot_sum_and_scatter(blocks, x, y_rays, n_pix):
+    """The blocks' ray sums of x, and their scatter of one value per ray, with no block loop."""
+    run_lengths, col, val = (np.concatenate([getattr(block, field) for block in blocks])
+                             for field in ("run_lengths", "col", "val"))
+    starts = np.cumsum(run_lengths) - run_lengths
+    return (np.add.reduceat(x[col] * val, starts),
+            np.bincount(col, weights=np.repeat(y_rays, run_lengths) * val, minlength=n_pix))
+
+
+# 32x32/20 angles is one stored and one mirrored block, the shape of every
+# committed table, and so is 64x64/30; 128x128/50 streams in four of each
 @pytest.mark.parametrize("n, n_angles", [(32, 20), (64, 30), (128, 50)])
 def test_blocked_transforms_equal_the_one_shot_formulas_bit_for_bit(n, n_angles):
     geom = RadonGeometry.for_grid(n, n_angles)
     table = _projector(geom, n, n)
-    rays, run_lengths, col, val = (
-        np.concatenate([getattr(block, field) for block in table])
-        for field in ("rays", "run_lengths", "col", "val"))
-    starts = np.cumsum(run_lengths) - run_lengths
+    rays = np.concatenate([block.rays for block in table.stored])
+    mirror_rays = np.concatenate([block.rays for block in table.mirrored])
     rng = np.random.default_rng(n)
     x, y = rng.standard_normal(n * n), rng.standard_normal(geom.size)
+    # the stored rays sum x and scatter into the image, the mirrored ones sum
+    # the mirrored x and scatter into an image that is added mirrored
     one_shot_forward = np.zeros(geom.size)
-    one_shot_forward[rays] = np.add.reduceat(x[col] * val, starts)
-    one_shot_adjoint = np.bincount(col, weights=np.repeat(y[rays], run_lengths) * val)
+    one_shot_forward[rays], one_shot_adjoint = one_shot_sum_and_scatter(
+        table.stored, x, y[rays], n * n)
+    one_shot_forward[mirror_rays], mirrored_adjoint = one_shot_sum_and_scatter(
+        table.mirrored, x.reshape(n, n)[:, ::-1].ravel(), y[mirror_rays], n * n)
+    one_shot_adjoint += mirrored_adjoint.reshape(n, n)[:, ::-1].ravel()
     forward = radon_forward(ImageGrid(nx=n, ny=n, values=x), geom).values
     adjoint = radon_adjoint(SinogramGrid(geometry=geom, values=y), n, n).values
     assert np.array_equal(forward, one_shot_forward)
@@ -557,13 +644,23 @@ def test_blocked_transforms_equal_the_one_shot_formulas_bit_for_bit(n, n_angles)
 ])
 def test_blocks_cover_the_rays_in_order_without_splitting_one(geom, nx, ny):
     table = _projector(geom, nx, ny)
-    assert len(table) == {32: 1, 64: 2, 128: 7}[nx]
+    assert [len(table.stored), len(table.mirrored)] == {32: [1, 1], 64: [1, 1], 128: [4, 4]}[nx]
     # each ray lies in one block, and the blocks hold the rays in order
-    rays = np.concatenate([block.rays for block in table])
+    rays = np.concatenate([block.rays for block in table.stored])
     assert np.all(np.diff(rays) >= 1)
-    # the blocks' entries are views that cover the whole entry array
-    assert sum(block.col.size for block in table) == table[0].col.base.size
-    for block in table:
+    # the mirrored blocks hold the rays (Q - q, p) of the stored angles
+    # 0 < q < Q/2, in the order of the stored rays (q, p), through their entries
+    q, p = np.divmod(rays, geom.n_bins)
+    mirrored = mirrored_angle(q, geom.n_angles)
+    assert np.array_equal(np.concatenate([block.rays for block in table.mirrored]),
+                          ((geom.n_angles - q) * geom.n_bins + p)[mirrored])
+    # the blocks' entries are views that cover the whole entry array, the
+    # mirrored ones a part of it
+    col = table.stored[0].col.base
+    assert sum(block.col.size for block in table.stored) == col.size
+    for block in table.mirrored:
+        assert block.col.base is col
+    for block in table.stored + table.mirrored:
         entries = block.col.size
         assert block.rays.size >= 1 and block.offsets[0] == 0
         assert block.val.size == entries == block.run_lengths.sum()
@@ -573,7 +670,7 @@ def test_blocks_cover_the_rays_in_order_without_splitting_one(geom, nx, ny):
 def test_table_without_entries_transforms_to_exact_zeros():
     # every ray of this geometry misses a 4x4 image
     geom = RadonGeometry(n_angles=2, n_bins=2, det_halfwidth=2.0, step=0.3)
-    assert _projector(geom, 4, 4) == ()
+    assert _projector(geom, 4, 4) == ((), ())
     sino = radon_forward(ImageGrid(nx=4, ny=4, values=np.ones(16)), geom)
     image = radon_adjoint(SinogramGrid(geometry=geom, values=np.ones(geom.size)), 4, 4)
     assert np.array_equal(sino.values, np.zeros(geom.size))
@@ -581,7 +678,7 @@ def test_table_without_entries_transforms_to_exact_zeros():
 
 
 def test_transforms_hold_one_block_of_float64_not_one_per_entry():
-    # one float64 per entry would be 14.6 MB at 128x128/50
+    # one float64 per entry would be 7.6 MB at 128x128/50
     geom, n = RadonGeometry.for_grid(128, 50), 128
     _projector(geom, n, n)
     x = ImageGrid(nx=n, ny=n, values=np.ones(n * n))

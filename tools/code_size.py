@@ -12,8 +12,9 @@ checkout by default):
 - settable values: the fields of every ``@dataclass`` class (its annotated
   class-level names) plus every parameter that has a default, in a ``def``
   or a ``lambda``, keyword-only ones included. ``NamedTuple`` fields are not
-  counted: the one such class, ``radon._Block``, holds a part of a compiled
-  projector table, which no caller sets (counting its five fields would add 5).
+  counted: the two such classes, ``radon._Block`` and ``radon._Table``, hold
+  parts of a compiled projector table, which no caller sets (counting their
+  seven fields would add 7).
 """
 
 import ast
