@@ -10,21 +10,32 @@ with equispaced samples in t (spacing ``step``) clipped to the bounding
 circle of the square, trapezoid end-weights, and the interpolant extended
 by zero outside [-1, 1]^2. The map is compiled once per (geometry, grid)
 into a cached sparse table: the coalesced nonzeros (col, val) of R in one
-run per ray, sorted by ray then pixel. The forward map sums each run; the
+run per ray, each run sorted by pixel. The forward map sums each run; the
 adjoint spreads each ray value over its run and scatters it through the
 same entries, so the pair is an exact transpose up to float64 summation order.
 The table is stored as its blocks of whole rays of at most ``BLOCK_ENTRIES``
 entries, which both maps loop over, so each call's temporary is one block of
 float64, not one float64 per table entry.
 
-Only the angles q <= Q/2 are compiled. The angle set {q pi / Q} is closed
-under theta -> pi - theta, and the ray (s, pi - theta) is the ray (s, theta)
-mirrored by x -> -x with t reversed; the samples in t and their trapezoid
-weights are symmetric about t = 0, and the pixel centres about x = 0. So
-angle Q - q has the entries of angle q with each pixel column i taken to
-nx - 1 - i, and the table applies the angles 0 < q < Q/2 a second time, to
-the image mirrored in its columns, for the angles Q - q. That halves the
-table; the mirrored rays match a direct compile to rounding.
+Only the angles q <= Q/2, and of them only the bins p <= P - 1 - p, are
+compiled. Two symmetries give the rest of the table, for every geometry:
+
+- The angle set {q pi / Q} is closed under theta -> pi - theta, and the ray
+  (s, pi - theta) is the ray (s, theta) mirrored by x -> -x with t reversed;
+  the samples in t and their trapezoid weights are symmetric about t = 0,
+  and the pixel centres about x = 0. So angle Q - q has the entries of angle
+  q with each pixel column i taken to nx - 1 - i.
+- The point reflection (x, y) -> (-x, -y) takes the ray (s, theta) to the
+  ray (-s, theta) with t reversed, and the offsets are symmetric about
+  s = 0. So bin P - 1 - p has the entries of bin p with each pixel k taken
+  to nx * ny - 1 - k.
+
+So the table applies its rays to four images: the image itself; its point
+reflection ``x[::-1, ::-1]``, for the rays (q, P - 1 - p); its column mirror
+``x[:, ::-1]``, for the rays (Q - q, p); and its row mirror ``x[::-1, :]``,
+for the rays (Q - q, P - 1 - p). The angles 0 < q < Q/2 are mirrored, the
+bins p < P - 1 - p reflected. That quarters the table; the rays applied
+through a transformed image match a direct compile to rounding.
 
 Each compiled table is also cached in ``$XDG_CACHE_HOME/compact-tik/`` (see
 :func:`_cached_table`), so a new process loads it instead of compiling it again;
@@ -149,7 +160,7 @@ class SinogramGrid:
 
 
 class _Block(NamedTuple):
-    """Whole rays of the table and their entries (col, val), sorted by ray then pixel.
+    """Whole rays of the table and their entries (col, val), ray by ray, each ray's sorted by pixel.
 
     ``offsets`` holds each ray's first entry, relative to the block, so a
     segmented sum over it gives R x on ``rays``. Indices are intp, which
@@ -163,31 +174,67 @@ class _Block(NamedTuple):
     val: np.ndarray
 
 
-class _Table(NamedTuple):
-    """The table's blocks: ``stored`` apply to the image, ``mirrored`` to the mirrored image.
+class _Group(NamedTuple):
+    """Blocks of rays applied to the image under ``flip``.
 
-    A mirrored block holds the entries of stored angles 0 < q < Q/2, as views,
-    and the rays (Q - q) * n_bins + p they stand for.
+    ``flip`` indexes the image's (ny, nx) array: the identity, the point
+    reflection, the column mirror or the row mirror, each its own inverse.
+    A block's rays are the rays it stands for; its entries are those of the
+    stored rays it is compiled from, as views.
     """
 
-    stored: tuple[_Block, ...]
-    mirrored: tuple[_Block, ...]
+    flip: tuple
+    blocks: tuple[_Block, ...]
+
+
+# each image transform of the table, the parts [first, last) of the table
+# whose rays it applies (see _parts), and whether it takes a stored ray
+# (q, p) to the angle Q - q and to the bin P - 1 - p
+_GROUPS = (
+    (np.s_[:, :], 0, 4, False, False),
+    (np.s_[::-1, ::-1], 0, 2, False, True),
+    (np.s_[:, ::-1], 1, 3, True, False),
+    (np.s_[::-1, :], 1, 2, True, True),
+)
+
+
+def _parts(geom: RadonGeometry):
+    """The table's four parts, in table order, each as the (angles, bins) of its stored rays.
+
+    The end angles are q = 0, and Q/2 when Q is even; the inner angles
+    0 < q < Q/2 are mirrored. The paired bins p < P - 1 - p are reflected;
+    the centre bin (odd P only) is its own reflection. The parts are: end
+    angles at paired bins, inner angles at paired bins, inner angles at the
+    centre bin, end angles at the centre bin. So each image's rays in
+    ``_GROUPS`` are one contiguous slice of the table.
+    """
+    n_angles, n_bins = geom.n_angles, geom.n_bins
+    ends = np.array([0, n_angles // 2] if n_angles % 2 == 0 else [0])
+    inner = np.arange(1, (n_angles + 1) // 2)
+    paired, centre = np.arange(n_bins // 2), np.arange(n_bins // 2, (n_bins + 1) // 2)
+    return ((ends, paired), (inner, paired), (inner, centre), (ends, centre))
+
+
+def _part_rays(geom: RadonGeometry):
+    """Each part's stored rays q * n_bins + p, in table order."""
+    return [(angles[:, None] * geom.n_bins + bins).ravel() for angles, bins in _parts(geom)]
 
 
 def _compile(geom: RadonGeometry, nx: int, ny: int):
-    """Compile the angles q <= Q/2 of the transform into its flat coalesced sparse table.
+    """Compile the stored rays of the transform into its flat coalesced sparse table.
 
-    Returns ``(rays, run_lengths, col, val)``: the rays with entries in
-    order, each one's entry count, and the entries sorted by ray then pixel.
-    The angles q > Q/2 are the mirrors of stored ones (see the module
-    docstring), so every ray index is below (Q // 2 + 1) * n_bins.
+    Returns ``(rays, run_lengths, col, val)``: the rays with entries, in the
+    order of :func:`_parts`, each one's entry count, and the entries, ray by
+    ray, each ray's sorted by pixel. Only the bins p <= P - 1 - p of the
+    angles q <= Q/2 are stored; the others are their mirrors and reflections
+    (see the module docstring). Their samples are never generated.
 
     Each angle's merged entries are written straight into the growing
     ``col`` and ``val``, so the build holds one copy of the table plus one
-    angle's working set: a tracemalloc peak of 20 MiB for the 14.5 MiB table
-    at 128x128/50 angles.
+    angle's working set: a tracemalloc peak of 10.6 MiB for the 7.3 MiB
+    table at 128x128/50 angles.
     """
-    stored = geom.n_angles // 2 + 1
+    n_bins = geom.n_bins
     # the table grows in place, one angle's entries at a time. resize goes
     # through realloc, which moves a large mmapped block by remapping it, so
     # the filled part is not copied. A resize would leave a live view of col
@@ -196,22 +243,25 @@ def _compile(geom: RadonGeometry, nx: int, ny: int):
     # (sys.settrace, cProfile) holds this frame's locals
     col = np.empty(0, dtype=np.intp)
     val = np.empty(0)
-    lengths = np.zeros((stored, geom.n_bins), dtype=np.intp)  # entries of each ray
-    for q, (ray_lengths, pix, weights) in enumerate(
-            _angle_entries(geom, nx, ny, geom.angles[:stored])):
-        lengths[q] = ray_lengths
-        n = col.size
-        col.resize(n + pix.size, refcheck=False)
-        val.resize(n + pix.size, refcheck=False)
-        col[n:] = pix
-        val[n:] = weights
+    lengths = np.zeros((geom.n_angles // 2 + 1) * n_bins, dtype=np.intp)  # entries of each ray
+    for angles, bins in _parts(geom):
+        for q, (ray_lengths, pix, weights) in zip(
+                angles, _angle_entries(geom, nx, ny, geom.angles[angles], bins)):
+            lengths[q * n_bins + bins] = ray_lengths[bins]
+            n = col.size
+            col.resize(n + pix.size, refcheck=False)
+            val.resize(n + pix.size, refcheck=False)
+            col[n:] = pix
+            val[n:] = weights
 
-    rays = np.flatnonzero(lengths)
-    return rays, lengths.ravel()[rays], col, val
+    order = np.concatenate(_part_rays(geom))
+    rays = order[lengths[order] > 0]
+    return rays, lengths[rays], col, val
 
 
-def _angle_entries(geom: RadonGeometry, nx: int, ny: int, thetas):
-    """Yield, for each angle of ``thetas``, its rays' entry counts and its entries (pix, val).
+def _angle_entries(geom: RadonGeometry, nx: int, ny: int, thetas, bins):
+    """Yield, for each angle of ``thetas``, its rays' entry counts and its entries (pix, val),
+    on the ascending bins ``bins`` only.
 
     Each ray sample contributes a 4-point bilinear stencil scaled by its
     trapezoid weight. Stencil points outside the image and zero weights are
@@ -238,8 +288,10 @@ def _angle_entries(geom: RadonGeometry, nx: int, ny: int, thetas):
     ray_w[rows, first[rows]] *= 0.5
     ray_w[rows, last[rows]] *= 0.5
 
-    # only samples with positive weight can contribute; bin-major, t minor
-    s_bin, s_k = np.nonzero(ray_w)
+    # only samples of the given bins with positive weight can contribute;
+    # bin-major, t minor
+    s_bin, s_k = np.nonzero(ray_w[bins])
+    s_bin = bins[s_bin]
     s_off, s_t, s_w = offsets[s_bin], t[s_k], ray_w[s_bin, s_k]
     s_key = s_bin * n_pix
     corner = np.array([0, 1, nx, nx + 1])
@@ -300,11 +352,11 @@ def _load(entry, geom, nx, ny):
     *table, record = [np.load(os.path.join(entry, f"{name}.npy"), allow_pickle=False)
                       for name in [*TABLE_DTYPES, "check"]]
     rays, run_lengths, col, val = table
+    layout = np.concatenate(_part_rays(geom))
     ok = ([(a.dtype, a.ndim) for a in table] == [(np.dtype(t), 1) for t in TABLE_DTYPES.values()]
           and np.array_equal(record, _check_record(geom, nx, ny, table))
-          and rays.size == run_lengths.size and np.all(np.diff(rays) > 0)
-          and (rays.size == 0 or 0 <= rays[0]
-               and rays[-1] < (geom.n_angles // 2 + 1) * geom.n_bins)
+          and rays.size == run_lengths.size
+          and np.array_equal(rays, layout[np.isin(layout, rays)])  # stored rays in table order
           and np.all(run_lengths >= 1) and run_lengths.sum() == col.size == val.size
           and (col.size == 0 or 0 <= col.min() and col.max() < nx * ny) and np.isfinite(val).all())
     return tuple(table) if ok else None
@@ -375,44 +427,52 @@ def _blocks(rays, run_lengths, col, val):
 
 
 @functools.lru_cache(maxsize=CACHE_ENTRIES)
-def _projector(geom: RadonGeometry, nx: int, ny: int) -> _Table:
-    """The table as its stored and mirrored blocks, each in ray order."""
+def _projector(geom: RadonGeometry, nx: int, ny: int) -> tuple[_Group, ...]:
+    """The table as its groups: each image of ``_GROUPS`` that serves a ray, and its blocks."""
     rays, run_lengths, col, val = _cached_table(geom, nx, ny)
-    # the rays of the mirrored angles 0 < q < Q/2 are rays[m0:m1], their entries col[e0:e1]
-    n_bins = geom.n_bins
-    m0, m1 = np.searchsorted(rays, [n_bins, (geom.n_angles + 1) // 2 * n_bins])
-    e0, e1 = run_lengths[:m0].sum(), run_lengths[:m1].sum()
-    angle, bin_ = np.divmod(rays[m0:m1], n_bins)
-    mirror_rays = (geom.n_angles - angle) * n_bins + bin_
-    mirror_rays.flags.writeable = False  # as the stored rays are
-    return _Table(stored=_blocks(rays, run_lengths, col, val),
-                  mirrored=_blocks(mirror_rays, run_lengths[m0:m1], col[e0:e1], val[e0:e1]))
+    # the rays of the parts [first, last) are rays[bounds[first]:bounds[last]]
+    bounds = np.cumsum([0] + [np.isin(part, rays).sum() for part in _part_rays(geom)])
+    entry_bounds = np.concatenate([[0], np.cumsum(run_lengths)])[bounds]
+    groups = []
+    for flip, first, last, mirror_angle, reflect_bin in _GROUPS:
+        a, b = bounds[first], bounds[last]
+        if a == b:
+            continue
+        out = rays[a:b]
+        if mirror_angle or reflect_bin:
+            q, p = np.divmod(out, geom.n_bins)
+            out = ((geom.n_angles - q if mirror_angle else q) * geom.n_bins
+                   + (geom.n_bins - 1 - p if reflect_bin else p))
+            out.flags.writeable = False  # as the stored rays are
+        e0, e1 = entry_bounds[first], entry_bounds[last]
+        groups.append(_Group(flip, _blocks(out, run_lengths[a:b], col[e0:e1], val[e0:e1])))
+    return tuple(groups)
 
 
-def _mirrored(values, nx, ny):
-    """The image's pixel values mirrored in its columns, x -> -x, as a view."""
-    return values.reshape(ny, nx)[:, ::-1]
-
-
-def radon_forward(image: ImageGrid, geom: RadonGeometry) -> SinogramGrid:
-    """Apply the discrete Radon transform to an image.
+def _forward(x, geom, nx, ny):
+    """R x on flat pixel values, as flat ray values.
 
     Each ray's run is summed by one ``np.add.reduceat`` segment, whichever
-    block holds it, so the result does not depend on ``BLOCK_ENTRIES``. The
-    mirrored blocks sum over the mirrored image.
+    block holds it, so the result does not depend on ``BLOCK_ENTRIES``. Each
+    group's blocks sum over one copy of its transformed image.
     """
     values = np.zeros(geom.size)
-    table = _projector(geom, image.nx, image.ny)
-    mirrored = _mirrored(image.values, image.nx, image.ny).ravel()  # a copy
-    # reduceat over an empty segment would return the next entry instead
-    # of 0, so only the rays that have entries are summed
-    for pixels, blocks in ((image.values, table.stored), (mirrored, table.mirrored)):
+    image = np.asarray(x, dtype=np.float64).reshape(ny, nx)
+    for flip, blocks in _projector(geom, nx, ny):
+        pixels = image[flip].ravel()  # a copy, but for the identity
+        # reduceat over an empty segment would return the next entry instead
+        # of 0, so only the rays that have entries are summed
         for block in blocks:
             contrib = pixels[block.col]
             contrib *= block.val
             values[block.rays] = np.add.reduceat(contrib, block.offsets)
             del contrib  # one block temporary alive at a time
-    return SinogramGrid(geometry=geom, values=values)
+    return values
+
+
+def radon_forward(image: ImageGrid, geom: RadonGeometry) -> SinogramGrid:
+    """Apply the discrete Radon transform to an image."""
+    return SinogramGrid(geometry=geom, values=_forward(image.values, geom, image.nx, image.ny))
 
 
 def _scatter(blocks, y, n_pix):
@@ -424,7 +484,7 @@ def _scatter(blocks, y, n_pix):
     is. A ``bincount`` per block followed by ``+=`` would regroup them and
     move low bits.
     """
-    image = np.zeros(n_pix) if not blocks else None
+    image = None
     for block in blocks:
         contrib = np.repeat(y[block.rays], block.run_lengths)
         contrib *= block.val
@@ -436,21 +496,28 @@ def _scatter(blocks, y, n_pix):
     return image
 
 
+def _adjoint(y, geom, nx, ny):
+    """R^T y on flat ray values, as flat pixel values.
+
+    Each group's blocks scatter into an image of their own, which is added,
+    transformed back, into the result, in the order of the groups.
+    """
+    y = np.asarray(y, dtype=np.float64).reshape(geom.size)
+    image = np.zeros((ny, nx))
+    for flip, blocks in _projector(geom, nx, ny):
+        image[flip] += _scatter(blocks, y, nx * ny).reshape(ny, nx)
+    return image.ravel()
+
+
 def radon_adjoint(sino: SinogramGrid, nx, ny) -> ImageGrid:
     """Apply the exact transpose of :func:`radon_forward`.
 
     Spreads each ray value over its run of table entries and scatters it
     back through them; satisfies <Rx, y> = <x, R^T y> to floating-point accuracy.
-    The stored blocks scatter into the image, and the mirrored blocks into a
-    second image, which is added mirrored once at the end.
     """
     check_positive("nx", nx)
     check_positive("ny", ny)
-    table = _projector(sino.geometry, nx, ny)
-    values = _scatter(table.stored, sino.values, nx * ny)
-    if table.mirrored:
-        values += _mirrored(_scatter(table.mirrored, sino.values, nx * ny), nx, ny).ravel()
-    return ImageGrid(nx=nx, ny=ny, values=values)
+    return ImageGrid(nx=nx, ny=ny, values=_adjoint(sino.values, sino.geometry, nx, ny))
 
 
 @functools.lru_cache(maxsize=8)
@@ -485,14 +552,17 @@ def radon_operator(geom: RadonGeometry, nx, ny) -> LinearOperator:
     Its ``normal_preconditioner`` divides by the cached symbol of
     :func:`_normal_symbol` plus alpha, on the zero-padded image; the symbol
     is built on the first call, so an operator that is never preconditioned
-    never pays for it.
+    never pays for it. ``apply`` and ``apply_adjoint`` work on the flat
+    arrays, without an ``ImageGrid`` or ``SinogramGrid`` per call.
     """
+    check_positive("nx", nx)
+    check_positive("ny", ny)
 
     def apply(x):
-        return radon_forward(ImageGrid(nx=nx, ny=ny, values=x), geom).values
+        return _forward(x, geom, nx, ny)
 
     def apply_adjoint(y):
-        return radon_adjoint(SinogramGrid(geometry=geom, values=y), nx, ny).values
+        return _adjoint(y, geom, nx, ny)
 
     def normal_preconditioner(v, alpha):
         shape = (2 * ny, 2 * nx)
@@ -509,9 +579,9 @@ def radon_operator(geom: RadonGeometry, nx, ny) -> LinearOperator:
 def dense_matrix(geom: RadonGeometry, nx, ny):
     """Materialize the transform as a dense (M, N) array. Test-scale only."""
     mat = np.zeros((geom.size, nx * ny))
-    table = _projector(geom, nx, ny)
-    pixels = np.arange(nx * ny)
-    for cols, blocks in ((pixels, table.stored), (_mirrored(pixels, nx, ny).ravel(), table.mirrored)):
+    pixels = np.arange(nx * ny).reshape(ny, nx)
+    for flip, blocks in _projector(geom, nx, ny):
+        cols = pixels[flip].ravel()
         for block in blocks:
             mat[np.repeat(block.rays, block.run_lengths), cols[block.col]] = block.val
     return mat

@@ -68,17 +68,47 @@ def reference_matrix(geom, nx, ny):
 
 
 def direct_matrix(geom, nx, ny):
-    """R from the compile's per-angle loop run over every angle, so with no mirrored angle."""
+    """R from the compile's per-angle loop run over every angle and bin, so with no
+    mirrored angle and no reflected bin."""
     mat = np.zeros((geom.size, nx * ny))
     bins = np.arange(geom.n_bins)
-    for q, (lengths, pix, val) in enumerate(radon._angle_entries(geom, nx, ny, geom.angles)):
+    for q, (lengths, pix, val) in enumerate(radon._angle_entries(geom, nx, ny, geom.angles, bins)):
         mat[q * geom.n_bins + np.repeat(bins, lengths), pix] = val
     return mat
 
 
-def mirrored_angle(q, n_angles):
-    """Whether the table's angle q also stands for the angle n_angles - q."""
-    return (0 < q) & (2 * q < n_angles)
+def table_parts(geom):
+    """The rows of the table's four parts, in table order, each angle-major: the end angles
+    (0, and Q/2 for even Q) at the paired bins p < P - 1 - p, the inner angles 0 < q < Q/2
+    at the paired bins, the inner angles at the centre bin (odd P), the end angles there."""
+    n_angles, n_bins = geom.n_angles, geom.n_bins
+    ends = [0, n_angles // 2] if n_angles % 2 == 0 else [0]
+    inner = range(1, (n_angles + 1) // 2)
+    paired, centre = range(n_bins // 2), range(n_bins // 2, (n_bins + 1) // 2)
+    return [np.array([q * n_bins + p for q in angles for p in bins], dtype=np.intp)
+            for angles, bins in [(ends, paired), (inner, paired), (inner, centre), (ends, centre)]]
+
+
+# each image the table applies rays to, the parts of the table it applies, and
+# the ray (q or Q - q, p or P - 1 - p) that the stored ray (q, p) stands for there
+IMAGES = [
+    (np.s_[:, :], slice(0, 4), lambda q, p, n_angles, n_bins: q * n_bins + p),
+    (np.s_[::-1, ::-1], slice(0, 2), lambda q, p, n_angles, n_bins: q * n_bins + n_bins - 1 - p),
+    (np.s_[:, ::-1], slice(1, 3), lambda q, p, n_angles, n_bins: (n_angles - q) * n_bins + p),
+    (np.s_[::-1, :], slice(1, 2),
+     lambda q, p, n_angles, n_bins: (n_angles - q) * n_bins + n_bins - 1 - p),
+]
+
+
+def image_rays(geom):
+    """Per image of IMAGES: its flip, the stored rows it applies, and the rays they stand for."""
+    parts = table_parts(geom)
+    images = []
+    for flip, applied, ray in IMAGES:
+        rows = np.concatenate(parts[applied])
+        q, p = np.divmod(rows, geom.n_bins)
+        images.append((flip, rows, ray(q, p, geom.n_angles, geom.n_bins)))
+    return images
 
 
 def disk_image(nx, radius=0.5):
@@ -275,13 +305,16 @@ def test_dense_matrix_equals_unit_vector_applies():
     (RadonGeometry(n_angles=8, n_bins=1, det_halfwidth=math.sqrt(2.0), step=2.0 / 17), 17, 17),
     (RadonGeometry.for_grid(12, 5, det_halfwidth=2.0), 12, 12),
     (RadonGeometry.for_grid(12, 6, det_halfwidth=2.0), 12, 12),
+    # two bins, both paired, on odd nx != ny
+    (RadonGeometry(n_angles=4, n_bins=2, det_halfwidth=0.5, step=2.0 / 9), 9, 7),
 ])
 def test_mirrored_operator_matches_a_direct_compile_of_every_angle(geom, nx, ny):
-    stored = (geom.n_angles // 2 + 1) * geom.n_bins
-    rays = radon._compile(geom, nx, ny)[0]
-    assert rays.size and rays[-1] < stored  # only the angles q <= Q/2 are compiled
+    # only the bins p <= P - 1 - p of the angles q <= Q/2 are compiled
+    q, p = np.divmod(radon._compile(geom, nx, ny)[0], geom.n_bins)
+    assert q.size and q.max() <= geom.n_angles // 2 and np.all(p <= geom.n_bins - 1 - p)
     direct, mat = direct_matrix(geom, nx, ny), dense_matrix(geom, nx, ny)
-    assert np.array_equal(mat[:stored], direct[:stored])
+    stored = np.concatenate(table_parts(geom))  # the identity's rows
+    assert np.array_equal(mat[stored], direct[stored])
     assert np.abs(mat - direct).max() <= 1e-14 * np.abs(direct).max()
     op = radon_operator(geom, nx, ny)
     x = np.random.default_rng(nx).standard_normal(nx * ny)
@@ -310,53 +343,57 @@ def test_rays_without_entries_are_exactly_zero():
     (RadonGeometry.for_grid(12, 5, det_halfwidth=2.0), 12),  # bins past sqrt(2) have no entries
 ])
 def test_adjoint_is_bitwise_the_row_major_scatter_of_the_dense_nonzeros(geom, nx):
-    # each nonzero R[row, col] of a stored angle adds y[row] * R[row, col] to
-    # pixel col, in row-major (ray, then pixel) order: the order of the table's
-    # entries. Through the same entries, in the same order, a mirrored angle q
-    # adds y[ray (Q - q, p)] * R[row, col] to pixel col of a second image,
-    # which is added once, mirrored in its columns
+    # for each of the four images, each nonzero R[row, col] of a stored row it
+    # applies adds y[ray] * R[row, col] to pixel col of an image of its own,
+    # where ray is the ray the row stands for there, in row-major order part
+    # by part: the order of the table's entries. The four images are added
+    # into zeros, each transformed back, in the order of IMAGES
     mat = dense_matrix(geom, nx, nx)
-    n_bins, n_angles = geom.n_bins, geom.n_angles
-    stored = mat[:(n_angles // 2 + 1) * n_bins]
-    rows, cols = np.nonzero(stored)
     y = np.random.default_rng(5).standard_normal(geom.size)
-    want = np.bincount(cols, weights=y[rows] * stored[rows, cols], minlength=nx * nx)
-    q, p = np.divmod(rows, n_bins)
-    m = mirrored_angle(q, n_angles)
-    mirror_rows = (n_angles - q[m]) * n_bins + p[m]
-    mirrored = np.bincount(cols[m], weights=y[mirror_rows] * stored[rows[m], cols[m]],
-                           minlength=nx * nx)
-    want += mirrored.reshape(nx, nx)[:, ::-1].ravel()
+    want = np.zeros((nx, nx))
+    for flip, rows, rays in image_rays(geom):
+        r, cols = np.nonzero(mat[rows])
+        want[flip] += np.bincount(cols, weights=y[rays[r]] * mat[rows[r], cols],
+                                  minlength=nx * nx).reshape(nx, nx)
     got = radon_adjoint(SinogramGrid(geometry=geom, values=y), nx, nx).values
-    assert np.array_equal(got, want)
+    assert np.array_equal(got, want.ravel())
     if geom.det_halfwidth > math.sqrt(2.0):
         assert not mat.any(axis=1).all()
 
 
 def table_nbytes(table):
-    """Bytes of the table's arrays: the stored blocks' views cover each array once, and
-    a mirrored block adds only its rays and offsets, its entries being views of them."""
-    return (sum(field.nbytes for block in table.stored for field in block)
-            + sum(block.rays.nbytes + block.offsets.nbytes for block in table.mirrored))
+    """Bytes of the table's arrays: the identity's block views cover each array once, and
+    another image's block adds only its rays and offsets, its entries being views of them."""
+    identity, *others = table
+    return (sum(field.nbytes for block in identity.blocks for field in block)
+            + sum(block.rays.nbytes + block.offsets.nbytes
+                  for group in others for block in group.blocks))
+
+
+def all_blocks(table):
+    return [block for group in table for block in group.blocks]
 
 
 def test_cached_table_holds_two_arrays_per_entry_and_three_per_ray():
     # col and val per entry, rays, run_lengths and offsets per ray, and the
-    # output ray and offset of each mirrored ray: no per-entry row index
-    table = _projector(RadonGeometry.for_grid(64, 30), 64, 64)
-    entries = sum(block.col.size for block in table.stored)
-    rays = sum(block.rays.size for block in table.stored)
-    mirrored = sum(block.rays.size for block in table.mirrored)
-    assert table_nbytes(table) <= 16 * entries + 24 * rays + 16 * mirrored
-    for block in table.stored + table.mirrored:
+    # output ray and offset of each ray applied to another image: no
+    # per-entry row index
+    identity, *others = table = _projector(RadonGeometry.for_grid(64, 30), 64, 64)
+    entries = sum(block.col.size for block in identity.blocks)
+    rays = sum(block.rays.size for block in identity.blocks)
+    transformed = sum(block.rays.size for group in others for block in group.blocks)
+    assert table_nbytes(table) <= 16 * entries + 24 * rays + 16 * transformed
+    for block in all_blocks(table):
         assert np.array_equal(block.run_lengths, np.diff(block.offsets, append=block.col.size))
 
 
-def test_table_at_128x128_50_angles_is_at_most_15_mib():
-    # it holds the angles q <= 25 of 50; all 50 took 28 MiB
+def test_table_at_128x128_50_angles_is_at_most_8_mib():
+    # it holds the bins p <= 90 of 182 of the angles q <= 25 of 50; all 50
+    # angles took 28 MiB, and all their bins of the angles q <= 25 14.5 MiB
     table = _projector(RadonGeometry.for_grid(128, 50), 128, 128)
-    assert table.stored[-1].rays[-1] < 26 * 182
-    assert table_nbytes(table) <= 15 * 2**20
+    q, p = np.divmod(np.concatenate([block.rays for block in table[0].blocks]), 182)
+    assert q.max() <= 25 and p.max() <= 90
+    assert table_nbytes(table) <= 8 * 2**20
 
 
 def test_table_built_under_a_tracer_equals_a_plain_build():
@@ -379,8 +416,8 @@ def test_cold_build_holds_one_copy_of_the_table(tmp_path, monkeypatch):
     # each angle's entries go straight into the growing table, so the build
     # peaks at the table plus one angle's working set, not at two tables;
     # the publish that follows writes the arrays without copying them. At
-    # 128x128/50 the 14.5 MiB table peaks at 20.4 MiB; at 64x64/30 one angle's
-    # working set is too large a share of the 2.2 MiB table for this bound
+    # 128x128/50 the 7.3 MiB table peaks at 10.6 MiB; at 64x64/30 one angle's
+    # working set is too large a share of the 1.2 MiB table for this bound
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     _projector.cache_clear()
     compiles = count_compiles(monkeypatch)
@@ -408,9 +445,9 @@ def count_compiles(monkeypatch):
 
 
 def assert_same_table(table, expected):
-    assert [len(blocks) for blocks in table] == [len(blocks) for blocks in expected]
-    for block, expected_block in zip(table.stored + table.mirrored,
-                                     expected.stored + expected.mirrored):
+    assert ([(group.flip, len(group.blocks)) for group in table]
+            == [(group.flip, len(group.blocks)) for group in expected])
+    for block, expected_block in zip(all_blocks(table), all_blocks(expected)):
         for field, expected_field in zip(block, expected_block):
             assert field.dtype == expected_field.dtype
             assert np.array_equal(field, expected_field)
@@ -485,6 +522,16 @@ def damage_ray_past_the_stored_angles(entry, other_entry, geom):
     rewrite_with_a_matching_record(entry, geom, rays=rays)
 
 
+def damage_ray_in_a_reflected_bin(entry, other_entry, geom):
+    # the last ray (q, p) becomes (q, P - 1 - p): in range and in ray order,
+    # but a bin that the table reflects, not one that it stores
+    rays = np.load(entry / "rays.npy")
+    q, p = divmod(int(rays[-1]), geom.n_bins)
+    assert p < geom.n_bins - 1 - p
+    rays[-1] = q * geom.n_bins + geom.n_bins - 1 - p
+    rewrite_with_a_matching_record(entry, geom, rays=rays)
+
+
 def damage_copy_other_geometry(entry, other_entry, geom):
     shutil.rmtree(entry)
     shutil.copytree(other_entry, entry)
@@ -496,7 +543,7 @@ def damage_copy_other_geometry(entry, other_entry, geom):
 @pytest.mark.parametrize("damage", [
     damage_truncate_val, damage_flip_a_col_byte, damage_col_dtype,
     damage_col_out_of_range, damage_val_not_finite, damage_ray_past_the_stored_angles,
-    damage_copy_other_geometry,
+    damage_ray_in_a_reflected_bin, damage_copy_other_geometry,
 ])
 def test_damaged_entry_is_compiled_and_published_again(damage, tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
@@ -595,7 +642,7 @@ def test_compiled_and_loaded_rays_and_weights_are_read_only(tmp_path, monkeypatc
         _projector.cache_clear()
         table = _projector(geom, 32, 32)
         assert compiles == [expected_compiles]
-        for block in (table.stored[0], table.mirrored[0]):
+        for block in (group.blocks[0] for group in table):
             with pytest.raises(ValueError):
                 block.rays[0] = 0
             with pytest.raises(ValueError):
@@ -613,28 +660,26 @@ def one_shot_sum_and_scatter(blocks, x, y_rays, n_pix):
             np.bincount(col, weights=np.repeat(y_rays, run_lengths) * val, minlength=n_pix))
 
 
-# 32x32/20 angles is one stored and one mirrored block, the shape of every
-# committed table, and so is 64x64/30; 128x128/50 streams in four of each
+# 32x32/20 angles is one block per image, the shape of every committed
+# table, and so is 64x64/30; 128x128/50 streams in two for three of the images
 @pytest.mark.parametrize("n, n_angles", [(32, 20), (64, 30), (128, 50)])
 def test_blocked_transforms_equal_the_one_shot_formulas_bit_for_bit(n, n_angles):
     geom = RadonGeometry.for_grid(n, n_angles)
     table = _projector(geom, n, n)
-    rays = np.concatenate([block.rays for block in table.stored])
-    mirror_rays = np.concatenate([block.rays for block in table.mirrored])
     rng = np.random.default_rng(n)
     x, y = rng.standard_normal(n * n), rng.standard_normal(geom.size)
-    # the stored rays sum x and scatter into the image, the mirrored ones sum
-    # the mirrored x and scatter into an image that is added mirrored
-    one_shot_forward = np.zeros(geom.size)
-    one_shot_forward[rays], one_shot_adjoint = one_shot_sum_and_scatter(
-        table.stored, x, y[rays], n * n)
-    one_shot_forward[mirror_rays], mirrored_adjoint = one_shot_sum_and_scatter(
-        table.mirrored, x.reshape(n, n)[:, ::-1].ravel(), y[mirror_rays], n * n)
-    one_shot_adjoint += mirrored_adjoint.reshape(n, n)[:, ::-1].ravel()
+    # each image's rays sum its transformed x and scatter into an image of
+    # their own, which is added transformed back
+    one_shot_forward, one_shot_adjoint = np.zeros(geom.size), np.zeros((n, n))
+    for flip, blocks in table:
+        rays = np.concatenate([block.rays for block in blocks])
+        one_shot_forward[rays], scattered = one_shot_sum_and_scatter(
+            blocks, x.reshape(n, n)[flip].ravel(), y[rays], n * n)
+        one_shot_adjoint[flip] += scattered.reshape(n, n)
     forward = radon_forward(ImageGrid(nx=n, ny=n, values=x), geom).values
     adjoint = radon_adjoint(SinogramGrid(geometry=geom, values=y), n, n).values
     assert np.array_equal(forward, one_shot_forward)
-    assert np.array_equal(adjoint, one_shot_adjoint)
+    assert np.array_equal(adjoint, one_shot_adjoint.ravel())
 
 
 @pytest.mark.parametrize("geom, nx, ny", [
@@ -644,23 +689,23 @@ def test_blocked_transforms_equal_the_one_shot_formulas_bit_for_bit(n, n_angles)
 ])
 def test_blocks_cover_the_rays_in_order_without_splitting_one(geom, nx, ny):
     table = _projector(geom, nx, ny)
-    assert [len(table.stored), len(table.mirrored)] == {32: [1, 1], 64: [1, 1], 128: [4, 4]}[nx]
-    # each ray lies in one block, and the blocks hold the rays in order
-    rays = np.concatenate([block.rays for block in table.stored])
-    assert np.all(np.diff(rays) >= 1)
-    # the mirrored blocks hold the rays (Q - q, p) of the stored angles
-    # 0 < q < Q/2, in the order of the stored rays (q, p), through their entries
-    q, p = np.divmod(rays, geom.n_bins)
-    mirrored = mirrored_angle(q, geom.n_angles)
-    assert np.array_equal(np.concatenate([block.rays for block in table.mirrored]),
-                          ((geom.n_angles - q) * geom.n_bins + p)[mirrored])
-    # the blocks' entries are views that cover the whole entry array, the
-    # mirrored ones a part of it
-    col = table.stored[0].col.base
-    assert sum(block.col.size for block in table.stored) == col.size
-    for block in table.mirrored:
+    assert ([len(group.blocks) for group in table]
+            == {32: [1, 1, 1, 1], 64: [1, 1, 1, 1], 128: [2, 2, 2, 2]}[nx])
+    # each ray lies in one block. The identity's blocks hold the stored rays
+    # with entries, in table order; each other image's blocks hold the rays
+    # that those of its parts stand for, in the same order, through their entries
+    identity = np.concatenate([block.rays for block in table[0].blocks])
+    assert len(table) == len(IMAGES)
+    for group, (flip, rows, rays) in zip(table, image_rays(geom)):
+        assert group.flip == flip
+        assert np.array_equal(np.concatenate([block.rays for block in group.blocks]),
+                              rays[np.isin(rows, identity)])
+    # the blocks' entries are views; the identity's cover the whole entry
+    # array, the other images' a part of it
+    col = table[0].blocks[0].col.base
+    assert sum(block.col.size for block in table[0].blocks) == col.size
+    for block in all_blocks(table):
         assert block.col.base is col
-    for block in table.stored + table.mirrored:
         entries = block.col.size
         assert block.rays.size >= 1 and block.offsets[0] == 0
         assert block.val.size == entries == block.run_lengths.sum()
@@ -670,7 +715,7 @@ def test_blocks_cover_the_rays_in_order_without_splitting_one(geom, nx, ny):
 def test_table_without_entries_transforms_to_exact_zeros():
     # every ray of this geometry misses a 4x4 image
     geom = RadonGeometry(n_angles=2, n_bins=2, det_halfwidth=2.0, step=0.3)
-    assert _projector(geom, 4, 4) == ((), ())
+    assert _projector(geom, 4, 4) == ()
     sino = radon_forward(ImageGrid(nx=4, ny=4, values=np.ones(16)), geom)
     image = radon_adjoint(SinogramGrid(geometry=geom, values=np.ones(geom.size)), 4, 4)
     assert np.array_equal(sino.values, np.zeros(geom.size))

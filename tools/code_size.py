@@ -12,7 +12,7 @@ checkout by default):
 - settable values: the fields of every ``@dataclass`` class (its annotated
   class-level names) plus every parameter that has a default, in a ``def``
   or a ``lambda``, keyword-only ones included. ``NamedTuple`` fields are not
-  counted: the two such classes, ``radon._Block`` and ``radon._Table``, hold
+  counted: the two such classes, ``radon._Block`` and ``radon._Group``, hold
   parts of a compiled projector table, which no caller sets (counting their
   seven fields would add 7).
 """
