@@ -363,13 +363,9 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THR
 
 
 def run_sweep(cfg: SweepConfig, threads) -> SweepResult:
-    """Run every (delta, realization) cell and aggregate the oracle-selected errors.
+    """Run every (delta, realization) cell and :func:`summarize` their outcomes.
 
-    A Tikhonov sweep at one thread runs here; any other runs in ``threads`` spawn
-    workers of one BLAS thread each. A record's oracle error is its minimum over
-    alpha. Aggregates are mean and population standard deviation of those across
-    realizations. Cells that fail numerically are recorded and skipped; deltas
-    with no surviving cell are excluded from the rate fit and flagged.
+    A Tikhonov sweep at one thread runs here; any other in ``threads`` spawn workers.
     """
     cell = functools.partial(_sweep_cell, cfg)
     cells = list(itertools.product(range(len(cfg.deltas)), range(cfg.realizations)))
@@ -402,11 +398,18 @@ def run_sweep(cfg: SweepConfig, threads) -> SweepResult:
             for name in BLAS_THREAD_VARIABLES:
                 del os.environ[name]
             os.environ.update(saved)
+    return summarize(cfg.deltas, outcomes)
 
+
+def summarize(deltas, outcomes) -> SweepResult:
+    """The result of a sweep's cells from their outcomes, ExperimentRecords and CellFailures.
+
+    A record's oracle error is its minimum over alpha; a delta's aggregate is their mean and
+    population std, and a delta without a record is left out of the fit and flagged."""
     records = [o for o in outcomes if isinstance(o, ExperimentRecord)]
     failures = [o for o in outcomes if isinstance(o, CellFailure)]
     aggregates, failed_deltas = [], []
-    for delta in cfg.deltas:
+    for delta in deltas:
         # deltas are finite and distinct, so a record's delta names its level
         best = [rec.best_error for rec in records if rec.delta == delta]
         if best:

@@ -53,6 +53,7 @@ import shutil
 import tempfile
 import zlib
 from dataclasses import dataclass
+from tokenize import TokenError
 from typing import NamedTuple
 
 import numpy as np
@@ -380,7 +381,9 @@ def _cached_table(geom, nx, ny):
     # process into a SIGBUS
     try:
         table = _load(entry, geom, nx, ny)
-    except (OSError, ValueError, EOFError):  # a missing or damaged entry
+    # a missing or damaged entry; np.load raises TokenError on a header it cannot
+    # tokenize and MemoryError on one whose shape cannot be allocated
+    except (OSError, ValueError, EOFError, TokenError, MemoryError):
         table = None
     if table is not None:
         try:

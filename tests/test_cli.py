@@ -490,44 +490,6 @@ def test_grid_size_below_one_is_named_n(tmp_path, capsys, command):
     assert os.listdir(tmp_path) == []
 
 
-def test_reference_tikhonov_tables_rerun_byte_for_byte(tmp_path):
-    # at one thread in this process, at two in spawn workers of one BLAS thread each
-    reference = REFERENCE_DIR / "tikhonov"
-    for threads in ("1", "2"):
-        out = tmp_path / f"tik-{threads}"
-        assert run_cli("sweep", "--config", str(reference / "manifest.ini"), "--out", str(out),
-                       "--threads", threads) == 0
-        for table in ("results.csv", "aggregate.csv", "fits.csv"):
-            assert (out / table).read_bytes() == (reference / table).read_bytes(), (threads, table)
-
-
-# network cells always run in spawn workers of one BLAS thread each, so the tables
-# depend neither on the thread count nor on the BLAS variables of this process
-@pytest.mark.parametrize("variant, threads, blas", [
-    pytest.param("free", 1, None, id="free"),
-    pytest.param("box", 1, None, id="box"),
-    pytest.param("free", 2, None, id="free-threads-2"),
-    pytest.param("box", 2, None, id="box-threads-2"),
-    pytest.param("free", 1, "1", id="free-blas-1"),
-    pytest.param("box", 1, "1", id="box-blas-1"),
-    pytest.param("free", 2, "1", id="free-threads-2-blas-1"),
-    pytest.param("box", 2, "1", id="box-threads-2-blas-1"),
-])
-def test_reference_nn_short_tables_rerun_byte_for_byte(tmp_path, monkeypatch, variant, threads,
-                                                       blas):
-    for name in experiment.BLAS_THREAD_VARIABLES:
-        if blas is None:
-            monkeypatch.delenv(name, raising=False)
-        else:
-            monkeypatch.setenv(name, blas)
-    reference = REFERENCE_DIR / "nn_short" / variant
-    out = tmp_path / variant
-    assert run_cli("sweep", "--config", str(reference / "manifest.ini"), "--out", str(out),
-                   "--threads", str(threads)) == 0
-    for table in ("results.csv", "aggregate.csv", "fits.csv"):
-        assert (out / table).read_bytes() == (reference / table).read_bytes(), table
-
-
 def test_sweep_config_fields_are_the_sweep_keys():
     schema = SCHEMAS["sweep"]
     fields = {f.name: f.default for f in dataclasses.fields(experiment.SweepConfig)}
@@ -547,12 +509,6 @@ def test_config_round_trip(tmp_path):
         materialized = {key: parsed.get(key, default) for key, (_, default, _) in schema.items()}
         assert materialized == cfg
         assert serialize_config(subcommand, materialized) == text
-
-
-@pytest.mark.parametrize("method", ["tikhonov", "nn", "nn_short/free", "nn_short/box"])
-def test_committed_manifests_reserialize_byte_for_byte(method):
-    path = REFERENCE_DIR / method / "manifest.ini"
-    assert serialize_config("sweep", parse_config_file(path, "sweep")) == path.read_text()
 
 
 def test_optional_values_parse_none_in_any_case(tmp_path):

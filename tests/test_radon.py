@@ -492,6 +492,28 @@ def damage_flip_a_col_byte(entry, other_entry, geom):
     path.write_bytes(bytes(data))
 
 
+def rewrite_header(path, old, new):
+    """Replace ``old`` by ``new`` in a ``.npy`` header, keeping its length by its padding."""
+    data = path.read_bytes()
+    length = int.from_bytes(data[8:10], "little")  # format version 1.0
+    header = data[10:10 + length].replace(old, new, 1)
+    assert header != data[10:10 + length]
+    path.write_bytes(data[:10] + header.rstrip(b" \n").ljust(length - 1) + b"\n"
+                     + data[10 + length:])
+
+
+def damage_col_header_not_tokenizable(entry, other_entry, geom):
+    # an unclosed parenthesis: np.load raises tokenize.TokenError
+    rewrite_header(entry / "col.npy", b"'shape': (", b"'shape': ((")
+
+
+def damage_val_shape_beyond_memory(entry, other_entry, geom):
+    # 10^15 float64 values, 7.1 PiB, more than a 47-bit address space: MemoryError
+    val = np.load(entry / "val.npy")
+    rewrite_header(entry / "val.npy", f"'shape': ({val.size},".encode(),
+                   f"'shape': ({10**15},".encode())
+
+
 def rewrite_with_a_matching_record(entry, geom, **fields):
     """Replace some arrays of the entry and write the record that matches them."""
     table = [fields.get(name, np.load(entry / f"{name}.npy")) for name in radon.TABLE_DTYPES]
@@ -537,11 +559,12 @@ def damage_copy_other_geometry(entry, other_entry, geom):
     shutil.copytree(other_entry, entry)
 
 
-# the first two fail the record's CRC-32 or the load itself; the others
+# the first four fail the record's CRC-32 or the load itself; the others
 # come with a record that matches their arrays, so only the dtype, range
 # and geometry checks refuse them
 @pytest.mark.parametrize("damage", [
-    damage_truncate_val, damage_flip_a_col_byte, damage_col_dtype,
+    damage_truncate_val, damage_flip_a_col_byte, damage_col_header_not_tokenizable,
+    damage_val_shape_beyond_memory, damage_col_dtype,
     damage_col_out_of_range, damage_val_not_finite, damage_ray_past_the_stored_angles,
     damage_ray_in_a_reflected_bin, damage_copy_other_geometry,
 ])
@@ -661,7 +684,7 @@ def one_shot_sum_and_scatter(blocks, x, y_rays, n_pix):
 
 
 # 32x32/20 angles is one block per image, the shape of every committed
-# table, and so is 64x64/30; 128x128/50 streams in two for three of the images
+# table, and so is 64x64/30; 128x128/50 streams in two for each of the four images
 @pytest.mark.parametrize("n, n_angles", [(32, 20), (64, 30), (128, 50)])
 def test_blocked_transforms_equal_the_one_shot_formulas_bit_for_bit(n, n_angles):
     geom = RadonGeometry.for_grid(n, n_angles)
@@ -723,7 +746,7 @@ def test_table_without_entries_transforms_to_exact_zeros():
 
 
 def test_transforms_hold_one_block_of_float64_not_one_per_entry():
-    # one float64 per entry would be 7.6 MB at 128x128/50
+    # one float64 per entry would be 3.8 MB at 128x128/50 (472,354 entries)
     geom, n = RadonGeometry.for_grid(128, 50), 128
     _projector(geom, n, n)
     x = ImageGrid(nx=n, ny=n, values=np.ones(n * n))
