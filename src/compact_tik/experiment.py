@@ -93,22 +93,6 @@ def delta_for_snr(y, target_db):
     return float(norm / (np.sqrt(y.size) * 10.0 ** (target_db / 20.0)))
 
 
-def deltas_for_snr_range(y, snr_min_db, snr_max_db, count):
-    """Strictly decreasing noise scales spanning [snr_min_db, snr_max_db].
-
-    SNR targets are equispaced in dB (so the deltas are log-spaced), from
-    the noisiest (snr_min_db) to the cleanest level.
-    """
-    if count < 2:
-        raise ValueError(f"need at least two levels, got {count}")
-    if not np.isfinite(snr_min_db) or not np.isfinite(snr_max_db):
-        raise ValueError(f"snr bounds must be finite, got {snr_min_db} and {snr_max_db}")
-    if snr_min_db >= snr_max_db:
-        raise ValueError("snr_min_db must be below snr_max_db")
-    targets = np.linspace(snr_min_db, snr_max_db, count)
-    return [delta_for_snr(y, t) for t in targets]
-
-
 @dataclass(frozen=True)
 class Scene:
     """A CT problem before noise: the phantom's pixel values, geometry, operator, clean data."""
@@ -142,9 +126,20 @@ def scene(n, angles, det_halfwidth) -> Scene:
 
 
 def sweep_deltas(nx, n_angles, snr_min_db, snr_max_db, count, det_halfwidth):
-    """Noise levels for a phantom sweep, derived from the clean sinogram."""
+    """Strictly decreasing noise scales of a phantom sweep, spanning [snr_min_db, snr_max_db].
+
+    SNR targets are equispaced in dB (so the deltas are log-spaced), from
+    the noisiest (snr_min_db) to the cleanest level, on the clean sinogram
+    of the scene.
+    """
+    if count < 2:
+        raise ValueError(f"need at least two levels, got {count}")
+    if not np.isfinite(snr_min_db) or not np.isfinite(snr_max_db):
+        raise ValueError(f"snr bounds must be finite, got {snr_min_db} and {snr_max_db}")
+    if snr_min_db >= snr_max_db:
+        raise ValueError("snr_min_db must be below snr_max_db")
     clean = scene(nx, n_angles, det_halfwidth).clean
-    return deltas_for_snr_range(clean, snr_min_db, snr_max_db, count)
+    return [delta_for_snr(clean, t) for t in np.linspace(snr_min_db, snr_max_db, count)]
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,10 @@ evaluating the network again. At an activation kink (input exactly 0)
 the derivative takes the negative-side slope: zero for the output ReLU,
 ``LEAK`` for hidden units.
 
-Given an :class:`MlpWorkspace`, both passes write every array they make
-into its buffers and allocate none of (points x width) size. The
-returned activations and gradient then live in the workspace and are
-overwritten by the next call; copy what must outlive it. Without a
-workspace every call returns fresh arrays, with the same bits.
+Both passes write every array they make into the buffers of an
+:class:`MlpWorkspace` and allocate none of (points x width) size. The
+returned activations and gradient live in the workspace and are
+overwritten by the next call through it; copy what must outlive it.
 
 The hidden leaky ReLU is a = max(z, LEAK z) and its slope
 max(sign z, LEAK). Because 0 < LEAK < 1 these equal the branch forms
@@ -167,22 +166,19 @@ class MlpWorkspace:
                              f"points, got {params.shapes} at {n_points}")
 
 
-def forward_trace(params: MlpParams, coords, workspace: MlpWorkspace | None = None):
+def forward_trace(params: MlpParams, coords, workspace: MlpWorkspace):
     """Forward pass keeping what the backward sweep needs.
 
     Returns the list ``activations``: ``activations[0]`` is the coordinate
     array and ``activations[i + 1]`` the output of layer i. The network
-    output is ``activations[-1]``. With a ``workspace`` the layer outputs
-    are its buffers, which the next call overwrites; without one they are
-    fresh arrays.
+    output is ``activations[-1]``. The layer outputs are the buffers of
+    ``workspace``, which the next call through it overwrites.
     """
     h = np.asarray(coords, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != params.weights[0].shape[1]:
         raise ValueError(
             f"coords must be (n, {params.weights[0].shape[1]}), got {h.shape}"
         )
-    if workspace is None:
-        workspace = MlpWorkspace(params, h.shape[0])
     workspace.check(params, h.shape[0])
     n_layers = len(params.weights)
     activations = [h]
@@ -199,24 +195,23 @@ def forward_trace(params: MlpParams, coords, workspace: MlpWorkspace | None = No
     return activations
 
 
-def mlp_forward(params: MlpParams, coords, workspace: MlpWorkspace | None = None):
+def mlp_forward(params: MlpParams, coords, workspace: MlpWorkspace):
     """Evaluate the network at each coordinate row.
 
-    Returns a length-n vector; nonnegative by the final ReLU. With a
-    ``workspace`` it is a view into the workspace's output buffer.
+    Returns a length-n vector; nonnegative by the final ReLU. It is a view
+    into the output buffer of ``workspace``.
     """
     return forward_trace(params, coords, workspace)[-1][:, 0]
 
 
-def mlp_backward(params: MlpParams, activations, output_cotangent,
-                 workspace: MlpWorkspace | None = None):
+def mlp_backward(params: MlpParams, activations, output_cotangent, workspace: MlpWorkspace):
     """Gradient of sum_k cotangent_k * output_k with respect to the parameters.
 
     ``activations`` is the list that :func:`forward_trace` returned for
     these parameters; it is read, not modified. The gradient is laid out
-    like ``params.flat``. With a ``workspace`` (the one the forward used,
-    or another of the same shape) the gradient is its buffer, which the
-    next call overwrites; without one it is a fresh array.
+    like ``params.flat``. It is the gradient buffer of ``workspace`` (the
+    one the forward used, or another of the same shape), which the next
+    call through it overwrites.
     """
     cot = np.asarray(output_cotangent, dtype=np.float64).ravel()
     n_points = activations[0].shape[0]
@@ -227,8 +222,6 @@ def mlp_backward(params: MlpParams, activations, output_cotangent,
     n_layers = len(params.weights)
     if len(activations) != n_layers + 1:
         raise ValueError(f"trace has {len(activations) - 1} layers, parameters have {n_layers}")
-    if workspace is None:
-        workspace = MlpWorkspace(params, n_points)
     workspace.check(params, n_points)
     grad = workspace.grad
     gw, gb = params.split(grad)

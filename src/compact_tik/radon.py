@@ -73,7 +73,7 @@ BLOCK_ENTRIES = 1 << 18
 CACHE_ENTRIES = 8
 
 # the flat table's arrays and their dtypes, as the cache stores them
-TABLE_DTYPES = {"rays": np.intp, "run_lengths": np.intp, "col": np.intp, "val": np.float64}
+TABLE_DTYPES = {"run_lengths": np.intp, "col": np.intp, "val": np.float64}
 
 # part of every cache key: the code that compiles this process's tables. It is
 # read at import, so an edit of the file while a process runs cannot file that
@@ -216,16 +216,20 @@ def _parts(geom: RadonGeometry):
     return ((ends, paired), (inner, paired), (inner, centre), (ends, centre))
 
 
-def _part_rays(geom: RadonGeometry):
-    """Each part's stored rays q * n_bins + p, in table order."""
-    return [(angles[:, None] * geom.n_bins + bins).ravel() for angles, bins in _parts(geom)]
+def _image_rays(geom: RadonGeometry, parts, mirror_angle, reflect_bin):
+    """The rays q * n_bins + p that the stored rays of ``parts`` stand for in an image of
+    ``_GROUPS``: angle Q - q if mirrored, bin P - 1 - p if reflected, in table order."""
+    n_angles, n_bins = geom.n_angles, geom.n_bins
+    return np.concatenate([((n_angles - angles if mirror_angle else angles)[:, None] * n_bins
+                            + (n_bins - 1 - bins if reflect_bin else bins)).ravel()
+                           for angles, bins in parts])
 
 
 def _compile(geom: RadonGeometry, nx: int, ny: int):
     """Compile the stored rays of the transform into its flat coalesced sparse table.
 
-    Returns ``(rays, run_lengths, col, val)``: the rays with entries, in the
-    order of :func:`_parts`, each one's entry count, and the entries, ray by
+    Returns ``(run_lengths, col, val)``: the entry count of each stored ray,
+    in the order of :func:`_parts`, zeros included, and the entries, ray by
     ray, each ray's sorted by pixel. Only the bins p <= P - 1 - p of the
     angles q <= Q/2 are stored; the others are their mirrors and reflections
     (see the module docstring). Their samples are never generated.
@@ -235,7 +239,6 @@ def _compile(geom: RadonGeometry, nx: int, ny: int):
     angle's working set: a tracemalloc peak of 10.6 MiB for the 7.3 MiB
     table at 128x128/50 angles.
     """
-    n_bins = geom.n_bins
     # the table grows in place, one angle's entries at a time. resize goes
     # through realloc, which moves a large mmapped block by remapping it, so
     # the filled part is not copied. A resize would leave a live view of col
@@ -244,20 +247,16 @@ def _compile(geom: RadonGeometry, nx: int, ny: int):
     # (sys.settrace, cProfile) holds this frame's locals
     col = np.empty(0, dtype=np.intp)
     val = np.empty(0)
-    lengths = np.zeros((geom.n_angles // 2 + 1) * n_bins, dtype=np.intp)  # entries of each ray
+    lengths = []  # each angle's stored rays' entry counts; part 0 holds every end angle
     for angles, bins in _parts(geom):
-        for q, (ray_lengths, pix, weights) in zip(
-                angles, _angle_entries(geom, nx, ny, geom.angles[angles], bins)):
-            lengths[q * n_bins + bins] = ray_lengths[bins]
+        for ray_lengths, pix, weights in _angle_entries(geom, nx, ny, geom.angles[angles], bins):
+            lengths.append(ray_lengths[bins])
             n = col.size
             col.resize(n + pix.size, refcheck=False)
             val.resize(n + pix.size, refcheck=False)
             col[n:] = pix
             val[n:] = weights
-
-    order = np.concatenate(_part_rays(geom))
-    rays = order[lengths[order] > 0]
-    return rays, lengths[rays], col, val
+    return np.concatenate(lengths), col, val
 
 
 def _angle_entries(geom: RadonGeometry, nx: int, ny: int, thetas, bins):
@@ -352,13 +351,11 @@ def _load(entry, geom, nx, ny):
     """The entry's table if its record, dtypes and ranges all check, else None."""
     *table, record = [np.load(os.path.join(entry, f"{name}.npy"), allow_pickle=False)
                       for name in [*TABLE_DTYPES, "check"]]
-    rays, run_lengths, col, val = table
-    layout = np.concatenate(_part_rays(geom))
+    run_lengths, col, val = table
     ok = ([(a.dtype, a.ndim) for a in table] == [(np.dtype(t), 1) for t in TABLE_DTYPES.values()]
           and np.array_equal(record, _check_record(geom, nx, ny, table))
-          and rays.size == run_lengths.size
-          and np.array_equal(rays, layout[np.isin(layout, rays)])  # stored rays in table order
-          and np.all(run_lengths >= 1) and run_lengths.sum() == col.size == val.size
+          and run_lengths.size == sum(angles.size * bins.size for angles, bins in _parts(geom))
+          and np.all(run_lengths >= 0) and run_lengths.sum() == col.size == val.size
           and (col.size == 0 or 0 <= col.min() and col.max() < nx * ny) and np.isfinite(val).all())
     return tuple(table) if ok else None
 
@@ -406,11 +403,6 @@ def _cached_table(geom, nx, ny):
             _evict(root)
         except OSError:  # an unusable root or a full disk: the next process compiles again
             pass
-    # np.bincount copies a read-only index array on every call, one intp per
-    # entry, so R^T keeps col writable; np.repeat copies a read-only
-    # run_lengths too, but that is one intp per ray
-    rays, run_lengths, _, val = table
-    rays.flags.writeable = run_lengths.flags.writeable = val.flags.writeable = False
     return table
 
 
@@ -432,23 +424,30 @@ def _blocks(rays, run_lengths, col, val):
 @functools.lru_cache(maxsize=CACHE_ENTRIES)
 def _projector(geom: RadonGeometry, nx: int, ny: int) -> tuple[_Group, ...]:
     """The table as its groups: each image of ``_GROUPS`` that serves a ray, and its blocks."""
-    rays, run_lengths, col, val = _cached_table(geom, nx, ny)
-    # the rays of the parts [first, last) are rays[bounds[first]:bounds[last]]
-    bounds = np.cumsum([0] + [np.isin(part, rays).sum() for part in _part_rays(geom)])
-    entry_bounds = np.concatenate([[0], np.cumsum(run_lengths)])[bounds]
+    run_lengths, col, val = _cached_table(geom, nx, ny)
+    parts = _parts(geom)
+    # the blocks hold only the rays with entries (see _forward). np.bincount
+    # copies a read-only index array on every call, one intp per entry, so R^T
+    # keeps col writable; np.repeat copies a read-only run_lengths too, but
+    # that is one intp per ray
+    has_entries = run_lengths > 0
+    lengths = run_lengths[has_entries]
+    lengths.flags.writeable = val.flags.writeable = False
+    # the parts [first, last) hold the stored rays stored[first]:stored[last],
+    # and of them those with entries are lengths[kept[first]:kept[last]]
+    stored = np.cumsum([0] + [angles.size * bins.size for angles, bins in parts])
+    kept = np.concatenate([[0], np.cumsum(has_entries)])[stored]
+    entry_bounds = np.concatenate([[0], np.cumsum(run_lengths)])[stored]
     groups = []
     for flip, first, last, mirror_angle, reflect_bin in _GROUPS:
-        a, b = bounds[first], bounds[last]
+        a, b = kept[first], kept[last]
         if a == b:
             continue
-        out = rays[a:b]
-        if mirror_angle or reflect_bin:
-            q, p = np.divmod(out, geom.n_bins)
-            out = ((geom.n_angles - q if mirror_angle else q) * geom.n_bins
-                   + (geom.n_bins - 1 - p if reflect_bin else p))
-            out.flags.writeable = False  # as the stored rays are
+        rays = _image_rays(geom, parts[first:last], mirror_angle, reflect_bin)
+        rays = rays[has_entries[stored[first]:stored[last]]]
+        rays.flags.writeable = False
         e0, e1 = entry_bounds[first], entry_bounds[last]
-        groups.append(_Group(flip, _blocks(out, run_lengths[a:b], col[e0:e1], val[e0:e1])))
+        groups.append(_Group(flip, _blocks(rays, lengths[a:b], col[e0:e1], val[e0:e1])))
     return tuple(groups)
 
 

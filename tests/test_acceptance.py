@@ -26,7 +26,14 @@ from compact_tik.experiment import (
 )
 from compact_tik.grid import shepp_logan
 from compact_tik.linop import adjoint_defect
-from compact_tik.mlp import MlpArchitecture, forward_trace, init_params, mlp_backward, mlp_forward
+from compact_tik.mlp import (
+    MlpArchitecture,
+    MlpWorkspace,
+    forward_trace,
+    init_params,
+    mlp_backward,
+    mlp_forward,
+)
 from compact_tik.nnsolver import NnReconstructionConfig, reconstruct_nn
 from compact_tik.radon import RadonGeometry, dense_matrix, radon_forward, radon_operator
 from compact_tik.tikhonov import (
@@ -117,20 +124,21 @@ def test_criterion_04_gradient_check():
         seed += 1
         params = init_params(arch, seed=seed)
         coords = rng.uniform(-1, 1, size=(4, 2))
-        trace = forward_trace(params, coords)
+        workspace, probe = MlpWorkspace(params, 4), MlpWorkspace(params, 4)
+        trace = forward_trace(params, coords, workspace)
         pre = (a @ w.T + b for a, w, b in zip(trace, params.weights, params.biases))
         if min(np.abs(z).min() for z in pre) <= 1e-3:
             continue
         cot = rng.standard_normal(4)
-        ad = mlp_backward(params, trace, cot)
+        ad = mlp_backward(params, trace, cot, workspace)
         theta = params.flat
         fd = np.empty(theta.size)
         for j in range(theta.size):
             orig = theta[j]
             theta[j] = orig + h
-            up = float(mlp_forward(params, coords) @ cot)
+            up = float(mlp_forward(params, coords, probe) @ cot)
             theta[j] = orig - h
-            down = float(mlp_forward(params, coords) @ cot)
+            down = float(mlp_forward(params, coords, probe) @ cot)
             theta[j] = orig
             fd[j] = (up - down) / (2 * h)
         rel = np.abs(ad - fd).max() / np.maximum(np.abs(fd).max(), 1e-12)

@@ -19,7 +19,6 @@ from compact_tik.experiment import (
     aggregate_csv,
     alpha_of_delta,
     delta_for_snr,
-    deltas_for_snr_range,
     fit_rate,
     fits_csv,
     linear_oracle,
@@ -121,9 +120,9 @@ def test_delta_for_snr_round_trip():
         assert snr_db(y, delta) == pytest.approx(target, abs=1e-12)
 
 
-def test_deltas_for_snr_range_decreasing():
-    y = np.random.default_rng(1).standard_normal(100)
-    deltas = deltas_for_snr_range(y, 16.6, 42.6, 6)
+def test_sweep_deltas_span_the_snr_range_decreasing():
+    y = scene(16, 8, float(np.sqrt(2.0))).clean
+    deltas = sweep_deltas(16, 8, 16.6, 42.6, 6, det_halfwidth=float(np.sqrt(2.0)))
     assert len(deltas) == 6
     assert all(b < a for a, b in zip(deltas, deltas[1:]))
     assert snr_db(y, deltas[0]) == pytest.approx(16.6, abs=1e-12)
@@ -132,9 +131,9 @@ def test_deltas_for_snr_range_decreasing():
 
 @pytest.mark.parametrize("bounds", [(np.nan, 40.0), (10.0, np.nan), (-np.inf, 40.0),
                                     (10.0, np.inf)])
-def test_deltas_for_snr_range_rejects_non_finite_bounds(bounds):
+def test_sweep_deltas_reject_non_finite_bounds(bounds):
     with pytest.raises(ValueError, match="finite"):
-        deltas_for_snr_range(np.ones(100), *bounds, 3)
+        sweep_deltas(16, 8, *bounds, 3, det_halfwidth=float(np.sqrt(2.0)))
 
 
 def test_fit_rate_exact_power_law():
@@ -660,7 +659,7 @@ def test_one_det_halfwidth_reaches_both_geometry_users(monkeypatch):
     seen = []
     monkeypatch.setattr(experiment, "scene", lambda *args: seen.append(scene(*args)) or seen[-1])
     assert sweep_deltas(16, 8, 16.6, 42.6, 4, det_halfwidth=1.1) == \
-        deltas_for_snr_range(y, 16.6, 42.6, 4)
+        [delta_for_snr(y, t) for t in np.linspace(16.6, 42.6, 4)]
     # run_sweep reads the same geometry: its SNR is that of the 18-bin sinogram
     cfg = SweepConfig(deltas=[0.1], realizations=1, n=16, angles=8,
                       det_halfwidth=1.1, n_alphas=1)

@@ -30,7 +30,7 @@ def set_flat(params, vec):
 
 
 def scalar_loss(params, coords, cot):
-    return float(mlp_forward(params, coords) @ cot)
+    return float(mlp_forward(params, coords, MlpWorkspace(params, len(coords))) @ cot)
 
 
 def central_difference_grad(params, coords, cot, h=1e-5):
@@ -49,7 +49,7 @@ def central_difference_grad(params, coords, cot, h=1e-5):
 
 
 def min_preactivation_gap(params, coords):
-    activations = forward_trace(params, coords)
+    activations = forward_trace(params, coords, MlpWorkspace(params, len(coords)))
     return min(np.abs(a @ w.T + b).min()
                for a, w, b in zip(activations, params.weights, params.biases))
 
@@ -194,7 +194,7 @@ def test_forward_zero_params_is_zero():
         biases=[np.zeros_like(b) for b in params.biases],
     )
     coords = np.array([[0.1, -0.2], [0.5, 0.5], [0.0, 0.0]])
-    assert np.array_equal(mlp_forward(zeroed, coords), np.zeros(3))
+    assert np.array_equal(mlp_forward(zeroed, coords, MlpWorkspace(zeroed, 3)), np.zeros(3))
 
 
 def test_forward_negative_preoutput_clips_to_zero():
@@ -204,7 +204,7 @@ def test_forward_negative_preoutput_clips_to_zero():
         biases=[np.zeros(3), np.array([-1.0])],
     )
     coords = np.array([[0.3, 0.7], [-0.9, 0.2]])
-    assert np.array_equal(mlp_forward(params, coords), np.zeros(2))
+    assert np.array_equal(mlp_forward(params, coords, MlpWorkspace(params, 2)), np.zeros(2))
 
 
 def test_forward_reference_scale_batch():
@@ -213,7 +213,7 @@ def test_forward_reference_scale_batch():
     from compact_tik.grid import pixel_centers
 
     coords = pixel_centers(128, 128)
-    values = mlp_forward(params, coords)
+    values = mlp_forward(params, coords, MlpWorkspace(params, len(coords)))
     assert values.shape == (16384,)
     assert np.all(values >= 0.0)
 
@@ -224,20 +224,21 @@ def test_forward_nonnegative_random():
     for seed in range(10):
         params = init_params(arch, seed=seed)
         coords = rng.uniform(-1, 1, size=(50, 2))
-        assert np.all(mlp_forward(params, coords) >= 0.0)
+        assert np.all(mlp_forward(params, coords, MlpWorkspace(params, 50)) >= 0.0)
 
 
 def test_forward_shape_mismatch():
     params = init_params(MlpArchitecture(hidden_widths=(4,)), seed=0)
     with pytest.raises(ValueError):
-        mlp_forward(params, np.zeros((5, 3)))
+        mlp_forward(params, np.zeros((5, 3)), MlpWorkspace(params, 5))
 
 
 def test_backward_zero_cotangent():
     arch = MlpArchitecture(hidden_widths=(6, 6))
     params = init_params(arch, seed=3)
     coords = np.random.default_rng(3).uniform(-1, 1, size=(20, 2))
-    grad = mlp_backward(params, forward_trace(params, coords), np.zeros(20))
+    workspace = MlpWorkspace(params, 20)
+    grad = mlp_backward(params, forward_trace(params, coords, workspace), np.zeros(20), workspace)
     assert np.array_equal(grad, np.zeros_like(params.flat))
 
 
@@ -247,8 +248,9 @@ def test_backward_linear_in_cotangent():
     rng = np.random.default_rng(4)
     coords = rng.uniform(-1, 1, size=(12, 2))
     cot = rng.standard_normal(12)
-    g1 = mlp_backward(params, forward_trace(params, coords), cot)
-    g2 = mlp_backward(params, forward_trace(params, coords), 2.0 * cot)
+    one, two = MlpWorkspace(params, 12), MlpWorkspace(params, 12)
+    g1 = mlp_backward(params, forward_trace(params, coords, one), cot, one)
+    g2 = mlp_backward(params, forward_trace(params, coords, two), 2.0 * cot, two)
     assert np.array_equal(g2, 2.0 * g1)
 
 
@@ -264,7 +266,8 @@ def test_backward_matches_central_differences_small_net():
             break
         assert attempts < 100
     cot = rng.standard_normal(6)
-    ad = mlp_backward(params, forward_trace(params, coords), cot)
+    workspace = MlpWorkspace(params, 6)
+    ad = mlp_backward(params, forward_trace(params, coords, workspace), cot, workspace)
     fd = central_difference_grad(params, coords, cot)
     rel = np.abs(ad - fd).max() / max(np.abs(fd).max(), 1e-12)
     assert rel <= 1e-4
@@ -272,8 +275,10 @@ def test_backward_matches_central_differences_small_net():
 
 def test_backward_cotangent_length_mismatch():
     params = init_params(MlpArchitecture(hidden_widths=(4,)), seed=0)
+    workspace = MlpWorkspace(params, 5)
     with pytest.raises(ValueError):
-        mlp_backward(params, forward_trace(params, np.zeros((5, 2))), np.zeros(4))
+        mlp_backward(params, forward_trace(params, np.zeros((5, 2)), workspace), np.zeros(4),
+                     workspace)
 
 
 def test_kink_subgradient_convention():
@@ -284,7 +289,9 @@ def test_kink_subgradient_convention():
         biases=[np.zeros(1), np.zeros(1)],
     )
     coords = np.array([[0.0, 0.0]])  # hidden pre-activation exactly 0, output 0
-    _, grad_b = params.split(mlp_backward(params, forward_trace(params, coords), np.ones(1)))
+    workspace = MlpWorkspace(params, 1)
+    _, grad_b = params.split(
+        mlp_backward(params, forward_trace(params, coords, workspace), np.ones(1), workspace))
     # d output / d output-bias = ReLU'(0) = 0
     assert grad_b[1][0] == 0.0
     # with a positive output shift the hidden kink derivative becomes visible
@@ -292,7 +299,9 @@ def test_kink_subgradient_convention():
         weights=[np.array([[1.0, 0.0]]), np.array([[1.0]])],
         biases=[np.zeros(1), np.array([1.0])],
     )
-    _, grad_b2 = params2.split(mlp_backward(params2, forward_trace(params2, coords), np.ones(1)))
+    workspace = MlpWorkspace(params2, 1)
+    _, grad_b2 = params2.split(
+        mlp_backward(params2, forward_trace(params2, coords, workspace), np.ones(1), workspace))
     # d output / d hidden-bias = W2 * leaky'(0) = LEAK
     assert grad_b2[0][0] == pytest.approx(LEAK)
 
@@ -358,15 +367,17 @@ def test_forward_and_backward_match_np_where_reference(hidden, n_points, zero_hi
     cot = rng.standard_normal(n_points)
     cot[rng.random(n_points) < 0.2] = 0.0
 
-    activations = forward_trace(params, coords)
+    workspace = MlpWorkspace(params, n_points)
+    activations = forward_trace(params, coords, workspace)
     want_activations, _ = reference_forward_trace(params, coords)
     assert len(activations) == len(want_activations)
     for got, want in zip(activations, want_activations):
         assert np.array_equal(bits(got), bits(want))
-    assert np.array_equal(bits(mlp_forward(params, coords)), bits(want_activations[-1][:, 0]))
+    assert np.array_equal(bits(mlp_forward(params, coords, MlpWorkspace(params, n_points))),
+                          bits(want_activations[-1][:, 0]))
 
     kept = [a.copy() for a in activations]
-    got_gw, got_gb = params.split(mlp_backward(params, activations, cot))
+    got_gw, got_gb = params.split(mlp_backward(params, activations, cot, workspace))
     want_gw, want_gb = reference_backward(params, coords, cot)
     for got, want in zip((*got_gw, *got_gb), (*want_gw, *want_gb)):
         assert np.array_equal(bits(got), bits(want))
@@ -390,9 +401,10 @@ def test_backward_slopes_at_signed_zeros_and_underflow():
     # and -5e-324 (from the biases, with zero weights)
     params = MlpParams(weights=[np.zeros((3, 2)), w_out], biases=[z[0], np.array([0.5])])
     coords = np.zeros((1, 2))
-    activations = forward_trace(params, coords)
+    workspace = MlpWorkspace(params, 1)
+    activations = forward_trace(params, coords, workspace)
     assert np.array_equal(bits(activations[1]), bits(np.array([[0.0, 0.0, -0.0]])))
-    got_gw, got_gb = params.split(mlp_backward(params, activations, cot))
+    got_gw, got_gb = params.split(mlp_backward(params, activations, cot, workspace))
     want_gw, want_gb = reference_backward(params, coords, cot)
     for got, want in zip((*got_gw, *got_gb), (*want_gw, *want_gb)):
         assert np.array_equal(bits(got), bits(want))
@@ -401,7 +413,7 @@ def test_backward_slopes_at_signed_zeros_and_underflow():
     # a trace built from the three pre-activations, -0.0 included
     z_out = hidden @ w_out.T + params.biases[1]
     activations = [coords, hidden, np.maximum(z_out, 0.0)]
-    got_gw, got_gb = params.split(mlp_backward(params, activations, cot))
+    got_gw, got_gb = params.split(mlp_backward(params, activations, cot, workspace))
     want_gw, want_gb = reference_backward_from(params, activations, [z, z_out], cot)
     for got, want in zip((*got_gw, *got_gb), (*want_gw, *want_gb)):
         assert np.array_equal(bits(got), bits(want))
@@ -413,7 +425,8 @@ def test_backward_rejects_trace_of_other_depth():
     shallow = init_params(MlpArchitecture(hidden_widths=(4,)), seed=0)
     coords = np.zeros((3, 2))
     with pytest.raises(ValueError):
-        mlp_backward(params, forward_trace(shallow, coords), np.ones(3))
+        mlp_backward(params, forward_trace(shallow, coords, MlpWorkspace(shallow, 3)), np.ones(3),
+                     MlpWorkspace(params, 3))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -497,7 +510,8 @@ def test_gradient_check_16_16_ensemble():
         if min_preactivation_gap(params, coords) <= 1e-3:
             continue
         cot = rng.standard_normal(4)
-        ad = mlp_backward(params, forward_trace(params, coords), cot)
+        workspace = MlpWorkspace(params, 4)
+        ad = mlp_backward(params, forward_trace(params, coords, workspace), cot, workspace)
         fd = central_difference_grad(params, coords, cot)
         rel = np.abs(ad - fd).max() / max(np.abs(fd).max(), 1e-12)
         assert rel <= 1e-4
@@ -517,7 +531,7 @@ def test_bounded_outputs_layered_bound():
     coords = rng.uniform(-1, 1, size=(30, 2))
     for seed in range(100):
         params = init_params(arch, seed=seed, weight_bound=c)
-        values = mlp_forward(params, coords)
+        values = mlp_forward(params, coords, MlpWorkspace(params, 30))
         assert values.max() <= bound
 
 
@@ -550,15 +564,16 @@ def test_init_deterministic_by_seed():
 UNEVEN = (7, 3, 5)
 
 
-def test_workspace_reuse_matches_calls_without_one_byte_for_byte():
+def test_workspace_reuse_matches_fresh_workspaces_byte_for_byte():
     rng = np.random.default_rng(7)
     first, second = random_params(rng, UNEVEN), random_params(rng, UNEVEN)
     coords = rng.uniform(-1, 1, size=(11, 2))
     cot = rng.standard_normal(11)
     workspace = MlpWorkspace(first, len(coords))
     for params in (first, second, first):
-        want_trace = forward_trace(params, coords)
-        want_grad = mlp_backward(params, want_trace, cot)
+        fresh = MlpWorkspace(params, len(coords))
+        want_trace = forward_trace(params, coords, fresh)
+        want_grad = mlp_backward(params, want_trace, cot, fresh)
         got_trace = forward_trace(params, coords, workspace)
         assert len(got_trace) == len(want_trace)
         for got, want in zip(got_trace, want_trace):
@@ -574,15 +589,16 @@ def test_workspace_reuse_matches_calls_without_one_byte_for_byte():
         assert np.shares_memory(got_x, workspace.activations[-1])
 
 
-def test_calls_without_workspace_return_independent_arrays():
+def test_separate_workspaces_return_independent_arrays():
     rng = np.random.default_rng(8)
     params = random_params(rng, UNEVEN)
     coords = rng.uniform(-1, 1, size=(11, 2))
     cot = rng.standard_normal(11)
-    one, two = forward_trace(params, coords), forward_trace(params, coords)
+    first, second = MlpWorkspace(params, 11), MlpWorkspace(params, 11)
+    one, two = forward_trace(params, coords, first), forward_trace(params, coords, second)
     kept = [a.copy() for a in one]
-    grad_one = mlp_backward(params, one, cot)
-    grad_two = mlp_backward(params, two, cot)
+    grad_one = mlp_backward(params, one, cot, first)
+    grad_two = mlp_backward(params, two, cot, second)
     assert not np.shares_memory(grad_one, grad_two)
     fresh = [*one[1:], *two[1:], grad_one, grad_two]
     for i, a in enumerate(fresh):
@@ -600,7 +616,8 @@ def test_workspace_rejects_other_shapes():
         forward_trace(random_params(np.random.default_rng(9), (7, 3)), np.zeros((11, 2)),
                       workspace)
     with pytest.raises(ValueError, match="workspace"):
-        mlp_backward(params, forward_trace(params, np.zeros((12, 2))), np.ones(12), workspace)
+        mlp_backward(params, forward_trace(params, np.zeros((12, 2)), MlpWorkspace(params, 12)),
+                     np.ones(12), workspace)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -4,7 +4,7 @@ import pytest
 from compact_tik.errors import NumericalFailureError
 from compact_tik.experiment import substream_seed
 from compact_tik.grid import pixel_centers, shepp_logan
-from compact_tik.mlp import MlpArchitecture, init_params, mlp_forward
+from compact_tik.mlp import MlpArchitecture, MlpWorkspace, init_params, mlp_forward
 from compact_tik.nnsolver import NnReconstructionConfig, reconstruct_nn
 from compact_tik.radon import RadonGeometry, radon_forward, radon_operator
 from compact_tik.tikhonov import TikhonovProblem, objective_and_cotangent, solve_tikhonov
@@ -59,10 +59,8 @@ def test_zero_data_drives_norm_down():
     assert trace.size == cfg.iterations + 1
     assert recon.final_objective <= trace[0]
     # J = ||R x||^2 + alpha ||x||^2 with zero data: the image norm shrinks
-    from compact_tik.grid import pixel_centers
-    from compact_tik.mlp import init_params, mlp_forward
-
-    initial = mlp_forward(init_params(ARCH, cfg.seed), pixel_centers(NX, NX))
+    drawn = init_params(ARCH, cfg.seed)
+    initial = mlp_forward(drawn, pixel_centers(NX, NX), MlpWorkspace(drawn, NX * NX))
     final_norm = np.linalg.norm(recon.image.values)
     assert final_norm**2 <= np.linalg.norm(initial) ** 2
 
@@ -136,7 +134,7 @@ def ct32_config(**overrides):
 
 
 def initial_objective(cfg, params):
-    x = mlp_forward(params, pixel_centers(cfg.nx, cfg.ny))
+    x = mlp_forward(params, pixel_centers(cfg.nx, cfg.ny), MlpWorkspace(params, cfg.nx * cfg.ny))
     residual = cfg.operator.apply(x) - cfg.data
     return float(residual @ residual + cfg.alpha * (x @ x))
 
@@ -150,7 +148,7 @@ def negated_output_layer(params):
 def test_dead_init_is_trained_from_negated_output_layer():
     cfg = ct32_config()
     drawn = init_params(CT32_ARCH, DEAD_SEED)
-    assert not mlp_forward(drawn, pixel_centers(32, 32)).any()
+    assert not mlp_forward(drawn, pixel_centers(32, 32), MlpWorkspace(drawn, 32 * 32)).any()
     recon = reconstruct_nn(cfg)
     assert recon.best_iteration > 0
     assert np.abs(recon.image.values).max() > 0.0
@@ -161,7 +159,7 @@ def test_live_init_is_used_as_drawn():
     rng = np.random.default_rng(3)
     cfg = make_config(data=rng.standard_normal(GEOM.size), iterations=5)
     drawn = init_params(ARCH, cfg.seed)
-    assert mlp_forward(drawn, pixel_centers(NX, NX)).any()
+    assert mlp_forward(drawn, pixel_centers(NX, NX), MlpWorkspace(drawn, NX * NX)).any()
     recon = reconstruct_nn(cfg)
     assert recon.objective_trace[0] == initial_objective(cfg, drawn)
 
@@ -170,7 +168,7 @@ def test_negated_dead_init_respects_weight_bound():
     bound = 0.05
     cfg = ct32_config(weight_bound=bound, iterations=5)
     drawn = init_params(CT32_ARCH, DEAD_SEED, weight_bound=bound)
-    assert not mlp_forward(drawn, pixel_centers(32, 32)).any()
+    assert not mlp_forward(drawn, pixel_centers(32, 32), MlpWorkspace(drawn, 32 * 32)).any()
     flipped = negated_output_layer(drawn)
     assert np.abs(flipped.flat).max() <= bound
     recon = reconstruct_nn(cfg)
@@ -199,13 +197,13 @@ def two_forward_reference(cfg):
     over per-layer lists."""
     coords = pixel_centers(cfg.nx, cfg.ny)
     params = init_params(cfg.architecture, cfg.seed, weight_bound=cfg.weight_bound)
-    if not mlp_forward(params, coords).any():
+    if not mlp_forward(params, coords, MlpWorkspace(params, len(coords))).any():
         params = negated_output_layer(params)
     state = ReferenceAdamState.for_params(params, learning_rate=cfg.learning_rate)
     trace = []
     best = (np.inf, None, None)
     for it in range(cfg.iterations + 1):
-        x = mlp_forward(params, coords)
+        x = mlp_forward(params, coords, MlpWorkspace(params, len(coords)))  # kept as best[1]
         residual = cfg.operator.apply(x) - cfg.data
         objective = float(residual @ residual + cfg.alpha * (x @ x))
         trace.append(objective)

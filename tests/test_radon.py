@@ -309,8 +309,12 @@ def test_dense_matrix_equals_unit_vector_applies():
     (RadonGeometry(n_angles=4, n_bins=2, det_halfwidth=0.5, step=2.0 / 9), 9, 7),
 ])
 def test_mirrored_operator_matches_a_direct_compile_of_every_angle(geom, nx, ny):
-    # only the bins p <= P - 1 - p of the angles q <= Q/2 are compiled
-    q, p = np.divmod(radon._compile(geom, nx, ny)[0], geom.n_bins)
+    # only the bins p <= P - 1 - p of the angles q <= Q/2 are compiled, each
+    # with one run length, and the identity applies them as themselves
+    assert radon._compile(geom, nx, ny)[0].size == sum(part.size for part in table_parts(geom))
+    identity = _projector(geom, nx, ny)[0]
+    assert identity.flip == np.s_[:, :]
+    q, p = np.divmod(np.concatenate([block.rays for block in identity.blocks]), geom.n_bins)
     assert q.size and q.max() <= geom.n_angles // 2 and np.all(p <= geom.n_bins - 1 - p)
     direct, mat = direct_matrix(geom, nx, ny), dense_matrix(geom, nx, ny)
     stored = np.concatenate(table_parts(geom))  # the identity's rows
@@ -407,7 +411,7 @@ def test_table_built_under_a_tracer_equals_a_plain_build():
         traced = radon._compile(geom, nx, ny)
     finally:
         sys.settrace(previous)
-    assert len(traced) == len(plain) == 4
+    assert len(traced) == len(plain) == 3
     for traced_field, plain_field in zip(traced, plain):
         assert np.array_equal(traced_field, plain_field)
 
@@ -473,6 +477,8 @@ def test_cached_table_loads_with_the_bits_of_a_compile(geom, nx, ny, tmp_path, m
     assert compiles == [1]
     entry = Path(radon._cache_entry(geom, nx, ny)[1])
     assert [p for p in (tmp_path / "compact-tik").iterdir()] == [entry]  # no copy left behind
+    assert sorted(p.name for p in entry.iterdir()) == [
+        "check.npy", "col.npy", "run_lengths.npy", "val.npy"]
     _projector.cache_clear()
     loaded = _projector(geom, nx, ny)
     assert compiles == [1]
@@ -538,20 +544,20 @@ def damage_val_not_finite(entry, other_entry, geom):
     rewrite_with_a_matching_record(entry, geom, val=val)
 
 
-def damage_ray_past_the_stored_angles(entry, other_entry, geom):
-    rays = np.load(entry / "rays.npy")
-    rays[-1] = (geom.n_angles // 2 + 1) * geom.n_bins
-    rewrite_with_a_matching_record(entry, geom, rays=rays)
+def damage_run_lengths_one_short(entry, other_entry, geom):
+    # the last stored ray's entries go to the one before it: the lengths still
+    # sum to the entry count, but one stored ray has no length
+    run_lengths = np.load(entry / "run_lengths.npy")
+    run_lengths[-2] += run_lengths[-1]
+    rewrite_with_a_matching_record(entry, geom, run_lengths=run_lengths[:-1])
 
 
-def damage_ray_in_a_reflected_bin(entry, other_entry, geom):
-    # the last ray (q, p) becomes (q, P - 1 - p): in range and in ray order,
-    # but a bin that the table reflects, not one that it stores
-    rays = np.load(entry / "rays.npy")
-    q, p = divmod(int(rays[-1]), geom.n_bins)
-    assert p < geom.n_bins - 1 - p
-    rays[-1] = q * geom.n_bins + geom.n_bins - 1 - p
-    rewrite_with_a_matching_record(entry, geom, rays=rays)
+def damage_negative_run_length(entry, other_entry, geom):
+    # the first stored ray gets -1 entries and the second the rest of both:
+    # one length per stored ray, summing to the entry count
+    run_lengths = np.load(entry / "run_lengths.npy")
+    run_lengths[:2] = -1, run_lengths[0] + run_lengths[1] + 1
+    rewrite_with_a_matching_record(entry, geom, run_lengths=run_lengths)
 
 
 def damage_copy_other_geometry(entry, other_entry, geom):
@@ -560,13 +566,13 @@ def damage_copy_other_geometry(entry, other_entry, geom):
 
 
 # the first four fail the record's CRC-32 or the load itself; the others
-# come with a record that matches their arrays, so only the dtype, range
-# and geometry checks refuse them
+# come with a record that matches their arrays, so only the dtype, range,
+# run length and geometry checks refuse them
 @pytest.mark.parametrize("damage", [
     damage_truncate_val, damage_flip_a_col_byte, damage_col_header_not_tokenizable,
     damage_val_shape_beyond_memory, damage_col_dtype,
-    damage_col_out_of_range, damage_val_not_finite, damage_ray_past_the_stored_angles,
-    damage_ray_in_a_reflected_bin, damage_copy_other_geometry,
+    damage_col_out_of_range, damage_val_not_finite, damage_run_lengths_one_short,
+    damage_negative_run_length, damage_copy_other_geometry,
 ])
 def test_damaged_entry_is_compiled_and_published_again(damage, tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
