@@ -278,20 +278,21 @@ def cmd_nn_reconstruct(cfg):
     return 0
 
 
+def sweep_config(settings):
+    """The SweepConfig that ``sweep`` runs for the ``[sweep]`` settings ``settings``."""
+    deltas = experiment.sweep_deltas(settings["n"], settings["angles"], settings["snr_min_db"],
+                                     settings["snr_max_db"], settings["n_deltas"],
+                                     settings["det_halfwidth"])
+    return experiment.SweepConfig(deltas=deltas, **{key: settings[key] for key in _SWEEP})
+
+
 def cmd_sweep(cfg, threads):
     check_positive("--threads", threads)
-    deltas = experiment.sweep_deltas(cfg["n"], cfg["angles"], cfg["snr_min_db"], cfg["snr_max_db"],
-                                     cfg["n_deltas"], cfg["det_halfwidth"])
-    sweep_cfg = experiment.SweepConfig(deltas=deltas, **{key: cfg[key] for key in _SWEEP})
+    sweep_cfg = sweep_config(cfg)
     os.makedirs(cfg["out"], exist_ok=True)  # so an unusable out fails before the first cell
     result = experiment.run_sweep(sweep_cfg, threads=threads)
-
-    out = cfg["out"]
-    fits = [(cfg["method"], result.fit)] if result.fit else []
-    _write_tables("sweep", cfg, {
-        "results.csv": experiment.results_csv(result.records, cfg["method"]),
-        "aggregate.csv": experiment.aggregate_csv(result.aggregates, cfg["method"]),
-        "fits.csv": experiment.fits_csv(fits)})
+    tables = experiment.sweep_tables(result, cfg["method"])
+    _write_tables("sweep", cfg, tables)
 
     for failure in result.failures:
         print(f"cell failed: delta={failure.delta:.6g} seed={failure.seed}: {failure.message}",
@@ -300,7 +301,7 @@ def cmd_sweep(cfg, threads):
         print(f"excluded noise levels with no surviving cells: {result.failed_deltas}",
               file=sys.stderr)
     slope = f"{result.fit.slope:.6f}" if result.fit else "n/a"
-    print(f"wrote {out}/results.csv aggregate.csv fits.csv manifest.ini  slope={slope}")
+    print(f"wrote {cfg['out']}/{' '.join(tables)} manifest.ini  slope={slope}")
     return 0
 
 

@@ -278,23 +278,22 @@ def _tikhonov_images(op, y_noisy, alphas, cfg, seed):
 
     Every alpha shares the right-hand side R^T y, so one Krylov sequence on
     the smallest alpha, the slowest system, yields every other alpha as a
-    shift (``cg_solve_shifted``). Its residuals are recursive and drift
-    from the true ones, so each shifted iterate then warm-starts
+    shift (``cg_solve_shifted``). Its residuals are recursive and drift from
+    the true ones, so each shift in turn is checked and then warm-starts
     ``solve_tikhonov``, which recomputes the true normal residual and
-    polishes only the iterates still above ``cg_tol``.
+    polishes the iterate only if it is still above ``cg_tol``.
 
-    A shift still active after ``cg_max_iter`` Krylov iterations, or a
-    polish that stops at ``cg_max_iter``, raises NumericalFailureError, so
-    the error of an unconverged iterate never enters the oracle minimum.
-    The noise seed is unused.
+    A shift still active after ``cg_max_iter`` Krylov iterations (the base,
+    the slowest, fails first, before any polish), or a polish that stops at
+    ``cg_max_iter``, raises NumericalFailureError, so the error of an
+    unconverged iterate never enters the oracle minimum. The noise seed is unused.
     """
     base = float(alphas.min())
     shifted = cg_solve_shifted(normal_operator(op, base), op.apply_adjoint(y_noisy),
                                alphas - base, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter)
-    for alpha, res in zip(alphas, shifted):
-        check_converged(alpha, res, cfg.cg_tol, "cg_tol")
     images = []
     for alpha, res in zip(alphas, shifted):
+        check_converged(alpha, res, cfg.cg_tol, "cg_tol")
         problem = TikhonovProblem(op=op, data=y_noisy, alpha=float(alpha))
         result = solve_tikhonov(problem, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter, x0=res.x)
         check_converged(alpha, result, cfg.cg_tol, "cg_tol")
@@ -502,23 +501,20 @@ def csv_text(header, rows):
     return "\n".join(lines) + "\n"
 
 
-def results_csv(records, method):
-    """Per-(delta, realization, alpha) table: delta,seed,alpha,error,snr_db,method."""
-    return csv_text("delta,seed,alpha,error,snr_db,method",
-                    ((rec.delta, rec.seed, alpha, err, rec.snr_db, method)
-                     for rec in records for alpha, err in zip(rec.alphas, rec.errors)))
-
-
-def aggregate_csv(aggregates, method):
-    """Per-delta table: delta,mean_error,std_error,method."""
-    return csv_text("delta,mean_error,std_error,method",
-                    ((a.delta, a.mean_error, a.std_error, method) for a in aggregates))
-
-
 def fits_csv(entries):
     """Fits table from (method, RateFit) pairs: method,slope,intercept,residual."""
     return csv_text("method,slope,intercept,residual",
                     ((m, f.slope, f.intercept, f.residual_norm) for m, f in entries))
+
+
+def sweep_tables(result: SweepResult, method):
+    """{file name: CSV text} of the results.csv, aggregate.csv and fits.csv a sweep writes."""
+    rows = ((rec.delta, rec.seed, alpha, err, rec.snr_db, method)
+            for rec in result.records for alpha, err in zip(rec.alphas, rec.errors))
+    means = ((a.delta, a.mean_error, a.std_error, method) for a in result.aggregates)
+    return {"results.csv": csv_text("delta,seed,alpha,error,snr_db,method", rows),
+            "aggregate.csv": csv_text("delta,mean_error,std_error,method", means),
+            "fits.csv": fits_csv([(method, result.fit)] if result.fit else [])}
 
 
 def read_csv(path):
@@ -571,7 +567,7 @@ def table_deltas_errors(path):
 
 
 def aggregate_points(path):
-    """(delta, mean_error, std_error, method) rows of an :func:`aggregate_csv` table."""
+    """(delta, mean_error, std_error, method) rows of a sweep's ``aggregate.csv`` table."""
     header, rows = read_csv(path)
     required = ["delta", "mean_error", "std_error", "method"]
     if header[: len(required)] != required:

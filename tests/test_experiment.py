@@ -14,21 +14,21 @@ from compact_tik.experiment import (
     DeltaAggregate,
     ExperimentRecord,
     NoiseSpec,
+    RateFit,
     SweepConfig,
+    SweepResult,
     add_noise,
-    aggregate_csv,
     alpha_of_delta,
     delta_for_snr,
     fit_rate,
-    fits_csv,
     linear_oracle,
-    results_csv,
     run_sweep,
     scene,
     snr_db,
     standard_normal,
     substream_seed,
     sweep_deltas,
+    sweep_tables,
 )
 from compact_tik.linop import cg_solve_shifted, matrix_operator
 from compact_tik.tikhonov import (
@@ -320,7 +320,7 @@ def test_run_sweep_oracle_minimum_and_determinism():
     assert len(r1.records) == 4
     for a, b in zip(r1.records, r2.records):
         assert np.array_equal(a.errors, b.errors)
-    assert results_csv(r1.records, "tikhonov") == results_csv(r2.records, "tikhonov")
+    assert sweep_tables(r1, "tikhonov") == sweep_tables(r2, "tikhonov")
 
 
 def test_run_sweep_unconverged_solve_fails_its_cell():
@@ -344,7 +344,7 @@ def test_run_sweep_unconverged_solve_fails_its_cell():
     default = run_sweep(SweepConfig(**base), threads=1)
     roomy = run_sweep(SweepConfig(**base, cg_max_iter=10**6), threads=1)
     assert default.failures == [] and len(default.records) == 4
-    assert results_csv(default.records, "tikhonov") == results_csv(roomy.records, "tikhonov")
+    assert sweep_tables(default, "tikhonov") == sweep_tables(roomy, "tikhonov")
 
 
 def test_run_sweep_mixed_outcome_summarizes_only_the_surviving_levels(capsys):
@@ -364,9 +364,7 @@ def test_run_sweep_mixed_outcome_summarizes_only_the_surviving_levels(capsys):
     survivors = run_sweep(SweepConfig(deltas=[0.2, 0.05], **base), threads=1)
     assert survivors.failures == [] and survivors.fit is not None
     for result in (serial, threaded):
-        assert results_csv(result.records, "t") == results_csv(survivors.records, "t")
-        assert aggregate_csv(result.aggregates, "t") == aggregate_csv(survivors.aggregates, "t")
-        assert fits_csv([("t", result.fit)]) == fits_csv([("t", survivors.fit)])
+        assert sweep_tables(result, "t") == sweep_tables(survivors, "t")
     assert threaded.failures == serial.failures
     assert threaded.failed_deltas == serial.failed_deltas
 
@@ -627,16 +625,17 @@ def test_csv_formats():
         delta=0.1, seed=3, alphas=np.array([0.1, 0.2]),
         errors=np.array([2.0, 1.5]), snr_db=12.5,
     )
-    text = results_csv([rec], "tikhonov")
-    lines = text.strip().splitlines()
-    assert lines[0] == "delta,seed,alpha,error,snr_db,method"
-    assert lines[1] == "0.1,3,0.1,2.0,12.5,tikhonov"
-    agg = aggregate_csv([DeltaAggregate(0.1, 1.75, 0.25)], "tikhonov")
-    assert agg.splitlines()[0] == "delta,mean_error,std_error,method"
-    assert agg.splitlines()[1] == "0.1,1.75,0.25,tikhonov"
-    fit = fit_rate([0.1, 0.01], [1.0, 0.1])
-    ftext = fits_csv([("tikhonov", fit)])
-    assert ftext.splitlines()[0] == "method,slope,intercept,residual"
+    result = SweepResult(records=[rec], aggregates=[DeltaAggregate(0.1, 1.75, 0.25)],
+                         failures=[], failed_deltas=[], fit=RateFit(-0.5, 1.25, 0.0))
+    assert sweep_tables(result, "tikhonov") == {
+        "results.csv": "delta,seed,alpha,error,snr_db,method\n"
+                       "0.1,3,0.1,2.0,12.5,tikhonov\n0.1,3,0.2,1.5,12.5,tikhonov\n",
+        "aggregate.csv": "delta,mean_error,std_error,method\n0.1,1.75,0.25,tikhonov\n",
+        "fits.csv": "method,slope,intercept,residual\ntikhonov,-0.5,1.25,0.0\n",
+    }
+    # a sweep without a fit writes the header of fits.csv alone
+    no_fit = dataclasses.replace(result, fit=None)
+    assert sweep_tables(no_fit, "tikhonov")["fits.csv"] == "method,slope,intercept,residual\n"
 
 
 def test_sweep_deltas_helper():

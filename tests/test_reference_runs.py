@@ -1,14 +1,14 @@
 """Checks of every committed sweep under ``reference_runs/``, each found by its ``manifest.ini``.
 
 Every run's manifest must reserialize byte for byte; its ``results.csv`` must
-hold its cells in order, with the deltas, seeds, alphas, SNR and method that
-the manifest gives; and its ``aggregate.csv`` and ``fits.csv`` must be what
-``experiment.summarize`` makes of the records in its ``results.csv``. A run
-whose cost is at most ``RERUN_BUDGET`` also reruns byte for byte in each
-variant of its method. A new study adds only its directory.
+hold its cells in order, with the deltas, seeds, alphas and SNR of the
+``cli.sweep_config`` of its manifest; and its tables must be the ones that
+``experiment.sweep_tables`` writes for what ``experiment.summarize`` makes of
+the records in its ``results.csv``. A run whose cost is at most
+``RERUN_BUDGET`` also reruns byte for byte in each variant of its method. A
+new study adds only its directory.
 """
 
-import dataclasses
 import itertools
 import shutil
 from pathlib import Path
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from compact_tik import experiment
-from compact_tik.cli import SCHEMAS, main, parse_config_file, serialize_config
+from compact_tik.cli import main, parse_config_file, serialize_config, sweep_config
 
 REFERENCE_RUNS = Path(__file__).resolve().parent.parent / "reference_runs"
 RUNS = sorted(path.parent for path in REFERENCE_RUNS.glob("**/manifest.ini"))
@@ -41,18 +41,13 @@ def run_id(run):
 
 
 def settings(run):
-    """The run's [sweep] settings: its manifest's values over the defaults."""
-    cfg = {key: default for key, (_, default, _) in SCHEMAS["sweep"].items()}
-    cfg.update(parse_config_file(run / "manifest.ini", "sweep"))
-    return cfg
+    """The run's [sweep] settings, every one of which its manifest holds (it reserializes)."""
+    return parse_config_file(run / "manifest.ini", "sweep")
 
 
-def sweep_config(cfg):
-    """The SweepConfig that ``compact-tik sweep`` runs for the settings ``cfg``."""
-    deltas = experiment.sweep_deltas(cfg["n"], cfg["angles"], cfg["snr_min_db"],
-                                     cfg["snr_max_db"], cfg["n_deltas"], cfg["det_halfwidth"])
-    keys = {f.name for f in dataclasses.fields(experiment.SweepConfig)} - {"deltas"}
-    return experiment.SweepConfig(deltas=deltas, **{key: cfg[key] for key in keys})
+def tables(directory):
+    """{file name: bytes} of every CSV table in ``directory``."""
+    return {path.name: path.read_bytes() for path in directory.glob("*.csv")}
 
 
 def cost(cfg):
@@ -85,27 +80,23 @@ def test_manifest_reserializes_byte_for_byte(run):
 
 @pytest.mark.parametrize("run", RUNS, ids=run_id)
 def test_results_rows_are_the_manifest_cells_in_order(run):
-    cfg = settings(run)
-    sweep = sweep_config(cfg)
+    sweep = sweep_config(settings(run))
     clean = experiment.scene(sweep.n, sweep.angles, sweep.det_halfwidth).clean
     cells = itertools.product(enumerate(sweep.deltas), range(sweep.realizations))
     want = [(delta, experiment.substream_seed(sweep.seed, i, r), sweep.alpha_grid(delta).tolist(),
              float(experiment.snr_db(clean, delta))) for (i, delta), r in cells]
     records = parsed_records(run)
     assert [(rec.delta, rec.seed, rec.alphas.tolist(), rec.snr_db) for rec in records] == want
-    # the rows are written as a sweep writes them, with the manifest's method
-    text = (run / "results.csv").read_text()
-    assert experiment.results_csv(records, cfg["method"]) == text
 
 
 @pytest.mark.parametrize("run", RUNS, ids=run_id)
 def test_aggregate_and_fits_follow_from_results(run):
+    # every table, results.csv too, is what a sweep writes for the run's records,
+    # with the manifest's method
     cfg = settings(run)
     result = experiment.summarize(sweep_config(cfg).deltas, parsed_records(run))
-    fits = [(cfg["method"], result.fit)] if result.fit else []
-    assert experiment.aggregate_csv(result.aggregates, cfg["method"]) == \
-        (run / "aggregate.csv").read_text()
-    assert experiment.fits_csv(fits) == (run / "fits.csv").read_text()
+    written = experiment.sweep_tables(result, cfg["method"])
+    assert {name: text.encode() for name, text in written.items()} == tables(run)
 
 
 # the checks above, which read a run's files and rerun nothing
@@ -129,8 +120,7 @@ def test_rerun_writes_the_committed_tables_byte_for_byte(run, threads, blas, tmp
             monkeypatch.setenv(name, blas)
     assert main(["sweep", "--config", str(run / "manifest.ini"), "--out", str(tmp_path),
                  "--threads", str(threads)]) == 0
-    for table in ("results.csv", "aggregate.csv", "fits.csv"):
-        assert (tmp_path / table).read_bytes() == (run / table).read_bytes(), table
+    assert tables(tmp_path) == tables(run)
 
 
 def change_a_digit_of_a_mean(run):
