@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import math
 import os
 import sys
 import time
@@ -152,7 +153,11 @@ class RateFit:
 
 
 def fit_rate(deltas, errors) -> RateFit:
-    """Ordinary least squares in log-log coordinates."""
+    """Ordinary least squares in log-log coordinates, in closed form."""
+    # the logs, sums and norm come from the standard library, so a fit has the same
+    # bits whatever BLAS kernels or SIMD loops numpy runs on the host
+    import statistics  # imported here: only the commands that fit a rate use it
+
     deltas = np.asarray(deltas, dtype=np.float64)
     errors = np.asarray(errors, dtype=np.float64)
     if deltas.size != errors.size or deltas.size < 2:
@@ -160,13 +165,13 @@ def fit_rate(deltas, errors) -> RateFit:
     # the comparisons are False for NaN, so NaN is rejected too
     if not np.all((deltas > 0) & (deltas < np.inf) & (errors > 0) & (errors < np.inf)):
         raise ValueError("deltas and errors must be positive and finite")
-    # one distinct delta leaves the slope undetermined
-    if deltas.min() == deltas.max():
+    lx, ly = [math.log(d) for d in deltas.tolist()], [math.log(e) for e in errors.tolist()]
+    # one distinct log delta leaves the slope undetermined; distinct deltas can share a log
+    if min(lx) == max(lx):
         raise ValueError(f"need at least two distinct deltas, got only {float(deltas[0])}")
-    lx, ly = np.log(deltas), np.log(errors)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    residual = float(np.linalg.norm(ly - (slope * lx + intercept)))
-    return RateFit(slope=float(slope), intercept=float(intercept), residual_norm=residual)
+    slope, intercept = statistics.linear_regression(lx, ly)
+    residual = math.hypot(*(y - (slope * x + intercept) for x, y in zip(lx, ly)))
+    return RateFit(slope=slope, intercept=intercept, residual_norm=residual)
 
 
 @dataclass

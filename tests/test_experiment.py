@@ -181,6 +181,9 @@ def test_fit_rate_validation():
         fit_rate([0.1, 0.2], [0.0, 1.0])
     with pytest.raises(ValueError, match="need at least two distinct deltas, got only 0.1"):
         fit_rate([0.1, 0.1, 0.1], [1.0, 2.0, 3.0])
+    # distinct deltas whose logs are one float determine no slope either
+    with pytest.raises(ValueError, match="need at least two distinct deltas, got only 0.1"):
+        fit_rate([0.1, np.nextafter(0.1, 1)], [1.0, 2.0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

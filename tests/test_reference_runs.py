@@ -5,12 +5,17 @@ hold its cells in order, with the deltas, seeds, alphas and SNR of the
 ``cli.sweep_config`` of its manifest; and its tables must be the ones that
 ``experiment.sweep_tables`` writes for what ``experiment.summarize`` makes of
 the records in its ``results.csv``. A run whose cost is at most
-``RERUN_BUDGET`` also reruns byte for byte in each variant of its method. A
-new study adds only its directory.
+``RERUN_BUDGET`` also reruns byte for byte in each variant of its method.
+Every run's ``fits.csv`` also follows from its ``aggregate.csv`` in a process
+that runs the AVX2 kernels and loops, as far as this host has them. A new
+study adds only its directory.
 """
 
 import itertools
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +126,30 @@ def test_rerun_writes_the_committed_tables_byte_for_byte(run, threads, blas, tmp
     assert main(["sweep", "--config", str(run / "manifest.ini"), "--out", str(tmp_path),
                  "--threads", str(threads)]) == 0
     assert tables(tmp_path) == tables(run)
+
+
+@pytest.mark.parametrize("run", RUNS, ids=run_id)
+def test_fits_do_not_depend_on_the_host_kernels(run):
+    # rate-fit's path from aggregate.csv to fits.csv, in a fresh process (this one has
+    # chosen its kernels already) with OpenBLAS's AVX2 kernels and numpy's loops beyond
+    # AVX2 off, each switched only where this host has it
+    from numpy._core._multiarray_umath import __cpu_features__ as features
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REFERENCE_RUNS.parent / "src"), os.environ.get("PYTHONPATH", "")]))
+    env["NPY_DISABLE_CPU_FEATURES"] = " ".join(
+        t for t in ("X86_V4", "AVX512_ICL", "AVX512_SPR") if features.get(t))
+    if features.get("AVX2"):
+        env["OPENBLAS_CORETYPE"] = "Haswell"
+    script = ("import sys\n"
+              "from compact_tik import experiment\n"
+              "series = experiment.table_deltas_errors(sys.argv[1])\n"
+              "fits = [(m, experiment.fit_rate(d, e)) for m, (d, e) in series.items()]\n"
+              "sys.stdout.write(experiment.fits_csv(fits))\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(run / "aggregate.csv")], env=env,
+                          capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (run / "fits.csv").read_bytes()
 
 
 def change_a_digit_of_a_mean(run):
