@@ -140,7 +140,7 @@ SCHEMAS = {
         "out": (_optional(str), None, "optional output directory for the fits table"),
     },
     "plot": {
-        "table": (str, "aggregate.csv", "aggregate table to plot"),
+        "table": (str, "aggregate.csv", "input table (aggregate or delta,error)"),
         "reference_exponent": (float, 2.0 / 3.0, "dashed reference slope"),
         "out": (str, "errors.svg", "output SVG path"),
     },
@@ -314,17 +314,14 @@ def cmd_oracle_linear(cfg):
     result = experiment.linear_oracle(cfg["mu"], cfg["n_dim"], deltas, seed=cfg["seed"])
     print(f"mu={cfg['mu']}  slope={result.fit.slope:.6f}  intercept={result.fit.intercept:.6f}")
     if cfg["out"] is not None:
-        oracle = zip(result.deltas, result.alphas, result.errors)
-        _write_tables("oracle-linear", cfg, {
-            "oracle.csv": experiment.csv_text("delta,alpha,error", oracle),
-            "fits.csv": experiment.fits_csv([(f"oracle-mu-{cfg['mu']}", result.fit)])})
+        _write_tables("oracle-linear", cfg, experiment.oracle_tables(result, cfg["mu"]))
     return 0
 
 
 def cmd_rate_fit(cfg):
-    series = experiment.table_deltas_errors(cfg["table"])
+    series = experiment.table_series(cfg["table"])
     fits = []
-    for method, (deltas, errors) in series.items():
+    for method, (deltas, errors, _) in series.items():
         fit = experiment.fit_rate(deltas, errors)
         fits.append((method, fit))
         prefix = f"{method}: " if len(series) > 1 else ""
@@ -337,8 +334,9 @@ def cmd_rate_fit(cfg):
 def cmd_plot(cfg):
     from .svgplot import render_plot  # imported here: no other command renders SVG
 
-    points = experiment.aggregate_points(cfg["table"])
-    _write_text(cfg["out"], render_plot(points, cfg["reference_exponent"]))
+    rows = [(d, e, s, method) for method, series in experiment.table_series(cfg["table"]).items()
+            for d, e, s in zip(*series)]
+    _write_text(cfg["out"], render_plot(rows, cfg["reference_exponent"]))
     _write_manifest("plot", cfg, str(cfg["out"]) + ".manifest")
     print(f"wrote {cfg['out']}")
     return 0

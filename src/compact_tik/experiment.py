@@ -216,8 +216,8 @@ class SweepConfig:
     with its default. The image is n x n. Each delta gets ``n_alphas``
     log-spaced alphas centered on alpha = delta and spanning
     ``alpha_span_decades`` decades each side; with one alpha, that alpha is
-    delta. Every alpha must be positive and finite in float64. Deltas must be
-    strictly decreasing.
+    delta. Every alpha must be positive and finite in float64, and a grid's
+    alphas strictly increasing. Deltas must be strictly decreasing.
     """
 
     deltas: list
@@ -253,9 +253,10 @@ class SweepConfig:
         check_positive("alpha_span_decades", self.alpha_span_decades, zero_ok=True)
         with np.errstate(over="ignore"):  # an overflow is reported below, not as a warning
             grids = [self.alpha_grid(d) for d in self.deltas]
-        if not all(np.all((g > 0) & (g < np.inf)) for g in grids):
+        # a span too small for float64 repeats an alpha, and so solves a cell's alpha twice
+        if not all(np.all((g > 0) & (g < np.inf)) and np.all(np.diff(g) > 0) for g in grids):
             raise ValueError(f"alpha_span_decades {self.alpha_span_decades} puts an alpha "
-                             f"outside (0, inf) for these deltas")
+                             f"outside (0, inf), or repeats one, for these deltas")
         if self.nn_weight_bound is not None:
             check_positive("nn_weight_bound", self.nn_weight_bound)
         MlpArchitecture(self.nn_hidden)  # rejects a width below 1
@@ -522,6 +523,13 @@ def sweep_tables(result: SweepResult, method):
             "fits.csv": fits_csv([(method, result.fit)] if result.fit else [])}
 
 
+def oracle_tables(result: LinearOracleResult, mu):
+    """{file name: CSV text} of the oracle.csv and fits.csv ``oracle-linear`` writes."""
+    return {"oracle.csv": csv_text("delta,alpha,error",
+                                   zip(result.deltas, result.alphas, result.errors)),
+            "fits.csv": fits_csv([(f"oracle-mu-{mu}", result.fit)])}
+
+
 def read_csv(path):
     """Header fields and ``(line number, fields)`` per nonblank row of a CSV table."""
     with open(path) as f:
@@ -545,10 +553,10 @@ def _number(path, lineno, name, field, zero_ok=False):
     return value
 
 
-def table_deltas_errors(path):
-    """{method: (deltas, errors)} of an aggregate or delta,error table, in row order.
+def table_series(path):
+    """{method: (deltas, errors, stds)} of an aggregate or delta,error table, in row order.
 
-    A table without a ``method`` column is one method, ``all``.
+    A table without a ``method`` column is one method, ``all``; without ``std_error``, stds are 0.
     """
     header, rows = read_csv(path)
     if "delta" not in header:
@@ -558,24 +566,18 @@ def table_deltas_errors(path):
         raise ValueError(f"{path}: no 'error' or 'mean_error' column")
     d_col, e_col = header.index("delta"), header.index(error)
     m_col = header.index("method") if "method" in header else None
+    s_col = header.index("std_error") if "std_error" in header else None
     series = {}
     for lineno, row in rows:
-        deltas, errors = series.setdefault(row[m_col] if m_col is not None else "all", ([], []))
+        deltas, errors, stds = series.setdefault(
+            row[m_col] if m_col is not None else "all", ([], [], []))
         deltas.append(_number(path, lineno, "delta", row[d_col]))
         errors.append(_number(path, lineno, error, row[e_col]))
+        stds.append(0.0 if s_col is None else
+                    _number(path, lineno, "std_error", row[s_col], zero_ok=True))
     # several alphas per (delta, method), as in a sweep's results.csv, are errors at every
     # alpha, not at the oracle alpha; oracle-linear's oracle.csv has one a-priori alpha each
-    if "alpha" in header and any(len(set(ds)) < len(ds) for ds, _ in series.values()):
+    if "alpha" in header and any(len(set(ds)) < len(ds) for ds, *_ in series.values()):
         raise ValueError(f"{path}: has an 'alpha' column, so its errors are not the oracle "
-                         "errors; fit the sweep's aggregate.csv")
+                         "errors; use the sweep's aggregate.csv")
     return series
-
-
-def aggregate_points(path):
-    """(delta, mean_error, std_error, method) rows of a sweep's ``aggregate.csv`` table."""
-    header, rows = read_csv(path)
-    required = ["delta", "mean_error", "std_error", "method"]
-    if header[: len(required)] != required:
-        raise ValueError(f"{path}: expected header {','.join(required)}")
-    return [(_number(path, lineno, "delta", r[0]), _number(path, lineno, "mean_error", r[1]),
-             _number(path, lineno, "std_error", r[2], zero_ok=True), r[3]) for lineno, r in rows]

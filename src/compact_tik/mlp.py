@@ -112,7 +112,7 @@ class MlpParams:
         return out
 
 
-def init_params(arch: MlpArchitecture, seed, weight_bound=None) -> MlpParams:
+def init_params(arch: MlpArchitecture, seed) -> MlpParams:
     """Seeded symmetric-uniform init: W ~ U(-a, a), a = sqrt(6/(fan_in+fan_out)), b = 0.
 
     With zero biases some draws are dead: the output pre-activation is <= 0
@@ -129,10 +129,7 @@ def init_params(arch: MlpArchitecture, seed, weight_bound=None) -> MlpParams:
         a = np.sqrt(6.0 / (d_in + d_out))
         weights.append(rng.uniform(-a, a, size=(d_out, d_in)))
         biases.append(np.zeros(d_out))
-    params = MlpParams(weights=weights, biases=biases)
-    if weight_bound is not None:
-        project_weights(params, weight_bound)
-    return params
+    return MlpParams(weights=weights, biases=biases)
 
 
 class MlpWorkspace:

@@ -51,8 +51,8 @@ class NnReconstructionConfig:
     """Everything a single network reconstruction depends on.
 
     ``operator`` must have domain dimension nx * ny. ``weight_bound`` None
-    reproduces unconstrained training; a finite value clamps parameters to
-    [-c, c] after every step.
+    reproduces unconstrained training; a finite value clamps the drawn init,
+    and the parameters after every step, to [-c, c].
     """
 
     architecture: MlpArchitecture
@@ -113,7 +113,9 @@ def reconstruct_nn(cfg: NnReconstructionConfig) -> NnReconstruction:
     """
     coords = pixel_centers(cfg.nx, cfg.ny)
     op, data, alpha = cfg.operator, cfg.data, cfg.alpha
-    params = init_params(cfg.architecture, cfg.seed, weight_bound=cfg.weight_bound)
+    params = init_params(cfg.architecture, cfg.seed)
+    if cfg.weight_bound is not None:
+        project_weights(params, cfg.weight_bound)
     workspace = MlpWorkspace(params, coords.shape[0])
     if not mlp_forward(params, coords, workspace).any():
         w_out = params.weights[-1]

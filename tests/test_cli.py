@@ -134,14 +134,15 @@ def test_rate_fit_single_distinct_delta_exit_1(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_rate_fit_refuses_a_per_alpha_results_table(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["rate-fit", "plot"])
+def test_per_alpha_results_table_is_refused(tmp_path, capsys, command):
     # fitting every alpha's error gives slope 0.240487 here; the sweep's
     # oracle-error fit in fits.csv is 0.181085
     table = REPO / "reference_runs" / "ct32" / "tikhonov" / "results.csv"
-    assert run_cli("rate-fit", "--table", str(table), "--out", str(tmp_path / "out")) == 1
+    assert run_cli(command, "--table", str(table), "--out", str(tmp_path / "out")) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {table}: has an 'alpha' column")
-    assert "aggregate.csv" in captured.err
+    assert "use the sweep's aggregate.csv" in captured.err
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
 
@@ -157,6 +158,19 @@ def test_bad_table_exit_1_names_path_and_line(tmp_path, capsys, command, text, w
     table.write_text(text)
     assert run_cli(command, "--table", str(table), "--out", str(tmp_path / "out")) == 1
     assert capsys.readouterr().err.startswith(f"error: {table}{where}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["rate-fit", "plot"])
+@pytest.mark.parametrize("header, message", [
+    ("d,mean_error,std_error,method", "no 'delta' column"),
+    ("delta,mean,std_error,method", "no 'error' or 'mean_error' column"),
+])
+def test_table_without_a_needed_column_exit_1(tmp_path, capsys, command, header, message):
+    table = tmp_path / "agg.csv"
+    table.write_text(f"{header}\n0.1,1.0,0.0,t\n0.01,0.3,0.0,t\n")
+    assert run_cli(command, "--table", str(table), "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == f"error: {table}: {message}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -183,6 +197,8 @@ def test_non_numeric_table_field_exit_1_names_path_and_line(tmp_path, capsys, co
     assert not (tmp_path / "out").exists()
 
 
+# rate-fit and plot read a table through one reader, so every refusal holds for both
+@pytest.mark.parametrize("command", ["rate-fit", "plot"])
 @pytest.mark.parametrize("text, message", [
     ("delta,error\n0.1,1.0\n-0.01,0.3\n", ":3: delta must be positive and finite, got -0.01"),
     ("delta,error\n0.1,1.0\nnan,0.3\n", ":3: delta must be positive and finite, got nan"),
@@ -190,14 +206,15 @@ def test_non_numeric_table_field_exit_1_names_path_and_line(tmp_path, capsys, co
     ("delta,mean_error,std_error,method\n0.1,-1.0,0.0,t\n0.01,0.3,0.0,t\n",
      ":2: mean_error must be positive and finite, got -1.0"),
 ])
-def test_rate_fit_out_of_range_value_names_path_and_line(tmp_path, capsys, text, message):
+def test_out_of_range_value_names_path_and_line(tmp_path, capsys, command, text, message):
     table = tmp_path / "agg.csv"
     table.write_text(text)
-    assert run_cli("rate-fit", "--table", str(table), "--out", str(tmp_path / "out")) == 1
+    assert run_cli(command, "--table", str(table), "--out", str(tmp_path / "out")) == 1
     assert capsys.readouterr().err == f"error: {table}{message}\n"
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["rate-fit", "plot"])
 @pytest.mark.parametrize("row, message", [
     ("0.1,1.0,-5.0,t", "std_error must be nonnegative and finite, got -5.0"),
     ("0.1,1.0,nan,t", "std_error must be nonnegative and finite, got nan"),
@@ -205,20 +222,12 @@ def test_rate_fit_out_of_range_value_names_path_and_line(tmp_path, capsys, text,
     ("nan,1.0,0.0,t", "delta must be positive and finite, got nan"),
     ("0.1,-1.0,0.0,t", "mean_error must be positive and finite, got -1.0"),
 ])
-def test_plot_out_of_range_value_names_path_and_line(tmp_path, capsys, row, message):
+def test_out_of_range_aggregate_row_names_path_and_line(tmp_path, capsys, command, row, message):
     table = tmp_path / "agg.csv"
     table.write_text(f"delta,mean_error,std_error,method\n0.2,2.0,0.0,t\n{row}\n")
-    assert run_cli("plot", "--table", str(table), "--out", str(tmp_path / "fig.svg")) == 1
+    assert run_cli(command, "--table", str(table), "--out", str(tmp_path / "out")) == 1
     assert capsys.readouterr().err == f"error: {table}:3: {message}\n"
-    assert not (tmp_path / "fig.svg").exists()
-
-
-def test_plot_rejects_negative_std_exit_1(tmp_path, capsys):
-    table = tmp_path / "agg.csv"
-    table.write_text("delta,mean_error,std_error,method\n0.1,1.0,-5.0,t\n0.01,0.3,0.0,t\n")
-    assert run_cli("plot", "--table", str(table), "--out", str(tmp_path / "fig.svg")) == 1
-    assert "nonnegative" in capsys.readouterr().err
-    assert not (tmp_path / "fig.svg").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_oracle_linear_cli(tmp_path, capsys):
@@ -243,6 +252,16 @@ def test_rate_fit_of_the_oracle_table_matches_the_oracle_fit(tmp_path, capsys):
         return row.split(",")[header.split(",").index("slope")]
 
     assert slope(fits / "fits.csv") == slope(out / "fits.csv")
+
+
+def test_plot_of_the_oracle_table_draws_zero_length_bars(tmp_path, capsys):
+    out = tmp_path / "oracle"
+    assert run_cli("oracle-linear", "--out", str(out)) == 0
+    fig = tmp_path / "fig.svg"
+    assert run_cli("plot", "--table", str(out / "oracle.csv"), "--out", str(fig)) == 0
+    _, *lines = (out / "oracle.csv").read_text().splitlines()
+    rows = [(float(d), float(e), 0.0, "all") for d, _, e in (line.split(",") for line in lines)]
+    assert fig.read_text() == render_plot(rows, 2.0 / 3.0)
 
 
 def test_plot_non_finite_reference_exponent_exit_1(tmp_path, capsys):

@@ -240,7 +240,8 @@ def test_sweep_config_refuses_a_fractional_count_naming_it(setting):
 def test_sweep_config_rejects_empty_or_descending_alpha_grid():
     with pytest.raises(ValueError, match="n_alphas"):
         SweepConfig(deltas=[0.1], realizations=1, n_alphas=0)
-    for span in (-1.0, float("nan"), 400.0):
+    # 0 and 1e-17 give twenty equal alphas, so each cell would solve one alpha twenty times
+    for span in (-1.0, float("nan"), 400.0, 0.0, 1e-17):
         # a numpy overflow warning would be raised here as an error, not a ValueError
         with warnings.catch_warnings(), pytest.raises(ValueError, match="alpha_span_decades"):
             warnings.simplefilter("error")

@@ -530,7 +530,8 @@ def test_bounded_outputs_layered_bound():
     rng = np.random.default_rng(12)
     coords = rng.uniform(-1, 1, size=(30, 2))
     for seed in range(100):
-        params = init_params(arch, seed=seed, weight_bound=c)
+        params = init_params(arch, seed=seed)
+        project_weights(params, c)
         values = mlp_forward(params, coords, MlpWorkspace(params, 30))
         assert values.max() <= bound
 
@@ -691,7 +692,8 @@ def test_layers_cannot_be_rebound():
 
 
 def test_copy_owns_its_vector():
-    params = init_params(MlpArchitecture(hidden_widths=(4,)), seed=16, weight_bound=0.3)
+    params = init_params(MlpArchitecture(hidden_widths=(4,)), seed=16)
+    project_weights(params, 0.3)
     dup = params.copy()
     assert not np.shares_memory(dup.flat, params.flat)
     assert all(np.shares_memory(a, dup.flat) for a in layers(dup))

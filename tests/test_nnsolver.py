@@ -4,7 +4,7 @@ import pytest
 from compact_tik.errors import NumericalFailureError
 from compact_tik.experiment import substream_seed
 from compact_tik.grid import pixel_centers, shepp_logan
-from compact_tik.mlp import MlpArchitecture, MlpWorkspace, init_params, mlp_forward
+from compact_tik.mlp import MlpArchitecture, MlpWorkspace, init_params, mlp_forward, project_weights
 from compact_tik.nnsolver import NnReconstructionConfig, reconstruct_nn
 from compact_tik.radon import RadonGeometry, radon_forward, radon_operator
 from compact_tik.tikhonov import TikhonovProblem, objective_and_cotangent, solve_tikhonov
@@ -167,7 +167,8 @@ def test_live_init_is_used_as_drawn():
 def test_negated_dead_init_respects_weight_bound():
     bound = 0.05
     cfg = ct32_config(weight_bound=bound, iterations=5)
-    drawn = init_params(CT32_ARCH, DEAD_SEED, weight_bound=bound)
+    drawn = init_params(CT32_ARCH, DEAD_SEED)
+    project_weights(drawn, bound)
     assert not mlp_forward(drawn, pixel_centers(32, 32), MlpWorkspace(drawn, 32 * 32)).any()
     flipped = negated_output_layer(drawn)
     assert np.abs(flipped.flat).max() <= bound
@@ -180,8 +181,8 @@ def test_negated_dead_init_respects_weight_bound():
 def test_output_dead_for_both_signs_raises(monkeypatch):
     # with a zero output layer neither sign of it can give a nonzero image
 
-    def zero_output_init(arch, seed, weight_bound=None):
-        params = init_params(arch, seed, weight_bound=weight_bound)
+    def zero_output_init(arch, seed):
+        params = init_params(arch, seed)
         params.weights[-1][:] = 0.0
         return params
 
@@ -196,7 +197,9 @@ def two_forward_reference(cfg):
     second one inside the backward, and an out-of-place Adam step and clamp
     over per-layer lists."""
     coords = pixel_centers(cfg.nx, cfg.ny)
-    params = init_params(cfg.architecture, cfg.seed, weight_bound=cfg.weight_bound)
+    params = init_params(cfg.architecture, cfg.seed)
+    if cfg.weight_bound is not None:
+        params = reference_project_weights(params, cfg.weight_bound)
     if not mlp_forward(params, coords, MlpWorkspace(params, len(coords))).any():
         params = negated_output_layer(params)
     state = ReferenceAdamState.for_params(params, learning_rate=cfg.learning_rate)

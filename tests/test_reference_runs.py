@@ -143,8 +143,8 @@ def test_fits_do_not_depend_on_the_host_kernels(run):
         env["OPENBLAS_CORETYPE"] = "Haswell"
     script = ("import sys\n"
               "from compact_tik import experiment\n"
-              "series = experiment.table_deltas_errors(sys.argv[1])\n"
-              "fits = [(m, experiment.fit_rate(d, e)) for m, (d, e) in series.items()]\n"
+              "series = experiment.table_series(sys.argv[1])\n"
+              "fits = [(m, experiment.fit_rate(d, e)) for m, (d, e, _) in series.items()]\n"
               "sys.stdout.write(experiment.fits_csv(fits))\n")
     proc = subprocess.run([sys.executable, "-c", script, str(run / "aggregate.csv")], env=env,
                           capture_output=True)
