@@ -18,7 +18,11 @@ from .errors import NumericalFailureError, check_count, check_positive
 
 @dataclass(frozen=True)
 class LinearOperator:
-    """Behavioral apply/adjoint pair on flat vectors."""
+    """Behavioral apply/adjoint pair on flat vectors.
+
+    ``apply`` and ``apply_adjoint`` return a new array on each call, which the
+    caller may overwrite.
+    """
 
     domain_dim: int
     range_dim: int
@@ -190,7 +194,7 @@ def _shifted_cg(apply_base, rhs, shifts, tol, rhs_norm, max_iter, precondition):
     check_positive("tol", tol)
     check_count("max_iter", max_iter)
     threshold = tol * rhs_norm
-    r = np.array(rhs, dtype=np.float64)
+    r = np.array(rhs, dtype=np.float64)  # a copy: r and p are updated in place
     rs = r @ r
     if not np.isfinite(rs):
         raise NumericalFailureError("non-finite initial residual in CG")
@@ -225,7 +229,8 @@ def _shifted_cg(apply_base, rhs, shifts, tol, rhs_norm, max_iter, precondition):
         beta = rz / rz_prev
         p_act *= (beta * ratio * ratio)[:, None]
         p_act += zeta[:, None] * z
-        p = z + beta * p
+        p *= beta
+        p += z
         mp = apply_base(p)
         denom = p @ mp
         if not np.isfinite(denom) or denom <= 0.0:
@@ -238,7 +243,7 @@ def _shifted_cg(apply_base, rhs, shifts, tol, rhs_norm, max_iter, precondition):
         )
         ratio = zeta_next / zeta
         x_act += (step * ratio)[:, None] * p_act
-        r = r - step * mp
+        r -= step * mp
         rs = r @ r
         if not np.isfinite(rs):
             raise NumericalFailureError(f"non-finite residual at iteration {iterations}")

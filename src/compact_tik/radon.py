@@ -65,9 +65,10 @@ from .linop import LinearOperator
 # not "SINF", the magic of the layout without a step, so such a file never loads
 SINF_MAGIC = b"SNF2"
 
-# entries per block of R and R^T (2 MiB of float64); a ray longer than this
-# is a block of its own
-BLOCK_ENTRIES = 1 << 18
+# entries per block of R and R^T: one block's float64 temporary is 256 KiB,
+# and with its col and val slices 768 KiB, which fits a 2 MiB per-core L2.
+# A ray longer than this is a block of its own
+BLOCK_ENTRIES = 1 << 15
 
 # tables held in memory by _projector, and entries kept on disk by the cache
 CACHE_ENTRIES = 8
@@ -541,9 +542,11 @@ def _normal_symbol(geom: RadonGeometry, nx: int, ny: int) -> np.ndarray:
     cy, cx = ny // 2, nx // 2
     unit[cy * nx + cx] = 1.0
     response = radon_adjoint(radon_forward(ImageGrid(nx=nx, ny=ny, values=unit), geom), nx, ny)
+    # each response pixel goes straight to its offset from the centre pixel,
+    # wrapped on the torus: np.roll's placement, without its copy of the kernel
     kernel = np.zeros((2 * ny, 2 * nx))
-    kernel[:ny, :nx] = response.as_array()
-    kernel = np.roll(kernel, (-cy, -cx), axis=(0, 1))
+    kernel[np.ix_((np.arange(ny) - cy) % (2 * ny), (np.arange(nx) - cx) % (2 * nx))] = (
+        response.as_array())
     symbol = np.fft.rfft2(kernel).real
     return np.maximum(symbol, 1e-2 * symbol.max())
 
@@ -567,10 +570,15 @@ def radon_operator(geom: RadonGeometry, nx, ny) -> LinearOperator:
         return _adjoint(y, geom, nx, ny)
 
     def normal_preconditioner(v, alpha):
-        shape = (2 * ny, 2 * nx)
-        spectrum = np.fft.rfft2(v.reshape(ny, nx), s=shape)
+        # the 1-D passes of rfft2 and irfft2 at s = (2 ny, 2 nx), in place in
+        # one spectrum buffer: the rows' rfft fills its first ny rows, and only
+        # those rows are inverse transformed along the rows
+        spectrum = np.zeros((2 * ny, nx + 1), dtype=np.complex128)
+        np.fft.rfft(v.reshape(ny, nx), n=2 * nx, axis=1, out=spectrum[:ny])
+        np.fft.fft(spectrum, axis=0, out=spectrum)
         spectrum /= _normal_symbol(geom, nx, ny) + alpha
-        return np.fft.irfft2(spectrum, s=shape)[:ny, :nx].ravel()
+        np.fft.ifft(spectrum, axis=0, out=spectrum)
+        return np.fft.irfft(spectrum[:ny], n=2 * nx, axis=1)[:, :nx].ravel()
 
     return LinearOperator(
         domain_dim=nx * ny, range_dim=geom.size, apply=apply, apply_adjoint=apply_adjoint,

@@ -45,8 +45,17 @@ def objective_and_cotangent(op, data, alpha, x):
 
 
 def normal_operator(op, alpha):
-    """The map v -> (A^T A + alpha I) v of the normal equations."""
-    return lambda v: op.apply_adjoint(op.apply(v)) + alpha * v
+    """The map v -> (A^T A + alpha I) v of the normal equations.
+
+    alpha v is added into the A^T output, which the operator returns as a new
+    array (see :class:`compact_tik.linop.LinearOperator`).
+    """
+    def apply(v):
+        out = op.apply_adjoint(op.apply(v))
+        out += alpha * v
+        return out
+
+    return apply
 
 
 def solve_tikhonov(problem: TikhonovProblem, tol, max_iter, x0=None) -> CgResult:

@@ -327,3 +327,18 @@ def test_converged_warm_start_never_calls_the_preconditioner():
                    precondition=precondition)
     assert res.iterations == 0 and res.converged
     assert not calls
+
+
+@pytest.mark.parametrize("apply", ["matrix", "identity"])
+def test_cg_leaves_the_right_hand_side_unmodified(apply):
+    # the iteration updates its own residual and direction in place; neither
+    # may be the caller's rhs, nor an array that an apply handing back its
+    # argument, or a preconditioner doing so, shares with them
+    spd, rhs = random_spd(30, 20, 1.0)
+    apply_spd = (lambda x: spd @ x) if apply == "matrix" else (lambda x: x)
+    before = rhs.copy()
+    cg_solve(apply_spd, rhs, tol=1e-10, max_iter=2000)
+    cg_solve(apply_spd, rhs, tol=1e-10, max_iter=2000, precondition=lambda r: r)
+    cg_solve(apply_spd, rhs, tol=1e-10, max_iter=2000, x0=np.ones(rhs.size))
+    cg_solve_shifted(apply_spd, rhs, [0.0, 0.5, 3.0], tol=1e-10, max_iter=2000)
+    assert np.array_equal(rhs, before)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +186,27 @@ def test_single_alpha_solve_is_preconditioned():
     res = solve_tikhonov(TikhonovProblem(op=radon_operator(geom, 64, 64), data=data, alpha=delta),
                          tol=1e-10, max_iter=2000)
     assert res.converged and res.iterations <= 17
+
+
+def test_warm_128_solve_holds_a_bounded_working_set():
+    # 128x128, 50 angles, 23 dB, alpha = delta, with the table and the symbol
+    # built: 1.88 MiB of numpy allocations at the peak. 2 MiB blocks of R and
+    # R^T and the preconditioner's full-size FFT copies made it 3.32 MiB
+    n, geom = 128, RadonGeometry.for_grid(128, 50)
+    clean = radon_forward(shepp_logan(n, n), geom).values
+    delta = delta_for_snr(clean, 23.0)
+    problem = TikhonovProblem(op=radon_operator(geom, n, n),
+                              data=add_noise(clean, NoiseSpec(delta=delta, seed=1)), alpha=delta)
+    solve_tikhonov(problem, tol=1e-10, max_iter=2000)
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        res = solve_tikhonov(problem, tol=1e-10, max_iter=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.converged
+    assert peak - baseline <= 2.5 * 2**20
 
 
 def test_preconditioned_solve_applies_the_preconditioner_once_per_iteration():
