@@ -331,9 +331,9 @@ def test_converged_warm_start_never_calls_the_preconditioner():
 
 @pytest.mark.parametrize("apply", ["matrix", "identity"])
 def test_cg_leaves_the_right_hand_side_unmodified(apply):
-    # the iteration updates its own residual and direction in place; neither
-    # may be the caller's rhs, nor an array that an apply handing back its
-    # argument, or a preconditioner doing so, shares with them
+    # the iteration updates its residual and direction in place, so they must
+    # be its own arrays, also when the apply or the preconditioner hands back
+    # its argument
     spd, rhs = random_spd(30, 20, 1.0)
     apply_spd = (lambda x: spd @ x) if apply == "matrix" else (lambda x: x)
     before = rhs.copy()
