@@ -334,9 +334,8 @@ def cmd_rate_fit(cfg):
 def cmd_plot(cfg):
     from .svgplot import render_plot  # imported here: no other command renders SVG
 
-    rows = [(d, e, s, method) for method, series in experiment.table_series(cfg["table"]).items()
-            for d, e, s in zip(*series)]
-    _write_text(cfg["out"], render_plot(rows, cfg["reference_exponent"]))
+    _write_text(cfg["out"], render_plot(experiment.table_series(cfg["table"]),
+                                        cfg["reference_exponent"]))
     _write_manifest("plot", cfg, str(cfg["out"]) + ".manifest")
     print(f"wrote {cfg['out']}")
     return 0

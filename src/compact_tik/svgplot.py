@@ -1,10 +1,11 @@
 """Standalone SVG rendering of error-versus-noise charts; the caller writes the text.
 
-Hand-rolled SVG keeps the output deterministic and assertable: tests can
-parse coordinates back out of the text. Axes are log-log (base 10); each
-method contributes one polyline plus one vertical error bar per point;
-the reference power law is a single dashed line anchored through the
-least-squares intercept of the plotted means at a fixed exponent.
+``render_plot`` draws ``experiment.table_series``' dict as it is; that reader
+checks every value. Hand-rolled SVG, every element but the ``<svg>`` tags
+written by ``_tag``, keeps the output deterministic and assertable. Axes are
+log-log (base 10); each method contributes one polyline plus one vertical
+error bar per point; the reference power law is a single dashed line anchored
+through the least-squares intercept of the plotted means at a fixed exponent.
 """
 
 from __future__ import annotations
@@ -42,14 +43,28 @@ def _fmt(v):
     return f"{v:.2f}"
 
 
-def render_plot(rows, reference_exponent):
-    """Render an aggregate table to SVG text.
+def _tag(name, text, **attrs):
+    """``<name a="v" .../>``, or ``<name ...>text</name>`` when ``text`` is not None.
+
+    Attributes are spelled in call order, ``class_`` as ``class`` and every
+    other ``_`` as ``-`` (``text_anchor`` as ``text-anchor``); every value and
+    the text are XML-escaped.
+    """
+    spelled = "".join(f' {k.rstrip("_").replace("_", "-")}="{html.escape(str(v))}"'
+                      for k, v in attrs.items())
+    if text is None:
+        return f"<{name}{spelled}/>"
+    return f"<{name}{spelled}>{html.escape(text)}</{name}>"
+
+
+def render_plot(series, reference_exponent):
+    """Render an aggregate table's series to SVG text.
 
     Parameters
     ----------
-    rows : sequence of (delta, mean_error, std_error, method)
-        One point per (delta, method); all finite, deltas and means positive,
-        stds nonnegative.
+    series : dict of method -> (deltas, mean_errors, std_errors)
+        As ``experiment.table_series`` returns it, unchecked here: nonempty;
+        deltas and means positive and finite, stds finite and nonnegative.
     reference_exponent : float
         Finite slope of the dashed log-log reference line; its intercept is the
         least-squares fit over all plotted means at this fixed slope.
@@ -61,22 +76,12 @@ def render_plot(rows, reference_exponent):
     """
     if not math.isfinite(reference_exponent):
         raise ValueError(f"reference_exponent must be finite, got {reference_exponent}")
-    series = {}
-    for delta, mean, std, method in rows:
-        # the comparisons are False for NaN, so NaN is rejected too
-        if not (0 < delta < math.inf and 0 < mean < math.inf and 0 <= std < math.inf):
-            raise ValueError("deltas and mean errors must be positive and finite, "
-                             "stds finite and nonnegative")
-        mean, std = float(mean), float(std)
-        # a log axis cannot reach zero, so a bar that would ends at a thousandth of its mean
-        lower = mean - std
-        series.setdefault(method, []).append(
-            (float(delta), mean, lower if lower > 0 else mean * 1e-3, mean + std))
-    if not series:
-        raise ValueError("cannot plot an empty table")
-    for pts in series.values():
-        pts.sort(key=lambda p: p[0])
-    points = [p for pts in series.values() for p in pts]
+    # (delta, mean, bar bottom, bar top) per point, sorted by delta alone so tied deltas keep
+    # row order; a log axis cannot reach zero, so a bar that would ends at a thousandth of its mean
+    curves = {method: sorted(((d, m, m - s if m - s > 0 else m * 1e-3, m + s)
+                              for d, m, s in zip(*columns)), key=lambda p: p[0])
+              for method, columns in series.items()}
+    points = [p for pts in curves.values() for p in pts]
 
     # the frame covers every mean and both ends of every bar
     x0, y0 = MARGIN_LEFT, MARGIN_TOP
@@ -89,64 +94,46 @@ def render_plot(rows, reference_exponent):
     resid = [math.log10(m) - e * math.log10(d) for d, m, *_ in points]
     c = sum(resid) / len(resid)
 
-    out = []
-    out.append(
+    out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEIGHT}">'
-    )
-    out.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
-    out.append(
-        f'<rect class="axes" x="{x0}" y="{y0}" width="{x1 - x0}" height="{y1 - y0}" '
-        f'fill="none" stroke="black"/>'
-    )
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        _tag("rect", None, width=WIDTH, height=HEIGHT, fill="white"),
+        _tag("rect", None, class_="axes", x=x0, y=y0, width=x1 - x0, height=y1 - y0,
+             fill="none", stroke="black"),
+    ]
     # decade ticks
     for k in range(math.ceil(dlo), math.floor(dhi) + 1):
         x = _fmt(px(10.0**k))
-        out.append(
-            f'<line class="xtick" x1="{x}" y1="{y1}" x2="{x}" y2="{y1 + 6}" stroke="black"/>'
-        )
-        out.append(
-            f'<text class="xticklabel" x="{x}" y="{y1 + 20}" text-anchor="middle" '
-            f'font-size="12">1e{k}</text>'
-        )
+        out.append(_tag("line", None, class_="xtick", x1=x, y1=y1, x2=x, y2=y1 + 6,
+                        stroke="black"))
+        out.append(_tag("text", f"1e{k}", class_="xticklabel", x=x, y=y1 + 20,
+                        text_anchor="middle", font_size=12))
     for k in range(math.ceil(elo), math.floor(ehi) + 1):
         y = py(10.0**k)
-        out.append(
-            f'<line class="ytick" x1="{x0 - 6}" y1="{_fmt(y)}" x2="{x0}" y2="{_fmt(y)}" stroke="black"/>'
-        )
-        out.append(
-            f'<text class="yticklabel" x="{x0 - 10}" y="{_fmt(y + 4)}" text-anchor="end" '
-            f'font-size="12">1e{k}</text>'
-        )
+        out.append(_tag("line", None, class_="ytick", x1=x0 - 6, y1=_fmt(y), x2=x0, y2=_fmt(y),
+                        stroke="black"))
+        out.append(_tag("text", f"1e{k}", class_="yticklabel", x=x0 - 10, y=_fmt(y + 4),
+                        text_anchor="end", font_size=12))
     # axis labels
-    out.append(
-        f'<text class="xlabel" x="{(x0 + x1) / 2:.2f}" y="{HEIGHT - 12}" text-anchor="middle" '
-        f'font-size="14">delta</text>'
-    )
-    out.append(
-        f'<text class="ylabel" x="18" y="{(y0 + y1) / 2:.2f}" text-anchor="middle" '
-        f'font-size="14" transform="rotate(-90 18 {(y0 + y1) / 2:.2f})">error</text>'
-    )
+    out.append(_tag("text", "delta", class_="xlabel", x=_fmt((x0 + x1) / 2), y=HEIGHT - 12,
+                    text_anchor="middle", font_size=14))
+    ym = _fmt((y0 + y1) / 2)
+    out.append(_tag("text", "error", class_="ylabel", x=18, y=ym, text_anchor="middle",
+                    font_size=14, transform=f"rotate(-90 18 {ym})"))
     # dashed reference line across the x-range
-    out.append(
-        f'<line class="reference" x1="{_fmt(px(10.0**dlo))}" y1="{_fmt(py(10.0 ** (e * dlo + c)))}" '
-        f'x2="{_fmt(px(10.0**dhi))}" y2="{_fmt(py(10.0 ** (e * dhi + c)))}" '
-        f'stroke="black" stroke-dasharray="6,4"/>'
-    )
+    out.append(_tag("line", None, class_="reference",
+                    x1=_fmt(px(10.0**dlo)), y1=_fmt(py(10.0 ** (e * dlo + c))),
+                    x2=_fmt(px(10.0**dhi)), y2=_fmt(py(10.0 ** (e * dhi + c))),
+                    stroke="black", stroke_dasharray="6,4"))
     # one polyline + error bars per method
-    for idx, (method, pts) in enumerate(series.items()):
+    for idx, (method, pts) in enumerate(curves.items()):
         color = _PALETTE[idx % len(_PALETTE)]
-        method = html.escape(str(method), quote=True)
         for d, _, lower, upper in pts:
-            out.append(
-                f'<line class="errorbar method-{method}" x1="{_fmt(px(d))}" '
-                f'y1="{_fmt(py(lower))}" x2="{_fmt(px(d))}" y2="{_fmt(py(upper))}" '
-                f'stroke="{color}"/>'
-            )
-        line = " ".join(f"{_fmt(px(d))},{_fmt(py(m))}" for d, m, *_ in pts)
-        out.append(
-            f'<polyline class="series method-{method}" fill="none" stroke="{color}" '
-            f'stroke-width="1.5" points="{line}"/>'
-        )
+            out.append(_tag("line", None, class_=f"errorbar method-{method}",
+                            x1=_fmt(px(d)), y1=_fmt(py(lower)), x2=_fmt(px(d)), y2=_fmt(py(upper)),
+                            stroke=color))
+        out.append(_tag("polyline", None, class_=f"series method-{method}", fill="none",
+                        stroke=color, stroke_width=1.5,
+                        points=" ".join(f"{_fmt(px(d))},{_fmt(py(m))}" for d, m, *_ in pts)))
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
@@ -148,16 +149,17 @@ def test_per_alpha_results_table_is_refused(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["rate-fit", "plot"])
-@pytest.mark.parametrize("text, where", [
-    ("", ":"),  # empty file
-    ("delta,mean_error,std_error,method\n", ":"),  # header only
-    ("delta,mean_error,std_error,method\n0.1,1.0,0.0,tikhonov\n\n0.01\n", ":4:"),  # ragged
+@pytest.mark.parametrize("text, message", [
+    ("", ": expected a header line and at least one row"),  # empty file
+    ("delta,mean_error,std_error,method\n", ": expected a header line and at least one row"),
+    ("delta,mean_error,std_error,method\n0.1,1.0,0.0,tikhonov\n\n0.01\n",
+     ":4: expected 4 fields, got 1"),  # ragged
 ])
-def test_bad_table_exit_1_names_path_and_line(tmp_path, capsys, command, text, where):
+def test_bad_table_exit_1_names_path_and_line(tmp_path, capsys, command, text, message):
     table = tmp_path / "agg.csv"
     table.write_text(text)
     assert run_cli(command, "--table", str(table), "--out", str(tmp_path / "out")) == 1
-    assert capsys.readouterr().err.startswith(f"error: {table}{where}")
+    assert capsys.readouterr().err == f"error: {table}{message}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -221,6 +223,10 @@ def test_out_of_range_value_names_path_and_line(tmp_path, capsys, command, text,
     ("0.0,1.0,0.0,t", "delta must be positive and finite, got 0.0"),
     ("nan,1.0,0.0,t", "delta must be positive and finite, got nan"),
     ("0.1,-1.0,0.0,t", "mean_error must be positive and finite, got -1.0"),
+    ("inf,1.0,0.0,t", "delta must be positive and finite, got inf"),
+    ("0.1,nan,0.0,t", "mean_error must be positive and finite, got nan"),
+    ("0.1,inf,0.0,t", "mean_error must be positive and finite, got inf"),
+    ("0.1,1.0,inf,t", "std_error must be nonnegative and finite, got inf"),
 ])
 def test_out_of_range_aggregate_row_names_path_and_line(tmp_path, capsys, command, row, message):
     table = tmp_path / "agg.csv"
@@ -260,8 +266,9 @@ def test_plot_of_the_oracle_table_draws_zero_length_bars(tmp_path, capsys):
     fig = tmp_path / "fig.svg"
     assert run_cli("plot", "--table", str(out / "oracle.csv"), "--out", str(fig)) == 0
     _, *lines = (out / "oracle.csv").read_text().splitlines()
-    rows = [(float(d), float(e), 0.0, "all") for d, _, e in (line.split(",") for line in lines)]
-    assert fig.read_text() == render_plot(rows, 2.0 / 3.0)
+    deltas, _, errors = zip(*((float(v) for v in line.split(",")) for line in lines))
+    series = {"all": (deltas, errors, [0.0] * len(deltas))}
+    assert fig.read_text() == render_plot(series, 2.0 / 3.0)
 
 
 def test_plot_non_finite_reference_exponent_exit_1(tmp_path, capsys):
@@ -283,10 +290,23 @@ def test_plot_from_aggregate(tmp_path):
     )
     out = tmp_path / "fig.svg"
     assert run_cli("plot", "--table", str(table), "--out", str(out)) == 0
-    rows = [(0.1, 1.0, 0.05, "tikhonov"), (0.01, 0.3, 0.01, "tikhonov")]
-    assert out.read_text() == render_plot(rows, 2.0 / 3.0)
+    series = {"tikhonov": ([0.1, 0.01], [1.0, 0.3], [0.05, 0.01])}
+    assert out.read_text() == render_plot(series, 2.0 / 3.0)
     ET.fromstring(out.read_text())  # well-formed
     assert (tmp_path / "fig.svg.manifest").exists()
+
+
+# the inputs are committed text and the chart depends only on math.log10 and 2-decimal
+# formatting, so these digests hold on every host; a byte drift in render_plot fails here
+@pytest.mark.parametrize("method, digest", [
+    ("tikhonov", "a658dcee63f5a47b1053277c0299cb0aaf982172fb9cc7944374bd871c671f20"),
+    ("nn", "99e3177ffbb374724c495c72557eda162316eb30517bbad53a10db428f77aa26"),
+])
+def test_plot_of_a_committed_aggregate_keeps_its_bytes(tmp_path, capsys, method, digest):
+    out = tmp_path / "fig.svg"
+    table = REFERENCE_DIR / method / "aggregate.csv"
+    assert run_cli("plot", "--table", str(table), "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_sweep_writes_tables_and_manifest(tmp_path):
